@@ -303,9 +303,6 @@ class NodeSchedule(Schedule):
         self._slots = slots
         num_slots = int(slots.max()) + 1 if n else 1
         super().__init__(num_slots=max(num_slots, 1), phases_per_slot=phases_per_slot)
-        self._owners: dict[int, tuple[int, ...]] = {}
-        for node in range(n):
-            self._owners.setdefault(int(slots[node]), tuple())
         grouped: dict[int, list[int]] = {}
         for node in range(n):
             grouped.setdefault(int(slots[node]), []).append(node)

@@ -319,11 +319,6 @@ class Simulation:
 
         self._positions = np.asarray([n.position for n in self.nodes], dtype=float)
         self.plan = SlotPlan(self.nodes, schedule)
-        # Kept as aliases of the plan's compiled structures (they used to be
-        # built here directly and are handy for debugging/tests).
-        self._interest_map = self.plan.interest_map
-        self._interest_sets = self.plan.interest_sets
-        self._flex_transmitters = list(self.plan.flex_transmitters)
         if use_spatial_tiling is None:
             use_spatial_tiling = default_spatial_tiling(len(self.nodes))
         self.use_spatial_tiling = bool(use_spatial_tiling)

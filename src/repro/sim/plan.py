@@ -67,7 +67,6 @@ class SlotPlan:
 
     __slots__ = (
         "interest_map",
-        "interest_sets",
         "flex_transmitters",
         "slot_records",
         "flex_candidates",
@@ -144,9 +143,6 @@ class SlotPlan:
             slot: tuple(record[REC_ID] for record in records)
             for slot, records in self.slot_records.items()
         }
-        self.interest_sets: dict[int, frozenset[int]] = {
-            slot: frozenset(ids) for slot, ids in self.interest_map.items()
-        }
         self.flex_transmitters: tuple[int, ...] = tuple(flex_transmitters)
 
         # Frozen per-slot participant ids, in record order.  Shared with the
@@ -165,8 +161,9 @@ class SlotPlan:
         # may consume their private RNG) happen in exactly the same order.
         self.flex_candidates: dict[int, tuple] = {}
         if self.flex_transmitters:
+            interest_sets = {slot: frozenset(ids) for slot, ids in self.interest_map.items()}
             for slot in range(schedule.num_slots):
-                base = self.interest_sets.get(slot, frozenset())
+                base = interest_sets.get(slot, frozenset())
                 candidates = tuple(
                     (wants_slot_by_id[nid], self._node_records[nid])
                     for nid in self.flex_transmitters

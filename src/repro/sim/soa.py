@@ -192,7 +192,6 @@ class _SlotGroup:
         "cache_misses",
         "owners",
         "receivers",
-        "adopts",
         "runtime",
     )
 
@@ -406,7 +405,7 @@ def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tupl
     """Unit-disk decode geometry: members hearing exactly one transmission.
 
     Returns aligned ``(rows, senders)`` arrays — the decoding member
-    indices ascending (compile sorts the CSR rows), matching the scalar
+    indices ascending (the compiled CSR rows ascend), matching the scalar
     loop's listener iteration order for loss draws and DELIVERY events, and
     the member index of the sole audible transmitter each row decodes.
     Transmitters are excluded from the rows only when drawing — the scalar
@@ -542,12 +541,12 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
         rows = rows[fresh]
         senders = senders[fresh]
     payload_of = dict(transmitters)
-    adopts = group.adopts
+    adopt_of = runtime.adopt_of
     records = group.records
     end_round = round_index + 1
     for i, s in zip(rows.tolist(), senders.tolist()):
-        if adopts[i](payload_of[s]):
-            record = records[i]
+        record = records[i]
+        if adopt_of[record[REC_ID]](payload_of[s]):
             adopted[record[REC_ID]] = True
             node = record[REC_NODE]
             if record[REC_HONEST] and node.delivery_round is None and node.delivered:
@@ -565,6 +564,15 @@ _FAMILIES = (
     (MultiPathNode, _run_stream_slot, NUM_PHASES),
     (EpidemicNode, _run_epidemic_slot, 1),
 )
+
+
+def _lowerable(proto, family) -> bool:
+    """Whether ``proto`` can run inside a compiled slot group of ``family``."""
+    return (
+        isinstance(proto, family)
+        and getattr(proto, "soa_compilable", False)
+        and not getattr(proto, "may_transmit_anywhere", False)
+    )
 
 
 class SoaRuntime:
@@ -612,19 +620,37 @@ class SoaRuntime:
             self.capture_threshold = channel.capture_threshold
             self.noise_floor = channel.noise_floor
         self.groups: dict[int, _SlotGroup] = {}
-        #: id(protocol) -> (owner_slot, pop, adopt), for families with a
-        #: slot-independent spec (resolved and validated once per device
-        #: across all of its slots).
-        self._node_specs: dict[int, tuple] = {}
+        size = max((node.node_id for node in nodes), default=0) + 1
         #: Node-id-indexed "known to have adopted" flags for the epidemic
         #: kernel (conservative: set only by compiled adoptions).
-        max_id = max((node.node_id for node in nodes), default=0)
-        self.adopted_flags = np.zeros(max_id + 1, dtype=bool)
+        self.adopted_flags = np.zeros(size, dtype=bool)
+        # The epidemic spec varies per slot only in ownership, and a device
+        # listens in ~density-many slots, so soa_node_spec() is called and
+        # validated once per device into node-id-indexed tables: a group
+        # checks its members with one gather, finds its owners by comparing
+        # owner slots with its own, and the kernel looks adopt_of up by node
+        # id only when a member decodes.
+        self._epidemic_ok = np.zeros(size, dtype=bool)
+        self._owner_slot = np.full(size, -1, dtype=np.int64)
+        self._pop_of: list = [None] * size
+        self.adopt_of: list = [None] * size
+        for node in nodes:
+            proto = node.protocol
+            if _lowerable(proto, EpidemicNode):
+                spec = proto.soa_node_spec()
+                nid = node.node_id
+                self._epidemic_ok[nid] = True
+                self._owner_slot[nid] = spec["owner_slot"]
+                self._pop_of[nid] = spec["pop"]
+                self.adopt_of[nid] = spec["adopt"]
         self.member_slots = 0
         self.slots_run = 0
         self.scalar_fallbacks = 0
         self.busy_cache_evictions = 0
         self.thrash_warned = False
+        # Node -> group-local index lookup of the CSR gather, shared by
+        # every group (-1 outside a _group_adjacency call).
+        local_of = np.full(size, -1, dtype=np.intp)
         for slot, records in plan.slot_records.items():
             group = self._compile_slot(
                 slot,
@@ -632,6 +658,7 @@ class SoaRuntime:
                 plan.participant_arrays[slot],
                 link_state,
                 phases_per_slot,
+                local_of,
             )
             if group is not None:
                 self.groups[slot] = group
@@ -645,6 +672,7 @@ class SoaRuntime:
         member_ids: np.ndarray,
         link_state,
         phases_per_slot: int,
+        local_of: np.ndarray,
     ) -> Optional[_SlotGroup]:
         first = records[0][REC_NODE].protocol
         kernel = required_phases = None
@@ -655,56 +683,35 @@ class SoaRuntime:
                 break
         if family is None or phases_per_slot != required_phases:
             return None
-        epidemic = kernel is _run_epidemic_slot
-        # The epidemic spec is slot-independent apart from the owner flag,
-        # so it is resolved once per device (soa_node_spec) instead of once
-        # per (member, slot) pair — each device listens in ~density-many
-        # slots, and the per-pair spec dicts dominated compile time at
-        # paper scale.  The stream protocols bind per-slot machines, so
-        # they keep the per-slot soa_state_spec call.
         owners = []
         receivers = []
-        adopts = [] if epidemic else None
-        node_specs = self._node_specs
-        for i, record in enumerate(records):
-            proto = record[REC_NODE].protocol
-            if epidemic:
-                # A cached entry means this device already passed validation
-                # in another slot; the common case (one entry per device,
-                # ~density-many membership hits) skips the attribute checks.
-                key = id(proto)
-                cached = node_specs.get(key)
-                if cached is None:
-                    if (
-                        not isinstance(proto, family)
-                        or not getattr(proto, "soa_compilable", False)
-                        or getattr(proto, "may_transmit_anywhere", False)
-                    ):
-                        return None
-                    spec = proto.soa_node_spec()
-                    cached = (spec["owner_slot"], spec["pop"], spec["adopt"])
-                    node_specs[key] = cached
-                if cached[0] == slot:
-                    owners.append((i, cached[1]))
-                adopts.append(cached[2])
-                continue
-            if (
-                not isinstance(proto, family)
-                or not getattr(proto, "soa_compilable", False)
-                or getattr(proto, "may_transmit_anywhere", False)
-            ):
+        if kernel is _run_epidemic_slot:
+            if not self._epidemic_ok[member_ids].all():
                 return None
-            spec = proto.soa_state_spec(slot)
-            if spec is None:
-                return None
-            bit = 1 << i
-            if spec["role"] == "owner":
-                owners.append((i, bit, spec["sender"], spec["idle_veto"]))
-            else:
-                post = spec.get("update_commits")
-                if post is None:
-                    post = partial(spec["drain_slot"], slot)
-                receivers.append((i, bit, spec["receiver"], post))
+            owned = np.flatnonzero(self._owner_slot[member_ids] == slot)
+            pop_of = self._pop_of
+            owners = [
+                (i, pop_of[nid])
+                for i, nid in zip(owned.tolist(), member_ids[owned].tolist())
+            ]
+        else:
+            # The stream protocols bind per-slot machines, so they resolve
+            # one soa_state_spec per (member, slot) pair.
+            for i, record in enumerate(records):
+                proto = record[REC_NODE].protocol
+                if not _lowerable(proto, family):
+                    return None
+                spec = proto.soa_state_spec(slot)
+                if spec is None:
+                    return None
+                bit = 1 << i
+                if spec["role"] == "owner":
+                    owners.append((i, bit, spec["sender"], spec["idle_veto"]))
+                else:
+                    post = spec.get("update_commits")
+                    if post is None:
+                        post = partial(spec["drain_slot"], slot)
+                    receivers.append((i, bit, spec["receiver"], post))
 
         n = len(records)
         if n > 1 and np.any(np.diff(member_ids) <= 0):
@@ -720,7 +727,7 @@ class SoaRuntime:
             adjacency = (None, None)
         else:
             power = None
-            adjacency = self._group_adjacency(member_ids, link_state)
+            adjacency = self._group_adjacency(member_ids, link_state, local_of)
             if adjacency is None:
                 return None
 
@@ -737,13 +744,12 @@ class SoaRuntime:
         group.cache_hits = 0
         group.cache_misses = 0
         group.runtime = self
-        group.adopts = tuple(adopts) if adopts is not None else None
         group.owners = tuple(owners)
         group.receivers = tuple(receivers)
         return group
 
     @staticmethod
-    def _group_adjacency(member_ids: np.ndarray, link_state):
+    def _group_adjacency(member_ids: np.ndarray, link_state, local_of: np.ndarray):
         """Group-local hearers-of-sender CSR from the channel's link state.
 
         ``indices[indptr[j]:indptr[j+1]]`` lists, ascending, the local
@@ -751,8 +757,13 @@ class SoaRuntime:
         audibility submatrix on the dense tier, the intersection of ``j``'s
         global CSR neighborhood with the member set on the sparse tier
         (unit-disk audibility is symmetric, so rows and columns agree).
-        Rows are kept sorted so the kernels' decode/draw iteration matches
-        the scalar loop's ascending listener order.
+        Rows ascend so the kernels' decode/draw iteration matches the
+        scalar loop's ascending listener order.
+
+        The sparse tier gathers all members' global rows at once and maps
+        them to local indices through ``local_of``, a node-id-indexed
+        lookup array that must hold -1 everywhere: it is filled with the
+        members' local indices for the gather and reset before returning.
         """
         n = member_ids.size
         matrix = None
@@ -770,18 +781,21 @@ class SoaRuntime:
             counts = np.bincount(senders, minlength=n)
         elif hasattr(link_state, "indptr"):
             global_indptr = link_state.indptr
-            global_indices = link_state.indices
-            per_member = []
-            counts = np.zeros(n, dtype=np.int64)
-            for j, gid in enumerate(member_ids):
-                nbrs = np.asarray(global_indices[global_indptr[gid] : global_indptr[gid + 1]])
-                pos = np.minimum(np.searchsorted(member_ids, nbrs), n - 1)
-                local = np.sort(pos[member_ids[pos] == nbrs])
-                per_member.append(local)
-                counts[j] = local.size
-            indices = (
-                np.concatenate(per_member) if per_member else np.zeros(0, dtype=np.int64)
-            )
+            starts = global_indptr[member_ids].astype(np.int64)
+            lengths = global_indptr[member_ids + 1] - starts
+            senders = np.repeat(np.arange(n), lengths)
+            # Entry p of the concatenated rows is global entry
+            # starts[s] + (p - offset of row s) for its sender s.
+            shift = starts - (np.cumsum(lengths) - lengths)
+            neighbors = link_state.indices[shift[senders] + np.arange(senders.size)]
+            local_of[member_ids] = np.arange(n)
+            local = local_of[neighbors]
+            local_of[member_ids] = -1
+            # Global rows and member_ids both ascend, so the surviving
+            # entries are sender-grouped with hearers ascending: no sort.
+            kept = local >= 0
+            indices = local[kept]
+            counts = np.bincount(senders[kept], minlength=n)
         else:
             return None
         indptr = np.zeros(n + 1, dtype=np.int64)

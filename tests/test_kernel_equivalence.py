@@ -362,3 +362,40 @@ class TestSpatialTilingEquivalence:
                 assert info["sparse_nnz"] < num_nodes * num_nodes
                 assert info["rounds_resolved"] > 0
         assert serialized[True] == serialized[False]
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    def test_bucketed_schedule_with_sparse_soa_compile(self, loss):
+        """Epidemic at the bucketed-schedule threshold, SoA on, tiled vs dense.
+
+        At BUCKETED_SCHEDULE_MIN_NODES nodes the schedule colours through
+        grid buckets, and the tiled run compiles its SoA groups from the CSR
+        link state while the dense run slices the audibility matrix — the
+        combination the 10^5-node macros run, at a size tier-1 can afford.
+        """
+        from repro.core.schedule import BUCKETED_SCHEDULE_MIN_NODES
+        from repro.experiments.factories import UniformDeploymentFactory
+        from repro.sim.builder import build_simulation
+        from repro.sim.config import ScenarioConfig
+        from repro.sim.engine import clear_link_cache
+
+        num_nodes = BUCKETED_SCHEDULE_MIN_NODES
+        side = (num_nodes / 0.125) ** 0.5
+        deployment = UniformDeploymentFactory(num_nodes, side, side)(5)
+        config = ScenarioConfig(
+            protocol="epidemic", radius=6.0, message_length=4, seed=5,
+            loss_probability=loss,
+        )
+        results = {}
+        for tiled in (False, True):
+            clear_link_cache()
+            sim = build_simulation(
+                deployment, config, use_spatial_tiling=tiled, use_soa_kernels=True
+            )
+            info = sim.plan_cache_info()
+            assert info["spatial_tiling"]["enabled"] is tiled
+            assert info["soa_kernels"]["slots_compiled"] > 0
+            record = sim.run(100_000).to_record()
+            assert sim.plan_cache_info()["soa_kernels"]["slots_run"] > 0
+            results[tiled] = (record, sim.rng.random())
+        assert results[True][0] == results[False][0]
+        assert results[True][1] == results[False][1]

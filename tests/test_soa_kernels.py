@@ -37,6 +37,9 @@ from repro.sim.builder import build_simulation
 from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
 from repro.sim.events import EventLog
+from repro.sim.linkstate import UnitDiskLinkState
+from repro.sim.radio import UnitDiskChannel
+from repro.sim.soa import SoaRuntime
 from repro.topology.deployment import Deployment, uniform_deployment
 
 MAX_ROUNDS = 2500
@@ -121,6 +124,38 @@ class TestEligibility:
         )
         sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=True)
         assert sim.plan_cache_info()["soa_kernels"] == {"enabled": False}
+
+    def test_epidemic_slots_with_an_uncompilable_member_stay_scalar(
+        self, uniform_small_deployment
+    ):
+        # Epidemic members are validated once per device; every slot a
+        # device that cannot lower listens in must stay on the scalar loop,
+        # every other slot compiles, and the mixed run matches the oracle.
+        from repro.core.epidemic import EpidemicNode
+        from repro.sim.engine import Simulation
+
+        class OptedOut(EpidemicNode):
+            soa_compilable = False
+
+        config = ScenarioConfig(protocol="epidemic", radius=3.0, message_length=2, seed=11)
+        runs = {}
+        for soa in (True, False):
+            clear_link_cache()
+            built = build_simulation(
+                uniform_small_deployment, config, use_soa_kernels=False, use_cohort_runtime=False
+            )
+            opted_out = built.nodes[7].protocol
+            opted_out.__class__ = OptedOut
+            sim = Simulation(
+                built.nodes, built.schedule, built.channel, built.message,
+                rng=built.rng, use_soa_kernels=soa, use_cohort_runtime=False,
+            )
+            if soa:
+                compiled = set(sim.soa_runtime.groups)
+                assert compiled
+                assert compiled == set(sim.plan.slot_records) - set(opted_out.interests())
+            runs[soa] = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
+        assert runs[True] == runs[False]
 
     def test_tracing_keeps_the_kernels(self, uniform_small_deployment, nw_config):
         sim = build_simulation(
@@ -212,6 +247,43 @@ class TestThreeTierEquivalence:
         tiled = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
         runs = _run_tiers(uniform_small_deployment, nw_config)
         assert tiled == (runs["soa"][0], runs["soa"][1])
+
+
+class TestGroupAdjacency:
+    """The sparse tier's one-pass CSR gather must equal the dense slice."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        num_nodes=st.integers(1, 80),
+        side=st.floats(1.0, 30.0),
+        radius=st.floats(0.5, 6.0),
+        norm=st.sampled_from(["l2", "linf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_csr_branch_matches_dense_branch(self, data, num_nodes, side, radius, norm, seed):
+        positions = np.random.default_rng(seed).uniform(0.0, side, size=(num_nodes, 2))
+        # One device beyond everyone's range: as a member it hears nobody
+        # else in its group.
+        isolated = num_nodes
+        positions = np.vstack([positions, [[side + 3 * radius, side + 3 * radius]]])
+        sparse = UnitDiskLinkState(positions, radius, norm)
+        assert sparse.indices.dtype == np.int32
+        dense = UnitDiskChannel(radius, norm).link_state(positions)
+        drawn = data.draw(st.lists(st.integers(0, num_nodes), min_size=1, unique=True))
+        members = sorted(set(drawn) | {isolated})
+        groups = [members] + [[member] for member in members]
+        local_of = np.full(positions.shape[0], -1, dtype=np.intp)
+        for group in groups:
+            member_ids = np.asarray(group, dtype=np.intp)
+            indptr, indices = SoaRuntime._group_adjacency(member_ids, sparse, local_of)
+            assert (local_of == -1).all()
+            want_indptr, want_indices = SoaRuntime._group_adjacency(member_ids, dense, local_of)
+            assert indptr.tolist() == want_indptr.tolist()
+            assert indices.tolist() == want_indices.tolist()
+            assert indptr.dtype == indices.dtype == np.int64
+            last = len(group) - 1
+            assert indices[indptr[last] : indptr[last + 1]].tolist() == [last]
 
 
 class TestScalarFallback:
