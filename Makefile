@@ -11,8 +11,10 @@ test:
 
 # Capture a post-change benchmark run into BENCH_$(PR).json (merges with the
 # stored baseline and computes speedups; fails on series-hash drift), then
-# run one traced epidemic-10k sample set of the repository benchmark, which
-# fails on any record-hash mismatch or layer span that did not fire.  The
+# run one traced epidemic-10k and one traced multipath-lying sample set of
+# the repository benchmark (the construction layers and the SoA stream
+# kernel), each failing on any record-hash mismatch or layer span that did
+# not fire.  The
 # cross-PR trend report (benchmarks/trend.py) is on demand only: it compares
 # single-shot captures and flags noise as regressions.
 # PR 7/9's varied knob is the protocol execution runtime: the baseline is
@@ -29,6 +31,7 @@ BENCH_TILING ?= on
 bench:
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
 	$(PYTHON) perfbench/run.py --workload epidemic-10k --seed 1 --seconds 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload multipath-lying --seed 1 --seconds 1 --trace 1
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:

@@ -174,6 +174,13 @@ class ControlMessage:
             raise ValueError("only HEARD messages carry a cause")
 
 
+#: Decoded frames shared by every :class:`ControlCodec` of one
+#: ``(message_length, num_slots)`` shape, keyed by the frame read as an
+#: MSB-first integer and filled on first sight (see
+#: :meth:`ControlCodec.decode_frame`).
+_FRAME_TABLES: dict[tuple[int, int], dict[int, "ControlMessage | None"]] = {}
+
+
 class ControlCodec:
     """Fixed-width bit codec for :class:`ControlMessage`.
 
@@ -200,6 +207,7 @@ class ControlCodec:
         self.num_slots = num_slots
         self.index_width = max(1, (message_length - 1).bit_length())
         self.cause_width = max(1, (num_slots - 1).bit_length())
+        self._frames = _FRAME_TABLES.setdefault((message_length, num_slots), {})
 
     @property
     def frame_bits(self) -> int:
@@ -251,3 +259,31 @@ class ControlCodec:
             return ControlMessage(mtype=mtype, bit_index=index_val, bit_value=value_val, cause=cause_val)
         except ValueError:
             return None
+
+    def decode_frame(self, bits: Sequence[int]) -> ControlMessage | None:
+        """:meth:`decode` of one well-formed frame, from the shape's shared table.
+
+        ``bits`` must be exactly :attr:`frame_bits` 0/1 ints (a MultiPathRB
+        receiver stream).  A frame seen for the first time is decoded by
+        unpacking its integer's bit fields, which agrees with :meth:`decode`
+        on every frame; the messages are immutable, so every codec of this
+        shape shares them.
+        """
+        key = 0
+        for bit in bits:
+            key = (key << 1) | bit
+        frames = self._frames
+        if key in frames:
+            return frames[key]
+        cause = key & ((1 << self.cause_width) - 1)
+        rest = key >> self.cause_width
+        bit_value = rest & 1
+        rest >>= self.VALUE_WIDTH
+        index = (rest & ((1 << self.index_width) - 1)) + 1
+        type_val = rest >> self.index_width
+        message = None
+        if type_val <= ControlType.HEARD and index <= self.message_length:
+            mtype = ControlType(type_val)
+            message = ControlMessage(mtype, index, bit_value, cause if mtype is ControlType.HEARD else 0)
+        frames[key] = message
+        return message

@@ -36,8 +36,6 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Optional
 
-import numpy as np
-
 from ..registry import ProtocolPlugin, register_protocol
 from .messages import Bits, ControlCodec, ControlMessage, ControlType, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
@@ -137,6 +135,7 @@ class MultiPathNode(Protocol):
         self._receivers: dict[int, OneHopReceiver] = {}
         self._peer_of_slot: dict[int, int] = {}
         self._consumed: dict[int, int] = {}
+        self._cause_of: dict[int, Optional[int]] = {}
         self._sender = OneHopSender()
         self._role = _Role.IDLE
         self._active_receiver: Optional[OneHopReceiver] = None
@@ -183,30 +182,20 @@ class MultiPathNode(Protocol):
     def _enqueue(self, message: ControlMessage) -> None:
         self._sender.extend(self._codec.encode(message))
 
-    def _distance(self, a: int, b_position: np.ndarray) -> float:
-        pos = self._schedule.positions
-        if self._schedule.norm == "linf":
-            return float(np.max(np.abs(pos[a] - b_position)))
-        return float(np.sqrt(np.sum((pos[a] - b_position) ** 2)))
-
-    def _position_of(self, node_id: int) -> np.ndarray:
-        return self._schedule.positions[node_id]
-
     def _resolve_cause(self, cause_slot: int) -> Optional[int]:
         """Resolve the device a HEARD message's cause slot refers to.
 
         The cause lies within ``R`` of the HEARD sender, hence within ``2R`` of
         this device, and the schedule guarantees slot uniqueness within the
         separation distance (``3R`` by default), so the owner is unambiguous.
+        Devices never move, so each cause slot is resolved once.
         """
-        my_pos = self._position_of(self.context.node_id)
-        candidates = []
-        for owner in self._schedule.owners_of_slot(cause_slot):
-            if self._distance(owner, my_pos) <= 2.0 * self.context.radius + 1e-9:
-                candidates.append(owner)
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
+        causes = self._cause_of
+        if cause_slot not in causes:
+            causes[cause_slot] = self._schedule.owner_in_neighborhood(
+                cause_slot, self.context.node_id, 2.0 * self.context.radius + 1e-9
+            )
+        return causes[cause_slot]
 
     # -- schedule interface ------------------------------------------------------------------------
     def interests(self) -> Iterable[int]:
@@ -265,7 +254,14 @@ class MultiPathNode(Protocol):
         receiver = self._receivers.get(slot)
         if receiver is None:
             return None
-        return {"role": "receiver", "receiver": receiver, "drain_slot": self._drain_stream}
+        # Only a completed control frame can change state, so the kernel
+        # drains once per frame_bits accepted bits.
+        return {
+            "role": "receiver",
+            "receiver": receiver,
+            "drain_slot": self._drain_stream,
+            "frame_bits": self._codec.frame_bits,
+        }
 
     # -- slot lifecycle ---------------------------------------------------------------------------------
     def _begin_slot(self, slot: int) -> None:
@@ -344,17 +340,20 @@ class MultiPathNode(Protocol):
 
     # -- control-message processing ---------------------------------------------------------------------
     def _drain_stream(self, slot: int) -> None:
-        receiver = self._receivers[slot]
-        peer = self._peer_of_slot[slot]
-        frame_bits = self._codec.frame_bits
-        bits = receiver.received_bits
+        """Handle every complete control frame of ``slot``'s stream not yet consumed.
+
+        Leaves ``_consumed[slot] == frame_bits * (len // frame_bits)``, so a
+        drain before the next frame completes is a no-op.
+        """
+        codec = self._codec
+        frame_bits = codec.frame_bits
+        bits = self._receivers[slot].peek_received()
         consumed = self._consumed[slot]
         while consumed + frame_bits <= len(bits):
-            frame = bits[consumed : consumed + frame_bits]
+            message = codec.decode_frame(bits[consumed : consumed + frame_bits])
             consumed += frame_bits
-            message = self._codec.decode(frame)
             if message is not None:
-                self._handle_control(peer, message)
+                self._handle_control(self._peer_of_slot[slot], message)
         self._consumed[slot] = consumed
 
     def _handle_control(self, peer: int, message: ControlMessage) -> None:
@@ -392,25 +391,25 @@ class MultiPathNode(Protocol):
         self._check_commit(index, value)
 
     def _check_commit(self, index: int, value: int) -> None:
-        """Commit ``(index, value)`` once ``t + 1`` neighborhood-compatible voters exist."""
+        """Commit ``(index, value)`` once ``t + 1`` neighborhood-compatible voters exist.
+
+        A candidate neighborhood is the R-ball around this device or around
+        one voter.  Its membership tests are the schedule's memoized pair
+        tests; this device's centre is its schedule position, which is its
+        context position (the builder takes both from the deployment).
+        """
         per_voter = self._votes.get((index, value), {})
         needed = self.config.tolerance + 1
         if len(per_voter) < needed:
             return
-        radius = self.context.radius
-        my_pos = np.asarray(self.context.position, dtype=float)
-        centers = [my_pos] + [self._position_of(v) for v in per_voter]
-        for center in centers:
+        reach = self.context.radius + 1e-9
+        within = self._schedule.within
+        for center in (self.context.node_id, *per_voter):
             count = 0
             for voter, witnesses in per_voter.items():
-                if self._distance(voter, center) > radius + 1e-9:
+                if not within(voter, center, reach):
                     continue
-                compatible = False
-                for witness in witnesses:
-                    if witness is None or self._distance(witness, center) <= radius + 1e-9:
-                        compatible = True
-                        break
-                if compatible:
+                if any(witness is None or within(witness, center, reach) for witness in witnesses):
                     count += 1
                     if count >= needed:
                         self._commit(index, value, direct=False)

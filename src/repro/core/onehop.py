@@ -235,6 +235,11 @@ class OneHopReceiver:
         return len(self._received)
 
     @property
+    def expected_length(self) -> Optional[int]:
+        """Bound on the stream length (``None`` for an open-ended stream)."""
+        return self._expected_length
+
+    @property
     def complete(self) -> bool:
         """Whether the expected number of bits has been received."""
         return self._expected_length is not None and len(self._received) >= self._expected_length
@@ -273,15 +278,17 @@ class OneHopReceiver:
         return tuple(self._received)
 
     # -- SoA kernel accessor ------------------------------------------------------------
-    def soa_append(self, data: int) -> None:
-        """Append an accepted data bit (SoA kernel accept path).
+    def soa_append(self, data: int) -> int:
+        """Append an accepted data bit (SoA kernel accept path); returns the new length.
 
         The kernel performs the veto/parity/completion checks in mask algebra
         and bypasses the per-slot :class:`TwoBitReceiver` objects, so the
         failed/accepted/ignored tallies are not maintained on the SoA tier;
         the accepted stream — the behaviour-relevant state — is.
         """
-        self._received.append(data)
+        received = self._received
+        received.append(data)
+        return len(received)
 
     def clone(self) -> "OneHopReceiver":
         """Independent state-identical copy (cohort splits, possibly mid-slot)."""

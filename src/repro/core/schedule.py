@@ -308,6 +308,7 @@ class NodeSchedule(Schedule):
             grouped.setdefault(int(slots[node]), []).append(node)
         self._owners = {slot: tuple(ids) for slot, ids in grouped.items()}
         self._neighbor_slot_tables: dict[float, list[list[int]]] = {}
+        self._within_memos: dict[float, dict[int, bool]] = {}
 
     def _neighborhoods(self, threshold: float, *, include_self: bool):
         """Per-node neighbor ids at ``threshold``, dense or grid-bucketed.
@@ -371,15 +372,31 @@ class NodeSchedule(Schedule):
         never reuses a slot within ``separation`` of the listener.
         """
         r = self.radius if listen_radius is None else listen_radius
-        candidates = []
-        pos = self.positions
-        for owner in self.owners_of_slot(slot):
-            if self.norm == "linf":
-                d = float(np.max(np.abs(pos[owner] - pos[node_id])))
-            else:
-                d = float(np.sqrt(np.sum((pos[owner] - pos[node_id]) ** 2)))
-            if d <= r:
-                candidates.append(owner)
+        candidates = [owner for owner in self.owners_of_slot(slot) if self._distance(owner, node_id) <= r]
         if len(candidates) == 1:
             return candidates[0]
         return None
+
+    def within(self, a: int, b: int, reach: float) -> bool:
+        """Whether devices ``a`` and ``b`` are at most ``reach`` apart, memoized per pair.
+
+        Devices never move, so each pair is measured once per ``reach``.  The
+        distance expression is symmetric float for float (``x - y`` is
+        exactly ``-(y - x)``), so ``(a, b)`` and ``(b, a)`` share one entry.
+        """
+        memo = self._within_memos.get(reach)
+        if memo is None:
+            memo = self._within_memos[reach] = {}
+        n = self.positions.shape[0]
+        key = a * n + b if a <= b else b * n + a
+        near = memo.get(key)
+        if near is None:
+            near = memo[key] = self._distance(a, b) <= reach
+        return near
+
+    def _distance(self, a: int, b: int) -> float:
+        """Distance between devices ``a`` and ``b`` under the schedule's norm."""
+        pos = self.positions
+        if self.norm == "linf":
+            return float(np.max(np.abs(pos[a] - pos[b])))
+        return float(np.sqrt(np.sum((pos[a] - pos[b]) ** 2)))

@@ -529,10 +529,12 @@ class Simulation:
                 if extras:
                     # Opportunistic joiners put unmodeled frames on the air;
                     # this occurrence runs on the oracle loop (against the
-                    # same protocol objects — the next occurrence resumes on
-                    # the SoA tier by re-reading their state).
+                    # same protocol objects), then the group re-reads the
+                    # receiver streams the loop moved so the next occurrence
+                    # resumes on the SoA tier.
                     self.soa_runtime.scalar_fallbacks += 1
                     self._run_slot_scalar(cycle, slot, records, occurrence_key)
+                    group.resync()
                 else:
                     self.soa_runtime.run_slot(self, group)
                 return

@@ -48,8 +48,12 @@ tier is decided per capability by
 Kernels mutate the *same* protocol objects the scalar loop would, so any
 slot occurrence can fall back to the scalar path (opportunistic adversary
 transmitters joining a slot) and the next occurrence resumes on the SoA
-tier with no reconciliation step: per-slot role masks are recomputed from
-the live objects at slot entry.
+tier.  Sender roles are re-read from the live objects at slot entry.  The
+receiver masks (which streams still listen, which expect parity 1) live on
+the group across occurrences and are advanced in mask algebra by the
+kernel itself; a receiver stream only moves when its slot runs, so the one
+reconciliation step is :meth:`_SlotGroup.resync`, which the engine calls
+after running a compiled slot as a scalar fallback.
 
 Mask conventions
 ----------------
@@ -191,9 +195,31 @@ class _SlotGroup:
         "cache_hits",
         "cache_misses",
         "owners",
-        "receivers",
+        "receiver_at",
+        "active",
+        "parity1",
         "runtime",
     )
+
+    def resync(self) -> None:
+        """Rebuild the receiver masks from the live :class:`OneHopReceiver` objects.
+
+        ``active`` holds the streams still listening (a bounded stream leaves
+        once complete) and ``parity1`` those whose next bit carries parity 1.
+        The stream kernel advances both itself, so this full scan runs only
+        at compile time and after the engine ran this slot as a scalar
+        fallback — the one other path that moves these receivers.
+        """
+        active = parity1 = 0
+        for i, entry in enumerate(self.receiver_at):
+            if entry is None or entry[0].complete:
+                continue
+            bit = 1 << i
+            active |= bit
+            if entry[0].expected_parity:
+                parity1 |= bit
+        self.active = active
+        self.parity1 = parity1
 
     def phase_busy(self, tx_mask: int) -> int:
         """Channel-busy mask for one phase, tallying member broadcasts.
@@ -323,10 +349,15 @@ class _SlotGroup:
 def _run_stream_slot(sim, group: _SlotGroup) -> None:
     """One six-phase 1Hop/2Bit slot over all members at once.
 
-    Role masks are rebuilt from the live sender/receiver objects at entry
-    (cheap — a slot group holds one TDMA neighborhood), which is what makes
-    scalar fallback occurrences free of bookkeeping: whatever an
-    interleaved scalar slot did to the objects is simply re-read here.
+    Sender roles are read from the live owner objects at entry (a group has
+    few owners).  The receiver masks are the group's own and advance here:
+    an accepted bit flips its receiver's expected parity (the 1Hop parity
+    alternates) and a bounded stream that reaches its length stops
+    listening.  Scalar fallbacks are reconciled by :meth:`_SlotGroup.resync`.
+    Per-device Python runs only for the accepted receivers, and the commit
+    callback after every accepted bit or, when the spec declares
+    ``frame_bits``, only when a stream completes a frame (any other drain
+    would consume nothing).
     """
     senders = b1 = b2 = always = cond = 0
     slot_senders = None
@@ -346,13 +377,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
             always |= bit
         else:
             cond |= bit
-    active = parity1 = 0
-    for i, bit, receiver, post in group.receivers:
-        if receiver.complete:
-            continue
-        active |= bit
-        if receiver.expected_parity:
-            parity1 |= bit
+    active = group.active
 
     phase_busy = group.phase_busy
     busy0 = phase_busy(b1)
@@ -385,20 +410,31 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     # A receiver accepts exactly when its slot was veto-free and the parity
     # it heard matches the next expected one (XNOR against the parity mask);
     # the data bit is its R3 observation.
-    accepted = active & ~heard_veto & ~(heard1 ^ parity1)
-    if accepted:
-        end_round = sim.round_index + NUM_PHASES
-        records = group.records
-        for i, bit, receiver, post in group.receivers:
-            if accepted & bit:
-                receiver.soa_append(1 if heard2 & bit else 0)
-                post()
-                record = records[i]
-                node = record[REC_NODE]
-                if record[REC_HONEST] and node.delivery_round is None and node.delivered:
-                    node.mark_delivered(end_round)
-                    if trace is not None:
-                        trace.record(EventKind.DELIVERY, end_round, node.node_id)
+    accepted = active & ~heard_veto & ~(heard1 ^ group.parity1)
+    if not accepted:
+        return
+    group.parity1 ^= accepted
+    end_round = sim.round_index + NUM_PHASES
+    records = group.records
+    receiver_at = group.receiver_at
+    while accepted:
+        bit = accepted & -accepted
+        accepted ^= bit
+        i = bit.bit_length() - 1
+        receiver, post, every, limit = receiver_at[i]
+        count = receiver.soa_append(1 if heard2 & bit else 0)
+        if count == limit:
+            group.active ^= bit
+        if count % every:
+            continue
+        post()
+        # Delivery only moves inside a commit callback.
+        record = records[i]
+        node = record[REC_NODE]
+        if record[REC_HONEST] and node.delivery_round is None and node.delivered:
+            node.mark_delivered(end_round)
+            if trace is not None:
+                trace.record(EventKind.DELIVERY, end_round, node.node_id)
 
 
 def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tuple:
@@ -558,7 +594,9 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
 #: Protocol family -> (kernel, required rounds per slot).  NeighborWatchRB
 #: and MultiPathRB share the stream kernel: both drive 1Hop/2Bit exchanges
 #: and differ only in the post-accept callback their ``soa_state_spec``
-#: binds (the commit-pipeline rerun vs. the control-stream drain).
+#: binds: ``update_commits`` (the commit-pipeline rerun, after every
+#: accepted bit) vs. ``drain_slot`` (the control-stream drain, once per
+#: ``frame_bits`` accepted bits).
 _FAMILIES = (
     (NeighborWatchNode, _run_stream_slot, NUM_PHASES),
     (MultiPathNode, _run_stream_slot, NUM_PHASES),
@@ -683,8 +721,9 @@ class SoaRuntime:
                 break
         if family is None or phases_per_slot != required_phases:
             return None
+        n = len(records)
         owners = []
-        receivers = []
+        receiver_at: list = []
         if kernel is _run_epidemic_slot:
             if not self._epidemic_ok[member_ids].all():
                 return None
@@ -696,7 +735,10 @@ class SoaRuntime:
             ]
         else:
             # The stream protocols bind per-slot machines, so they resolve
-            # one soa_state_spec per (member, slot) pair.
+            # one soa_state_spec per (member, slot) pair.  A receiver entry is
+            # (stream, commit callback, call it every this many accepted
+            # bits, stream bound).
+            receiver_at = [None] * n
             for i, record in enumerate(records):
                 proto = record[REC_NODE].protocol
                 if not _lowerable(proto, family):
@@ -704,16 +746,17 @@ class SoaRuntime:
                 spec = proto.soa_state_spec(slot)
                 if spec is None:
                     return None
-                bit = 1 << i
                 if spec["role"] == "owner":
-                    owners.append((i, bit, spec["sender"], spec["idle_veto"]))
-                else:
-                    post = spec.get("update_commits")
-                    if post is None:
-                        post = partial(spec["drain_slot"], slot)
-                    receivers.append((i, bit, spec["receiver"], post))
+                    owners.append((i, 1 << i, spec["sender"], spec["idle_veto"]))
+                    continue
+                receiver = spec["receiver"]
+                post = spec.get("update_commits")
+                every = 1
+                if post is None:
+                    post = partial(spec["drain_slot"], slot)
+                    every = spec["frame_bits"]
+                receiver_at[i] = (receiver, post, every, receiver.expected_length)
 
-        n = len(records)
         if n > 1 and np.any(np.diff(member_ids) <= 0):
             return None
         if self.busy_mode == "power-sum":
@@ -745,7 +788,8 @@ class SoaRuntime:
         group.cache_misses = 0
         group.runtime = self
         group.owners = tuple(owners)
-        group.receivers = tuple(receivers)
+        group.receiver_at = receiver_at
+        group.resync()
         return group
 
     @staticmethod

@@ -164,3 +164,41 @@ class TestControlCodec:
         codec = ControlCodec(message_length=4, num_slots=100)
         result = codec.decode(tuple(bits))
         assert result is None or isinstance(result, ControlMessage)
+
+    @pytest.mark.parametrize(
+        "message_length,num_slots",
+        [(1, 1), (3, 7), (5, 2), (2, 20), (16, 33)],
+    )
+    def test_decode_frame_table_matches_decode_on_every_frame(self, message_length, num_slots):
+        """The shared table answers every 2^frame_bits frame exactly as ``decode``."""
+        codec = ControlCodec(message_length=message_length, num_slots=num_slots)
+        width = codec.frame_bits
+        type_shift = width - ControlCodec.TYPE_WIDTH
+        index_shift = codec.cause_width + ControlCodec.VALUE_WIDTH
+        invalid_type = overflow = 0
+        for value in range(1 << width):
+            frame = bits_from_int(value, width)
+            expected = codec.decode(frame)
+            # First lookup fills the table, the second answers from it.
+            assert codec.decode_frame(frame) == expected
+            assert codec.decode_frame(list(frame)) == expected
+            if value >> type_shift == 3:
+                assert expected is None
+                invalid_type += 1
+            elif ((value >> index_shift) & ((1 << codec.index_width) - 1)) + 1 > message_length:
+                assert expected is None
+                overflow += 1
+            else:
+                assert expected is not None
+        assert invalid_type == 1 << type_shift
+        has_overflow = (1 << codec.index_width) > message_length
+        assert (overflow > 0) == has_overflow
+
+    def test_decode_frame_table_is_shared_per_shape(self):
+        frame = ControlCodec(message_length=3, num_slots=7).encode(
+            ControlMessage(ControlType.HEARD, 2, 1, cause=5)
+        )
+        first = ControlCodec(message_length=3, num_slots=7).decode_frame(frame)
+        assert ControlCodec(message_length=3, num_slots=7).decode_frame(frame) is first
+        other = ControlCodec(message_length=3, num_slots=8).decode_frame(frame)
+        assert other == first and other is not first

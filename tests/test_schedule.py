@@ -185,6 +185,22 @@ class TestNodeSchedule:
                 assert sched.owner_in_neighborhood(slot, 0) is None
                 break
 
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_within_is_a_symmetric_memo_of_the_scalar_distance(self, norm):
+        dep = uniform_deployment(40, 10, 10, rng=3)
+        sched = NodeSchedule(dep.positions, radius=3.0, source_index=dep.source_index, norm=norm)
+        pos = sched.positions
+        reach = 3.0 + 1e-9
+        for a in range(dep.num_nodes):
+            for b in range(dep.num_nodes):
+                diff = pos[a] - pos[b]
+                d = float(np.max(np.abs(diff))) if norm == "linf" else float(np.sqrt(np.sum(diff**2)))
+                assert sched.within(a, b, reach) == (d <= reach)
+                assert sched.within(b, a, reach) == sched.within(a, b, reach)
+        # One entry per unordered pair (self-pairs included), per reach.
+        assert len(sched._within_memos[reach]) == dep.num_nodes * (dep.num_nodes + 1) // 2
+        assert not sched.within(0, 1, -1.0)
+
     def test_deterministic(self):
         dep = uniform_deployment(60, 10, 10, rng=5)
         s1 = NodeSchedule(dep.positions, 3.0, dep.source_index)

@@ -298,6 +298,93 @@ class TestScalarFallback:
         assert info["slots_run"] > 0
 
 
+def _receiver_streams(sim) -> dict:
+    """Every device's 1Hop receiver stream, keyed ``(node id, slot)``."""
+    streams = {}
+    for node in sim.nodes:
+        proto = node.protocol
+        if not getattr(proto, "soa_compilable", False):
+            continue
+        for slot in proto.interests():
+            spec = proto.soa_state_spec(slot)
+            if spec is not None and spec["role"] == "receiver":
+                streams[(node.node_id, slot)] = tuple(spec["receiver"].peek_received())
+    return streams
+
+
+class TestReceiverMaskResync:
+    """Compiled slots keep their receiver masks across occurrences.
+
+    A scalar-fallback occurrence moves receiver streams behind those masks,
+    so the group must resync from the live receivers before it runs the
+    slot compiled again.  A light jammer whose budget outlasts the run makes
+    fallbacks and compiled occurrences of the same slots interleave all run
+    long.  Records alone could hide a stale mask (MultiPathRB's redundant
+    voting can absorb a missed control bit), so the streams are compared
+    too.
+    """
+
+    @pytest.mark.parametrize(
+        "protocol,max_rounds",
+        # This deployment's MultiPathRB schedule cycle is 85 slots; its
+        # streams first move in fallback occurrences after a few cycles.
+        [("neighborwatch", MAX_ROUNDS), ("multipath", 12_000)],
+    )
+    def test_fallbacks_interleaved_with_compiled_occurrences(
+        self, uniform_small_deployment, protocol, max_rounds
+    ):
+        config = ScenarioConfig(
+            protocol=protocol, radius=3.0, message_length=3, multipath_tolerance=1, seed=11
+        )
+        faults = FaultPlan(jammers=(21,), jammer_budget=100_000, jam_probability=0.03)
+        runs = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            log = EventLog()
+            sim = build_simulation(uniform_small_deployment, config, faults, trace=log, **kwargs)
+            result = sim.run(max_rounds)
+            runs[tier] = (
+                result.to_record(),
+                sim.rng.random(),
+                "\n".join(str(event) for event in log).encode(),
+                _receiver_streams(sim),
+            )
+            if tier == "soa":
+                info = sim.plan_cache_info()["soa_kernels"]
+                assert info["scalar_fallbacks"] > 0
+                assert info["slots_run"] > info["scalar_fallbacks"]
+                assert not sim.nodes[21].protocol.budget.exhausted
+        soa, scalar = runs["soa"], runs["scalar"]
+        assert soa[0] == scalar[0], "records differ"
+        assert soa[1] == scalar[1], "RNG position differs"
+        assert soa[2] == scalar[2], "event streams differ"
+        assert soa[3] == scalar[3], "receiver streams differ"
+        assert any(soa[3].values())
+
+
+class TestMultipathFrameDrains:
+    @pytest.mark.parametrize("tier", ["soa", "scalar"])
+    def test_drains_consume_whole_frames(self, uniform_small_deployment, mp_config, tier):
+        """Every drain leaves ``_consumed == frame_bits * (len // frame_bits)``.
+
+        That is what makes draining once per completed frame (the SoA
+        kernel) equal to draining after every slot (the scalar loop).
+        """
+        clear_link_cache()
+        sim = build_simulation(uniform_small_deployment, mp_config, **dict(TIERS)[tier])
+        partial_frames = 0
+        for _ in range(12):
+            sim.run_slots(53)
+            for node in sim.nodes:
+                proto = node.protocol
+                frame_bits = proto._codec.frame_bits
+                for slot, consumed in proto._consumed.items():
+                    length = len(proto._receivers[slot].peek_received())
+                    assert consumed == frame_bits * (length // frame_bits)
+                    partial_frames += length % frame_bits != 0
+        assert partial_frames > 0
+
+
 class TestTraceSynthesis:
     """Traced SoA runs must emit the scalar loop's exact event stream."""
 
