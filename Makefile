@@ -11,10 +11,11 @@ test:
 
 # Capture a post-change benchmark run into BENCH_$(PR).json (merges with the
 # stored baseline and computes speedups; fails on series-hash drift), then
-# run one traced epidemic-10k and one traced multipath-lying sample set of
-# the repository benchmark (the construction layers and the SoA stream
-# kernel), each failing on any record-hash mismatch or layer span that did
-# not fire.  The
+# run one traced epidemic-10k, multipath-lying and sweep-small sample set of
+# the repository benchmark (the construction layers, the SoA stream kernel,
+# and the quiet-cycle fast-forward of sweep-small's 13 runs that never
+# terminate), each failing on any record-hash mismatch or layer span that
+# did not fire.  The
 # cross-PR trend report (benchmarks/trend.py) is on demand only: it compares
 # single-shot captures and flags noise as regressions.
 # PR 7/9's varied knob is the protocol execution runtime: the baseline is
@@ -32,6 +33,7 @@ bench:
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
 	$(PYTHON) perfbench/run.py --workload epidemic-10k --seed 1 --seconds 1 --trace 1
 	$(PYTHON) perfbench/run.py --workload multipath-lying --seed 1 --seconds 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload sweep-small --seed 1 --seconds 1 --trace 1
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:

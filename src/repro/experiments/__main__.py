@@ -506,13 +506,14 @@ def _command_run(args) -> int:
     if soa.get("slots_run"):
         # SoA-tier observability for serial/in-process runs (process-pool
         # workers keep their own accumulators): how much executed on the
-        # compiled tier, how often slots fell back, and how well the
-        # busy-pattern memo held up.
+        # compiled tier, how often slots fell back, how many quiet cycles
+        # were jumped over, and how well the busy-pattern memo held up.
         lookups = soa["busy_cache_hits"] + soa["busy_cache_misses"]
         hit_rate = soa["busy_cache_hits"] / lookups if lookups else 0.0
         summary += (
             f" [soa: slots_run={soa['slots_run']}"
             f" scalar_fallbacks={soa['scalar_fallbacks']}"
+            f" cycles_fast_forwarded={soa['cycles_fast_forwarded']}"
             f" busy_cache_hit_rate={hit_rate:.1%}"
         )
         if soa.get("busy_cache_evictions"):

@@ -145,8 +145,9 @@ def soa_telemetry_snapshot() -> dict:
     """Accumulated SoA-kernel counters of this process's ``run_scenario`` calls.
 
     Keys mirror ``plan_cache_info()["soa_kernels"]``: ``slots_run``,
-    ``scalar_fallbacks`` and the ``busy_cache_*`` counters, summed across
-    runs.  Empty until a run executes on the SoA tier.
+    ``scalar_fallbacks``, ``cycles_fast_forwarded`` and the ``busy_cache_*``
+    counters, summed across runs.  Empty until a run executes on the SoA
+    tier.
     """
     return dict(_soa_telemetry)
 
@@ -198,6 +199,7 @@ def run_scenario(
         for key in (
             "slots_run",
             "scalar_fallbacks",
+            "cycles_fast_forwarded",
             "busy_cache_hits",
             "busy_cache_misses",
             "busy_cache_evictions",

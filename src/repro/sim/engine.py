@@ -57,7 +57,9 @@ event stream on traced runs.  The knob is
 ``use_soa_kernels`` (env ``REPRO_SOA_KERNELS``, default on); slot
 occurrences joined by an opportunistic adversary transmitter, and every
 non-compilable configuration, fall back to the cohort/scalar tiers, which
-remain the tested oracles.
+remain the tested oracles.  On this tier a run that never terminates jumps
+over its idle tail once a whole schedule cycle moves no state (see
+:meth:`Simulation.run`).
 
 Spatially-tiled link state
 --------------------------
@@ -369,7 +371,6 @@ class Simulation:
             )
             if runtime.groups:
                 self.soa_runtime = runtime
-        self._soa_groups = self.soa_runtime.groups if self.soa_runtime is not None else {}
         if use_cohort_runtime is None:
             use_cohort_runtime = default_cohort_runtime()
         # Compiled SoA slots never reach the cohort runtime, and the two
@@ -415,13 +416,16 @@ class Simulation:
         * ``"soa_kernels"`` — ``{"enabled": False}`` when the
           struct-of-arrays tier is off or no slot compiled, otherwise
           ``{"enabled": True, "slots_compiled", "member_slots", "slots_run",
-          "scalar_fallbacks", "busy_cache_hits", "busy_cache_misses",
-          "busy_cache_entries", "busy_cache_evictions"}``: how many slots
-          (and slot-memberships) compiled into bitmask kernels, how many
-          slot occurrences executed on the tier vs. fell back to the oracle
-          loop because an opportunistic transmitter joined, and the
+          "scalar_fallbacks", "cycles_fast_forwarded", "busy_cache_hits",
+          "busy_cache_misses", "busy_cache_entries",
+          "busy_cache_evictions"}``: how many slots (and slot-memberships)
+          compiled into bitmask kernels, how many slot occurrences executed
+          on the tier vs. fell back to the oracle loop because an
+          opportunistic transmitter joined, how many whole quiet schedule
+          cycles :meth:`run` jumped over instead of executing, and the
           busy-pattern memo counters (evictions count entries dropped by
-          wholesale overflow clears of a group's memo);
+          wholesale overflow clears of a group's memo).  ``slots_run`` and
+          the memo counters count executed occurrences only;
         * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
           otherwise ``{"enabled": True, "tiles", "occupied_tiles",
           "tile_side", "grid_cols", "grid_rows", "sparse_nnz",
@@ -465,18 +469,42 @@ class Simulation:
         round at which they happened regardless of the check interval, so the
         interval only affects how promptly the run *stops*, never the recorded
         ``delivery_round`` of any device.
+
+        Runs that never terminate skip their idle tail.  A whole schedule
+        cycle in which no device's state moved — no SoA kernel advanced a
+        sender, accepted a bit or popped a flood payload, and no slot ran on
+        the scalar loop — is a fixed point: every kernel input (owner
+        streams, receiver masks, memoized busy masks) is unchanged, so each
+        later cycle repeats it exactly.  When the channel draws no RNG, the
+        run is untraced and the plan has no opportunistic (flex)
+        transmitters, the second such cycle in a row jumps over every
+        remaining whole cycle up to ``max_rounds`` at once, crediting each
+        skipped cycle the quiet cycle's broadcasts; the final partial cycle
+        runs slot by slot.  It never jumps over a termination check that
+        would stop the run.  Records, delivery stamps, broadcast counts and
+        RNG positions are those of stepping every slot.
         """
         if max_rounds <= 0:
             raise ValueError("max_rounds must be positive")
         if check_interval_slots is not None and check_interval_slots <= 0:
             raise ValueError("check_interval_slots must be positive")
         phases = self.schedule.phases_per_slot
-        check_every = check_interval_slots if check_interval_slots is not None else self.schedule.num_slots
+        num_slots = self.schedule.num_slots
+        check_every = check_interval_slots if check_interval_slots is not None else num_slots
         slots_since_check = 0
         # Stamp devices that delivered before the run started (e.g. the source).
         self._record_deliveries()
         terminated = self._all_honest_delivered()
 
+        soa = self.soa_runtime
+        fast_forward = (
+            soa is not None
+            and self.trace is None
+            and not self.channel.consumes_rng()
+            and not self.plan.flex_candidates
+        )
+        last_slot = num_slots - 1
+        quiet = False  # the last whole cycle moved no state
         slot_starts = self.schedule.iter_slot_starts(self.round_index)
         while not terminated and self.round_index + phases <= max_rounds:
             cycle, slot = next(slot_starts)
@@ -487,8 +515,31 @@ class Simulation:
                 slots_since_check = 0
                 if stop_when_delivered and self._all_honest_delivered():
                     terminated = True
-        if self.soa_runtime is not None:
-            self.soa_runtime.flush_broadcasts()
+            if fast_forward and slot == last_slot:
+                if soa.moved:
+                    soa.moved = quiet = False
+                elif not quiet:
+                    # Fold everything tallied so far into the nodes: the
+                    # next quiet cycle refills the tallies with exactly one
+                    # cycle's broadcasts.
+                    soa.flush_broadcasts()
+                    quiet = True
+                else:
+                    # The last boundary examined: a jump leaves less than a
+                    # cycle, and a refusal stands for the rest of the run
+                    # (less than a cycle is left, or the next termination
+                    # check stops it).  Every termination check a jump
+                    # passes over fails as this one does: delivery state no
+                    # longer moves.
+                    fast_forward = False
+                    cycle_rounds = self.schedule.rounds_per_cycle
+                    skip = (max_rounds - self.round_index) // cycle_rounds
+                    if skip and not (stop_when_delivered and self._all_honest_delivered()):
+                        soa.repeat_tallies(skip)
+                        self.round_index += skip * cycle_rounds
+                        slot_starts = self.schedule.iter_slot_starts(self.round_index)
+        if soa is not None:
+            soa.flush_broadcasts()
         self._record_deliveries()
         terminated = self._all_honest_delivered()
         return self._build_result(terminated)
@@ -522,21 +573,24 @@ class Simulation:
                 occurrence_key = (slot, tuple(r[REC_ID] for r in extras))
         if not records:
             return
-        soa_groups = self._soa_groups
-        if soa_groups:
-            group = soa_groups.get(slot)
+        soa = self.soa_runtime
+        if soa is not None:
+            group = soa.groups.get(slot)
+            if group is not None and not extras:
+                soa.run_slot(self, group)
+                return
+            # The scalar loop may move any participant's state, so the
+            # quiet-cycle test of run() counts every such slot as a change.
+            soa.moved = True
             if group is not None:
-                if extras:
-                    # Opportunistic joiners put unmodeled frames on the air;
-                    # this occurrence runs on the oracle loop (against the
-                    # same protocol objects), then the group re-reads the
-                    # receiver streams the loop moved so the next occurrence
-                    # resumes on the SoA tier.
-                    self.soa_runtime.scalar_fallbacks += 1
-                    self._run_slot_scalar(cycle, slot, records, occurrence_key)
-                    group.resync()
-                else:
-                    self.soa_runtime.run_slot(self, group)
+                # Opportunistic joiners put unmodeled frames on the air;
+                # this occurrence runs on the oracle loop (against the
+                # same protocol objects), then the group re-reads the
+                # receiver streams the loop moved so the next occurrence
+                # resumes on the SoA tier.
+                soa.scalar_fallbacks += 1
+                self._run_slot_scalar(cycle, slot, records, occurrence_key)
+                group.resync()
                 return
         runtime = self._slot_runtime
         if runtime is not None:

@@ -55,6 +55,13 @@ kernel itself; a receiver stream only moves when its slot runs, so the one
 reconciliation step is :meth:`_SlotGroup.resync`, which the engine calls
 after running a compiled slot as a scalar fallback.
 
+The kernels raise :attr:`SoaRuntime.moved` whenever they move protocol
+state (a sender advances, a receiver accepts a bit, an epidemic owner pops
+a payload).  A schedule cycle that raised nothing is a fixed point whose
+only output is its broadcast tally, which is what lets
+:meth:`repro.sim.engine.Simulation.run` jump over the idle tail of a run
+that never terminates (:meth:`SoaRuntime.repeat_tallies`).
+
 Mask conventions
 ----------------
 Within one compiled slot group the members are indexed ``0..n-1`` in
@@ -406,6 +413,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
         for bit, sender in slot_senders:
             if not (final & bit):
                 sender.soa_advance()
+                group.runtime.moved = True
 
     # A receiver accepts exactly when its slot was veto-free and the parity
     # it heard matches the next expected one (XNOR against the parity mask);
@@ -413,6 +421,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     accepted = active & ~heard_veto & ~(heard1 ^ group.parity1)
     if not accepted:
         return
+    group.runtime.moved = True
     group.parity1 ^= accepted
     end_round = sim.round_index + NUM_PHASES
     records = group.records
@@ -542,6 +551,7 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
     if transmitters is None:
         return
     runtime = group.runtime
+    runtime.moved = True
     trace = sim.trace
     round_index = sim.round_index
     tally = group.tally
@@ -684,6 +694,12 @@ class SoaRuntime:
         self.member_slots = 0
         self.slots_run = 0
         self.scalar_fallbacks = 0
+        #: Raised whenever a member's state moves — a sender advances, a
+        #: receiver accepts a bit, an epidemic owner pops a payload — and by
+        #: the engine for every scalar slot; the engine clears it at each
+        #: cycle boundary to recognise quiet cycles.
+        self.moved = True
+        self.cycles_fast_forwarded = 0
         self.busy_cache_evictions = 0
         self.thrash_warned = False
         # Node -> group-local index lookup of the CSR gather, shared by
@@ -852,13 +868,29 @@ class SoaRuntime:
         self.slots_run += 1
         group.run(sim, group)
 
+    def repeat_tallies(self, cycles: int) -> None:
+        """Credit ``cycles`` more repetitions of the tallied broadcasts.
+
+        The engine calls this when it jumps over ``cycles`` whole quiet
+        schedule cycles, with the tallies holding exactly one quiet cycle
+        (flushed at the boundary before it); a skipped cycle would have
+        broadcast exactly what that cycle did.
+        """
+        factor = cycles + 1
+        for group in self.groups.values():
+            tally = group.tally
+            for mask in tally:
+                tally[mask] *= factor
+        self.cycles_fast_forwarded += cycles
+
     def flush_broadcasts(self) -> None:
         """Fold the batched per-mask broadcast tallies into the nodes.
 
         Called by the engine at the end of ``run()``/``run_slots()`` — the
-        only points where ``SimNode.broadcasts`` is consumed.  Idempotent:
-        each flush clears the tallies, and scalar-fallback occurrences
-        increment the nodes directly, so the two paths compose.
+        only points where ``SimNode.broadcasts`` is consumed — and at a
+        run's first quiet cycle boundary (see :meth:`repeat_tallies`).
+        Idempotent: each flush clears the tallies, and scalar-fallback
+        occurrences increment the nodes directly, so the two paths compose.
         """
         for group in self.groups.values():
             tally = group.tally
@@ -883,6 +915,7 @@ class SoaRuntime:
             "member_slots": self.member_slots,
             "slots_run": self.slots_run,
             "scalar_fallbacks": self.scalar_fallbacks,
+            "cycles_fast_forwarded": self.cycles_fast_forwarded,
             "busy_cache_hits": sum(g.cache_hits for g in groups),
             "busy_cache_misses": sum(g.cache_misses for g in groups),
             "busy_cache_entries": sum(len(g.busy_cache) for g in groups),

@@ -11,11 +11,14 @@ experiments and tests can check them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .geometry import neighborhood_matrix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "communication_graph",
@@ -28,7 +31,13 @@ __all__ = [
 
 
 def communication_graph(positions: np.ndarray, radius: float, norm: str = "l2") -> nx.Graph:
-    """Build the radio communication graph as a :class:`networkx.Graph`."""
+    """Build the radio communication graph as a :class:`networkx.Graph`.
+
+    networkx is imported here rather than at module load: it is needed only
+    by callers that want a graph object, not by the simulator.
+    """
+    import networkx as nx
+
     adj = neighborhood_matrix(positions, radius, norm=norm)
     graph = nx.Graph()
     graph.add_nodes_from(range(adj.shape[0]))
@@ -46,7 +55,11 @@ def hop_counts_from(
     expansion, which is considerably faster than generic graph libraries for
     the dense radio graphs the experiments use.
     """
-    adj = neighborhood_matrix(positions, radius, norm=norm)
+    return _bfs_hops(neighborhood_matrix(positions, radius, norm=norm), source)
+
+
+def _bfs_hops(adj: np.ndarray, source: int) -> np.ndarray:
+    """Frontier BFS over a boolean adjacency matrix (``-1`` if unreachable)."""
     n = adj.shape[0]
     if not (0 <= source < n):
         raise ValueError("source index out of range")
@@ -100,18 +113,22 @@ def connectivity_report(
 ) -> ConnectivityReport:
     """Compute a :class:`ConnectivityReport` for a deployment."""
     adj = neighborhood_matrix(positions, radius, norm=norm)
+    n = adj.shape[0]
     degrees = adj.sum(axis=1)
-    graph = communication_graph(positions, radius, norm=norm)
-    components = list(nx.connected_components(graph))
-    largest = max((len(c) for c in components), default=0)
-    hops = hop_counts_from(positions, radius, source, norm=norm)
-    reachable = hops >= 0
+    hops = _bfs_hops(adj, source)
+    # Components: the source's, then one BFS from each still-unseen node.
+    seen = hops >= 0
+    sizes = [int(seen.sum())]
+    while not seen.all():
+        component = _bfs_hops(adj, int(np.argmin(seen))) >= 0
+        sizes.append(int(component.sum()))
+        seen |= component
     return ConnectivityReport(
-        num_nodes=int(adj.shape[0]),
-        num_components=len(components),
-        largest_component_fraction=largest / adj.shape[0] if adj.shape[0] else 0.0,
-        reachable_from_source=float(reachable.sum()) / adj.shape[0],
-        mean_degree=float(degrees.mean()) if adj.shape[0] else 0.0,
-        min_degree=int(degrees.min()) if adj.shape[0] else 0,
-        diameter_hops_from_source=int(hops[reachable].max()) if reachable.any() else 0,
+        num_nodes=int(n),
+        num_components=len(sizes),
+        largest_component_fraction=max(sizes) / n,
+        reachable_from_source=sizes[0] / n,
+        mean_degree=float(degrees.mean()),
+        min_degree=int(degrees.min()),
+        diameter_hops_from_source=int(hops.max()),
     )

@@ -87,6 +87,19 @@ class TestConnectivityReport:
         assert not report.is_source_component_dominant(threshold=0.95)
         assert report.is_source_component_dominant(threshold=0.8)
 
+    def test_components_match_networkx(self):
+        import networkx as nx
+
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            pos = rng.uniform(0, float(rng.uniform(1, 30)), size=(n, 2))
+            radius = float(rng.uniform(0.3, 5.0))
+            report = connectivity_report(pos, radius=radius, source=int(rng.integers(0, n)))
+            components = list(nx.connected_components(communication_graph(pos, radius=radius)))
+            assert report.num_components == len(components)
+            assert report.largest_component_fraction == max(map(len, components)) / n
+
     def test_fully_connected_grid(self):
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
         pos = np.column_stack([xs.ravel(), ys.ravel()])

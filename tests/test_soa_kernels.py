@@ -17,7 +17,11 @@ draws being data-dependent.  These tests pin
   are bit-identical across the SoA, cohort and scalar tiers for every
   compiled capability (deterministic, lossy, Friis, Friis+loss), including
   runs where jammers force per-slot scalar fallbacks, and traced SoA runs
-  produce byte-identical event streams to the scalar loop; and
+  produce byte-identical event streams to the scalar loop;
+* the quiet-cycle fast-forward of ``Simulation.run`` — runs that never
+  terminate jump over their idle tail with oracle-identical records and RNG
+  positions, and runs with loss draws, traces, opportunistic transmitters or
+  uncompiled slots never jump; and
 * the region-keyed MultiPath cohort contract that rode along: devices whose
   :func:`~repro.core.regions.region_profile_of` profiles (and states) are
   equal share one machine, split exactly when their busy streams diverge, and
@@ -40,7 +44,7 @@ from repro.sim.events import EventLog
 from repro.sim.linkstate import UnitDiskLinkState
 from repro.sim.radio import UnitDiskChannel
 from repro.sim.soa import SoaRuntime
-from repro.topology.deployment import Deployment, uniform_deployment
+from repro.topology.deployment import Deployment, grid_jittered_deployment, uniform_deployment
 
 MAX_ROUNDS = 2500
 
@@ -71,6 +75,33 @@ def _assert_tiers_identical(runs):
         record, tail, _ = runs[tier]
         assert record == soa_record, f"soa record differs from {tier}"
         assert tail == soa_tail, f"soa RNG position differs from {tier}"
+
+
+def _stream_positions(sim, slot: int) -> tuple:
+    """How far each member's 1Hop stream of ``slot`` has moved: the owner's
+    pending bits and every receiver's accepted length."""
+    positions = []
+    for node_id in sim.plan.participant_arrays[slot].tolist():
+        spec = sim.nodes[node_id].protocol.soa_state_spec(slot)
+        if spec["role"] == "owner":
+            positions.append(spec["sender"].pending_count)
+        else:
+            positions.append(len(spec["receiver"].peek_received()))
+    return tuple(positions)
+
+
+def _with_isolated_device(deployment: Deployment) -> Deployment:
+    """``deployment`` plus one device out of everyone's range: it can never
+    deliver, so a run over it never terminates and ends at its round cap."""
+    positions = np.vstack(
+        [deployment.positions, [[deployment.width + 20.0, deployment.height + 20.0]]]
+    )
+    return Deployment(
+        positions=positions,
+        width=deployment.width + 21.0,
+        height=deployment.height + 21.0,
+        source_index=deployment.source_index,
+    )
 
 
 class TestDefaultKnob:
@@ -131,6 +162,9 @@ class TestEligibility:
         # Epidemic members are validated once per device; every slot a
         # device that cannot lower listens in must stay on the scalar loop,
         # every other slot compiles, and the mixed run matches the oracle.
+        # An isolated device keeps the run going to its cap: the scalar
+        # loop may move any state, so no cycle counts as quiet although
+        # none moves after the flood.
         from repro.core.epidemic import EpidemicNode
         from repro.sim.engine import Simulation
 
@@ -138,11 +172,12 @@ class TestEligibility:
             soa_compilable = False
 
         config = ScenarioConfig(protocol="epidemic", radius=3.0, message_length=2, seed=11)
+        deployment = _with_isolated_device(uniform_small_deployment)
         runs = {}
         for soa in (True, False):
             clear_link_cache()
             built = build_simulation(
-                uniform_small_deployment, config, use_soa_kernels=False, use_cohort_runtime=False
+                deployment, config, use_soa_kernels=False, use_cohort_runtime=False
             )
             opted_out = built.nodes[7].protocol
             opted_out.__class__ = OptedOut
@@ -155,7 +190,10 @@ class TestEligibility:
                 assert compiled
                 assert compiled == set(sim.plan.slot_records) - set(opted_out.interests())
             runs[soa] = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
+            if soa:
+                assert sim.plan_cache_info()["soa_kernels"]["cycles_fast_forwarded"] == 0
         assert runs[True] == runs[False]
+        assert not runs[True][0]["terminated"]
 
     def test_tracing_keeps_the_kernels(self, uniform_small_deployment, nw_config):
         sim = build_simulation(
@@ -578,3 +616,191 @@ class TestDescribeTierEligibility:
             for line in capture
         )
         assert any("per-slot" in line for line in _tier_lines({"num_jammers": 15}))
+
+
+class TestQuietCycleFastForward:
+    """``Simulation.run`` jumps over the quiet tail of a run that never ends.
+
+    Each run is pinned against the scalar oracle (records, which carry the
+    per-device broadcast counts and delivery stamps, plus the RNG position)
+    and asserts through ``cycles_fast_forwarded`` whether a jump happened, so
+    the comparison covers the jump itself rather than a run that stepped
+    every slot.  Runs with an uncompiled slot are covered in
+    ``TestEligibility``.
+    """
+
+    @staticmethod
+    def _run(deployment, config, faults=None, *, max_rounds, trace=False, **run_kwargs):
+        """Run on the SoA tier and the scalar oracle; returns ``(runs, soa info)``."""
+        runs = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            log = EventLog() if trace else None
+            sim = build_simulation(deployment, config, faults, trace=log, **kwargs)
+            result = sim.run(max_rounds, **run_kwargs)
+            events = "\n".join(str(event) for event in log).encode() if trace else None
+            runs[tier] = (result.to_record(), sim.rng.random(), events)
+            if tier == "soa":
+                info = sim.plan_cache_info()["soa_kernels"]
+        assert runs["soa"] == runs["scalar"]
+        return runs, info
+
+    @pytest.mark.parametrize("protocol", ["neighborwatch", "multipath"])
+    def test_stream_kernel_flags_exactly_the_occurrences_that_move(
+        self, uniform_small_deployment, protocol
+    ):
+        # The quiet-cycle test rests on this: a compiled occurrence raises
+        # the flag if and only if a sender advanced or a receiver accepted.
+        # Under the paper's 3R separation the two always coincide; at 1.5
+        # same-slot owners collide, so some occurrences only advance a
+        # sender and some only accept a bit.
+        config = ScenarioConfig(
+            protocol=protocol,
+            radius=3.0,
+            message_length=2,
+            multipath_tolerance=1,
+            seed=11,
+            schedule_separation=1.5,
+        )
+        sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=True)
+        runtime = sim.soa_runtime
+        moving = 0
+        compiled = 0
+        for _ in range(8 * sim.schedule.num_slots):
+            _cycle, slot, _phase = sim.schedule.locate_round(sim.round_index)
+            if slot not in runtime.groups:
+                sim.run_slots(1)
+                continue
+            before = _stream_positions(sim, slot)
+            runtime.moved = False
+            sim.run_slots(1)
+            moved = _stream_positions(sim, slot) != before
+            assert runtime.moved == moved
+            compiled += 1
+            moving += moved
+        assert 0 < moving < compiled
+
+    @pytest.mark.parametrize("channel", ["unitdisk", "friis"])
+    def test_neighborwatch_jumps_to_the_round_cap(self, uniform_small_deployment, channel):
+        # The cap ends mid-cycle and off a slot boundary, so the final
+        # partial cycle runs slot by slot after the jump.
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=11, channel=channel
+        )
+        deployment = _with_isolated_device(uniform_small_deployment)
+        runs, info = self._run(deployment, config, max_rounds=9_001)
+        assert not runs["soa"][0]["terminated"]
+        assert info["cycles_fast_forwarded"] > 0
+
+    @pytest.mark.parametrize("channel", ["unitdisk", "friis"])
+    def test_epidemic_jumps_to_the_round_cap(self, channel):
+        # A strip the flood needs five cycles to cross: a jump taken before
+        # the flood stops moving would show in the records.
+        config = ScenarioConfig(
+            protocol="epidemic", radius=2.0, message_length=2, seed=11, channel=channel
+        )
+        deployment = _with_isolated_device(uniform_deployment(60, 24, 4, rng=1))
+        runs, info = self._run(deployment, config, max_rounds=3_001)
+        assert not runs["soa"][0]["terminated"]
+        assert info["cycles_fast_forwarded"] > 0
+
+    def test_multipath_jumps_once_its_relay_backlog_drains(self):
+        # MultiPathRB keeps relaying control frames long after delivery; on
+        # a small grid the backlog drains within ~80 cycles of 54 rounds.
+        base = grid_jittered_deployment(2, 2, spacing=1.0)
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=1, multipath_tolerance=1, seed=11
+        )
+        runs, info = self._run(_with_isolated_device(base), config, max_rounds=6_000)
+        assert not runs["soa"][0]["terminated"]
+        assert info["cycles_fast_forwarded"] > 0
+
+    def test_crash_cut_device(self, uniform_small_deployment, nw_config):
+        # Crashing device 6's ten neighbours cuts it off; a liar rides along.
+        faults = FaultPlan(crashed=(4, 24, 35, 36, 37, 39, 67, 69, 83, 89), liars=(9,))
+        runs, info = self._run(uniform_small_deployment, nw_config, faults, max_rounds=9_000)
+        assert not runs["soa"][0]["terminated"]
+        assert info["cycles_fast_forwarded"] > 0
+
+    def test_stop_when_delivered_false(self, uniform_small_deployment, nw_config):
+        # Everyone delivers, but the run is asked to go on to its cap.
+        runs, info = self._run(
+            uniform_small_deployment, nw_config, max_rounds=7_000, stop_when_delivered=False
+        )
+        assert runs["soa"][0]["terminated"]
+        assert runs["soa"][0]["total_rounds"] > 6_000
+        assert info["cycles_fast_forwarded"] > 0
+
+    def test_custom_check_interval(self, uniform_small_deployment, nw_config):
+        deployment = _with_isolated_device(uniform_small_deployment)
+        runs, info = self._run(deployment, nw_config, max_rounds=9_000, check_interval_slots=7)
+        assert info["cycles_fast_forwarded"] > 0
+
+    def test_never_jumps_over_a_stopping_check(self, uniform_small_deployment, nw_config):
+        # Every device has delivered and the streams are quiet after five
+        # cycles, but the run checks only every eight: cycles 6 and 7 are
+        # quiet, and the jump they would allow must be refused so the run
+        # stops at the check.
+        schedule = build_simulation(uniform_small_deployment, nw_config).schedule
+        runs, info = self._run(
+            uniform_small_deployment,
+            nw_config,
+            max_rounds=20_000,
+            check_interval_slots=8 * schedule.num_slots,
+        )
+        assert runs["soa"][0]["terminated"]
+        assert runs["soa"][0]["total_rounds"] == 8 * schedule.rounds_per_cycle
+        assert info["cycles_fast_forwarded"] == 0
+
+    @pytest.mark.parametrize(
+        "faults,overrides,trace",
+        [
+            (None, {}, True),
+            (None, {"loss_probability": 0.2}, False),
+            (FaultPlan(jammers=(21,), jammer_budget=40, jam_probability=0.5), {}, False),
+        ],
+        ids=["traced", "loss", "veto-jammer"],
+    )
+    def test_excluded_runs_step_every_cycle(
+        self, uniform_small_deployment, faults, overrides, trace
+    ):
+        # A trace records every broadcast, loss draws advance the generator
+        # every cycle, and a flex candidate decides per occurrence (possibly
+        # from its own RNG) whether to join: none of these cycles repeats.
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=11, **overrides
+        )
+        deployment = _with_isolated_device(uniform_small_deployment)
+        runs, info = self._run(deployment, config, faults, max_rounds=9_000, trace=trace)
+        assert not runs["soa"][0]["terminated"]
+        assert info["enabled"] and info["cycles_fast_forwarded"] == 0
+
+    def test_cli_summary_reports_the_counter(self, tmp_path, capsys, monkeypatch):
+        # Every run_scenario call sums the counter into
+        # soa_telemetry_snapshot(), and the run summary prints the sum.
+        import re
+
+        from repro.experiments.__main__ import main
+        from repro.experiments.spec import ExperimentSpec
+        from repro.sim import builder
+
+        monkeypatch.setattr(builder, "_soa_telemetry", {})
+        spec = ExperimentSpec.from_dict(
+            {
+                "name": "SPARSE",
+                "title": "a map too sparse for the broadcast to cover",
+                "driver": "sweep",
+                "rows": "default",
+                "label": "radius={radius}",
+                "params": {"radii": [2.0], "repetitions": 1, "base_seed": 3},
+                "axes": [{"name": "radius", "values": "$radii"}],
+                "scenario": {"protocol": "neighborwatch", "radius": "$radius", "message_length": 2},
+                "deployment": {"kind": "uniform", "num_nodes": 30, "width": 14.0, "height": 14.0},
+                "extra": {"radius": "$radius"},
+            }
+        )
+        path = tmp_path / "sparse.json"
+        path.write_text(spec.to_json())
+        assert main(["run", "--spec", str(path), "--export", "json"]) == 0
+        match = re.search(r"cycles_fast_forwarded=(\d+)", capsys.readouterr().err)
+        assert match is not None and int(match.group(1)) > 0
