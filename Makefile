@@ -5,9 +5,10 @@ export PYTHONPATH := src
 
 .PHONY: test bench bench-baseline bench-smoke chaos-smoke service-smoke profile
 
-# Tier-1 verification (unit/property tests only; benchmarks excluded).
+# Tier-1 verification, the same command CI runs: collects tests/, the
+# benchmarks/ suite (pytest-benchmark) and perfbench/test_perfbench.py.
 test:
-	$(PYTHON) -m pytest -x -q tests
+	$(PYTHON) -m pytest -x -q
 
 # Capture a post-change benchmark run into BENCH_$(PR).json (merges with the
 # stored baseline and computes speedups; fails on series-hash drift), then

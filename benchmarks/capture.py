@@ -71,7 +71,7 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 #: Experiments whose small-scale runs form the quick "suite" section.  Kept
-#: explicit (not ``EXPERIMENTS.keys()``) so adding an experiment is a
+#: explicit (not ``EXPERIMENT_SPECS.keys()``) so adding an experiment is a
 #: deliberate decision to grow the capture time.
 SUITE_EXPERIMENTS = ("FIG5", "JAM", "FIG6", "FIG7", "CLUST", "MAPSZ", "EPID", "DUAL")
 
@@ -174,7 +174,8 @@ def series_hash(value) -> str:
 
 def capture_suite(scale: str, cache_dir: Optional[str], log) -> dict:
     """Run every suite experiment serially; timings, hashes and cache stats."""
-    from repro.experiments.registry import run_experiment
+    from repro.experiments import run_spec
+    from repro.registry import EXPERIMENT_SPECS
     from repro.sim.runner import SweepExecutor
 
     store = None
@@ -189,8 +190,8 @@ def capture_suite(scale: str, cache_dir: Optional[str], log) -> dict:
             if store is not None:
                 store.stats.reset()
             started = time.perf_counter()
-            rows, _description = run_experiment(
-                experiment, scale=scale, executor=executor, store=store
+            rows = run_spec(
+                EXPERIMENT_SPECS.get(experiment), scale=scale, executor=executor, store=store
             )
             elapsed = time.perf_counter() - started
             entry = {
@@ -296,7 +297,8 @@ def capture_service_macro(log) -> dict:
     import subprocess
     import tempfile
 
-    from repro.experiments.registry import run_experiment
+    from repro.experiments import run_spec
+    from repro.registry import EXPERIMENT_SPECS
     from repro.service.backend import QueueBackend
     from repro.service.queue import WorkQueue
     from repro.sim.runner import SweepExecutor
@@ -322,7 +324,7 @@ def capture_service_macro(log) -> dict:
         ]
         started = time.perf_counter()
         with SweepExecutor(0, backend=QueueBackend(queue, poll_interval=0.05)) as executor:
-            rows, _description = run_experiment("FIG5", scale="small", executor=executor)
+            rows = run_spec(EXPERIMENT_SPECS.get("FIG5"), scale="small", executor=executor)
         elapsed = time.perf_counter() - started
         for proc in workers:
             proc.wait(timeout=120)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import ClusteredSpec, run_clustered
+from repro.experiments import run_spec
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_clustered_deployments(benchmark, bench_executor):
-    spec = ClusteredSpec.small()
-    rows = run_once(benchmark, run_clustered, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("CLUST")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,

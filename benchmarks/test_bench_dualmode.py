@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import DualModeSpec, run_dual_mode
+from repro.experiments import run_spec
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_dual_mode_overhead(benchmark, bench_executor):
-    spec = DualModeSpec.small()
-    row = run_once(benchmark, run_dual_mode, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("DUAL")
+    [row] = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         [row],

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import EpidemicComparisonSpec, run_epidemic_comparison
+from repro.experiments import run_spec
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_epidemic_comparison_neighborwatch(benchmark, bench_executor):
-    spec = EpidemicComparisonSpec.small()
-    rows = run_once(benchmark, run_epidemic_comparison, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("EPID")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -33,8 +34,16 @@ def test_epidemic_comparison_neighborwatch(benchmark, bench_executor):
 
 
 def test_epidemic_comparison_multipath(benchmark, bench_executor):
-    spec = EpidemicComparisonSpec.small_with_multipath()
-    rows = run_once(benchmark, run_epidemic_comparison, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("EPID")
+    overrides = {
+        "map_sizes": (8.0,),
+        "density": 1.5,
+        "message_length": 2,
+        "repetitions": 1,
+        "include_multipath": True,
+        "multipath_tolerance": 1,
+    }
+    rows = run_once(benchmark, run_spec, spec, overrides=overrides, executor=bench_executor)
     attach_rows(
         benchmark,
         rows,

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import CrashResilienceSpec, run_crash_resilience
+from repro.experiments import run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_fig5_crash_resilience(benchmark, bench_executor):
-    spec = CrashResilienceSpec.small()
-    rows = run_once(benchmark, run_crash_resilience, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("FIG5")
+    params = resolve_context(spec, scale="small")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -25,10 +28,10 @@ def test_fig5_crash_resilience(benchmark, bench_executor):
     )
 
     by_key = {(r["protocol"], r["density"]) for r in rows}
-    assert len(by_key) == len(spec.protocols) * len(spec.densities)
+    assert len(by_key) == len(params["protocols"]) * len(params["densities"])
     # Crashes never violate authenticity.
     assert all(r["correct_%"] >= 99.9 for r in rows)
-    for label, _proto, _t in spec.protocols:
+    for label in [proto["label"] for proto in params["protocols"]]:
         series = sorted(
             (r for r in rows if r["protocol"] == label), key=lambda r: r["density"]
         )

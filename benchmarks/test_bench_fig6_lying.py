@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import LyingSpec, run_lying
+from repro.experiments import run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_fig6_lying_neighborwatch(benchmark, bench_executor):
-    spec = LyingSpec.small()
-    rows = run_once(benchmark, run_lying, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("FIG6")
+    params = resolve_context(spec, scale="small")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -25,7 +28,7 @@ def test_fig6_lying_neighborwatch(benchmark, bench_executor):
         columns=["protocol", "byzantine_fraction", "correct_%", "completion_%", "rounds"],
     )
 
-    for label, _proto, _t in spec.protocols:
+    for label in [proto["label"] for proto in params["protocols"]]:
         series = {r["byzantine_fraction"]: r for r in rows if r["protocol"] == label}
         assert series[0.0]["correct_%"] >= 99.9
         # Correctness is non-increasing (up to noise) in the fraction of liars.
@@ -34,7 +37,7 @@ def test_fig6_lying_neighborwatch(benchmark, bench_executor):
 
     # The 2-voting variant is at least as robust as plain NeighborWatchRB at the
     # largest attacked fraction.
-    worst = max(spec.fractions)
+    worst = max(params["fractions"])
     plain = next(r for r in rows if r["protocol"] == "NeighborWatchRB" and r["byzantine_fraction"] == worst)
     two_vote = next(
         r for r in rows if r["protocol"] == "NeighborWatchRB-2vote" and r["byzantine_fraction"] == worst
@@ -43,8 +46,17 @@ def test_fig6_lying_neighborwatch(benchmark, bench_executor):
 
 
 def test_fig6_lying_multipath(benchmark, bench_executor):
-    spec = LyingSpec.small_multipath()
-    rows = run_once(benchmark, run_lying, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("FIG6")
+    overrides = {
+        "map_size": 8.0,
+        "num_nodes": 110,
+        "radius": 3.0,
+        "message_length": 2,
+        "fractions": (0.0, 0.03, 0.20),
+        "protocols": ({"label": "MultiPathRB(t=2)", "protocol": "multipath", "tolerance": 2},),
+        "repetitions": 2,
+    }
+    rows = run_once(benchmark, run_spec, spec, overrides=overrides, executor=bench_executor)
     attach_rows(
         benchmark,
         rows,

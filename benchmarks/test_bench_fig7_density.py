@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import DensityToleranceSpec, run_density_tolerance
+from repro.experiments import run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_fig7_density_tolerance(benchmark, bench_executor):
-    spec = DensityToleranceSpec.small()
-    rows = run_once(benchmark, run_density_tolerance, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("FIG7")
+    params = resolve_context(spec, scale="small")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -23,8 +26,8 @@ def test_fig7_density_tolerance(benchmark, bench_executor):
         columns=["protocol", "density", "num_nodes", "max_tolerated_%"],
     )
 
-    assert len(rows) == len(spec.densities) * len(spec.protocols)
-    for label, _proto, _t in spec.protocols:
+    assert len(rows) == len(params["densities"]) * len(params["protocols"])
+    for label in [proto["label"] for proto in params["protocols"]]:
         series = sorted((r for r in rows if r["protocol"] == label), key=lambda r: r["density"])
         # Robustness scales (weakly) with density.
         assert series[-1]["max_tolerated_%"] >= series[0]["max_tolerated_%"]

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import JammingSpec, fit_linear_trend, run_jamming
+from repro.experiments import fit_linear_trend, run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_jamming_delay_scales_with_budget(benchmark, bench_executor):
-    spec = JammingSpec.small()
-    rows = run_once(benchmark, run_jamming, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("JAM")
+    params = resolve_context(spec, scale="small")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -22,7 +25,7 @@ def test_jamming_delay_scales_with_budget(benchmark, bench_executor):
         columns=["budget", "rounds", "completion_%", "correct_%", "adversary_broadcasts"],
     )
 
-    assert [r["budget"] for r in rows] == list(spec.budgets)
+    assert [r["budget"] for r in rows] == list(params["budgets"])
     # Jamming can only delay, never corrupt.
     assert all(r["correct_%"] >= 99.9 for r in rows)
     # Delay is non-decreasing in the budget and the trend is consistent with a line.

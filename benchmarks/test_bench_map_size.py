@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import MapSizeSpec, linear_scaling_error, run_map_size
+from repro.experiments import linear_scaling_error, run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
 
 
 def test_mapsize_linear_scaling(benchmark, bench_executor):
-    spec = MapSizeSpec.small()
-    rows = run_once(benchmark, run_map_size, spec, executor=bench_executor)
+    spec = EXPERIMENT_SPECS.get("MAPSZ")
+    params = resolve_context(spec, scale="small")
+    rows = run_once(benchmark, run_spec, spec, scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -30,7 +33,7 @@ def test_mapsize_linear_scaling(benchmark, bench_executor):
         ],
     )
 
-    assert [r["map_size"] for r in rows] == list(spec.map_sizes)
+    assert [r["map_size"] for r in rows] == list(params["map_sizes"])
     # Larger maps take longer and use more messages in total...
     assert rows[-1]["rounds"] > rows[0]["rounds"]
     assert rows[-1]["honest_broadcasts"] > rows[0]["honest_broadcasts"]

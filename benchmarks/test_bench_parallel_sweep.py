@@ -16,37 +16,38 @@ import time
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import JammingSpec, run_jamming
+from repro.experiments import run_spec
+from repro.registry import EXPERIMENT_SPECS
 from repro.sim.runner import SweepExecutor
 
 #: Speedup the pool must deliver when the hardware can parallelise at all.
 REQUIRED_SPEEDUP = 2.0
 WORKERS = 4
 
-
-def _sweep_spec() -> JammingSpec:
-    # A multi-repetition sweep with enough independent (point, repetition)
-    # jobs (3 budgets x 4 repetitions) to keep four workers busy.
-    return JammingSpec(
-        map_size=10.0,
-        num_nodes=150,
-        radius=3.0,
-        message_length=2,
-        budgets=(0, 4, 8),
-        repetitions=4,
-    )
+#: A multi-repetition JAM sweep with enough independent (point, repetition)
+#: jobs (3 budgets x 4 repetitions) to keep four workers busy.
+SWEEP_OVERRIDES = {
+    "map_size": 10.0,
+    "num_nodes": 150,
+    "radius": 3.0,
+    "message_length": 2,
+    "budgets": (0, 4, 8),
+    "repetitions": 4,
+}
 
 
 def test_parallel_sweep_matches_serial_and_speeds_up(benchmark):
-    spec = _sweep_spec()
+    spec = EXPERIMENT_SPECS.get("JAM")
 
     started = time.perf_counter()
-    serial_rows = run_jamming(spec, executor=SweepExecutor(0))
+    serial_rows = run_spec(spec, overrides=SWEEP_OVERRIDES, executor=SweepExecutor(0))
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     with SweepExecutor(WORKERS) as executor:
-        parallel_rows = run_once(benchmark, run_jamming, spec, executor=executor)
+        parallel_rows = run_once(
+            benchmark, run_spec, spec, overrides=SWEEP_OVERRIDES, executor=executor
+        )
     parallel_seconds = time.perf_counter() - started
 
     # Determinism: the pool must reproduce the serial sweep bit for bit —

@@ -28,27 +28,29 @@ import tempfile
 import time
 
 from repro.analysis import format_table
-from repro.experiments import JammingSpec, SweepExecutor, run_jamming
+from repro.experiments import SweepExecutor, run_spec
+from repro.registry import EXPERIMENT_SPECS
 from repro.store import ResultStore
 
 
 def main() -> None:
-    spec = JammingSpec(
-        map_size=10.0,
-        num_nodes=150,
-        radius=3.0,
-        message_length=2,
-        budgets=(0, 4, 8),
-        repetitions=4,
-    )
+    spec = EXPERIMENT_SPECS.get("JAM")
+    overrides = {
+        "map_size": 10.0,
+        "num_nodes": 150,
+        "radius": 3.0,
+        "message_length": 2,
+        "budgets": (0, 4, 8),
+        "repetitions": 4,
+    }
 
     started = time.perf_counter()
-    serial_rows = run_jamming(spec)
+    serial_rows = run_spec(spec, overrides=overrides)
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     with SweepExecutor(workers=4) as executor:
-        parallel_rows = run_jamming(spec, executor=executor)
+        parallel_rows = run_spec(spec, overrides=overrides, executor=executor)
     parallel_seconds = time.perf_counter() - started
 
     assert parallel_rows == serial_rows, "parallel execution must be bit-identical"
@@ -57,9 +59,9 @@ def main() -> None:
     # every repetition, the second answers them all from disk.
     with tempfile.TemporaryDirectory() as cache_dir:
         store = ResultStore(cache_dir)
-        cold_rows = run_jamming(spec, store=store)
+        cold_rows = run_spec(spec, overrides=overrides, store=store)
         started = time.perf_counter()
-        warm_rows = run_jamming(spec, store=store)
+        warm_rows = run_spec(spec, overrides=overrides, store=store)
         warm_seconds = time.perf_counter() - started
         assert warm_rows == cold_rows == serial_rows, "cache must be bit-identical"
         cache_line = (

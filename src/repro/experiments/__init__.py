@@ -1,19 +1,19 @@
 """Reproductions of the paper's evaluation, driven by declarative specs.
 
 Experiments are :class:`~repro.experiments.spec.ExperimentSpec` *data*
-(:mod:`repro.experiments.builtin` holds the eight built-ins) executed by
-generic drivers (:mod:`repro.experiments.driver`) against the open component
-registries of :mod:`repro.registry`.  User scenarios ship as ~20-line JSON or
-TOML files run with ``python -m repro.experiments run --spec FILE`` — see the
-``examples/specs/`` directory.
-
-The historical typed surface (``CrashResilienceSpec`` + ``run_crash_resilience``
-and friends) is preserved in :mod:`repro.experiments.compat` as thin wrappers
-over the same machinery.
+(:mod:`repro.experiments.builtin` holds the eight built-ins, registered in
+``repro.registry.EXPERIMENT_SPECS``) executed by generic drivers
+(:mod:`repro.experiments.driver`) against the open component registries of
+:mod:`repro.registry`.  Run one from Python with
+``run_spec(EXPERIMENT_SPECS.get("JAM"), scale="small", overrides={...})`` or
+from the command line with ``python -m repro.experiments run JAM --scale
+small``.  User scenarios ship as ~20-line JSON or TOML files run with
+``python -m repro.experiments run --spec FILE`` — see the ``examples/specs/``
+directory.
 """
 
 from ..sim.runner import SweepExecutor, SweepTask
-from .base import PointResult, run_point, run_points
+from .base import PointResult, run_points
 from .builtin import (
     CLUST_SPEC,
     DUAL_SPEC,
@@ -24,41 +24,20 @@ from .builtin import (
     JAM_SPEC,
     MAPSZ_SPEC,
 )
-from .compat import (
-    ClusteredSpec,
-    CrashResilienceSpec,
-    DensityToleranceSpec,
-    DualModeSpec,
-    EpidemicComparisonSpec,
-    JammingSpec,
-    LyingSpec,
-    MapSizeSpec,
-    run_clustered,
-    run_crash_resilience,
-    run_density_tolerance,
-    run_dual_mode,
-    run_epidemic_comparison,
-    run_jamming,
-    run_lying,
-    run_map_size,
-)
 from .driver import describe_spec, run_spec
 from .metrics import airtime_bits, fit_linear_trend, linear_scaling_error
-from .registry import EXPERIMENTS, available_experiments, get_spec, run_experiment
 from .spec import ExperimentSpec, SpecValidationError, load_spec
 
 __all__ = [
     "SweepExecutor",
     "SweepTask",
     "PointResult",
-    "run_point",
     "run_points",
     "ExperimentSpec",
     "SpecValidationError",
     "load_spec",
     "run_spec",
     "describe_spec",
-    "get_spec",
     "FIG5_SPEC",
     "JAM_SPEC",
     "FIG6_SPEC",
@@ -67,26 +46,7 @@ __all__ = [
     "MAPSZ_SPEC",
     "EPID_SPEC",
     "DUAL_SPEC",
-    "ClusteredSpec",
-    "run_clustered",
-    "CrashResilienceSpec",
-    "run_crash_resilience",
-    "DensityToleranceSpec",
-    "run_density_tolerance",
-    "DualModeSpec",
-    "EpidemicComparisonSpec",
     "airtime_bits",
-    "run_dual_mode",
-    "run_epidemic_comparison",
-    "JammingSpec",
     "fit_linear_trend",
-    "run_jamming",
-    "LyingSpec",
-    "run_lying",
-    "MapSizeSpec",
     "linear_scaling_error",
-    "run_map_size",
-    "EXPERIMENTS",
-    "available_experiments",
-    "run_experiment",
 ]

@@ -22,9 +22,6 @@ user-authored JSON/TOML spec file via ``--spec FILE`` (see
 :mod:`repro.experiments.spec` for the format and ``examples/specs/`` for a
 template).
 
-The pre-PR 5 flag forms (``python -m repro.experiments FIG5 --scale small``,
-``--list``) keep working as deprecated aliases for ``run`` / ``list``.
-
 Usage errors — an unknown experiment id, an unknown scale, a malformed or
 unreadable spec file, contradictory cache flags — exit with code 2 and print
 the available identifiers / every validation error to stderr; tracebacks are
@@ -72,17 +69,14 @@ import time
 from typing import Optional, Sequence
 
 from ..analysis.tables import format_table, to_csv
-from ..registry import RegistryError
+from ..registry import EXPERIMENT_SPECS, RegistryError
 from ..sim.builder import soa_telemetry_snapshot
 from ..sim.runner import SweepExecutor
 from ..sim.supervision import SweepFailure, SweepInterrupted
 from .driver import describe_spec, run_spec
-from .registry import EXPERIMENTS, get_spec
 from .spec import ExperimentSpec, SpecValidationError, load_spec
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = ("run", "list", "describe", "submit", "serve", "status", "watch")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.experiments",
         description="Run, list or describe the paper-reproduction experiments.",
     )
-    subparsers = parser.add_subparsers(dest="command")
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("list", help="list the registered experiments")
 
@@ -269,30 +263,6 @@ def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Map the deprecated flag forms onto the subcommand grammar.
-
-    Anything that does not start with a subcommand becomes a ``run`` alias —
-    both the bare-id form (``FIG5 --scale small``) and the flag-first form
-    the pre-PR 5 parser accepted (``--scale small FIG5``) — except
-    ``-h``/``--help``, which stay with the top-level parser so the subcommand
-    overview remains reachable.
-    """
-    argv = list(argv)
-    if not argv:
-        return ["list"]
-    if "--list" in argv:
-        return ["list"]
-    if argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    print(
-        "note: 'python -m repro.experiments [flags] <ID>' is deprecated; "
-        "use 'python -m repro.experiments run <ID> [flags]' (see also: list, describe)",
-        file=sys.stderr,
-    )
-    return ["run", *argv]
-
-
 def _resolve_spec(args) -> ExperimentSpec:
     """The spec named by the arguments; RegistryError/SpecValidationError on misuse."""
     if args.spec is not None and args.experiment is not None:
@@ -305,7 +275,7 @@ def _resolve_spec(args) -> ExperimentSpec:
         raise SpecValidationError(
             ["missing experiment identifier (or --spec FILE); see 'list' for the ids"]
         )
-    return get_spec(args.experiment)
+    return EXPERIMENT_SPECS.get(args.experiment)
 
 
 def _resolve_scale(spec: ExperimentSpec, requested: Optional[str]) -> Optional[str]:
@@ -327,8 +297,8 @@ def _resolve_scale(spec: ExperimentSpec, requested: Optional[str]) -> Optional[s
 
 
 def _list_experiments() -> str:
-    width = max(len(key) for key in EXPERIMENTS)
-    lines = [f"{key.ljust(width)}  {spec.title}" for key, spec in EXPERIMENTS.items()]
+    width = max(len(key) for key in EXPERIMENT_SPECS)
+    lines = [f"{key.ljust(width)}  {spec.title}" for key, spec in EXPERIMENT_SPECS.items()]
     return "\n".join(lines)
 
 
@@ -614,7 +584,7 @@ def _command_watch(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv if argv is not None else sys.argv[1:])))
+    args = parser.parse_args(argv)
     if args.command == "list":
         print(_list_experiments())
         return 0

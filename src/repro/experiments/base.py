@@ -1,34 +1,29 @@
 """Common machinery for the paper-reproduction experiments.
 
-Every experiment module follows the same pattern:
+Every experiment is an :class:`~repro.experiments.spec.ExperimentSpec` whose
+driver (:mod:`repro.experiments.driver`) builds one
+:class:`~repro.sim.runner.SweepTask` per sweep point (one x-value of a
+figure), executes them — serially or in parallel — through a
+:class:`~repro.sim.runner.SweepExecutor`, aggregates the metrics and returns a
+list of row dictionaries, which render to text via
+:func:`repro.analysis.tables.format_table`.
 
-* a *spec* dataclass with two constructors — ``paper()`` (parameters matching
-  the paper's evaluation as closely as is practical in pure Python) and
-  ``small()`` (a scaled-down configuration with the same qualitative shape,
-  used by the test suite and the benchmark harness);
-* a ``run_*`` function that builds one :class:`~repro.sim.runner.SweepTask`
-  per sweep point (one x-value of a figure), executes them — serially or in
-  parallel — through a :class:`~repro.sim.runner.SweepExecutor`, aggregates
-  the metrics and returns a list of row dictionaries;
-* the rows render to text via :func:`repro.analysis.tables.format_table` and
-  are recorded in EXPERIMENTS.md.
-
-This module provides the shared sweep-point runners.  :func:`run_point` runs
-a single point; :func:`run_points` runs a whole batch at once, which is what
-lets an executor with ``workers > 1`` overlap repetitions *across* sweep
-points, not just within one.  Because every repetition derives all of its
-randomness from ``base_seed + i``, the results are bit-identical regardless
-of the worker count (see :mod:`repro.sim.runner`).
+This module provides the shared sweep-point runner.  :func:`run_points` runs
+a whole batch of points at once, which is what lets an executor with
+``workers > 1`` overlap repetitions *across* sweep points, not just within
+one.  Because every repetition derives all of its randomness from
+``base_seed + i``, the results are bit-identical regardless of the worker
+count (see :mod:`repro.sim.runner`).
 
 Factories handed to these helpers must be picklable when a parallel executor
 is used — use the dataclass factories in :mod:`repro.experiments.factories`
 rather than closures.
 
 Passing a :class:`~repro.store.ResultStore` (the ``store`` argument accepted
-here and by every experiment's ``run_*`` function) routes the sweep through a
-:class:`~repro.store.CachingSweepExecutor`: repetitions already on disk are
-not re-simulated, misses are persisted as they complete, and the resulting
-rows are byte-identical to an uncached run.
+here and by :func:`~repro.experiments.driver.run_spec`) routes the sweep
+through a :class:`~repro.store.CachingSweepExecutor`: repetitions already on
+disk are not re-simulated, misses are persisted as they complete, and the
+resulting rows are byte-identical to an uncached run.
 
 The same bit-identity extends to fault recovery: the executor dispatches
 every repetition under the supervision envelope of
@@ -47,9 +42,9 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ..analysis.stats import Aggregate, summarize_runs
 from ..sim.results import RECORD_VERSION, RunResult
-from ..sim.runner import DeploymentFactory, FaultFactory, SweepExecutor, SweepTask
+from ..sim.runner import SweepExecutor, SweepTask
 
-__all__ = ["PointResult", "run_point", "run_points", "resolve_executor"]
+__all__ = ["PointResult", "run_points", "resolve_executor"]
 
 
 @dataclass(slots=True)
@@ -192,32 +187,3 @@ def run_points(
     runs_per_task = resolve_executor(executor, store).run(tasks)
     return [_point_from_runs(task, runs) for task, runs in zip(tasks, runs_per_task)]
 
-
-def run_point(
-    label: str,
-    deployment_factory: DeploymentFactory,
-    config,
-    *,
-    fault_factory: Optional[FaultFactory] = None,
-    repetitions: int = 3,
-    base_seed: int = 0,
-    max_rounds: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    store=None,
-) -> PointResult:
-    """Run one sweep point: ``repetitions`` independent simulations, aggregated.
-
-    Each repetition re-derives the deployment, the fault placement and the
-    scenario seed from ``base_seed + i`` so the whole experiment is
-    reproducible from its spec alone.
-    """
-    task = SweepTask(
-        label=label,
-        deployment_factory=deployment_factory,
-        config=config,
-        fault_factory=fault_factory,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        max_rounds=max_rounds,
-    )
-    return run_points([task], executor=executor, store=store)[0]

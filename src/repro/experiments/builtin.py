@@ -8,10 +8,9 @@ modules: the drivers compile these specs into the exact same
 pre-redesign :class:`~repro.store.ResultStore` cached keeps matching
 (``tests/test_spec_roundtrip.py`` pins this against a golden capture).
 
-``scales`` follow the historical ``paper()`` / ``small()`` constructors:
-``paper`` approximates the paper's evaluation (hours of CPU), ``small`` is a
-scaled-down sweep with the same qualitative shape (tens of seconds) used by
-the test suite and the benchmark harness.
+Two ``scales`` each: ``paper`` approximates the paper's evaluation (hours
+of CPU), ``small`` is a scaled-down sweep with the same qualitative shape
+(tens of seconds) used by the test suite and the benchmark harness.
 """
 
 from __future__ import annotations

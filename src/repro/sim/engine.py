@@ -114,8 +114,7 @@ __all__ = [
 
 #: Node count above which spatial tiling turns on automatically (the dense
 #: link state is still comfortable below it; above it the N^2 matrices start
-#: to dominate memory).  Override per process with
-#: ``REPRO_SPATIAL_TILING_AUTO_NODES``.
+#: to dominate memory).
 SPATIAL_TILING_AUTO_NODES = 4096
 
 
@@ -136,12 +135,7 @@ def default_spatial_tiling(num_nodes: int) -> bool:
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    threshold_raw = os.environ.get("REPRO_SPATIAL_TILING_AUTO_NODES", "").strip()
-    try:
-        threshold = int(threshold_raw) if threshold_raw else SPATIAL_TILING_AUTO_NODES
-    except ValueError:
-        threshold = SPATIAL_TILING_AUTO_NODES
-    return num_nodes > threshold
+    return num_nodes > SPATIAL_TILING_AUTO_NODES
 
 
 def default_cohort_runtime() -> bool:

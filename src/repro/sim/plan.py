@@ -28,10 +28,6 @@ simulation, so :class:`SlotPlan` compiles it once at construction:
   :class:`~repro.sim.linkstate.RoundView` aggregations instead (one entry per
   ``(occurrence, senders)`` either way — the engine uses exactly one of the
   two representations per simulation);
-* **region records** — when spatial tiling is enabled, the per-slot
-  participant id arrays regrouped per :class:`~repro.sim.tiling.RegionTiling`
-  tile (computed lazily, in participant order within each tile), the
-  per-region compilation the tiled round kernels and introspection key off;
 * **round memo** — for channels whose resolution consumes no RNG
   (:meth:`~repro.sim.radio.Channel.consumes_rng` is ``False``), whole resolved
   rounds keyed by ``(slot occurrence, senders, frames)``.  Observations are a
@@ -81,7 +77,6 @@ class SlotPlan:
         "round_memo_misses",
         "_tx_cache",
         "_node_records",
-        "_region_records",
     )
 
     def __init__(
@@ -146,9 +141,9 @@ class SlotPlan:
         self.flex_transmitters: tuple[int, ...] = tuple(flex_transmitters)
 
         # Frozen per-slot participant ids, in record order.  Shared with the
-        # spatial-tiling regrouping and the SoA compiler, which adopts each
-        # array as its group's member_ids (ascending ids are what make the
-        # packed-mask member indexing line up with scalar record order).
+        # SoA compiler, which adopts each array as its group's member_ids
+        # (ascending ids are what make the packed-mask member indexing line
+        # up with scalar record order).
         self.participant_arrays: dict[int, np.ndarray] = {}
         for slot, ids in self.interest_map.items():
             array = np.asarray(ids, dtype=np.intp)
@@ -183,7 +178,6 @@ class SlotPlan:
         self.round_memo_misses = 0
 
         self._tx_cache: dict[tuple, Transmission] = {}
-        self._region_records: dict[int, dict[int, np.ndarray]] | None = None
 
     # -- hot-path helpers ------------------------------------------------------------
     def node_record(self, node_id: int) -> tuple:
@@ -266,30 +260,6 @@ class SlotPlan:
             cache.move_to_end(key)
         link_state.note_round(view)
         return view
-
-    def region_records(self, tiling) -> dict[int, dict[int, np.ndarray]]:
-        """Per-slot participant ids regrouped per region tile (lazy, cached).
-
-        For every slot, a dict mapping each occupied tile of ``tiling`` to the
-        ids of the slot's participants located in it, in participant order —
-        the per-region compilation of the slot plan.  The grouping is pure
-        bookkeeping (participant *execution* order never changes; the RNG
-        contract forbids that), consumed by the tiled introspection counters
-        and by tests pinning the tiling against the global plan.
-        """
-        if self._region_records is None:
-            grouped: dict[int, dict[int, np.ndarray]] = {}
-            tile_of = tiling.tile_of
-            for slot, ids in self.participant_arrays.items():
-                tiles = tile_of[ids]
-                by_tile: dict[int, np.ndarray] = {}
-                for tile in np.unique(tiles):
-                    members = ids[tiles == tile]
-                    members.setflags(write=False)
-                    by_tile[int(tile)] = members
-                grouped[slot] = by_tile
-            self._region_records = grouped
-        return self._region_records
 
     # -- introspection ----------------------------------------------------------------
     def cache_info(self) -> dict:

@@ -23,10 +23,11 @@ For a static deployment the pairwise quantity a channel derives from node
 positions (audibility for the unit-disk model, received power for Friis) never
 changes during a run.  Channels therefore expose :meth:`Channel.link_state`,
 which precomputes that quantity for *all* node pairs once, and
-:meth:`Channel.observe_links`, which resolves a round from that precomputed
-state instead of recomputing distances.  The engine caches the state per
-``(channel, positions)`` pair and hands it back every round, which removes
-the per-round distance computation from the hot path entirely.
+:meth:`Channel.resolve_links`, which resolves a round from the
+``(listeners, senders)`` slice of that state instead of recomputing
+distances.  The engine caches the state per ``(channel, positions)`` pair and
+its slot plans cache the slices, which removes the per-round distance
+computation from the hot path entirely.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ class Channel(abc.ABC):
         ``positions`` is the ``(N, 2)`` array of all node positions; the
         representation is channel-specific (audibility sets for
         :class:`UnitDiskChannel`, a received-power matrix for
-        :class:`FriisChannel`) and opaque to the engine, which only passes it
-        back to :meth:`observe_links`.  Only called when
+        :class:`FriisChannel`) and opaque to the engine, which only slices it
+        for :meth:`resolve_links`.  Only called when
         :meth:`link_signature` returned a key.
 
         Implementations must call :meth:`_check_dense_budget` before
@@ -251,23 +252,6 @@ class Channel(abc.ABC):
         """
         raise NotImplementedError
 
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Resolve one round from the precomputed link state.
-
-        Transmitters are identified by ``Transmission.sender``; callers must
-        guarantee that each transmission originates at the sender's position
-        in the array :meth:`link_state` was built from (the engine does).
-        Must produce exactly the same observations — and consume the RNG in
-        exactly the same order — as :meth:`observe` on the same round.
-        """
-        raise NotImplementedError
-
     def resolve_links(
         self,
         submatrix: np.ndarray,
@@ -279,8 +263,9 @@ class Channel(abc.ABC):
         ``submatrix`` is the ``(listeners, senders)`` slice of
         :meth:`link_state` for this round's listeners and transmitters, in
         their respective orders.  The engine's slot plans cache these slices
-        per ``(slot, sender-set)`` so the per-round fancy indexing of
-        :meth:`observe_links` disappears from the hot path.
+        per ``(slot, sender-set)`` so no round pays for the fancy indexing.
+        Must produce exactly the same observations — and consume the RNG in
+        exactly the same order — as :meth:`observe` on the same round.
         """
         raise NotImplementedError
 
@@ -520,14 +505,13 @@ class UnitDiskChannel(Channel):
     ) -> list[Observation]:
         """Observations from a (listener, transmission) audibility mask.
 
-        Shared by :meth:`observe`, :meth:`observe_links` and
-        :meth:`resolve_links` so all consume the RNG identically.  Dispatches
-        to a vectorized kernel whenever the configuration's RNG draw sequence
-        is listener-ordered (and therefore batchable): the deterministic
-        default consumes no RNG at all, and the loss-only configuration draws
-        exactly once per single-transmission listener, in listener order.
-        Capture configurations interleave data-dependent draws and fall back
-        to the scalar reference loop.
+        Shared by :meth:`observe` and :meth:`resolve_links` so both consume
+        the RNG identically.  Dispatches to a vectorized kernel whenever the
+        configuration's RNG draw sequence is listener-ordered (and therefore
+        batchable): the deterministic default consumes no RNG at all, and the
+        loss-only configuration draws exactly once per single-transmission
+        listener, in listener order.  Capture configurations interleave
+        data-dependent draws and fall back to the scalar reference loop.
         """
         if not self.use_vectorized_kernels:
             return self._resolve_audible_scalar(audible, transmissions, rng)
@@ -609,22 +593,6 @@ class UnitDiskChannel(Channel):
         listeners = np.asarray(listener_positions, dtype=float).reshape(num_listeners, 2)
         dist = self._distances(listeners, tx_pos)
         audible = dist <= self.radius + 1e-12
-        return self._resolve_audible(audible, transmissions, rng)
-
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        if not listener_ids:
-            return []
-        if not transmissions:
-            return [SILENCE] * len(listener_ids)
-        all_audible: np.ndarray = state  # type: ignore[assignment]
-        senders = [t.sender for t in transmissions]
-        audible = all_audible[np.ix_(listener_ids, senders)]
         return self._resolve_audible(audible, transmissions, rng)
 
     def resolve_links(
@@ -759,22 +727,6 @@ class FriisChannel(Channel):
         dist = np.sqrt(np.sum(diff**2, axis=-1))
         dist = np.maximum(dist, self.reference_distance)
         powers = self.tx_power * (self.reference_distance / dist) ** self.path_loss_exponent
-        return self._resolve_powers(powers, transmissions, rng)
-
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        if not listener_ids:
-            return []
-        if not transmissions:
-            return [SILENCE] * len(listener_ids)
-        all_powers: np.ndarray = state  # type: ignore[assignment]
-        senders = [t.sender for t in transmissions]
-        powers = all_powers[np.ix_(listener_ids, senders)]
         return self._resolve_powers(powers, transmissions, rng)
 
     def resolve_links(

@@ -33,8 +33,8 @@ This module turns that property into throughput:
 
 ``SweepExecutor(workers=0)`` (the default) runs everything inline in the
 current process; experiments accept an executor so callers choose the degree
-of parallelism exactly once, e.g. via ``python -m repro.experiments <name>
---workers N [--backend KEY --timeout S --max-retries N]``.
+of parallelism exactly once, e.g. via ``python -m repro.experiments run
+<ID> --workers N [--backend KEY --timeout S --max-retries N]``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ that determinism into incrementality:
   cache directory safe for many concurrent worker processes (service mode).
 
 See ROADMAP.md ("Infrastructure notes") for the fingerprint scheme and the
-cache layout, and ``python -m repro.experiments <ID> --cache-dir PATH`` for
-the command-line entry point.
+cache layout, and ``python -m repro.experiments run <ID> --cache-dir PATH``
+for the command-line entry point.
 """
 
 from .executor import CachingSweepExecutor

@@ -68,7 +68,8 @@ def capture_fingerprints(experiment_id: str, scale: str) -> list[dict]:
     ``{"label", "repetitions", "base_seed", "fingerprints": [...]}``.
     """
     import repro.experiments.base as base
-    from repro.experiments.registry import run_experiment
+    from repro.experiments import run_spec
+    from repro.registry import EXPERIMENT_SPECS
 
     records: list[dict] = []
     real_point_result = base.PointResult
@@ -100,9 +101,8 @@ def capture_fingerprints(experiment_id: str, scale: str) -> list[dict]:
             raise _CaptureDone
         return points
 
-    # Experiment modules bind ``run_points`` at import time, so patch every
-    # repro.experiments.* binding that refers to the real function (the base
-    # module's own global covers run_point-based experiments such as FIG7).
+    # The drivers bind ``run_points`` at import time, so patch every
+    # repro.experiments.* binding that refers to the real function.
     patches = []
     for name, module in list(sys.modules.items()):
         if name.startswith("repro.") and getattr(module, "run_points", None) is real_run_points:
@@ -111,7 +111,7 @@ def capture_fingerprints(experiment_id: str, scale: str) -> list[dict]:
         for patch in patches:
             patch.start()
         try:
-            run_experiment(experiment_id, scale=scale)
+            run_spec(EXPERIMENT_SPECS.get(experiment_id), scale=scale)
         except _CaptureDone:
             pass
     finally:

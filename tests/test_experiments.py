@@ -1,9 +1,9 @@
 """Smoke tests of the experiment harness (scaled-down specs).
 
-Each experiment runs end-to-end on its ``small()`` spec (or an even smaller
-inline variant) and the resulting rows are checked for the qualitative shape
-the paper reports — who wins, how the curves move — rather than absolute
-numbers.
+Each experiment runs end-to-end on its ``small`` scale (or an even smaller
+set of overrides) and the resulting rows are checked for the qualitative
+shape the paper reports — who wins, how the curves move — rather than
+absolute numbers.
 """
 
 from __future__ import annotations
@@ -11,71 +11,60 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.experiments import (
-    ClusteredSpec,
-    CrashResilienceSpec,
-    DensityToleranceSpec,
-    DualModeSpec,
-    EpidemicComparisonSpec,
-    JammingSpec,
-    LyingSpec,
-    MapSizeSpec,
-    airtime_bits,
-    available_experiments,
-    fit_linear_trend,
-    linear_scaling_error,
-    run_clustered,
-    run_crash_resilience,
-    run_density_tolerance,
-    run_dual_mode,
-    run_epidemic_comparison,
-    run_experiment,
-    run_jamming,
-    run_lying,
-    run_map_size,
-)
+from repro.experiments import airtime_bits, fit_linear_trend, linear_scaling_error, run_spec
+from repro.experiments.driver import resolve_context
+from repro.registry import EXPERIMENT_SPECS
+
+NEIGHBORWATCH = {"label": "NeighborWatchRB", "protocol": "neighborwatch", "tolerance": 0}
 
 
 class TestRegistry:
     def test_all_design_md_ids_registered(self):
-        assert available_experiments() == [
+        assert EXPERIMENT_SPECS.keys() == [
             "FIG5", "JAM", "FIG6", "FIG7", "CLUST", "MAPSZ", "EPID", "DUAL"
         ]
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            run_experiment("FIG99")
+            EXPERIMENT_SPECS.get("FIG99")
 
     def test_unknown_scale(self):
         with pytest.raises(ValueError):
-            run_experiment("MAPSZ", scale="huge")
+            run_spec(EXPERIMENT_SPECS.get("MAPSZ"), scale="huge")
 
     def test_paper_specs_construct(self):
         # The paper-scale specs are too slow to *run* in CI, but they must at
-        # least be constructible and strictly larger than the small ones.
-        assert len(CrashResilienceSpec.paper().densities) > len(CrashResilienceSpec.small().densities)
-        assert len(LyingSpec.paper().fractions) > len(LyingSpec.small().fractions)
-        assert len(JammingSpec.paper().budgets) > len(JammingSpec.small().budgets)
-        assert len(MapSizeSpec.paper().map_sizes) >= len(MapSizeSpec.small().map_sizes)
-        assert DensityToleranceSpec.paper().repetitions >= DensityToleranceSpec.small().repetitions
-        assert EpidemicComparisonSpec.paper().include_multipath
-        assert DualModeSpec.paper().payload_bits > DualModeSpec.small().payload_bits
-        assert ClusteredSpec.paper().num_nodes == 1200
+        # least resolve and be strictly larger than the small ones.
+        def paper(experiment_id):
+            return resolve_context(EXPERIMENT_SPECS.get(experiment_id), scale="paper")
+
+        def small(experiment_id):
+            return resolve_context(EXPERIMENT_SPECS.get(experiment_id), scale="small")
+
+        assert len(paper("FIG5")["densities"]) > len(small("FIG5")["densities"])
+        assert len(paper("FIG6")["fractions"]) > len(small("FIG6")["fractions"])
+        assert len(paper("JAM")["budgets"]) > len(small("JAM")["budgets"])
+        assert len(paper("MAPSZ")["map_sizes"]) >= len(small("MAPSZ")["map_sizes"])
+        assert paper("FIG7")["repetitions"] >= small("FIG7")["repetitions"]
+        assert paper("EPID")["include_multipath"]
+        assert paper("DUAL")["payload_bits"] > small("DUAL")["payload_bits"]
+        assert paper("CLUST")["num_nodes"] == 1200
 
 
-@pytest.mark.slow
 class TestCrashResilience:
     def test_small_sweep_shape(self):
-        spec = CrashResilienceSpec(
-            map_size=8.0,
-            deployed_density=2.5,
-            densities=(0.8, 2.2),
-            radius=3.0,
-            message_length=2,
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
-            repetitions=1,
+        rows = run_spec(
+            EXPERIMENT_SPECS.get("FIG5"),
+            overrides={
+                "map_size": 8.0,
+                "deployed_density": 2.5,
+                "densities": (0.8, 2.2),
+                "radius": 3.0,
+                "message_length": 2,
+                "protocols": (NEIGHBORWATCH,),
+                "repetitions": 1,
+            },
         )
-        rows = run_crash_resilience(spec)
         assert len(rows) == 2
         by_density = {row["density"]: row for row in rows}
         # Figure 5 shape: completion improves (weakly) with density.
@@ -85,13 +74,19 @@ class TestCrashResilience:
         assert all(row["correct_%"] == pytest.approx(100.0) for row in rows)
 
 
-@pytest.mark.slow
 class TestJamming:
     def test_delay_grows_with_budget(self):
-        spec = JammingSpec(
-            map_size=8.0, num_nodes=100, radius=3.0, message_length=2, budgets=(0, 8), repetitions=1
+        rows = run_spec(
+            EXPERIMENT_SPECS.get("JAM"),
+            overrides={
+                "map_size": 8.0,
+                "num_nodes": 100,
+                "radius": 3.0,
+                "message_length": 2,
+                "budgets": (0, 8),
+                "repetitions": 1,
+            },
         )
-        rows = run_jamming(spec)
         assert rows[0]["budget"] == 0 and rows[1]["budget"] == 8
         assert rows[1]["rounds"] >= rows[0]["rounds"]
         assert all(row["correct_%"] == pytest.approx(100.0) for row in rows)
@@ -107,38 +102,40 @@ class TestJamming:
             fit_linear_trend([{"budget": 0, "rounds": 1}])
 
 
-@pytest.mark.slow
 class TestLying:
     def test_correctness_degrades_with_liar_fraction(self):
-        spec = LyingSpec(
-            map_size=9.0,
-            num_nodes=150,
-            radius=3.0,
-            message_length=2,
-            fractions=(0.0, 0.30),
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
-            repetitions=1,
+        rows = run_spec(
+            EXPERIMENT_SPECS.get("FIG6"),
+            overrides={
+                "map_size": 9.0,
+                "num_nodes": 150,
+                "radius": 3.0,
+                "message_length": 2,
+                "fractions": (0.0, 0.30),
+                "protocols": (NEIGHBORWATCH,),
+                "repetitions": 1,
+            },
         )
-        rows = run_lying(spec)
         clean = next(r for r in rows if r["byzantine_fraction"] == 0.0)
         attacked = next(r for r in rows if r["byzantine_fraction"] == 0.30)
         assert clean["correct_%"] == pytest.approx(100.0)
         assert attacked["correct_%"] < clean["correct_%"]
 
 
-@pytest.mark.slow
 class TestDensityTolerance:
     def test_tolerance_grows_with_density(self):
-        spec = DensityToleranceSpec(
-            map_size=8.0,
-            densities=(1.0, 3.0),
-            candidate_fractions=(0.0, 0.05, 0.15),
-            radius=3.0,
-            message_length=2,
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
-            repetitions=1,
+        rows = run_spec(
+            EXPERIMENT_SPECS.get("FIG7"),
+            overrides={
+                "map_size": 8.0,
+                "densities": (1.0, 3.0),
+                "candidate_fractions": (0.0, 0.05, 0.15),
+                "radius": 3.0,
+                "message_length": 2,
+                "protocols": (NEIGHBORWATCH,),
+                "repetitions": 1,
+            },
         )
-        rows = run_density_tolerance(spec)
         assert len(rows) == 2
         sparse = next(r for r in rows if r["density"] == 1.0)
         dense = next(r for r in rows if r["density"] == 3.0)
@@ -146,19 +143,20 @@ class TestDensityTolerance:
         assert dense["max_tolerated_%"] >= sparse["max_tolerated_%"]
 
 
-@pytest.mark.slow
 class TestClustered:
     def test_clustered_vs_uniform(self):
-        spec = ClusteredSpec(
-            map_size=9.0,
-            num_nodes=140,
-            num_clusters=4,
-            radius=3.0,
-            message_length=2,
-            lying_fractions=(0.0,),
-            repetitions=1,
+        rows = run_spec(
+            EXPERIMENT_SPECS.get("CLUST"),
+            overrides={
+                "map_size": 9.0,
+                "num_nodes": 140,
+                "num_clusters": 4,
+                "radius": 3.0,
+                "message_length": 2,
+                "lying_fractions": (0.0,),
+                "repetitions": 1,
+            },
         )
-        rows = run_clustered(spec)
         kinds = {row["deployment"] for row in rows}
         assert kinds == {"uniform", "clustered"}
         for row in rows:
@@ -166,10 +164,9 @@ class TestClustered:
             assert row["completion_%"] <= row["reachable_from_source_pct"] + 5.0
 
 
-@pytest.mark.slow
 class TestMapSize:
     def test_linear_scaling(self):
-        rows = run_map_size(MapSizeSpec.small())
+        rows = run_spec(EXPERIMENT_SPECS.get("MAPSZ"), scale="small")
         assert len(rows) == 2
         assert rows[1]["rounds"] > rows[0]["rounds"]
         assert rows[1]["honest_broadcasts"] > rows[0]["honest_broadcasts"]
@@ -180,10 +177,9 @@ class TestMapSize:
         assert linear_scaling_error(perfect) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.slow
 class TestEpidemicComparison:
     def test_neighborwatch_slower_but_same_ballpark(self):
-        rows = run_epidemic_comparison(EpidemicComparisonSpec.small())
+        rows = run_spec(EXPERIMENT_SPECS.get("EPID"), scale="small")
         by_protocol = {row["protocol"]: row for row in rows}
         epidemic = by_protocol["epidemic"]
         nw = by_protocol["NeighborWatchRB"]
@@ -198,10 +194,9 @@ class TestEpidemicComparison:
         assert airtime_bits("neighborwatch", 100, 5) == 100
 
 
-@pytest.mark.slow
 class TestDualMode:
     def test_dual_mode_accepts_and_bounds_overhead(self):
-        row = run_dual_mode(DualModeSpec.small())
+        [row] = run_spec(EXPERIMENT_SPECS.get("DUAL"), scale="small")
         assert row["acceptance_%"] > 90.0
         assert row["correct_%"] == pytest.approx(100.0)
         # Securing only the digest costs far less than securing the payload
@@ -209,6 +204,6 @@ class TestDualMode:
         assert row["overhead_factor"] < 10.0
 
     def test_rows_render_as_table(self):
-        row = run_dual_mode(DualModeSpec.small())
+        [row] = run_spec(EXPERIMENT_SPECS.get("DUAL"), scale="small")
         text = format_table([row])
         assert "overhead_factor" in text

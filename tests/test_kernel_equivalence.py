@@ -121,16 +121,17 @@ class TestFriisKernelEquivalence:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1))
-    def test_observe_links_matches_observe(self, data, positions, seed):
+    def test_resolve_links_matches_observe(self, data, positions, seed):
         """The precomputed-link-state path stays equivalent too."""
         listener_ids, transmissions = _split_roles(positions, data)
         pos = np.asarray(positions, dtype=float) / 2.0
         chan = FriisChannel(2.0, loss_probability=0.25)
         state = chan.link_state(pos)
+        senders = [t.sender for t in transmissions]
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
         direct = chan.observe(listener_ids, pos[listener_ids], transmissions, rng_a)
-        via_links = chan.observe_links(listener_ids, state, transmissions, rng_b)
+        via_links = chan.resolve_links(state[np.ix_(listener_ids, senders)], transmissions, rng_b)
         assert direct == via_links
         assert rng_a.random() == rng_b.random()
 
@@ -258,18 +259,20 @@ class TestWarmStoreByteIdentity:
 
     def test_epidemic_comparison_warm_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path))  # documents the knob
-        from repro.experiments.registry import run_experiment
+        from repro.experiments import run_spec
+        from repro.registry import EXPERIMENT_SPECS
         from repro.store import ResultStore
 
         def export(rows):
             return json.dumps(list(rows), sort_keys=True).encode("utf8")
 
+        spec = EXPERIMENT_SPECS.get("EPID")
         cold_store = ResultStore(tmp_path)
-        cold_rows, _ = run_experiment("EPID", scale="small", store=cold_store)
+        cold_rows = run_spec(spec, scale="small", store=cold_store)
         assert cold_store.stats.hits == 0 and cold_store.stats.misses > 0
 
         warm_store = ResultStore(tmp_path)
-        warm_rows, _ = run_experiment("EPID", scale="small", store=warm_store)
+        warm_rows = run_spec(spec, scale="small", store=warm_store)
         assert warm_store.stats.misses == 0
         assert warm_store.stats.hits == cold_store.stats.misses
         assert export(warm_rows) == export(cold_rows)

@@ -162,8 +162,9 @@ class TestFriisChannel:
 
 
 class TestLinkStateEquivalence:
-    """observe_links over a precomputed link state must reproduce observe()
-    exactly — same observations, same RNG consumption — for every channel."""
+    """resolve_links over a slice of the precomputed link state must reproduce
+    observe() exactly — same observations, same RNG consumption — for every
+    channel."""
 
     @staticmethod
     def _random_round(rng, num_nodes=40, num_tx=3):
@@ -186,19 +187,21 @@ class TestLinkStateEquivalence:
             lambda: FriisChannel(reception_range=3.0, loss_probability=0.3),
         ],
     )
-    def test_observe_links_matches_observe(self, channel_factory):
+    def test_resolve_links_matches_observe(self, channel_factory):
         setup_rng = np.random.default_rng(7)
         chan = channel_factory()
         for trial in range(5):
             positions, listener_ids, transmissions = self._random_round(setup_rng)
             state = chan.link_state(positions)
-            direct = chan.observe(
-                listener_ids, positions[listener_ids], transmissions, np.random.default_rng(trial)
-            )
-            via_links = chan.observe_links(
-                listener_ids, state, transmissions, np.random.default_rng(trial)
+            senders = [t.sender for t in transmissions]
+            rng_a = np.random.default_rng(trial)
+            rng_b = np.random.default_rng(trial)
+            direct = chan.observe(listener_ids, positions[listener_ids], transmissions, rng_a)
+            via_links = chan.resolve_links(
+                state[np.ix_(listener_ids, senders)], transmissions, rng_b
             )
             assert direct == via_links
+            assert rng_a.random() == rng_b.random()
 
     def test_link_signature_distinguishes_parameters(self):
         assert UnitDiskChannel(3.0).link_signature() != UnitDiskChannel(4.0).link_signature()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_point
+from repro.experiments import run_points
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.factories import (
     FixedDeploymentFactory,
@@ -119,26 +119,11 @@ class TestSweepExecutor:
                 assert serial_run.metadata == parallel_run.metadata
                 assert serial_run.outcomes == parallel_run.outcomes  # incl. delivery_round
 
-    def test_run_point_accepts_executor(self):
+    def test_run_points_accepts_executor(self):
         task = small_task(repetitions=2)
-        serial_point = run_point(
-            task.label,
-            task.deployment_factory,
-            task.config,
-            fault_factory=task.fault_factory,
-            repetitions=task.repetitions,
-            base_seed=task.base_seed,
-        )
+        [serial_point] = run_points([task])
         with SweepExecutor(2) as executor:
-            parallel_point = run_point(
-                task.label,
-                task.deployment_factory,
-                task.config,
-                fault_factory=task.fault_factory,
-                repetitions=task.repetitions,
-                base_seed=task.base_seed,
-                executor=executor,
-            )
+            [parallel_point] = run_points([task], executor=executor)
         assert serial_point.aggregates == parallel_point.aggregates
         assert [r.outcomes for r in serial_point.runs] == [r.outcomes for r in parallel_point.runs]
 
@@ -168,22 +153,18 @@ class TestSweepExecutor:
 
 class TestExperimentsCli:
     def test_list(self, capsys):
-        assert experiments_main(["--list"]) == 0
+        assert experiments_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "FIG5" in out and "DUAL" in out
 
-    def test_no_argument_lists(self, capsys):
-        assert experiments_main([]) == 0
-        assert "FIG5" in capsys.readouterr().out
-
     def test_unknown_experiment(self, capsys):
-        assert experiments_main(["FIG99"]) == 2
+        assert experiments_main(["run", "FIG99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_smoke_small_scale_with_workers(self, capsys):
         """Tier-1 smoke test of the CLI multiprocessing path: the cheapest
         registered experiment, small scale, two workers."""
-        assert experiments_main(["DUAL", "--scale", "small", "--workers", "2"]) == 0
+        assert experiments_main(["run", "DUAL", "--scale", "small", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "DUAL" in out
         assert "overhead_factor" in out
@@ -194,7 +175,9 @@ class TestExperimentsCli:
         import pstats
 
         path = tmp_path / "dual.pstats"
-        assert experiments_main(["DUAL", "--scale", "small", "--profile-out", str(path)]) == 0
+        assert experiments_main(
+            ["run", "DUAL", "--scale", "small", "--profile-out", str(path)]
+        ) == 0
         captured = capsys.readouterr()
         assert path.exists()
         assert f"profile written to {path}" in captured.err
@@ -209,7 +192,10 @@ class TestExperimentsCli:
         src = str(REPO_ROOT / "src")
         env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         result = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "DUAL", "--scale", "small", "--workers", "2"],
+            [
+                sys.executable, "-m", "repro.experiments",
+                "run", "DUAL", "--scale", "small", "--workers", "2",
+            ],
             capture_output=True,
             text=True,
             timeout=300,

@@ -595,9 +595,9 @@ class TestDescribeTierEligibility:
 
     def test_unitdisk_spec_reports_soa(self):
         from repro.experiments.driver import describe_spec
-        from repro.experiments.registry import get_spec
+        from repro.registry import EXPERIMENT_SPECS
 
-        text = describe_spec(get_spec("FIG5"), scale="small")
+        text = describe_spec(EXPERIMENT_SPECS.get("FIG5"), scale="small")
         assert "execution tier: struct-of-arrays slot kernels" in text
 
     def test_per_capability_verdicts_and_fallback_notes(self):

@@ -20,17 +20,16 @@ import pytest
 
 from fingerprint_capture import GOLDEN_PATH, capture_fingerprints
 from repro.experiments import (
-    EXPERIMENTS,
     ExperimentSpec,
     SpecValidationError,
-    available_experiments,
     describe_spec,
-    get_spec,
     load_spec,
     run_spec,
 )
 from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.driver import resolve_context
 from repro.experiments.spec import evaluate_expression, render_template
+from repro.registry import EXPERIMENT_SPECS
 
 DATA_DIR = Path(__file__).parent / "data"
 EXAMPLE_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "clustered_jamming.toml"
@@ -41,12 +40,12 @@ ALL_IDS = ["FIG5", "JAM", "FIG6", "FIG7", "CLUST", "MAPSZ", "EPID", "DUAL"]
 class TestSerializationRoundTrip:
     @pytest.mark.parametrize("experiment_id", ALL_IDS)
     def test_json_round_trip(self, experiment_id):
-        spec = get_spec(experiment_id)
+        spec = EXPERIMENT_SPECS.get(experiment_id)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize("experiment_id", ALL_IDS)
     def test_toml_round_trip(self, experiment_id):
-        spec = get_spec(experiment_id)
+        spec = EXPERIMENT_SPECS.get(experiment_id)
         assert ExperimentSpec.from_toml(spec.to_toml()) == spec
 
     def test_example_spec_file_loads_and_round_trips(self):
@@ -58,7 +57,7 @@ class TestSerializationRoundTrip:
     def test_round_trip_preserves_numeric_types(self):
         # 4.0 and 4 fingerprint differently, so serialization must not
         # collapse float/int distinctions.
-        spec = get_spec("FIG5")
+        spec = EXPERIMENT_SPECS.get("FIG5")
         reparsed = ExperimentSpec.from_json(spec.to_json())
         assert isinstance(reparsed.params["map_size"], float)
         assert isinstance(reparsed.params["message_length"], int)
@@ -84,12 +83,37 @@ class TestSpecValidation:
 
     def test_unknown_scale_is_value_error(self):
         with pytest.raises(ValueError, match="unknown scale"):
-            run_spec(get_spec("MAPSZ"), scale="huge")
+            run_spec(EXPERIMENT_SPECS.get("MAPSZ"), scale="huge")
 
     def test_toml_rejects_nested_null(self):
         spec = ExperimentSpec(name="X", title="x", params={"hole": None})
         with pytest.raises(SpecValidationError, match="null"):
             spec.to_toml()
+
+
+class TestContextResolution:
+    def test_overrides_follow_scale_and_precede_derived(self):
+        # The documented precedence: params -> scale -> overrides -> derived.
+        spec = EXPERIMENT_SPECS.get("FIG5")
+        assert resolve_context(spec)["map_size"] == 24.0
+        small = resolve_context(spec, scale="small")
+        assert small["map_size"] == 8.0 and small["repetitions"] == 2
+        context = resolve_context(
+            spec, scale="small", overrides={"map_size": 10.0, "repetitions": 5}
+        )
+        # An override beats the scale's value for the same key; keys it does
+        # not name keep the scale's value.
+        assert context["map_size"] == 10.0 and context["repetitions"] == 5
+        assert context["deployed_density"] == small["deployed_density"] == 2.2
+        # Derived values are recomputed from the overridden inputs, and win
+        # over an override of the derived key itself.
+        assert small["num_deployed"] == int(round(2.2 * 8.0 * 8.0))
+        assert context["num_deployed"] == int(round(2.2 * 10.0 * 10.0))
+        pinned = resolve_context(spec, scale="small", overrides={"num_deployed": 5})
+        assert pinned["num_deployed"] == small["num_deployed"]
+        # An unknown scale is still a validation error, overrides or not.
+        with pytest.raises(SpecValidationError, match="unknown scale"):
+            resolve_context(spec, scale="huge", overrides={"map_size": 10.0})
 
 
 class TestExpressionLanguage:
@@ -137,7 +161,6 @@ class TestFingerprintGolden:
         assert fresh == golden[experiment_id][scale]
 
 
-@pytest.mark.slow
 class TestWarmCacheReplay:
     def test_pre_redesign_cache_replays_with_zero_dispatches(self, tmp_path):
         from repro.store import ResultStore
@@ -147,7 +170,7 @@ class TestWarmCacheReplay:
         store = ResultStore(cache_dir)
         for experiment_id in ("DUAL", "MAPSZ"):
             store.stats.reset()
-            rows = run_spec(get_spec(experiment_id), scale="small", store=store)
+            rows = run_spec(EXPERIMENT_SPECS.get(experiment_id), scale="small", store=store)
             assert rows, experiment_id
             assert store.stats.misses == 0, (
                 f"{experiment_id}: a pre-redesign cache entry stopped matching "
@@ -252,17 +275,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "run" in out and "describe" in out and "list" in out
 
-    def test_legacy_form_still_runs(self, capsys):
-        # Deprecated alias: experiment id without the 'run' subcommand.
-        code, _out, err = self.run_cli(capsys, "FIG99")
-        assert code == 2
-        assert "deprecated" in err and "unknown experiment" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [["FIG5"], ["--scale", "small", "FIG5"], ["--list"], []],
+        ids=["bare-id", "flags-first", "list-flag", "empty"],
+    )
+    def test_subcommand_is_required(self, capsys, argv):
+        # Only the subcommand grammar parses: a bare id, flags first, --list
+        # and an empty command line are argparse usage errors.
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_legacy_flag_first_form_still_routes_to_run(self, capsys):
-        # Pre-PR 5 argparse accepted flags before the id.
-        code, _out, err = self.run_cli(capsys, "--scale", "small", "FIG99")
+    def test_run_accepts_flags_before_id(self, capsys):
+        # Flags may still precede the id, inside the run subcommand.
+        code, _out, err = self.run_cli(capsys, "run", "--scale", "small", "FIG99")
         assert code == 2
-        assert "deprecated" in err and "unknown experiment" in err
+        assert "unknown experiment" in err
+
+    def test_run_by_id_matches_run_by_spec_file(self, capsys, tmp_path):
+        # A registered id and the same spec written to a file take one path:
+        # the exported rows are byte-identical.
+        path = tmp_path / "dual.toml"
+        path.write_text(EXPERIMENT_SPECS.get("DUAL").to_toml(), encoding="utf8")
+        code, by_id, _err = self.run_cli(
+            capsys, "run", "DUAL", "--scale", "small", "--export", "json"
+        )
+        assert code == 0
+        code, by_file, _err = self.run_cli(
+            capsys, "run", "--spec", str(path), "--scale", "small", "--export", "json"
+        )
+        assert code == 0
+        assert by_file == by_id
+        assert json.loads(by_id)
 
     def test_tolerance_search_spec_missing_candidates_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "search.json"
@@ -293,7 +339,6 @@ class TestCli:
         assert code == 2
         assert "label template" in err
 
-    @pytest.mark.slow
     def test_run_spec_file_end_to_end(self, capsys):
         code, out, _err = self.run_cli(capsys, "run", "--spec", str(EXAMPLE_SPEC))
         assert code == 0
@@ -301,14 +346,14 @@ class TestCli:
         assert "budget=0" in out and "budget=6" in out
 
 
-class TestRegistryCompat:
-    def test_experiments_mapping_view(self):
-        assert list(EXPERIMENTS) == ALL_IDS
-        assert EXPERIMENTS["FIG5"].title.startswith("Crash resilience")
-        assert len(EXPERIMENTS) == 8
-        assert available_experiments() == ALL_IDS
+class TestExperimentRegistry:
+    def test_experiment_specs_mapping(self):
+        assert list(EXPERIMENT_SPECS) == ALL_IDS
+        assert [key for key, _spec in EXPERIMENT_SPECS.items()] == ALL_IDS
+        assert EXPERIMENT_SPECS.get("FIG5").title.startswith("Crash resilience")
+        assert len(EXPERIMENT_SPECS) == 8
 
     def test_describe_spec_mentions_driver_and_grid(self):
-        text = describe_spec(get_spec("FIG7"), scale="small")
+        text = describe_spec(EXPERIMENT_SPECS.get("FIG7"), scale="small")
         assert "tolerance_search" in text
         assert "axes" in text

@@ -346,11 +346,20 @@ class TestCliCache:
     def test_warm_rerun_byte_identical_and_dispatches_nothing(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         code, cold_out, _ = self.run_cli(
-            capsys, "DUAL", "--scale", "small", "--cache-dir", cache, "--export", "json"
+            capsys, "run", "DUAL", "--scale", "small", "--cache-dir", cache, "--export", "json"
         )
         assert code == 0
         code, warm_out, warm_err = self.run_cli(
-            capsys, "DUAL", "--scale", "small", "--cache-dir", cache, "--resume", "--export", "json"
+            capsys,
+            "run",
+            "DUAL",
+            "--scale",
+            "small",
+            "--cache-dir",
+            cache,
+            "--resume",
+            "--export",
+            "json",
         )
         assert code == 0
         assert warm_out == cold_out  # byte-identical rows
@@ -359,7 +368,7 @@ class TestCliCache:
 
     def test_export_csv(self, tmp_path, capsys):
         code, out, err = self.run_cli(
-            capsys, "DUAL", "--scale", "small", "--export", "csv"
+            capsys, "run", "DUAL", "--scale", "small", "--export", "csv"
         )
         assert code == 0
         assert "overhead_factor" in out.splitlines()[0]  # CSV header on stdout
@@ -368,7 +377,7 @@ class TestCliCache:
     def test_no_cache_skips_the_store(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         code, out, err = self.run_cli(
-            capsys, "DUAL", "--scale", "small", "--cache-dir", cache, "--no-cache"
+            capsys, "run", "DUAL", "--scale", "small", "--cache-dir", cache, "--no-cache"
         )
         assert code == 0
         assert "cache-hits" not in out + err
@@ -377,6 +386,7 @@ class TestCliCache:
     def test_resume_requires_existing_cache_dir(self, tmp_path, capsys):
         code, _, err = self.run_cli(
             capsys,
+            "run",
             "DUAL",
             "--scale",
             "small",
@@ -388,7 +398,7 @@ class TestCliCache:
         assert "nothing to resume" in err
 
     def test_resume_without_cache_dir_is_an_error(self, capsys):
-        code, _, err = self.run_cli(capsys, "DUAL", "--scale", "small", "--resume")
+        code, _, err = self.run_cli(capsys, "run", "DUAL", "--scale", "small", "--resume")
         assert code == 2
         assert "--resume requires --cache-dir" in err
 

@@ -44,19 +44,6 @@ class TestSpatialTilingDefault:
 
     def test_auto_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPATIAL_TILING", raising=False)
-        monkeypatch.delenv("REPRO_SPATIAL_TILING_AUTO_NODES", raising=False)
-        assert not default_spatial_tiling(SPATIAL_TILING_AUTO_NODES)
-        assert default_spatial_tiling(SPATIAL_TILING_AUTO_NODES + 1)
-
-    def test_auto_threshold_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "auto")
-        monkeypatch.setenv("REPRO_SPATIAL_TILING_AUTO_NODES", "100")
-        assert default_spatial_tiling(101)
-        assert not default_spatial_tiling(100)
-
-    def test_unparsable_override_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "auto")
-        monkeypatch.setenv("REPRO_SPATIAL_TILING_AUTO_NODES", "not-a-number")
         assert not default_spatial_tiling(SPATIAL_TILING_AUTO_NODES)
         assert default_spatial_tiling(SPATIAL_TILING_AUTO_NODES + 1)
 
@@ -145,21 +132,6 @@ class TestEngineIntegration:
         assert info["enabled"]
         assert not info["sparse_round_kernel"]
         assert info["dense_bytes_avoided"] > 0  # friis dense is 8 bytes/pair
-
-    def test_region_records_group_participants_by_tile(self, deployment, config):
-        sim = _build(deployment, config, True)
-        records = sim.plan.region_records(sim.tiling)
-        tile_of = sim.tiling.tile_of
-        for slot, ids in sim.plan.participant_arrays.items():
-            by_tile = records[slot]
-            regrouped = np.concatenate([v for v in by_tile.values()]) if by_tile else np.array([])
-            assert sorted(regrouped.tolist()) == sorted(ids.tolist())
-            for tile, members in by_tile.items():
-                assert set(tile_of[members].tolist()) == {tile}
-                # Participant order is preserved within each tile.
-                order = {int(n): i for i, n in enumerate(ids.tolist())}
-                ranks = [order[int(m)] for m in members.tolist()]
-                assert ranks == sorted(ranks)
 
 
 class TestSparseRoundKernel:
@@ -301,9 +273,9 @@ class TestCsrIndexDtype:
 
 class TestDescribeMemoryEstimate:
     def test_describe_mentions_memory_and_tiling(self):
-        from repro.experiments.registry import get_spec
         from repro.experiments.driver import describe_spec
+        from repro.registry import EXPERIMENT_SPECS
 
-        text = describe_spec(get_spec("JAM"))
+        text = describe_spec(EXPERIMENT_SPECS.get("JAM"))
         assert "dense unitdisk link state" in text
         assert "spatial tiling" in text.lower()
