@@ -3,7 +3,13 @@
 The paper repeats every experiment 6-20 times, discards outliers and reports
 averages.  These helpers run a scenario factory across seeds, aggregate any
 numeric metric with the same outlier-discarding policy, and compute simple
-confidence intervals (mean +/- t * s / sqrt(n), via scipy).
+confidence intervals (mean +/- t * s / sqrt(n)).
+
+The Student-t quantile of the default 95% interval comes from a frozen table
+for 1-64 degrees of freedom, copied float for float from
+``scipy.stats.t.ppf(0.975, df)``; scipy is imported only for any other
+confidence or sample count, so importing this module (and hence
+``repro.experiments``) does not load it.
 """
 
 from __future__ import annotations
@@ -13,11 +19,40 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..sim.results import RunResult
 
 __all__ = ["Aggregate", "aggregate", "discard_outliers", "repeat_runs", "summarize_runs"]
+
+#: ``float(scipy.stats.t.ppf(0.975, df))`` for ``df`` 1..64 (entry ``df - 1``).
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+)
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t quantile ``t.ppf(0.5 + confidence / 2, df)``."""
+    q = 0.5 + confidence / 2.0
+    if q == 0.975 and 1 <= df <= len(_T_975):
+        return _T_975[df - 1]
+    from scipy import stats as scipy_stats
+
+    return float(scipy_stats.t.ppf(q, df=df))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +130,7 @@ def aggregate(values: Sequence[float], *, confidence: float = 0.95, drop_outlier
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     if len(arr) > 1 and std > 0:
         sem = std / np.sqrt(len(arr))
-        t_val = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=len(arr) - 1))
-        half = t_val * sem
+        half = _t_quantile(confidence, len(arr) - 1) * sem
     else:
         half = 0.0
     return Aggregate(

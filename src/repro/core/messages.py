@@ -260,18 +260,17 @@ class ControlCodec:
         except ValueError:
             return None
 
-    def decode_frame(self, bits: Sequence[int]) -> ControlMessage | None:
-        """:meth:`decode` of one well-formed frame, from the shape's shared table.
+    def decode_frame(self, key: int) -> ControlMessage | None:
+        """:meth:`decode` of one frame given as an integer, from the shape's shared table.
 
-        ``bits`` must be exactly :attr:`frame_bits` 0/1 ints (a MultiPathRB
-        receiver stream).  A frame seen for the first time is decoded by
-        unpacking its integer's bit fields, which agrees with :meth:`decode`
-        on every frame; the messages are immutable, so every codec of this
-        shape shares them.
+        ``key`` is a frame of :attr:`frame_bits` bits folded most significant
+        bit first (:func:`int_from_bits`): the SoA stream kernel reads a
+        completed MultiPathRB frame out of its bit planes in this form, and
+        the scalar drain folds its stream slice into it.  A frame seen for
+        the first time is decoded by unpacking the integer's bit fields,
+        which agrees with :meth:`decode` on every frame; the messages are
+        immutable, so every codec of this shape shares them.
         """
-        key = 0
-        for bit in bits:
-            key = (key << 1) | bit
         frames = self._frames
         if key in frames:
             return frames[key]

@@ -37,7 +37,16 @@ import enum
 from typing import Iterable, Optional
 
 from ..registry import ProtocolPlugin, register_protocol
-from .messages import Bits, ControlCodec, ControlMessage, ControlType, Frame, FrameKind, validate_bits
+from .messages import (
+    Bits,
+    ControlCodec,
+    ControlMessage,
+    ControlType,
+    Frame,
+    FrameKind,
+    int_from_bits,
+    validate_bits,
+)
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
 from .runtime import ActionSpec, PhaseContext, action_spec
@@ -255,11 +264,12 @@ class MultiPathNode(Protocol):
         if receiver is None:
             return None
         # Only a completed control frame can change state, so the kernel
-        # drains once per frame_bits accepted bits.
+        # appends each frame of frame_bits accepted bits to the unbounded
+        # stream and hands it over as one integer.
         return {
             "role": "receiver",
             "receiver": receiver,
-            "drain_slot": self._drain_stream,
+            "drain_slot": self._drain_frame,
             "frame_bits": self._codec.frame_bits,
         }
 
@@ -345,16 +355,23 @@ class MultiPathNode(Protocol):
         Leaves ``_consumed[slot] == frame_bits * (len // frame_bits)``, so a
         drain before the next frame completes is a no-op.
         """
-        codec = self._codec
-        frame_bits = codec.frame_bits
+        frame_bits = self._codec.frame_bits
         bits = self._receivers[slot].peek_received()
-        consumed = self._consumed[slot]
-        while consumed + frame_bits <= len(bits):
-            message = codec.decode_frame(bits[consumed : consumed + frame_bits])
-            consumed += frame_bits
-            if message is not None:
-                self._handle_control(self._peer_of_slot[slot], message)
-        self._consumed[slot] = consumed
+        consumed = self._consumed
+        while consumed[slot] + frame_bits <= len(bits):
+            start = consumed[slot]
+            self._drain_frame(slot, int_from_bits(bits[start : start + frame_bits]))
+
+    def _drain_frame(self, slot: int, frame: int) -> None:
+        """Handle the next control frame of ``slot``'s stream, read as an MSB-first integer.
+
+        The frame's bits are already on the receiver stream; this consumes
+        them.
+        """
+        self._consumed[slot] += self._codec.frame_bits
+        message = self._codec.decode_frame(frame)
+        if message is not None:
+            self._handle_control(self._peer_of_slot[slot], message)
 
     def _handle_control(self, peer: int, message: ControlMessage) -> None:
         if message.mtype is ControlType.SOURCE:

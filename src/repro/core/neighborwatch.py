@@ -38,6 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..registry import ProtocolPlugin, register_protocol
+from ..topology.geometry import l2_distance_floats
 from .messages import Bits, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
@@ -166,15 +167,12 @@ class NeighborWatchNode(Protocol):
         # Listen to the source only when it is actually within range; the
         # schedule gives every device the source's location, mirroring the
         # paper's assumption that slot 0 is known to belong to the source.
-        src_pos = schedule.positions[schedule.source_index]
-        my_pos = np.asarray(context.position, dtype=float)
-        if self._schedule_norm_distance(my_pos, src_pos) <= context.radius + 1e-12:
+        # The square partition guarantees range for neighbors; for the source
+        # we measure with the Euclidean norm used by the simulation deployments.
+        src_pos = schedule.positions[schedule.source_index].tolist()
+        my_pos = np.asarray(context.position, dtype=float).tolist()
+        if l2_distance_floats(my_pos, src_pos) <= context.radius + 1e-12:
             self._receivers[SOURCE_SLOT] = OneHopReceiver(expected_length=k)
-
-    def _schedule_norm_distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        # The square partition guarantees range for neighbors; for the source we
-        # measure with the Euclidean norm used by the simulation deployments.
-        return float(np.sqrt(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
 
     # -- schedule interface ---------------------------------------------------------------
     def interests(self) -> Iterable[int]:

@@ -534,6 +534,7 @@ class Simulation:
                         slot_starts = self.schedule.iter_slot_starts(self.round_index)
         if soa is not None:
             soa.flush_broadcasts()
+            soa.flush_frames()
         self._record_deliveries()
         terminated = self._all_honest_delivered()
         return self._build_result(terminated)
@@ -548,6 +549,7 @@ class Simulation:
             self.round_index += phases
         if self.soa_runtime is not None:
             self.soa_runtime.flush_broadcasts()
+            self.soa_runtime.flush_frames()
         self._record_deliveries()
 
     # -- internals -------------------------------------------------------------------------
@@ -579,10 +581,12 @@ class Simulation:
             if group is not None:
                 # Opportunistic joiners put unmodeled frames on the air;
                 # this occurrence runs on the oracle loop (against the
-                # same protocol objects), then the group re-reads the
-                # receiver streams the loop moved so the next occurrence
-                # resumes on the SoA tier.
+                # same protocol objects, their streams first brought level
+                # with the group's frame planes), then the group re-reads
+                # the receiver streams the loop moved so the next
+                # occurrence resumes on the SoA tier.
                 soa.scalar_fallbacks += 1
+                group.flush_frames()
                 self._run_slot_scalar(cycle, slot, records, occurrence_key)
                 group.resync()
                 return

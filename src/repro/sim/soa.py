@@ -49,11 +49,13 @@ Kernels mutate the *same* protocol objects the scalar loop would, so any
 slot occurrence can fall back to the scalar path (opportunistic adversary
 transmitters joining a slot) and the next occurrence resumes on the SoA
 tier.  Sender roles are re-read from the live objects at slot entry.  The
-receiver masks (which streams still listen, which expect parity 1) live on
-the group across occurrences and are advanced in mask algebra by the
-kernel itself; a receiver stream only moves when its slot runs, so the one
-reconciliation step is :meth:`_SlotGroup.resync`, which the engine calls
-after running a compiled slot as a scalar fallback.
+receiver masks (which streams still listen, which expect parity 1, and the
+frame planes below) live on the group across occurrences and are advanced
+in mask algebra by the kernel itself; a receiver stream only moves when its
+slot runs, so the reconciliation steps are few.  Before the engine runs a
+compiled slot as a scalar fallback it calls :meth:`_SlotGroup.flush_frames`
+and after it :meth:`_SlotGroup.resync`; at the end of ``run()`` and
+``run_slots()`` it calls :meth:`SoaRuntime.flush_frames`.
 
 The kernels raise :attr:`SoaRuntime.moved` whenever they move protocol
 state (a sender advances, a receiver accepts a bit, an epidemic owner pops
@@ -72,6 +74,22 @@ steady state a slot's busy pattern repeats every cycle, so the six phases
 cost six dictionary hits.  Broadcast counts are tallied per transmitter
 mask (one dictionary bump per phase) and decoded into per-node counters at
 :meth:`SoaRuntime.flush_broadcasts`.
+
+A group whose receivers drain whole frames (MultiPathRB's spec declares
+``frame_bits`` F; its streams are unbounded) also keeps every member's
+partial frame in masks: F shift-register *frame planes* (plane ``k`` holds
+bit ``k`` of each member's last F accepted bits, oldest first) and
+``F.bit_length()`` *counter planes* (each member's partial-frame length,
+offset so that reaching F carries out of the top plane).  An occurrence
+appends the accepted bits of all members with 3F mask operations for the
+shift and at most three per counter plane; only members whose frame
+completed cost Python, and a receiver stream gets its bits one frame at a
+time.  Streams are therefore complete at every frame boundary, and the
+pending bits of a partial frame are written into them (idempotently)
+before a scalar fallback and at the end of ``run()``/``run_slots()``, so
+every reader outside the kernel sees the scalar loop's streams.
+NeighborWatchRB keeps the per-bit path: its commit rule reruns after every
+accepted bit, so there is nothing to batch.
 
 The six-phase stream recurrence mirrors :mod:`repro.core.twobit` exactly:
 data rounds R1/R3 carry the parity and data bits, ack rounds R2/R4 echo
@@ -120,6 +138,23 @@ def _mask_indices(mask: int, n: int) -> np.ndarray:
     """Packed mask -> ascending array of the set member indices below ``n``."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.nonzero(np.unpackbits(raw, count=n, bitorder="little"))[0]
+
+
+def _unpack_planes(planes: list, n: int) -> np.ndarray:
+    """Bit planes -> ``(len(planes), n)`` 0/1 matrix (row k is plane k's member bits)."""
+    nbytes = (n + 7) // 8
+    raw = b"".join(plane.to_bytes(nbytes, "little") for plane in planes)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(planes), nbytes)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def _column_values(bits: np.ndarray) -> np.ndarray:
+    """Each column of a 0/1 matrix read as an integer, row 0 most significant.
+
+    Exact up to 63 rows; a control frame or a counter is far shorter.
+    """
+    weights = np.left_shift(1, np.arange(bits.shape[0] - 1, -1, -1, dtype=np.int64))
+    return weights @ bits
 
 
 def _power_block(link_state, row_ids: np.ndarray, col_ids: np.ndarray):
@@ -205,6 +240,9 @@ class _SlotGroup:
         "receiver_at",
         "active",
         "parity1",
+        "planes",
+        "counters",
+        "idle_counters",
         "runtime",
     )
 
@@ -212,10 +250,12 @@ class _SlotGroup:
         """Rebuild the receiver masks from the live :class:`OneHopReceiver` objects.
 
         ``active`` holds the streams still listening (a bounded stream leaves
-        once complete) and ``parity1`` those whose next bit carries parity 1.
-        The stream kernel advances both itself, so this full scan runs only
-        at compile time and after the engine ran this slot as a scalar
-        fallback — the one other path that moves these receivers.
+        once complete) and ``parity1`` those whose next bit carries parity 1;
+        a frame-draining group also rebuilds its frame planes from each
+        stream's bits past its last frame boundary.  The stream kernel
+        advances all of these itself, so this full scan runs only at compile
+        time and after the engine ran this slot as a scalar fallback — the
+        one other path that moves these receivers.
         """
         active = parity1 = 0
         for i, entry in enumerate(self.receiver_at):
@@ -227,6 +267,55 @@ class _SlotGroup:
                 parity1 |= bit
         self.active = active
         self.parity1 = parity1
+        if self.planes is None:
+            return
+        frame_bits = len(self.planes)
+        widths = range(len(self.counters))
+        base = (1 << len(widths)) - frame_bits
+        everyone = (1 << self.n) - 1
+        self.idle_counters = [everyone if base >> j & 1 else 0 for j in widths]
+        planes = [0] * frame_bits
+        counters = list(self.idle_counters)
+        for i, entry in enumerate(self.receiver_at):
+            if entry is None:
+                continue
+            received = entry[0].peek_received()
+            count = len(received) % frame_bits
+            if not count:
+                continue
+            bit = 1 << i
+            for k, data in enumerate(received[-count:], frame_bits - count):
+                if data:
+                    planes[k] |= bit
+            for j in widths:
+                if (base + count) >> j & 1:
+                    counters[j] |= bit
+                else:
+                    counters[j] &= ~bit
+        self.planes = planes
+        self.counters = counters
+
+    def flush_frames(self) -> None:
+        """Write every member's partial-frame bits into its receiver stream.
+
+        The kernel appends a frame to the stream only once it completes, so
+        between frame boundaries a stream lacks the bits still held in the
+        planes; this brings it level with the scalar loop.  Idempotent: the
+        bits a stream already holds past its last frame boundary are the
+        first of the pending ones, and only the rest are written.
+        """
+        planes = self.planes
+        if planes is None or self.counters == self.idle_counters:
+            return
+        n = self.n
+        frame_bits = len(planes)
+        base = (1 << len(self.counters)) - frame_bits
+        counts = _column_values(_unpack_planes(self.counters[::-1], n)) - base
+        bits = _unpack_planes(planes, n)
+        for i in np.flatnonzero(counts).tolist():
+            received = self.receiver_at[i][0].peek_received()
+            start = frame_bits - int(counts[i]) + len(received) % frame_bits
+            received.extend(bits[start:, i].tolist())
 
     def phase_busy(self, tx_mask: int) -> int:
         """Channel-busy mask for one phase, tallying member broadcasts.
@@ -361,10 +450,15 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     an accepted bit flips its receiver's expected parity (the 1Hop parity
     alternates) and a bounded stream that reaches its length stops
     listening.  Scalar fallbacks are reconciled by :meth:`_SlotGroup.resync`.
-    Per-device Python runs only for the accepted receivers, and the commit
-    callback after every accepted bit or, when the spec declares
-    ``frame_bits``, only when a stream completes a frame (any other drain
-    would consume nothing).
+
+    What an accepted bit costs depends on the receiver's commit callback.
+    NeighborWatchRB's ``update_commits`` reruns its commit rule on every
+    accepted bit (its squares' votes can change with any bit), so each
+    accepted member appends its bit and calls back.  MultiPathRB's
+    ``drain_slot`` acts only on a completed control frame of ``frame_bits``
+    bits, so its groups append in mask algebra (:func:`_append_frame_bits`)
+    and only the members that completed a frame cost Python: the frame goes
+    onto the member's stream and to the drain as one MSB-first integer.
     """
     senders = b1 = b2 = always = cond = 0
     slot_senders = None
@@ -426,24 +520,83 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     end_round = sim.round_index + NUM_PHASES
     records = group.records
     receiver_at = group.receiver_at
+    if group.planes is not None:
+        completed = _append_frame_bits(group, accepted, heard2)
+        if not completed:
+            return
+        n = group.n
+        frame_bits = len(group.planes)
+        members = _mask_indices(completed, n)
+        bits = _unpack_planes(group.planes, n)[:, members]
+        for i, frame, column in zip(
+            members.tolist(), _column_values(bits).tolist(), bits.T.tolist()
+        ):
+            receiver, drain, _limit = receiver_at[i]
+            received = receiver.peek_received()
+            # A flush may already have written the frame's first bits.
+            received.extend(column[len(received) % frame_bits :])
+            drain(frame)
+            _stamp_delivery(records[i], end_round, trace)
+        return
     while accepted:
         bit = accepted & -accepted
         accepted ^= bit
         i = bit.bit_length() - 1
-        receiver, post, every, limit = receiver_at[i]
-        count = receiver.soa_append(1 if heard2 & bit else 0)
-        if count == limit:
+        receiver, post, limit = receiver_at[i]
+        if receiver.soa_append(1 if heard2 & bit else 0) == limit:
             group.active ^= bit
-        if count % every:
-            continue
         post()
-        # Delivery only moves inside a commit callback.
-        record = records[i]
-        node = record[REC_NODE]
-        if record[REC_HONEST] and node.delivery_round is None and node.delivered:
-            node.mark_delivered(end_round)
-            if trace is not None:
-                trace.record(EventKind.DELIVERY, end_round, node.node_id)
+        _stamp_delivery(records[i], end_round, trace)
+
+
+def _append_frame_bits(group: _SlotGroup, accepted: int, data: int) -> int:
+    """Append one bit to every accepted member's partial frame, in mask algebra.
+
+    ``planes`` is a shift register over the members: plane ``k`` holds bit
+    ``k`` of each member's last ``frame_bits`` accepted bits, oldest first,
+    so a member's completed frame reads MSB-first from plane 0.  The counter
+    planes hold each member's partial-frame length plus ``2**C - frame_bits``
+    in binary (plane ``j`` is bit ``j``), so the increment's carry out of the
+    top plane is exactly the members whose frame just completed; their
+    counters wrap to zero and are reset to that base.  Returns the mask of
+    completed members.
+
+    When every listening stream accepted (almost every occurrence: the 1Hop
+    exchange is all-or-nothing among honest receivers) the whole register
+    shifts by one plane; it also shifts the bits of members that hold no
+    stream, which nothing reads.
+    """
+    planes = group.planes
+    if accepted == group.active:
+        del planes[0]
+        planes.append(data)
+    else:
+        shifted = iter(planes)
+        next(shifted)
+        group.planes = [p ^ ((p ^ q) & accepted) for p, q in zip(planes, [*shifted, data])]
+    counters = group.counters
+    carry = accepted
+    for j, count in enumerate(counters):
+        counters[j] = count ^ carry
+        carry &= count
+        if not carry:
+            return 0
+    for j, idle in enumerate(group.idle_counters):
+        counters[j] |= carry & idle
+    return carry
+
+
+def _stamp_delivery(record: tuple, end_round: int, trace) -> None:
+    """Stamp a member that delivered in the commit callback just run.
+
+    Delivery only moves inside a commit (or adoption) callback, so this is
+    the one place the kernels check it.
+    """
+    node = record[REC_NODE]
+    if record[REC_HONEST] and node.delivery_round is None and node.delivered:
+        node.mark_delivered(end_round)
+        if trace is not None:
+            trace.record(EventKind.DELIVERY, end_round, node.node_id)
 
 
 def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tuple:
@@ -594,19 +747,15 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
         record = records[i]
         if adopt_of[record[REC_ID]](payload_of[s]):
             adopted[record[REC_ID]] = True
-            node = record[REC_NODE]
-            if record[REC_HONEST] and node.delivery_round is None and node.delivered:
-                node.mark_delivered(end_round)
-                if trace is not None:
-                    trace.record(EventKind.DELIVERY, end_round, node.node_id)
+            _stamp_delivery(record, end_round, trace)
 
 
 #: Protocol family -> (kernel, required rounds per slot).  NeighborWatchRB
 #: and MultiPathRB share the stream kernel: both drive 1Hop/2Bit exchanges
 #: and differ only in the post-accept callback their ``soa_state_spec``
 #: binds: ``update_commits`` (the commit-pipeline rerun, after every
-#: accepted bit) vs. ``drain_slot`` (the control-stream drain, once per
-#: ``frame_bits`` accepted bits).
+#: accepted bit) vs. ``drain_slot`` (the control-stream drain, handed each
+#: completed frame of ``frame_bits`` accepted bits as one integer).
 _FAMILIES = (
     (NeighborWatchNode, _run_stream_slot, NUM_PHASES),
     (MultiPathNode, _run_stream_slot, NUM_PHASES),
@@ -740,6 +889,7 @@ class SoaRuntime:
         n = len(records)
         owners = []
         receiver_at: list = []
+        frame_bits = None
         if kernel is _run_epidemic_slot:
             if not self._epidemic_ok[member_ids].all():
                 return None
@@ -752,9 +902,13 @@ class SoaRuntime:
         else:
             # The stream protocols bind per-slot machines, so they resolve
             # one soa_state_spec per (member, slot) pair.  A receiver entry is
-            # (stream, commit callback, call it every this many accepted
-            # bits, stream bound).
+            # (stream, commit callback, stream bound); the callback is either
+            # update_commits, called after every accepted bit, or the
+            # drain_slot of an unbounded stream, handed each completed frame
+            # of frame_bits bits (then the whole group must drain such
+            # frames, and keeps frame planes).
             receiver_at = [None] * n
+            frame_sizes = set()
             for i, record in enumerate(records):
                 proto = record[REC_NODE].protocol
                 if not _lowerable(proto, family):
@@ -767,11 +921,15 @@ class SoaRuntime:
                     continue
                 receiver = spec["receiver"]
                 post = spec.get("update_commits")
-                every = 1
                 if post is None:
+                    if receiver.expected_length is not None:
+                        return None
                     post = partial(spec["drain_slot"], slot)
-                    every = spec["frame_bits"]
-                receiver_at[i] = (receiver, post, every, receiver.expected_length)
+                frame_sizes.add(spec.get("frame_bits"))
+                receiver_at[i] = (receiver, post, receiver.expected_length)
+            if len(frame_sizes) > 1:
+                return None
+            frame_bits = next(iter(frame_sizes), None)
 
         if n > 1 and np.any(np.diff(member_ids) <= 0):
             return None
@@ -805,6 +963,10 @@ class SoaRuntime:
         group.runtime = self
         group.owners = tuple(owners)
         group.receiver_at = receiver_at
+        group.planes = group.counters = None
+        if frame_bits is not None:
+            group.planes = [0] * frame_bits
+            group.counters = [0] * frame_bits.bit_length()
         group.resync()
         return group
 
@@ -904,6 +1066,16 @@ class SoaRuntime:
             for i in np.nonzero(folded)[0]:
                 records[i][REC_NODE].broadcasts += int(folded[i])
             tally.clear()
+
+    def flush_frames(self) -> None:
+        """Bring every receiver stream level with the scalar loop.
+
+        Called by the engine at the end of ``run()``/``run_slots()``, so
+        every reader outside the kernel sees complete streams (see
+        :meth:`_SlotGroup.flush_frames`).
+        """
+        for group in self.groups.values():
+            group.flush_frames()
 
     # -- introspection ---------------------------------------------------------------
     def info(self) -> dict:

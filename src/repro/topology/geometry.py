@@ -25,6 +25,7 @@ __all__ = [
     "as_positions",
     "linf_distance",
     "l2_distance",
+    "l2_distance_floats",
     "pairwise_distances",
     "neighbors_within",
     "neighborhood_matrix",
@@ -94,6 +95,20 @@ def l2_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.sqrt(np.sum((a - b) ** 2, axis=-1))
+
+
+def l2_distance_floats(a: Sequence[float], b: Sequence[float]) -> float:
+    """Euclidean distance of two coordinate rows, in Python floats.
+
+    The squared differences are summed in index order from ``0.0`` under
+    ``math.sqrt``: float for float :func:`l2_distance` of the same two rows,
+    without numpy's per-call cost on 2-vectors (per-pair protocol set-up).
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        total += d * d
+    return math.sqrt(total)
 
 
 def pairwise_distances(positions: np.ndarray, norm: str = "linf") -> np.ndarray:

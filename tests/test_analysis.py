@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,10 @@ from repro.analysis import (
     to_csv,
     write_csv,
 )
+from repro.analysis import stats as stats_module
 from repro.sim.results import NodeOutcome, RunResult
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTheoryBounds:
@@ -154,6 +161,58 @@ class TestStats:
     def test_discard_outliers_invalid_threshold(self):
         with pytest.raises(ValueError):
             discard_outliers([1.0, 2.0, 3.0, 4.0], z_threshold=0.0)
+
+
+class TestTQuantiles:
+    """The 95% interval's Student-t quantiles come from a frozen table.
+
+    ``PointResult.to_record()`` carries the interval, so the table must be
+    scipy's values float for float; scipy stays a test dependency only.
+    """
+
+    def test_table_matches_scipy_float_for_float(self):
+        from scipy import stats as scipy_stats
+
+        assert len(stats_module._T_975) == 64
+        for df, value in enumerate(stats_module._T_975, start=1):
+            assert value == float(scipy_stats.t.ppf(0.975, df))
+
+    def test_other_quantiles_defer_to_scipy(self):
+        from scipy import stats as scipy_stats
+
+        for confidence, df in ((0.95, 65), (0.95, 300), (0.9, 4), (0.99, 12)):
+            expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            assert stats_module._t_quantile(confidence, df) == expected
+
+    def test_aggregate_interval_is_scipys(self):
+        from scipy import stats as scipy_stats
+
+        values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
+        agg = aggregate(values, drop_outliers=False)
+        arr = np.asarray(values)
+        half = float(scipy_stats.t.ppf(0.975, df=len(values) - 1)) * (
+            float(arr.std(ddof=1)) / np.sqrt(len(values))
+        )
+        assert (agg.ci_low, agg.ci_high) == (agg.mean - half, agg.mean + half)
+
+    def test_experiments_import_and_run_without_scipy(self):
+        code = (
+            "import sys\n"
+            "from repro.analysis import aggregate\n"
+            "from repro.experiments import run_spec\n"
+            "from repro.registry import EXPERIMENT_SPECS\n"
+            "assert run_spec(EXPERIMENT_SPECS.get('DUAL'), scale='small')\n"
+            "assert aggregate([1.0, 2.0, 4.0]).ci_high > 4.0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _result(rounds=10, delivered=True, correct=True):

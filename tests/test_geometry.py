@@ -138,6 +138,19 @@ class TestBoundingAndCommonNeighborhood:
         assert geo.fits_in_common_neighborhood(pos, radius) == expected
 
 
+class TestFloatL2Distance:
+    def test_equals_the_numpy_expression_on_random_pairs(self):
+        # NeighborWatchRB's source-range test used the numpy expression on
+        # two positions; the Python-float helper must agree float for float.
+        rng = np.random.default_rng(17)
+        for scale in (1.0, 30.0, 1e4):
+            a = rng.uniform(-scale, scale, size=(20_000, 2))
+            b = rng.uniform(-scale, scale, size=(20_000, 2))
+            for pa, pb in zip(a, b):
+                expected = float(np.sqrt(np.sum((np.asarray(pa, float) - np.asarray(pb, float)) ** 2)))
+                assert geo.l2_distance_floats(pa.tolist(), pb.tolist()) == expected
+
+
 class TestDiameters:
     def test_linf_diameter_hops(self):
         pos = [(0, 0), (10, 0), (0, 7)]

@@ -179,9 +179,11 @@ class TestControlCodec:
         for value in range(1 << width):
             frame = bits_from_int(value, width)
             expected = codec.decode(frame)
-            # First lookup fills the table, the second answers from it.
-            assert codec.decode_frame(frame) == expected
-            assert codec.decode_frame(list(frame)) == expected
+            # The table is keyed by the frame folded MSB-first; the first
+            # lookup fills it, the second answers from it.
+            assert int_from_bits(frame) == value
+            assert codec.decode_frame(value) == expected
+            assert codec.decode_frame(value) == expected
             if value >> type_shift == 3:
                 assert expected is None
                 invalid_type += 1
@@ -195,8 +197,10 @@ class TestControlCodec:
         assert (overflow > 0) == has_overflow
 
     def test_decode_frame_table_is_shared_per_shape(self):
-        frame = ControlCodec(message_length=3, num_slots=7).encode(
-            ControlMessage(ControlType.HEARD, 2, 1, cause=5)
+        frame = int_from_bits(
+            ControlCodec(message_length=3, num_slots=7).encode(
+                ControlMessage(ControlType.HEARD, 2, 1, cause=5)
+            )
         )
         first = ControlCodec(message_length=3, num_slots=7).decode_frame(frame)
         assert ControlCodec(message_length=3, num_slots=7).decode_frame(frame) is first

@@ -225,6 +225,26 @@ class TestNodeSchedule:
                     assert sched.slot_of_node(a) != sched.slot_of_node(b)
 
 
+class TestFloatDistances:
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_distance_equals_the_numpy_expression_on_every_pair(self, norm, seed):
+        # NodeSchedule._distance sums Python floats; it must equal the numpy
+        # expression it replaced float for float, or memoized neighborhood
+        # tests (and MultiPathRB's cause resolution) could flip.
+        dep = uniform_deployment(80, 9.0, 9.0, rng=seed)
+        sched = NodeSchedule(dep.positions, 3.0, dep.source_index, norm=norm)
+        pos = sched.positions
+        n = pos.shape[0]
+        for a in range(n):
+            for b in range(n):
+                if norm == "linf":
+                    expected = float(np.max(np.abs(pos[a] - pos[b])))
+                else:
+                    expected = float(np.sqrt(np.sum((pos[a] - pos[b]) ** 2)))
+                assert sched._distance(a, b) == expected
+
+
 class TestIterSlotStarts:
     """The engine's cycle iterator must agree with locate_round slot by slot."""
 

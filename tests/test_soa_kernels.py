@@ -13,11 +13,15 @@ draws being data-dependent.  These tests pin
   (:meth:`~repro.sim.radio.Channel.soa_round_support`), with
   ``plan_cache_info()["soa_kernels"]`` counters including the busy-cache
   eviction count and thrash warning;
-* the hard contract — exported records *and* the channel RNG stream position
-  are bit-identical across the SoA, cohort and scalar tiers for every
-  compiled capability (deterministic, lossy, Friis, Friis+loss), including
-  runs where jammers force per-slot scalar fallbacks, and traced SoA runs
-  produce byte-identical event streams to the scalar loop;
+* the hard contract — exported records, the channel RNG stream position and
+  every receiver stream are bit-identical across the SoA, cohort and scalar
+  tiers for every compiled capability (deterministic, lossy, Friis,
+  Friis+loss), including runs where jammers force per-slot scalar
+  fallbacks, and traced SoA runs produce byte-identical event streams to
+  the scalar loop;
+* the MultiPathRB frame planes — streams and ``_consumed`` entries match the
+  oracle after every ``run_slots`` chunk, and the plane algebra matches
+  per-member lists under any accept mask;
 * the quiet-cycle fast-forward of ``Simulation.run`` — runs that never
   terminate jump over their idle tail with oracle-identical records and RNG
   positions, and runs with loss draws, traces, opportunistic transmitters or
@@ -35,8 +39,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.messages import int_from_bits
+from repro.core.onehop import OneHopReceiver
+from repro.sim import soa
 from repro.sim.builder import build_simulation
 from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
@@ -57,7 +64,7 @@ TIERS = (
 
 
 def _run_tiers(deployment, config, faults=None, max_rounds=MAX_ROUNDS):
-    """Run one scenario per tier; returns {tier: (record, rng_tail, info)}."""
+    """Run one scenario per tier; returns {tier: (record, rng_tail, info, streams)}."""
     out = {}
     for tier, kwargs in TIERS:
         clear_link_cache()
@@ -65,16 +72,23 @@ def _run_tiers(deployment, config, faults=None, max_rounds=MAX_ROUNDS):
         result = sim.run(max_rounds)
         # The post-run generator draw pins the RNG stream position: if any
         # tier consumed the channel generator differently, the tails differ.
-        out[tier] = (result.to_record(), sim.rng.random(), sim.plan_cache_info())
+        out[tier] = (
+            result.to_record(),
+            sim.rng.random(),
+            sim.plan_cache_info(),
+            _stream_state(sim),
+        )
     return out
 
 
 def _assert_tiers_identical(runs):
-    soa_record, soa_tail, _ = runs["soa"]
+    soa_record, soa_tail, _, soa_streams = runs["soa"]
     for tier in ("cohort", "scalar"):
-        record, tail, _ = runs[tier]
+        record, tail, _, streams = runs[tier]
         assert record == soa_record, f"soa record differs from {tier}"
         assert tail == soa_tail, f"soa RNG position differs from {tier}"
+        # Records alone can hide a stale or missing stream bit.
+        assert streams == soa_streams, f"soa receiver streams differ from {tier}"
 
 
 def _stream_positions(sim, slot: int) -> tuple:
@@ -204,7 +218,7 @@ class TestEligibility:
 
 
 class TestThreeTierEquivalence:
-    """Records and RNG positions must agree bit-for-bit across all tiers."""
+    """Records, RNG positions and receiver streams agree across all tiers."""
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -212,6 +226,8 @@ class TestThreeTierEquivalence:
         protocol=st.sampled_from(["neighborwatch", "multipath", "epidemic"]),
         idle_veto=st.booleans(),
     )
+    # Every run compares MultiPathRB's receiver streams, whatever is drawn.
+    @example(seed=1, protocol="multipath", idle_veto=True)
     def test_random_uniform_deployments(self, seed, protocol, idle_veto):
         deployment = uniform_deployment(70, 7.5, 7.5, rng=seed % 101)
         config = ScenarioConfig(
@@ -232,6 +248,7 @@ class TestThreeTierEquivalence:
         protocol=st.sampled_from(["neighborwatch", "multipath", "epidemic"]),
         loss=st.sampled_from([0.15, 0.35]),
     )
+    @example(seed=1, protocol="multipath", loss=0.15)
     def test_lossy_unitdisk(self, seed, protocol, loss):
         # Loss-only unit disk: one batched listener-ordered draw per phase —
         # the RNG tail assertion is what pins the stream position.
@@ -254,6 +271,7 @@ class TestThreeTierEquivalence:
         protocol=st.sampled_from(["neighborwatch", "multipath", "epidemic"]),
         loss=st.sampled_from([0.0, 0.2]),
     )
+    @example(seed=1, protocol="multipath", loss=0.2)
     def test_friis_power_sum_groups(self, seed, protocol, loss):
         # Friis busy resolves through the compiled power blocks; with loss,
         # the decodable-listener draw counts must also replay exactly.
@@ -350,6 +368,15 @@ def _receiver_streams(sim) -> dict:
     return streams
 
 
+def _stream_state(sim) -> tuple:
+    """Every receiver stream, and every MultiPathRB ``_consumed`` entry, of a run."""
+    consumed = {}
+    for node in sim.nodes:
+        for slot, count in getattr(node.protocol, "_consumed", {}).items():
+            consumed[(node.node_id, slot)] = count
+    return _receiver_streams(sim), consumed
+
+
 class TestReceiverMaskResync:
     """Compiled slots keep their receiver masks across occurrences.
 
@@ -421,6 +448,79 @@ class TestMultipathFrameDrains:
                     assert consumed == frame_bits * (length // frame_bits)
                     partial_frames += length % frame_bits != 0
         assert partial_frames > 0
+
+
+class TestFramePlanes:
+    """MultiPathRB groups hold partial control frames in bit planes.
+
+    The kernel writes a frame onto its receiver stream only when it
+    completes, and ``run_slots()`` writes the pending bits of partial frames
+    at its end.  Chunks of 7 and 53 slots end mid-frame, and chunks of one
+    slot end on every occurrence, so after each chunk every stream and every
+    ``_consumed`` entry must equal the scalar oracle's.  The deployment has
+    a 30-slot cycle and 9-bit frames, so a stream completes its first frame
+    after about 240 slots and several frames complete after partial ones
+    were written out.
+    """
+
+    @pytest.mark.parametrize("chunk,chunks", [(1, 600), (7, 90), (53, 12)])
+    def test_streams_match_the_oracle_after_every_chunk(self, mp_config, chunk, chunks):
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=7)
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(deployment, mp_config, **kwargs)
+        groups = sims["soa"].soa_runtime.groups.values()
+        assert any(group.planes is not None for group in groups)
+        mid_frame = 0
+        for _ in range(chunks):
+            for sim in sims.values():
+                sim.run_slots(chunk)
+            streams, consumed = _stream_state(sims["soa"])
+            assert (streams, consumed) == _stream_state(sims["scalar"])
+            mid_frame += any(consumed[key] != len(bits) for key, bits in streams.items())
+        assert mid_frame > 0
+        assert any(consumed.values())
+        assert sims["soa"].plan_cache_info()["soa_kernels"]["slots_run"] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plane_algebra_matches_per_member_lists(self, data):
+        # Simulated runs almost never leave a receiver that skips a bit
+        # with two or more pending bits, so the shift under a partial
+        # accept mask is pinned here against per-member lists.
+        n = data.draw(st.integers(1, 24), label="members")
+        frame_bits = data.draw(st.integers(5, 16), label="frame_bits")
+        streams = data.draw(st.integers(1, (1 << n) - 1), label="stream mask")
+        group = soa._SlotGroup()
+        group.n = n
+        group.receiver_at = [
+            (OneHopReceiver(None), None, None) if streams >> i & 1 else None for i in range(n)
+        ]
+        group.planes = [0] * frame_bits
+        group.counters = [0] * frame_bits.bit_length()
+        group.resync()
+        pending = {i: [] for i in range(n) if streams >> i & 1}
+        for _ in range(data.draw(st.integers(1, 3 * frame_bits), label="steps")):
+            everyone = data.draw(st.booleans(), label="all accept")
+            accepted = streams if everyone else data.draw(st.integers(0, streams)) & streams
+            bits = data.draw(st.integers(0, (1 << n) - 1), label="data") & streams
+            if not accepted:
+                continue
+            frames = {}
+            for i, bucket in pending.items():
+                if accepted >> i & 1:
+                    bucket.append(bits >> i & 1)
+                    if len(bucket) == frame_bits:
+                        frames[i] = int_from_bits(bucket)
+                        bucket.clear()
+            completed = soa._append_frame_bits(group, accepted, bits)
+            assert completed == sum(1 << i for i in frames)
+            values = soa._column_values(soa._unpack_planes(group.planes, n))
+            assert {i: int(values[i]) for i in frames} == frames
+        for _ in range(2):  # the flush is idempotent
+            group.flush_frames()
+            assert {i: group.receiver_at[i][0].peek_received() for i in pending} == pending
 
 
 class TestTraceSynthesis:
