@@ -35,6 +35,7 @@ bench:
 	$(PYTHON) perfbench/run.py --workload epidemic-10k --seed 1 --seconds 1 --trace 1
 	$(PYTHON) perfbench/run.py --workload multipath-lying --seed 1 --seconds 1 --trace 1
 	$(PYTHON) perfbench/run.py --workload sweep-small --seed 1 --seconds 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload nw-capture-2400 --seed 1 --seconds 1 --trace 1
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates the data behind one table or figure of the paper
-(see the experiment index in DESIGN.md).  Because a single experiment run is
+(see the experiment table in README.md).  Because a single experiment run is
 already an aggregate over several seeded simulations, each benchmark executes
 its experiment exactly once (``benchmark.pedantic`` with one round/iteration)
 and attaches the resulting rows to ``benchmark.extra_info`` so that the JSON

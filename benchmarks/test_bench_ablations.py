@@ -1,10 +1,10 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for four design choices of the reproduction:
 
 * square size: the paper's simulation uses R/3 squares instead of the
   analytical ceil(R/2) — smaller squares mean more hops but denser meta-node
   coverage;
-* idle veto: the soundness device documented in DESIGN.md (a silent interval
-  must not read as a (0,0) pair);
+* idle veto: the soundness device of ``repro.core.twobit.TwoBitBlocker`` (a
+  silent interval must not read as a (0,0) pair);
 * jamming probability: the paper states 1/5 is near-optimal for the jammers;
 * channel model: unit-disk vs Friis/SINR capture.
 """

@@ -78,7 +78,8 @@ class MultiPathConfig:
         the paper's lying devices never do.
     idle_veto:
         Veto the device's own interval when its control-message queue is
-        empty (see DESIGN.md).
+        empty, so that a silent interval is never accepted as a ``(0, 0)``
+        pair (see :class:`~repro.core.twobit.TwoBitBlocker`).
     """
 
     __slots__ = ("tolerance", "relay_heard", "idle_veto")

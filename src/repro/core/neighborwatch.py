@@ -20,7 +20,7 @@ whole square has not committed to ("neighborhood watch").  Concretely:
   committed to it;
 * an idle square also vetoes its own interval (the *idle veto*), so that a
   silent interval is never mistaken for a genuine ``(0, 0)`` pair by the
-  neighbors (see DESIGN.md).
+  neighbors.
 
 The protocol tolerates any number of Byzantine devices as long as every square
 contains at least one honest device — ``t < ceil(R/2)^2`` in the analytical
@@ -68,8 +68,10 @@ class NeighborWatchConfig:
         ``1`` for plain NeighborWatchRB, ``2`` for the 2-voting variant.
     idle_veto:
         Whether devices veto their own square's interval when they have
-        nothing to send.  Required for soundness of the parity scheme (see
-        DESIGN.md); exposed for the ablation benchmark.
+        nothing to send.  Required for soundness: without it a silent
+        interval reads as a ``(0, 0)`` pair (see
+        :class:`~repro.core.twobit.TwoBitBlocker`).  Exposed for the ablation
+        benchmark.
     """
 
     __slots__ = ("votes_required", "idle_veto")

@@ -16,9 +16,9 @@ Two schedule flavours are provided:
 * :class:`NodeSchedule` -- used by MultiPathRB and the epidemic baseline,
   where each device has its own slot.  On the analytical grid the same
   periodic-pattern rule applies; for arbitrary random deployments we fall
-  back to a deterministic greedy colouring of the conflict graph (documented
-  in DESIGN.md as a stand-in for the paper's location-derived rule, which is
-  only specified for grid placements).
+  back to a deterministic greedy colouring of the conflict graph (a stand-in
+  for the paper's location-derived rule, which the paper specifies only for
+  grid placements).
 
 Both flavours expose the mapping between rounds and ``(cycle, slot, phase)``
 triples and the inverse mapping from slots to their owners, which receivers
@@ -282,7 +282,7 @@ class NodeSchedule(Schedule):
             # both filter with the same elementwise distance arithmetic and
             # list neighbors in ascending id order, so the colouring below is
             # identical either way.
-            neighbors_of = self._neighborhoods(self.separation, include_self=False)
+            indptr, indices = self._neighborhoods(self.separation, include_self=False)
             source = self.source_index
             for node in range(n):
                 if node == source:
@@ -292,7 +292,7 @@ class NodeSchedule(Schedule):
                 # (ids below ours, plus the pre-assigned source).  The mask
                 # arithmetic replaces a per-neighbor Python loop but assigns
                 # exactly the same slots.
-                neighbors = neighbors_of(node)
+                neighbors = indices[indptr[node] : indptr[node + 1]]
                 decided = neighbors[(neighbors < node) | (neighbors == source)]
                 used = set(slots[decided].tolist())
                 used.add(SOURCE_SLOT)
@@ -311,29 +311,28 @@ class NodeSchedule(Schedule):
         self._within_memos: dict[float, dict[int, bool]] = {}
         self._position_rows: list | None = None
 
-    def _neighborhoods(self, threshold: float, *, include_self: bool):
-        """Per-node neighbor ids at ``threshold``, dense or grid-bucketed.
+    def _neighborhoods(
+        self, threshold: float, *, include_self: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the neighbors within ``threshold``.
 
-        Returns a callable ``node -> ascending neighbor id array``.  Small
-        deployments slice a dense pairwise matrix (the historical oracle);
-        at :data:`BUCKETED_SCHEDULE_MIN_NODES` nodes and above the same sets
-        come from :class:`~repro.topology.grid.GridBuckets` CSR arrays built
-        without materializing anything quadratic.  The distance predicate is
-        the same elementwise expression in both paths, so the neighbor sets
-        match exactly.
+        Row ``i`` (``indices[indptr[i]:indptr[i+1]]``) ascends.  Small
+        deployments read the rows off a dense pairwise matrix (the historical
+        oracle); at :data:`BUCKETED_SCHEDULE_MIN_NODES` nodes and above they
+        come from :meth:`~repro.topology.grid.GridBuckets.neighbor_arrays`
+        over cells of the communication radius, for every threshold, without
+        materializing anything quadratic.  The distance predicate is the same
+        elementwise expression in both paths, so the rows match exactly.
         """
         n = self.positions.shape[0]
-        if n >= BUCKETED_SCHEDULE_MIN_NODES and threshold > 0:
-            buckets = GridBuckets(self.positions, cell_size=threshold)
-            indptr, indices = buckets.neighbor_arrays(
-                threshold, self.norm, include_self=include_self
-            )
-            return lambda node: indices[indptr[node] : indptr[node + 1]]
-        dist = pairwise_distances(self.positions, norm=self.norm)
-        within = dist <= threshold
+        if n >= BUCKETED_SCHEDULE_MIN_NODES:
+            buckets = GridBuckets(self.positions, cell_size=self.radius)
+            return buckets.neighbor_arrays(threshold, self.norm, include_self=include_self)
+        within = pairwise_distances(self.positions, norm=self.norm) <= threshold
         if not include_self:
             np.fill_diagonal(within, False)
-        return lambda node: np.nonzero(within[node])[0]
+        rows, indices = np.nonzero(within)
+        return np.searchsorted(rows, np.arange(n + 1)), indices
 
     # -- Schedule interface ---------------------------------------------------------
     def slot_of_node(self, node_id: int) -> int:
@@ -354,14 +353,23 @@ class NodeSchedule(Schedule):
         r = self.radius if listen_radius is None else listen_radius
         table = self._neighbor_slot_tables.get(r)
         if table is None:
-            neighbors_of = self._neighborhoods(r, include_self=True)
-            slots = self._slots
-            table = []
-            for node in range(self.positions.shape[0]):
-                nearby = neighbors_of(node)
-                node_slots = set(slots[nearby].tolist())
-                node_slots.add(SOURCE_SLOT)
-                table.append(sorted(node_slots))
+            # One sort of ``node * num_slots + slot`` keys, with the source
+            # slot added for every node, gives each node's distinct slots in
+            # ascending order.  (np.unique would hash first, ~25x slower.)
+            n = self.positions.shape[0]
+            indptr, indices = self._neighborhoods(r, include_self=True)
+            node_of = np.repeat(np.arange(n), np.diff(indptr))
+            keys = np.concatenate(
+                [
+                    node_of * self.num_slots + self._slots[indices],
+                    np.arange(n) * self.num_slots + SOURCE_SLOT,
+                ]
+            )
+            keys.sort()
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            bounds = np.searchsorted(keys, np.arange(n + 1) * self.num_slots).tolist()
+            node_slots = (keys % self.num_slots).tolist()
+            table = [node_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             self._neighbor_slot_tables[r] = table
         return list(table[node_id])
 

@@ -283,10 +283,10 @@ class TwoBitBlocker:
     every honest receiver (activity in R5) and every honest co-sender
     (activity in R6) abort the exchange.
 
-    ``always`` blockers veto unconditionally (the *idle veto* described in
-    DESIGN.md, which also prevents an idle, silent slot from being
-    misinterpreted as a ``(0, 0)`` pair); conditional blockers veto only when
-    they perceived activity earlier in the slot.
+    ``always`` blockers veto unconditionally (the *idle veto*, which also
+    prevents an idle, silent slot from being misinterpreted as a ``(0, 0)``
+    pair; ``tests/test_twobit.py`` pins this); conditional blockers veto only
+    when they perceived activity earlier in the slot.
     """
 
     __slots__ = ("always", "_heard_activity")

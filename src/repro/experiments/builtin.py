@@ -1,7 +1,7 @@
 """The paper's eight experiments as declarative :class:`ExperimentSpec` data.
 
 Each spec registers into ``repro.registry.EXPERIMENT_SPECS`` under its
-DESIGN.md identifier, in DESIGN.md order.  Parameter values — including their
+experiment id, in the order of README.md's experiment table.  Parameter values — including their
 *types* (``4.0`` vs ``4``) — are copied verbatim from the retired experiment
 modules: the drivers compile these specs into the exact same
 :class:`~repro.sim.runner.SweepTask`s, so every ``fingerprint()`` a

@@ -116,7 +116,8 @@ class ScenarioConfig:
         overhead rather than differences in MAC assumptions; lower it (e.g. to
         ``2R``) to model a more aggressive flooding MAC.
     idle_veto:
-        Whether relays veto their own idle intervals (see DESIGN.md).
+        Whether relays veto their own idle intervals, so that an interval in
+        which nobody sends is never accepted as a ``(0, 0)`` pair.
     max_rounds:
         Hard cap on the simulated rounds; ``None`` derives a generous bound
         from the deployment size, message length and adversary budgets.

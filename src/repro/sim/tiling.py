@@ -54,7 +54,9 @@ class RegionTiling:
         self.tile_of = self.grid.flat_squares_of(pos)
         self.tile_of.setflags(write=False)
         self.num_tiles = self.grid.num_squares
-        self.occupied_tiles = int(np.unique(self.tile_of).size)
+        # bincount, not np.unique: unique hashes and, on its first call in a
+        # process, imports numpy.ma.
+        self.occupied_tiles = int(np.count_nonzero(np.bincount(self.tile_of)))
 
     def classify_links(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
         """Static ``(interior, boundary)`` link counts of a CSR neighbor structure.

@@ -168,15 +168,16 @@ class GridBuckets:
     positions:
         ``(N, 2)`` float array of device coordinates.
     cell_size:
-        Side of the hash cells.  A cell size equal to the query threshold
-        keeps the candidate window at the 5x5 surrounding cells; any positive
-        value is correct (only the constant factor moves).
+        Side of the hash cells.  Any positive value is correct; only the
+        constant factor moves.  :meth:`neighbor_arrays` does one array pass
+        per cell offset, so cells of the communication radius serve every
+        threshold from ``R`` to ``3R`` with a few nodes per cell.
 
     Queries return neighbor sets identical to the brute-force dense
     computation: candidate cells are taken with one extra ring beyond
     ``ceil(threshold / cell_size)`` (insurance against boundary rounding) and
-    candidates are filtered with :func:`_bucket_distances`, the same
-    elementwise arithmetic as the dense paths.
+    candidates are filtered with the same elementwise arithmetic as the dense
+    paths.
     """
 
     __slots__ = ("positions", "cell_size", "_cells", "_cell_of")
@@ -192,27 +193,46 @@ class GridBuckets:
         cols = np.floor(pos[:, 0] / self.cell_size).astype(np.int64)
         rows = np.floor(pos[:, 1] / self.cell_size).astype(np.int64)
         self._cell_of = np.stack([cols, rows], axis=1)
-        # Bucket members keyed by (col, row); argsort is stable, so each
-        # bucket's member array is ascending in node id.
-        self._cells: dict[tuple[int, int], np.ndarray] = {}
-        if pos.shape[0]:
-            span = rows.max() - rows.min() + 1
-            flat = (cols - cols.min()) * span + (rows - rows.min())
-            order = np.argsort(flat, kind="stable")
-            sorted_flat = flat[order]
-            boundaries = np.flatnonzero(np.diff(sorted_flat)) + 1
-            for chunk in np.split(order, boundaries):
-                first = int(chunk[0])
-                self._cells[(int(cols[first]), int(rows[first]))] = chunk
+        # Per-cell member arrays, built by the first query(); neighbor_arrays
+        # never needs them.
+        self._cells: dict[tuple[int, int], np.ndarray] | None = None
+
+    def _cell_members(self) -> dict[tuple[int, int], np.ndarray]:
+        """Bucket members keyed by ``(col, row)``, each array ascending in node id."""
+        if self._cells is None:
+            self._cells = {}
+            if self.positions.shape[0]:
+                order, sorted_keys, _ = self._sorted_by_cell(0)
+                boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
+                for chunk in np.split(order, boundaries):
+                    col, row = self._cell_of[int(chunk[0])]
+                    self._cells[(int(col), int(row))] = chunk
+        return self._cells
+
+    def _sorted_by_cell(self, margin: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(order, sorted keys, span)`` of the nodes sorted by flat cell key.
+
+        The key of cell ``(col, row)`` is ``col * span + row`` up to a constant,
+        with ``margin`` spare rows above and below the occupied ones, so the
+        cell ``(dc, dr)`` away from an occupied cell has key
+        ``key + dc * span + dr`` for every ``|dr| <= margin``.  The sort is
+        stable, so ids ascend within each cell.
+        """
+        cols, rows = self._cell_of[:, 0], self._cell_of[:, 1]
+        low = rows.min() - margin
+        span = int(rows.max() - low) + 1 + margin
+        keys = (cols - cols.min()) * span + (rows - low)
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order], span
 
     @property
     def num_cells(self) -> int:
-        return len(self._cells)
+        return len(self._cell_members())
 
     def _candidates_around(self, col: int, row: int, reach: int) -> np.ndarray:
         """Ids in the ``(2*reach+1)^2`` cell window around ``(col, row)``, ascending."""
         chunks = []
-        cells = self._cells
+        cells = self._cell_members()
         for dc in range(-reach, reach + 1):
             for dr in range(-reach, reach + 1):
                 members = cells.get((col + dc, row + dr))
@@ -254,31 +274,75 @@ class GridBuckets:
 
         Row ``i`` of the structure (``indices[indptr[i]:indptr[i+1]]``, always
         ascending) lists exactly the ids the dense predicate
-        ``distance(i, j) <= threshold`` accepts, computed one occupied cell at
-        a time so peak memory is ``O(occupancy * window)`` instead of
-        ``O(N^2)``.
+        ``distance(i, j) <= threshold`` accepts.  It is built in array passes,
+        never one per node or cell: the nodes are sorted by cell once, then
+        one pass per cell offset ``(dc, dr)`` pairs every node with each node
+        of the cell that far from its own (found by ``searchsorted`` over the
+        occupied cell keys) and keeps the pairs the predicate accepts, and
+        one sort of the accepted ``i * N + j`` keys orders the rows.  Peak
+        memory is ``O(N * neighborhood)``, never ``O(N^2)``.
+
+        The distances are the dense expressions written per coordinate:
+        ``sqrt(dx*dx + dy*dy)`` is ``sqrt(sum(diff**2, axis=-1))`` and
+        ``maximum(abs(dx), abs(dy))`` is ``max(abs(diff), axis=-1)``, float
+        for float.  Both are symmetric bit for bit (``x - y`` is exactly
+        ``-(y - x)``), so only half of the offsets are scanned and each pair
+        found at ``(dc, dr)`` also yields its mirror at ``(-dc, -dr)``.
+        Offsets whose cells are at least ``threshold + cell_size`` apart are
+        skipped: the same insurance as the extra ring of :meth:`query`.
         """
+        if norm not in ("l2", "linf"):
+            raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")
         n = self.positions.shape[0]
-        rows_of: list = [None] * n
+        if n == 0:
+            return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp)
         reach = self._reach(threshold)
-        for (col, row), members in self._cells.items():
-            candidates = self._candidates_around(col, row, reach)
-            dist = _bucket_distances(
-                self.positions[members], self.positions[candidates], norm
-            )
-            mask = dist <= threshold
-            if not include_self:
-                own_col = np.searchsorted(candidates, members)
-                mask[np.arange(members.size), own_col] = False
-            for local, node in enumerate(members):
-                rows_of[int(node)] = candidates[mask[local]]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            row_ids = rows_of[i]
-            indptr[i + 1] = indptr[i] + (row_ids.size if row_ids is not None else 0)
-        if n and indptr[-1]:
-            indices = np.concatenate([r for r in rows_of if r is not None and r.size])
-        else:
-            indices = np.empty(0, dtype=np.intp)
-        indices = indices.astype(np.intp, copy=False)
-        return indptr, indices
+        order, sorted_keys, span = self._sorted_by_cell(max(reach, 0))
+        first = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
+        cell_keys = sorted_keys[first]
+        cell_count = np.diff(first, append=n)
+        cell_of = np.repeat(np.arange(first.size), cell_count)
+        xs = self.positions[order, 0]
+        ys = self.positions[order, 1]
+        node = np.arange(n)
+        cell = self.cell_size
+        chunks = []
+        for dc in range(0, reach + 1):
+            gap_c = max(dc - 1, 0) * cell
+            for dr in range(-reach if dc else 0, reach + 1):
+                gap_r = max(abs(dr) - 1, 0) * cell
+                gap = max(gap_c, gap_r) if norm == "linf" else math.hypot(gap_c, gap_r)
+                if gap >= threshold + cell:
+                    continue
+                # The cell (dc, dr) away from each occupied cell, if occupied.
+                target = cell_keys + (dc * span + dr)
+                at = np.minimum(np.searchsorted(cell_keys, target), first.size - 1)
+                found = cell_keys[at] == target
+                count = np.where(found, cell_count[at], 0)[cell_of]
+                total = int(count.sum())
+                if not total:
+                    continue
+                # Candidate pairs (src, dst), as positions in the sorted
+                # order: each node against every node of its target cell.
+                start = first[at][cell_of] - (np.cumsum(count) - count)
+                src = np.repeat(node, count)
+                dst = np.arange(total) + np.repeat(start, count)
+                dx = xs[src] - xs[dst]
+                dy = ys[src] - ys[dst]
+                if norm == "linf":
+                    dist = np.maximum(np.abs(dx), np.abs(dy))
+                else:
+                    dist = np.sqrt(dx * dx + dy * dy)
+                keep = dist <= threshold
+                if not include_self and dc == 0 and dr == 0:
+                    keep &= src != dst
+                i = order[src[keep]]
+                j = order[dst[keep]]
+                chunks.append(i * n + j)
+                if dc or dr:
+                    chunks.append(j * n + i)
+        pairs = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
+        pairs.sort()
+        indptr = np.searchsorted(pairs, np.arange(n + 1) * n)
+        np.remainder(pairs, n, out=pairs)
+        return indptr, pairs

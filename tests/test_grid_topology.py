@@ -139,19 +139,10 @@ class TestGridBuckets:
         expected = self._brute_force(pos, np.asarray(center, dtype=float) / 2.0, threshold, norm)
         assert got.tolist() == expected.tolist()
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=2, max_size=50
-        ),
-        threshold=st.sampled_from([1.0, 2.5, 5.0]),
-        norm=st.sampled_from(["l2", "linf"]),
-        include_self=st.booleans(),
-    )
-    def test_neighbor_arrays_match_brute_force(self, points, threshold, norm, include_self):
-        pos = np.asarray(points, dtype=float) / 2.0
-        buckets = GridBuckets(pos, cell_size=threshold)
+    def _assert_rows_match(self, pos, cell, threshold, norm, include_self):
+        buckets = GridBuckets(pos, cell_size=cell)
         indptr, indices = buckets.neighbor_arrays(threshold, norm, include_self=include_self)
+        assert indptr.size == pos.shape[0] + 1
         assert indptr[0] == 0 and indptr[-1] == indices.size
         for node in range(pos.shape[0]):
             row = indices[indptr[node] : indptr[node + 1]]
@@ -160,24 +151,63 @@ class TestGridBuckets:
                 expected = expected[expected != node]
             assert row.tolist() == expected.tolist(), f"node {node}"
 
+    @settings(max_examples=160, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=2, max_size=50
+        ),
+        threshold=st.sampled_from([1.0, 2.5, 5.0]),
+        cell_ratio=st.sampled_from([1 / 3, 1 / 2, 1.0, 1.5]),
+        norm=st.sampled_from(["l2", "linf"]),
+        include_self=st.booleans(),
+    )
+    def test_neighbor_arrays_match_brute_force(
+        self, points, threshold, cell_ratio, norm, include_self
+    ):
+        # Cells from a third of the threshold (a 9x9 window of offsets, as
+        # NodeSchedule's 3R conflict query over cells of R) to 1.5x it.
+        pos = np.asarray(points, dtype=float) / 2.0
+        self._assert_rows_match(pos, threshold * cell_ratio, threshold, norm, include_self)
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("cell", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],
+            [(4.0, -2.5)],
+            # One cell for sides 1 and 3, ids out of coordinate order.
+            [(0.9, 0.2), (0.1, 0.1), (0.4, 0.4), (0.2, 0.3), (0.1, 0.1)],
+            # Negative coordinates spanning several cells, with exact-boundary
+            # distances (half-integers, threshold 1.5).
+            [(-3.0, -1.5), (-1.5, -1.5), (-1.5, 0.0), (0.0, 0.0), (-4.5, -3.0), (1.5, -1.5)],
+        ],
+        ids=["empty", "single", "one-cell", "negative"],
+    )
+    def test_neighbor_arrays_edge_cases(self, points, cell, include_self, norm):
+        pos = np.asarray(points, dtype=float).reshape(-1, 2)
+        self._assert_rows_match(pos, cell, 1.5, norm, include_self)
+
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     def test_large_deployment_matches_brute_force(self, norm):
         """Fixed-seed large-N spot check (the property tests stay small)."""
         rng = np.random.default_rng(123)
         pos = rng.uniform(0.0, 50.0, size=(3000, 2))
         threshold = 2.0
-        buckets = GridBuckets(pos, cell_size=threshold)
-        indptr, indices = buckets.neighbor_arrays(threshold, norm, include_self=True)
         diff = pos[:, None, :] - pos[None, :, :]
         if norm == "linf":
             dist = np.max(np.abs(diff), axis=-1)
         else:
             dist = np.sqrt(np.sum(diff**2, axis=-1))
         dense = dist <= threshold
-        src = np.repeat(np.arange(3000), np.diff(indptr))
-        assert np.array_equal(
-            np.flatnonzero(dense.ravel()), src * 3000 + indices
-        )
+        for cell in (threshold, threshold / 3):
+            buckets = GridBuckets(pos, cell_size=cell)
+            indptr, indices = buckets.neighbor_arrays(threshold, norm, include_self=True)
+            src = np.repeat(np.arange(3000), np.diff(indptr))
+            assert np.array_equal(
+                np.flatnonzero(dense.ravel()), src * 3000 + indices
+            ), f"cell {cell}"
 
     def test_cell_size_must_be_positive(self):
         with pytest.raises(ValueError):

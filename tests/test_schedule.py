@@ -333,20 +333,28 @@ class TestBucketedNodeSchedule:
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     def test_matches_dense_oracle(self, norm, monkeypatch):
+        # The bucketed queries hash by R for every threshold, so cover
+        # separations of 2.5R, 3R (the default) and 4R, and a listening
+        # radius beyond the separation.
         import repro.core.schedule as schedule_module
 
         dep = uniform_deployment(400, 25, 25, rng=17)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 10**9)
-        dense = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
-        dense_table = [dense.neighbor_slots_of_node(i) for i in range(400)]
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 1)
-        bucketed = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
-        bucketed_table = [bucketed.neighbor_slots_of_node(i) for i in range(400)]
-        assert [bucketed.slot_of_node(i) for i in range(400)] == [
-            dense.slot_of_node(i) for i in range(400)
-        ]
-        assert bucketed_table == dense_table
-        assert bucketed.num_slots == dense.num_slots
+        radius = 2.0
+        for separation in (None, 2.5 * radius, 4.0 * radius):
+            listen = (separation or 3.0 * radius) + radius
+            built = {}
+            for name, min_nodes in (("dense", 10**9), ("bucketed", 1)):
+                monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", min_nodes)
+                sched = NodeSchedule(
+                    dep.positions, radius, dep.source_index, separation=separation, norm=norm
+                )
+                built[name] = (
+                    [sched.slot_of_node(i) for i in range(400)],
+                    sched.num_slots,
+                    [sched.neighbor_slots_of_node(i) for i in range(400)],
+                    [sched.neighbor_slots_of_node(i, listen) for i in range(400)],
+                )
+            assert built["bucketed"] == built["dense"], f"separation {separation}"
 
     def test_listen_radius_override_matches(self, monkeypatch):
         import repro.core.schedule as schedule_module
