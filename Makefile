@@ -1,6 +1,5 @@
 # Convenience entry points; every target assumes the repo root as cwd.
 PYTHON ?= python
-PR ?= 10
 export PYTHONPATH := src
 
 .PHONY: test bench bench-baseline bench-smoke chaos-smoke service-smoke profile
@@ -30,7 +29,10 @@ test:
 BENCH_RUNTIME_BASELINE ?= cohort
 BENCH_RUNTIME_CURRENT ?= soa
 BENCH_TILING ?= on
+# PR has no default: a capture rewrites BENCH_$(PR).json in place, so a bare
+# `make bench` must not overwrite a committed file.
 bench:
+	@test -n "$(PR)" || { echo "make bench: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench PR=20)" >&2; exit 2; }
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
 	$(PYTHON) perfbench/run.py --workload epidemic-10k --seed 1 --seconds 1 --trace 1
 	$(PYTHON) perfbench/run.py --workload multipath-lying --seed 1 --seconds 1 --trace 1
@@ -39,21 +41,27 @@ bench:
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:
+	@test -n "$(PR)" || { echo "make bench-baseline: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench-baseline PR=20)" >&2; exit 2; }
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE) --tiling $(BENCH_TILING)
 
-# CI smoke: verify BENCH_$(PR).json exists and its suite hashes reproduce,
-# then check exports are byte-identical SoA-on vs SoA-off — FIG5 for the
-# unit-disk disjunction kernels, the Friis smoke spec for the PR 9
-# power-sum (+ loss) kernels.
+# CI smoke: verify BENCH_10.json (the newest capture, as CI checks it) exists
+# and its suite hashes reproduce, then check exports are byte-identical
+# SoA-on vs SoA-off — FIG5 for the unit-disk disjunction kernels, the Friis
+# smoke spec for the PR 9 power-sum (+ loss) kernels — and sparse vs dense
+# link state for JAM, whose jammer-joined slot occurrences fall back to the
+# scalar loop and so resolve their rounds from sparse link-state blocks.
 bench-smoke:
-	$(PYTHON) benchmarks/capture.py --check BENCH_$(PR).json
+	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/nosoa.json
 	cmp /tmp/soa.json /tmp/nosoa.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-nosoa.json
 	cmp /tmp/friis-soa.json /tmp/friis-nosoa.json
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json
+	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-dense.json
+	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-tiled.json
+	cmp /tmp/jam-dense.json /tmp/jam-tiled.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

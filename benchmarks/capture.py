@@ -267,9 +267,9 @@ def capture_macros(log) -> dict:
             },
         }
         # The engine's module-level link cache still holds the state this run
-        # used (same channel signature + positions), live round counters
-        # included — so the tiling telemetry costs one cache lookup, not a
-        # second run.
+        # used (same channel signature + positions), so its static summary
+        # (CSR size, index dtype, dense bytes avoided) costs one cache
+        # lookup, not a second run.
         state = _cached_link_state(
             build_channel(config), deployment.positions, sparse=tiled
         )

@@ -140,19 +140,6 @@ class SquareGrid:
         rows = np.clip(np.floor(pos[:, 1] / self.side).astype(int), 0, self.num_rows - 1)
         return [(int(c), int(r)) for c, r in zip(cols, rows)]
 
-    def flat_squares_of(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised row-major flat square index for an ``(N, 2)`` position array.
-
-        Equals ``flat_index(square_of(p))`` for every row ``p`` (boundary
-        positions fold inward identically), but returns one ``int64`` array —
-        the form the engine's spatial tiling keeps per node, where a list of
-        tuples for 10^5+ devices would dominate construction time.
-        """
-        pos = np.asarray(positions, dtype=float)
-        cols = np.clip(np.floor(pos[:, 0] / self.side).astype(np.int64), 0, self.num_cols - 1)
-        rows = np.clip(np.floor(pos[:, 1] / self.side).astype(np.int64), 0, self.num_rows - 1)
-        return rows * self.num_cols + cols
-
     def flat_index(self, square: SquareId) -> int:
         """Row-major flat index of a square (used as a compact dictionary key)."""
         col, row = square

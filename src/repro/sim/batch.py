@@ -33,11 +33,14 @@ exactly that:
 Bit-identity is a hard contract (see ROADMAP).  The runtime preserves it by
 construction: transmissions, listeners, trace events and channel-RNG
 consumption all happen in the exact per-record order of the scalar engine
-loop; shareable protocols consume no RNG in their transitions; and the
-fan-out frames are value-equal to the frames the members would have built
-themselves.  ``tests/test_kernel_equivalence.py`` and
-``tests/test_cohort_runtime.py`` pin cohort-vs-scalar equivalence
-observation-for-observation and record-for-record.
+loop; each round resolves through the scalar loop's own path
+(``Simulation._resolve_round``: the plan's link-state block handed to
+:meth:`~repro.sim.radio.Channel.resolve_links`); shareable protocols consume
+no RNG in their transitions; and the fan-out frames are value-equal to the
+frames the members would have built themselves.
+``tests/test_kernel_equivalence.py`` and ``tests/test_cohort_runtime.py``
+pin cohort-vs-scalar equivalence observation-for-observation and
+record-for-record.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ class CohortRuntime:
         *,
         record_splits: bool = False,
         allow_remerge: bool = True,
-        tiling=None,
     ) -> None:
         groups: dict = {}
         active = 0
@@ -203,20 +205,6 @@ class CohortRuntime:
         self.split_log: list = []
         self.merge_log: list = []
 
-        #: Optional :class:`~repro.sim.tiling.RegionTiling` of the deployment.
-        #: Cohort grouping is by observational equivalence, not by location, so
-        #: the tiling only feeds introspection: how many shared cohorts span
-        #: more than one region tile (their shared decisions are the traffic a
-        #: distributed tile executor would have to exchange).
-        self.tiling = tiling
-        self.cross_region_cohorts = 0
-        if tiling is not None:
-            tile_of = tiling.tile_of
-            for cohort in self.cohorts:
-                tiles = {int(tile_of[node.node_id]) for node in cohort.members}
-                if len(tiles) > 1:
-                    self.cross_region_cohorts += 1
-
         # With no multi-member cohort, the engine keeps the scalar loop and
         # never calls run_slot — skip compiling entries for every slot.
         self.slot_entries = plan.compile_cohort_entries(self.cohort_of) if self.cohorts else {}
@@ -229,7 +217,7 @@ class CohortRuntime:
     # -- introspection ---------------------------------------------------------------
     def info(self) -> dict:
         """Counters for :meth:`Simulation.plan_cache_info` (see its docstring)."""
-        out = {
+        return {
             "enabled": True,
             "active": bool(self.cohorts),
             "initial_cohorts": self.initial_cohorts,
@@ -240,9 +228,6 @@ class CohortRuntime:
             "divergence_splits": self.divergence_splits,
             "cohort_merges": self.cohort_merges,
         }
-        if self.tiling is not None:
-            out["cross_region_cohorts"] = self.cross_region_cohorts
-        return out
 
     # -- hot path --------------------------------------------------------------------
     def _member_transmission(self, node_id: int, position, spec):

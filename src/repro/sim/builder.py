@@ -61,7 +61,7 @@ def build_simulation(
     are forwarded to :class:`~repro.sim.engine.Simulation` (``None`` =
     process default): the first selects between shared-cohort and per-device
     execution of the protocol state machines, the second between the sparse
-    spatially-tiled link-state tier and the dense ``N x N`` matrices, the
+    link-state tier and the dense ``N x N`` matrices, the
     third enables the struct-of-arrays slot kernels for eligible
     protocol/channel combinations.  All three are pure memory/throughput
     knobs — results are bit-identical either way, so they are *not* part of
@@ -168,7 +168,7 @@ def run_scenario(
 
     When ``info_sink`` is given, the simulation's post-run
     :meth:`~repro.sim.engine.Simulation.plan_cache_info` snapshot is copied
-    into it — runtime-tier telemetry (cohort/SoA/tiling counters) for
+    into it — runtime-tier telemetry (cohort/SoA/link-state counters) for
     benchmark captures, without widening the closed result-metadata schema.
     """
     simulation = build_simulation(

@@ -58,7 +58,7 @@ def dense_link_state_bytes(num_nodes: int, channel: str) -> int:
     The unit-disk audibility mask is one byte per pair (``bool``), the Friis
     received-power matrix eight (``float64``).  Used by the experiment
     ``describe`` command and the memory-budget guard messaging to show, before
-    anything is allocated, what the sparse spatially-tiled tier
+    anything is allocated, what the sparse link-state tier
     (``use_spatial_tiling`` / ``REPRO_SPATIAL_TILING``) avoids.
     """
     if num_nodes < 0:

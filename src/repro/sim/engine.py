@@ -23,15 +23,17 @@ Compiled slot plans
 Everything static about a run is compiled once at construction into a
 :class:`~repro.sim.plan.SlotPlan`: per-slot participant records with bound
 protocol methods, frozen participant id arrays, flex-candidate lists for
-opportunistic transmitters, interned transmissions, an LRU of link-state
-submatrices keyed by ``(slot occurrence, sender set)``, and — for channels
-whose resolution consumes no RNG — a memo of whole resolved rounds keyed by
-``(slot occurrence, senders, frames)``.  Together with the channel's pairwise
-link state (cached per ``(channel, positions)`` pair in a small module-level
-LRU so repeated simulations over the same deployment reuse it), the steady
-state of a run resolves each round with a handful of dict lookups instead of
-distance computations and per-listener Python loops.  ``Schedule.iter_slot_starts``
-replaces the per-slot divmod arithmetic of ``locate_round``.
+opportunistic transmitters, interned transmissions and an LRU of link-state
+blocks keyed by ``(slot occurrence, sender set)``.  Together with the
+channel's pairwise link state (cached per ``(channel, positions)`` pair in a
+small module-level LRU so repeated simulations over the same deployment reuse
+it), the steady state of a run resolves each round from a cached block
+instead of distance computations and per-listener Python loops.  Every round
+that the scalar loop or the cohort runtime puts on the air resolves one way:
+the plan's block of the link state goes to
+:meth:`~repro.sim.radio.Channel.resolve_links`.
+``Schedule.iter_slot_starts`` replaces the per-slot divmod arithmetic of
+``locate_round``.
 
 Cohort protocol runtime
 -----------------------
@@ -61,22 +63,22 @@ remain the tested oracles.  On this tier a run that never terminates jumps
 over its idle tail once a whole schedule cycle moves no state (see
 :meth:`Simulation.run`).
 
-Spatially-tiled link state
---------------------------
-Below the plan, the *channel* layer can run on the sparse spatially-tiled
-tier (:mod:`repro.sim.linkstate`): instead of the dense ``N x N`` audibility
-or power matrix, the engine keeps node positions plus a CSR neighborhood
-built per region tile, and unit-disk rounds resolve through per-sender CSR
-rows with only boundary-crossing transmissions exchanged between tiles.  The
-knob is ``use_spatial_tiling`` (env ``REPRO_SPATIAL_TILING``, auto-on above
-:data:`SPATIAL_TILING_AUTO_NODES` nodes); dense kernels remain the oracle.
+Sparse link state
+-----------------
+Below the plan, the *channel* layer can keep its link state sparse
+(:mod:`repro.sim.linkstate`): instead of the dense ``N x N`` audibility or
+power matrix, the engine keeps node positions, plus a CSR audibility graph
+for the unit disk.  Unit-disk rounds read their exact block off the CSR,
+Friis rounds recompute their power block from positions, and both resolve on
+the dense kernels.  The knob is ``use_spatial_tiling`` (env
+``REPRO_SPATIAL_TILING``, auto-on above :data:`SPATIAL_TILING_AUTO_NODES`
+nodes); the dense matrix remains the oracle.
 
-The RNG contract is strict: stochastic channel configurations bypass the
-round memo entirely and consume the generator exactly as the scalar reference
-kernels would, and the cohort runtime and tiled round kernels preserve
-listener order per round, so every result — including the content-addressed
-store fingerprints of :mod:`repro.store` — is bit-identical to the pre-plan
-engine.
+The RNG contract is strict: stochastic channel configurations consume the
+generator exactly as the scalar reference kernels would, and the cohort
+runtime and the sparse blocks preserve listener order per round, so every
+result — including the content-addressed store fingerprints of
+:mod:`repro.store` — is bit-identical to the pre-plan engine.
 
 Deliveries are stamped with the exact round at the end of the slot in which
 they happened (not at the next periodic check), so ``delivery_round`` and the
@@ -122,10 +124,10 @@ def default_spatial_tiling(num_nodes: int) -> bool:
     """Process-wide default for :class:`Simulation`'s ``use_spatial_tiling``.
 
     Controlled by ``REPRO_SPATIAL_TILING``: ``1``/``true`` forces the sparse
-    spatially-tiled link-state tier on at every size, ``0``/``false`` forces
-    the dense tier, and the default (``auto``) enables tiling above
+    link-state tier on at every size, ``0``/``false`` forces the dense tier,
+    and the default (``auto``) enables the sparse tier above
     :data:`SPATIAL_TILING_AUTO_NODES` nodes.  Like the cohort runtime knob,
-    this is a pure memory/throughput setting: tiled and untiled runs are
+    this is a pure memory/throughput setting: sparse and dense runs are
     bit-identical (store fingerprints, exported rows and RNG stream positions
     included), so it lives outside :class:`~repro.sim.config.ScenarioConfig`
     and never enters fingerprints.
@@ -212,7 +214,7 @@ def _cached_link_state(
 ) -> Optional[object]:
     """The channel's link state for ``positions``, via the module-level cache.
 
-    ``sparse`` selects the spatially-tiled CSR tier
+    ``sparse`` selects the sparse tier
     (:meth:`~repro.sim.radio.Channel.link_state_sparse`); dense and sparse
     entries are cached under distinct keys because they are different objects
     over the same deployment.  A channel without a sparse implementation
@@ -270,12 +272,12 @@ class Simulation:
         oracle the cohort runtime is pinned against.  Results are bit-identical
         either way.
     use_spatial_tiling:
-        Whether to keep the channel link state in the sparse spatially-tiled
-        tier (CSR per-tile structures + region tiling) instead of the dense
-        ``N x N`` matrix.  ``None`` (default) reads the process default
+        Whether to keep the channel link state sparse (positions, plus a CSR
+        audibility graph for the unit disk) instead of the dense ``N x N``
+        matrix.  ``None`` (default) reads the process default
         (:func:`default_spatial_tiling` — auto-on above
         :data:`SPATIAL_TILING_AUTO_NODES` nodes).  Results are bit-identical
-        either way; only memory and the round-resolution kernels change.
+        either way; only memory and how round blocks are built change.
     use_soa_kernels:
         Whether to compile eligible slots into struct-of-arrays bitmask
         kernels (:mod:`repro.sim.soa`) — the fastest execution tier,
@@ -321,24 +323,6 @@ class Simulation:
         self._link_state = _cached_link_state(
             channel, self._positions, sparse=self.use_spatial_tiling
         )
-        # Per-round CSR aggregation is used only when the sparse state covers
-        # the channel's full physics (unit-disk) *and* the channel's vectorized
-        # kernels are on; otherwise sparse states answer through exact
-        # on-demand submatrices, which resolve on the unchanged dense kernels.
-        self._sparse_rounds = (
-            isinstance(self._link_state, SparseLinkState)
-            and self._link_state.supports_round_views
-            and channel.supports_sparse_rounds()
-        )
-        self.tiling = (
-            self._link_state.tiling
-            if isinstance(self._link_state, SparseLinkState)
-            else None
-        )
-        # Whole-round memoization is only sound when resolving a round cannot
-        # consume RNG (otherwise replaying a cached round would desynchronise
-        # the generator relative to the scalar reference execution).
-        self._memo_rounds = self._link_state is not None and not channel.consumes_rng()
         # The SoA tier compiles whole slots into bitmask kernels.  It needs
         # a link state to read channel structure from and a channel whose
         # per-capability verdict (soa_round_support) is fully eligible:
@@ -373,7 +357,7 @@ class Simulation:
         # with any SoA group present, uncompiled slots and fallback
         # occurrences execute on the scalar oracle loop instead.
         self.cohort_runtime: Optional[CohortRuntime] = (
-            CohortRuntime(self.nodes, self.plan, tiling=self.tiling)
+            CohortRuntime(self.nodes, self.plan)
             if use_cohort_runtime and self.soa_runtime is None
             else None
         )
@@ -390,10 +374,8 @@ class Simulation:
 
         Returns a dict with these keys:
 
-        * ``"submatrix"`` — the link-state submatrix LRU:
+        * ``"submatrix"`` — the link-state block LRU:
           ``{"entries", "max_entries", "hits", "misses"}``;
-        * ``"round_memo"`` — the whole-round observation memo (RNG-free
-          channel configurations only), same counter shape;
         * ``"transmissions_interned"`` — size of the transmission intern
           table;
         * ``"cohort_runtime"`` — ``{"enabled": False}`` when the per-device
@@ -405,8 +387,7 @@ class Simulation:
           current (post-split/merge) cohort count, how many devices execute
           shared vs per-device, the number of per-device evaluations avoided
           by sharing, the number of copy-on-divergence splits performed, and
-          the number of reconverged sibling cohorts re-merged (plus
-          ``"cross_region_cohorts"`` when spatial tiling is on);
+          the number of reconverged sibling cohorts re-merged;
         * ``"soa_kernels"`` — ``{"enabled": False}`` when the
           struct-of-arrays tier is off or no slot compiled, otherwise
           ``{"enabled": True, "slots_compiled", "member_slots", "slots_run",
@@ -421,15 +402,10 @@ class Simulation:
           wholesale overflow clears of a group's memo).  ``slots_run`` and
           the memo counters count executed occurrences only;
         * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
-          otherwise ``{"enabled": True, "tiles", "occupied_tiles",
-          "tile_side", "grid_cols", "grid_rows", "sparse_nnz",
-          "interior_links", "boundary_links", "dense_bytes_avoided",
-          "rounds_resolved", "round_interior_hits", "round_boundary_hits",
-          "sparse_round_kernel"}``: the static tiling shape, the CSR size and
-          its static interior/boundary link split, the dense bytes the sparse
-          tier avoided materializing, and the live per-round tile-exchange
-          counters (how many audible listener/sender pairs stayed inside a
-          tile vs crossed a boundary across all resolved rounds).
+          otherwise ``{"enabled": True, "dense_bytes_avoided"}``, the bytes
+          the dense matrix would need beyond what the sparse state keeps;
+          a unit-disk state also reports ``"sparse_nnz"`` (CSR entries,
+          self-links included) and ``"index_dtype"`` (of the CSR arrays).
         """
         info = self.plan.cache_info()
         runtime = self.cohort_runtime
@@ -438,11 +414,7 @@ class Simulation:
         info["soa_kernels"] = soa.info() if soa is not None else {"enabled": False}
         state = self._link_state
         if isinstance(state, SparseLinkState):
-            info["spatial_tiling"] = {
-                "enabled": True,
-                "sparse_round_kernel": self._sparse_rounds,
-                **state.info(),
-            }
+            info["spatial_tiling"] = {"enabled": True, **state.info()}
         else:
             info["spatial_tiling"] = {"enabled": False}
         return info
@@ -651,56 +623,19 @@ class Simulation:
         listeners: list[int],
         transmissions: list[Transmission],
     ) -> list[Observation]:
-        """Observations for one round, through the plan's caches.
+        """Observations for one round, from the link-state block it needs.
 
-        The round memo is consulted only for RNG-free channel configurations;
-        its key pins everything observations depend on — the slot occurrence
-        (which fixes the listener list), the sender set and the frames on the
-        air.  Stochastic configurations always resolve, consuming the RNG in
-        exactly the scalar reference order.
+        The plan caches the ``(listeners, senders)`` block per ``(slot
+        occurrence, senders)``: the occurrence fixes the listener list.  The
+        channel draws any RNG in listener order, as its scalar loop does.
         """
         link_state = self._link_state
         if link_state is None:
             listener_positions = self._positions[listeners]
             return self.channel.observe(listeners, listener_positions, transmissions, self.rng)
-        plan = self.plan
         senders = tuple(t.sender for t in transmissions)
-        if self._memo_rounds:
-            memo_key = (occurrence_key, senders, tuple(t.frame for t in transmissions))
-            memo = plan.round_memo
-            observations = memo.get(memo_key)
-            if observations is not None:
-                plan.round_memo_hits += 1
-                memo.move_to_end(memo_key)
-                return observations
-            plan.round_memo_misses += 1
-            observations = self._resolve_links(occurrence_key, link_state, listeners, senders, transmissions)
-            memo[memo_key] = observations
-            while len(memo) > plan.round_memo_max_entries:
-                memo.popitem(last=False)
-            return observations
-        return self._resolve_links(occurrence_key, link_state, listeners, senders, transmissions)
-
-    def _resolve_links(
-        self,
-        occurrence_key: object,
-        link_state,
-        listeners: list[int],
-        senders: tuple,
-        transmissions: list[Transmission],
-    ) -> list[Observation]:
-        """One round through either the CSR round-view kernel or a submatrix.
-
-        Both paths scatter per-listener results in *listener order* and draw
-        any loss RNG in that same order, so the choice is invisible to the
-        protocols and to the RNG stream.
-        """
-        plan = self.plan
-        if self._sparse_rounds:
-            view = plan.round_view((occurrence_key, senders), link_state, listeners, senders)
-            return self.channel.resolve_links_sparse(view, transmissions, self.rng)
-        submatrix = plan.submatrix((occurrence_key, senders), link_state, listeners, senders)
-        return self.channel.resolve_links(submatrix, transmissions, self.rng)
+        block = self.plan.submatrix((occurrence_key, senders), link_state, listeners, senders)
+        return self.channel.resolve_links(block, transmissions, self.rng)
 
     def _all_honest_delivered(self) -> bool:
         for node in self.nodes:

@@ -1,48 +1,43 @@
-"""Dense and sparse link-state representations shared by the channel models.
+"""Link states: the dense matrix, or node positions plus a CSR for unit disk.
 
-The engine historically kept one dense ``N x N`` matrix per channel —
-audibility booleans for the unit-disk model, received powers for Friis.  That
-caps single runs near ~10^3-10^4 nodes (10^5 nodes would need 10 GB for the
-boolean mask and 80 GB for the power matrix).  Both models are
-locality-dominated, so this module adds a sparse tier behind one abstraction:
+A channel's link state is the pairwise quantity it derives from node
+positions: audibility for the unit-disk model, received power for Friis.  It
+takes one of two forms, and :func:`link_block` reads an exact
+``(rows, cols)`` block out of either:
 
-* :class:`DenseLinkState` wraps the precomputed matrix (the oracle path);
-* :class:`UnitDiskLinkState` / :class:`FriisLinkState` keep only the node
-  positions, the channel parameters and a CSR neighbor structure built per
-  tile with grid-bucketed queries (:class:`~repro.topology.grid.GridBuckets`),
-  plus the :class:`~repro.sim.tiling.RegionTiling` that scopes each
-  transmission to its tile and the eight adjacent ones.
+* the dense ``N x N`` matrix of :meth:`~repro.sim.radio.Channel.link_state`,
+  the oracle, sliced with ``np.ix_``;
+* a :class:`SparseLinkState` from
+  :meth:`~repro.sim.radio.Channel.link_state_sparse`, which keeps the node
+  positions instead.  :class:`UnitDiskLinkState` also keeps the CSR
+  audibility graph, built with grid-bucketed array passes
+  (:class:`~repro.topology.grid.GridBuckets`), and reads a block off one
+  gather of the columns' CSR rows.  :class:`FriisLinkState` recomputes each
+  power block from positions.
 
-Bit-identity is the hard contract.  Sparse states never *approximate*: the
-``submatrix`` of each sparse class recomputes the exact ``(listeners,
-senders)`` block from positions with the same elementwise expression sequence
-as the dense construction (elementwise float64 ufuncs are shape-independent,
-so the values match bit for bit), and the unit-disk round views give the same
-counts and sender attribution as the dense mask because unit-disk audibility
-beyond the radius is *exactly* false.  Friis powers, by contrast, are nonzero
-at every distance and the channel sums every sender's contribution, so the
-Friis sparse state answers rounds through exact on-demand submatrices — its
-CSR (within carrier-sense range) exists for topology queries and accounting.
-The win is memory (O(N * neighborhood) instead of O(N^2)), never physics.
+Bit identity is the hard contract: every block equals the dense slice bit
+for bit.  Unit-disk audibility beyond the radius is exactly false, and the
+CSR keeps exactly the pairs the dense predicate accepts, so its rows are the
+dense rows' true entries.  Friis powers never truncate, so their blocks are
+recomputed with the dense construction's elementwise expressions, whose
+float64 results do not depend on the array shape.  The sparse form saves
+memory (``O(N * neighborhood)`` for unit disk, ``O(N)`` for Friis, instead of
+``O(N^2)``), never physics.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..topology.grid import GridBuckets
-from .tiling import RegionTiling
 
 __all__ = [
-    "ChannelLinkState",
-    "DenseLinkState",
+    "link_block",
     "SparseLinkState",
     "UnitDiskLinkState",
     "FriisLinkState",
-    "RoundView",
 ]
 
 
@@ -63,111 +58,66 @@ def _index_dtype(num_nodes: int, nnz: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-class ChannelLinkState(abc.ABC):
-    """Common interface of dense and sparse link-state representations."""
+def link_block(state, rows, cols) -> np.ndarray:
+    """Exact ``(len(rows), len(cols))`` block of a link state.
 
-    #: Whether this state avoids the dense ``N x N`` materialization.
-    is_sparse: bool = False
+    ``state`` is the dense matrix or a :class:`SparseLinkState`; either way
+    the block equals ``matrix[np.ix_(rows, cols)]`` bit for bit.
+    """
+    if isinstance(state, SparseLinkState):
+        return state.submatrix(rows, cols)
+    return state[np.ix_(rows, cols)]
+
+
+class SparseLinkState(abc.ABC):
+    """Node positions in place of the dense ``N x N`` link-state matrix."""
+
+    def __init__(self, positions: np.ndarray, dense_itemsize: int) -> None:
+        self.positions = np.asarray(positions, dtype=float)
+        self.dense_itemsize = int(dense_itemsize)
 
     @abc.abstractmethod
-    def submatrix(self, listeners, senders) -> np.ndarray:
-        """Exact ``(len(listeners), len(senders))`` link-state block.
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """Exact ``(len(rows), len(cols))`` block, equal to the dense slice."""
 
-        Bit-identical to slicing the dense matrix with ``np.ix_`` — sparse
-        implementations recompute the block from positions with the dense
-        construction's elementwise arithmetic.
-        """
-
-    def info(self) -> dict:
-        """Introspection snapshot (shape, memory footprint)."""
-        return {"sparse": self.is_sparse}
-
-
-class DenseLinkState(ChannelLinkState):
-    """The precomputed pairwise matrix, unchanged semantics (the oracle tier)."""
-
-    __slots__ = ("matrix",)
-    is_sparse = False
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-
-    def submatrix(self, listeners, senders) -> np.ndarray:
-        return self.matrix[np.ix_(listeners, senders)]
-
-    def info(self) -> dict:
-        return {"sparse": False, "dense_bytes": int(self.matrix.nbytes)}
-
-
-@dataclass(frozen=True, slots=True)
-class RoundView:
-    """Per-round CSR aggregation for the unit-disk fast path.
-
-    ``counts[i]`` is the number of this round's transmissions audible to the
-    ``i``-th listener (listener order preserved), and ``tx_sum[i]`` the sum of
-    the audible transmission column indices — for a single-transmission
-    listener that *is* the decoded column, which is all the vectorized
-    unit-disk kernel needs.  ``interior_hits`` / ``boundary_hits`` count the
-    audible (listener, sender) pairs that stayed within the sender's tile vs
-    crossed a tile boundary (the tiles' exchanged traffic).
-    """
-
-    counts: np.ndarray
-    tx_sum: np.ndarray
-    interior_hits: int
-    boundary_hits: int
-
-
-class SparseLinkState(ChannelLinkState):
-    """Positions + CSR neighbor structure + region tiling (no dense matrix).
-
-    The CSR rows (``indices[indptr[i]:indptr[i+1]]``, ascending) hold each
-    node's neighborhood out to the channel's interaction radius, built one
-    grid bucket (= one tile window) at a time.  Subclasses fix the distance
-    predicate and how rounds resolve.
-    """
-
-    is_sparse = True
-
-    def __init__(
-        self,
-        positions: np.ndarray,
-        interaction_radius: float,
-        norm: str,
-        dense_itemsize: int,
-    ) -> None:
-        self.positions = np.asarray(positions, dtype=float)
-        self.interaction_radius = float(interaction_radius)
-        self.norm = norm
-        self.dense_itemsize = int(dense_itemsize)
-        buckets = GridBuckets(self.positions, cell_size=self.interaction_radius)
-        # + 1e-12 mirrors the dense audibility tolerance; for Friis the CSR is
-        # a sense-range neighborhood, where the same slack is harmless.
-        self.indptr, self.indices = buckets.neighbor_arrays(
-            self.interaction_radius + 1e-12, norm, include_self=True
-        )
-        # Downcast the CSR pair to int32 when safe — the values are identical,
-        # only the storage shrinks, and sparse_bytes/dense_bytes_avoided track
-        # the change automatically through .nbytes.
-        dtype = _index_dtype(self.positions.shape[0], int(self.indices.size))
-        if self.indices.dtype != dtype:
-            self.indices = self.indices.astype(dtype)
-        if self.indptr.dtype != dtype:
-            self.indptr = self.indptr.astype(dtype)
-        self.tiling = RegionTiling(self.positions, side=self.interaction_radius)
-        self._interior_links, self._boundary_links = self.tiling.classify_links(
-            self.indptr, self.indices
-        )
-        # Live exchange counters, accumulated per resolved round (cache hits
-        # included — a replayed view still represents executed tile traffic).
-        self.rounds_resolved = 0
-        self.round_interior_hits = 0
-        self.round_boundary_hits = 0
-
-    # -- structure -------------------------------------------------------------------
     @property
-    def num_nodes(self) -> int:
-        return int(self.positions.shape[0])
+    def sparse_bytes(self) -> int:
+        return int(self.positions.nbytes)
+
+    @property
+    def dense_bytes_avoided(self) -> int:
+        """Bytes the dense matrix would need minus what the sparse tier keeps."""
+        n = int(self.positions.shape[0])
+        return max(n * n * self.dense_itemsize - self.sparse_bytes, 0)
+
+    def info(self) -> dict:
+        """Introspection snapshot for ``plan_cache_info()["spatial_tiling"]``."""
+        return {"dense_bytes_avoided": self.dense_bytes_avoided}
+
+
+class UnitDiskLinkState(SparseLinkState):
+    """Positions plus the CSR audibility graph of a unit-disk channel.
+
+    Row ``i`` of the CSR (``indices[indptr[i]:indptr[i+1]]``, ascending)
+    lists every node within the radius of ``i``, ``i`` itself included, as
+    the dense mask's diagonal does.  Audibility is symmetric, so row ``i``
+    also lists the nodes that hear ``i``.
+    """
+
+    def __init__(self, positions: np.ndarray, radius: float, norm: str) -> None:
+        super().__init__(positions, dense_itemsize=1)
+        self.radius = float(radius)
+        self.norm = norm
+        buckets = GridBuckets(self.positions, cell_size=self.radius)
+        # + 1e-12 is the dense audibility tolerance.
+        indptr, indices = buckets.neighbor_arrays(self.radius + 1e-12, norm, include_self=True)
+        # Downcast the CSR pair to int32 when safe: the values are identical,
+        # only the storage shrinks.
+        dtype = _index_dtype(self.positions.shape[0], int(indices.size))
+        self.indptr = indptr.astype(dtype, copy=False)
+        self.indices = indices.astype(dtype, copy=False)
+        # Node -> block row lookup of block_entries; -1 outside a call.
+        self._row_of = np.full(self.positions.shape[0], -1, dtype=np.intp)
 
     @property
     def nnz(self) -> int:
@@ -178,132 +128,73 @@ class SparseLinkState(ChannelLinkState):
     def sparse_bytes(self) -> int:
         return int(self.indices.nbytes + self.indptr.nbytes + self.positions.nbytes)
 
-    @property
-    def dense_bytes_avoided(self) -> int:
-        """Bytes the dense matrix would need minus what the sparse tier keeps."""
-        n = self.num_nodes
-        return max(n * n * self.dense_itemsize - self.sparse_bytes, 0)
+    def block_entries(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, col)`` positions of the true entries of the ``(rows, cols)`` block.
 
-    def neighbors_of(self, node: int) -> np.ndarray:
-        """Ascending ids within the interaction radius of ``node`` (self included)."""
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    # -- rounds ----------------------------------------------------------------------
-    #: Whether :meth:`round_view` is implemented (unit-disk only: audibility
-    #: beyond the radius is exactly zero, so the CSR *is* the full physics).
-    supports_round_views = False
-
-    def round_view(self, listeners, senders) -> RoundView:
-        raise NotImplementedError
-
-    def note_round(self, view: RoundView) -> None:
-        """Accumulate one resolved round's tile-exchange statistics."""
-        self.rounds_resolved += 1
-        self.round_interior_hits += view.interior_hits
-        self.round_boundary_hits += view.boundary_hits
-
-    # -- introspection ----------------------------------------------------------------
-    def info(self) -> dict:
-        out = {"sparse": True, **self.tiling.info()}
-        out.update(
-            sparse_nnz=self.nnz,
-            index_dtype=str(self.indices.dtype),
-            interior_links=self._interior_links,
-            boundary_links=self._boundary_links,
-            dense_bytes_avoided=self.dense_bytes_avoided,
-            rounds_resolved=self.rounds_resolved,
-            round_interior_hits=self.round_interior_hits,
-            round_boundary_hits=self.round_boundary_hits,
-        )
-        return out
-
-
-class UnitDiskLinkState(SparseLinkState):
-    """Sparse audibility for :class:`~repro.sim.radio.UnitDiskChannel`."""
-
-    supports_round_views = True
-
-    def __init__(self, positions: np.ndarray, radius: float, norm: str) -> None:
-        self.radius = float(radius)
-        super().__init__(positions, interaction_radius=self.radius, norm=norm, dense_itemsize=1)
-
-    def submatrix(self, listeners, senders) -> np.ndarray:
-        """Exact audibility block, recomputed with the dense expressions."""
-        lp = self.positions[np.asarray(listeners, dtype=np.intp)]
-        sp = self.positions[np.asarray(senders, dtype=np.intp)]
-        diff = lp[:, None, :] - sp[None, :, :]
-        if self.norm == "linf":
-            dist = np.max(np.abs(diff), axis=-1)
-        else:
-            dist = np.sqrt(np.sum(diff**2, axis=-1))
-        return dist <= self.radius + 1e-12
-
-    def round_view(self, listeners, senders) -> RoundView:
-        """Aggregate one round tile-by-tile from the senders' CSR rows.
-
-        Each sender's CSR row is its audience: the nodes in its own and the
-        eight adjacent tiles that pass the audibility predicate.  The row is
-        intersected with the round's listener set and scattered into arrays
-        indexed by *listener order*, so the counts (and therefore every
-        downstream RNG draw) line up bit-exactly with the dense kernel no
-        matter how the work was blocked by tile.
+        Audibility is symmetric, so column ``j`` is true exactly at the rows
+        whose node is in the CSR row of ``cols[j]``.  One gather concatenates
+        the columns' CSR rows (a round has far fewer senders than
+        listeners), and a node-indexed lookup keeps the neighbours that are
+        among ``rows``, which must be distinct node ids.  The entries come
+        out grouped by column, each column's entries in ascending node id
+        (so in ascending row when ``rows`` ascends).
         """
-        l_arr = np.asarray(listeners, dtype=np.intp)
-        num_listeners = l_arr.size
-        counts = np.zeros(num_listeners, dtype=np.int64)
-        tx_sum = np.zeros(num_listeners, dtype=np.int64)
-        interior = 0
-        boundary = 0
-        if num_listeners:
-            order = np.argsort(l_arr, kind="stable")
-            sorted_ids = l_arr[order]
-            tile_of = self.tiling.tile_of
-            indptr, indices = self.indptr, self.indices
-            for col, sender in enumerate(senders):
-                audience = indices[indptr[sender] : indptr[sender + 1]]
-                pos = np.searchsorted(sorted_ids, audience)
-                np.clip(pos, 0, num_listeners - 1, out=pos)
-                hit = sorted_ids[pos] == audience
-                rows = order[pos[hit]]
-                counts[rows] += 1
-                tx_sum[rows] += col
-                heard_by = audience[hit]
-                same = int(np.count_nonzero(tile_of[heard_by] == tile_of[sender]))
-                interior += same
-                boundary += int(heard_by.size) - same
-        return RoundView(counts, tx_sum, interior, boundary)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        starts = self.indptr[cols].astype(np.intp)
+        lengths = self.indptr[cols + 1] - starts
+        col = np.repeat(np.arange(cols.size), lengths)
+        # Entry p of the concatenated rows is global entry
+        # starts[c] + (p - offset of column c's row) for its column c.
+        shift = starts - (np.cumsum(lengths) - lengths)
+        neighbors = self.indices[shift[col] + np.arange(col.size)]
+        row_of = self._row_of
+        row_of[rows] = np.arange(rows.size)
+        row = row_of[neighbors]
+        row_of[rows] = -1
+        kept = row >= 0
+        return row[kept], col[kept]
+
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """Exact audibility block, scattered from :meth:`block_entries`."""
+        block = np.zeros((len(rows), len(cols)), dtype=bool)
+        block[self.block_entries(rows, cols)] = True
+        return block
+
+    def info(self) -> dict:
+        return {
+            "sparse_nnz": self.nnz,
+            "index_dtype": str(self.indices.dtype),
+            **super().info(),
+        }
 
 
 class FriisLinkState(SparseLinkState):
-    """Sparse received-power state for :class:`~repro.sim.radio.FriisChannel`.
+    """Positions of a Friis channel; each power block is recomputed exactly.
 
-    Friis power never truncates: a round's ``(listeners, senders)`` block is
-    recomputed exactly from positions (every sender contributes to every
-    listener's interference sum, as in the dense matrix), so results cannot
-    drift no matter how sparse the topology is.  The CSR holds the
-    carrier-sense neighborhood for tiling/accounting.
+    Friis power never truncates: every sender contributes to every
+    listener's interference sum, as in the dense matrix, so a round's block
+    is recomputed from positions and results cannot drift however far apart
+    the nodes are.
     """
 
     def __init__(
         self,
         positions: np.ndarray,
         *,
-        sense_range: float,
         tx_power: float,
         reference_distance: float,
         path_loss_exponent: float,
     ) -> None:
+        super().__init__(positions, dense_itemsize=8)
         self.tx_power = float(tx_power)
         self.reference_distance = float(reference_distance)
         self.path_loss_exponent = float(path_loss_exponent)
-        super().__init__(
-            positions, interaction_radius=float(sense_range), norm="l2", dense_itemsize=8
-        )
 
-    def submatrix(self, listeners, senders) -> np.ndarray:
+    def submatrix(self, rows, cols) -> np.ndarray:
         """Exact received-power block, recomputed with the dense expressions."""
-        lp = self.positions[np.asarray(listeners, dtype=np.intp)]
-        sp = self.positions[np.asarray(senders, dtype=np.intp)]
+        lp = self.positions[np.asarray(rows, dtype=np.intp)]
+        sp = self.positions[np.asarray(cols, dtype=np.intp)]
         diff = lp[:, None, :] - sp[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))
         dist = np.maximum(dist, self.reference_distance)

@@ -20,20 +20,13 @@ simulation, so :class:`SlotPlan` compiles it once at construction:
 * **transmission interning** — ``Transmission`` objects keyed by
   ``(sender, frame)``; protocols put a tiny alphabet of frames on the air, so
   the same transmission need not be re-allocated every phase;
-* **submatrix cache** — the ``np.ix_``-style slice of the link state for one
-  ``(slot occurrence, sender set)``, LRU-bounded and introspectable exactly
-  like the engine's link cache.  In steady state the same slot resolves with
-  the same senders every cycle, so the fancy indexing happens once.  With a
-  sparse link state the same LRU holds the per-round CSR
-  :class:`~repro.sim.linkstate.RoundView` aggregations instead (one entry per
-  ``(occurrence, senders)`` either way — the engine uses exactly one of the
-  two representations per simulation);
-* **round memo** — for channels whose resolution consumes no RNG
-  (:meth:`~repro.sim.radio.Channel.consumes_rng` is ``False``), whole resolved
-  rounds keyed by ``(slot occurrence, senders, frames)``.  Observations are a
-  pure function of that key, so the engine replays the interned observation
-  list instead of resolving at all.  Stochastic configurations never enter
-  this cache — their RNG stream must advance exactly as before.
+* **submatrix cache** — the exact ``(listeners, senders)`` block of the link
+  state (:func:`~repro.sim.linkstate.link_block`: a slice of the dense
+  matrix, or a block the sparse state reads off its CSR or recomputes from
+  positions) for one ``(slot occurrence, sender set)``, LRU-bounded and
+  introspectable exactly like the engine's link cache.  In steady state the
+  same slot resolves with the same senders every cycle, so the block is
+  built once.
 
 The compiled records bind protocol methods once: the plan assumes (like the
 engine always has) that a node's protocol is not swapped mid-run.
@@ -47,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.schedule import Schedule
+from .linkstate import link_block
 from .node import SimNode
 from .radio import Transmission
 
@@ -71,10 +65,6 @@ class SlotPlan:
         "submatrix_max_entries",
         "submatrix_hits",
         "submatrix_misses",
-        "round_memo",
-        "round_memo_max_entries",
-        "round_memo_hits",
-        "round_memo_misses",
         "_tx_cache",
         "_node_records",
     )
@@ -85,7 +75,6 @@ class SlotPlan:
         schedule: Schedule,
         *,
         submatrix_max_entries: int = 256,
-        round_memo_max_entries: int = 512,
     ) -> None:
         # One pass over the nodes builds everything: the per-node record with
         # the protocol's bound methods resolved once, and the per-slot record
@@ -172,11 +161,6 @@ class SlotPlan:
         self.submatrix_hits = 0
         self.submatrix_misses = 0
 
-        self.round_memo: "OrderedDict[tuple, list]" = OrderedDict()
-        self.round_memo_max_entries = int(round_memo_max_entries)
-        self.round_memo_hits = 0
-        self.round_memo_misses = 0
-
         self._tx_cache: dict[tuple, Transmission] = {}
 
     # -- hot-path helpers ------------------------------------------------------------
@@ -216,21 +200,17 @@ class SlotPlan:
         return tx
 
     def submatrix(self, key: tuple, link_state, listeners, senders) -> np.ndarray:
-        """The listeners-by-senders slice of the link state, via the LRU cache.
+        """The exact listeners-by-senders block of the link state, via the LRU cache.
 
-        ``link_state`` is either a raw dense matrix (historical form, still
-        used by tests and ad-hoc callers) or any
-        :class:`~repro.sim.linkstate.ChannelLinkState`; sparse states
-        recompute the exact block from positions instead of slicing.
+        ``link_state`` is the dense matrix or a
+        :class:`~repro.sim.linkstate.SparseLinkState`
+        (:func:`~repro.sim.linkstate.link_block`).
         """
         cache = self.submatrix_cache
         sub = cache.get(key)
         if sub is None:
             self.submatrix_misses += 1
-            if hasattr(link_state, "submatrix"):
-                sub = link_state.submatrix(listeners, senders)
-            else:
-                sub = link_state[np.ix_(listeners, senders)]
+            sub = link_block(link_state, listeners, senders)
             cache[key] = sub
             while len(cache) > self.submatrix_max_entries:
                 cache.popitem(last=False)
@@ -238,28 +218,6 @@ class SlotPlan:
             self.submatrix_hits += 1
             cache.move_to_end(key)
         return sub
-
-    def round_view(self, key: tuple, link_state, listeners, senders):
-        """The CSR round aggregation for one ``(occurrence, senders)`` key.
-
-        Shares the submatrix LRU (an engine uses either dense slices or round
-        views, never both) and accumulates the link state's tile-exchange
-        counters on every resolution, cache hit or miss — a replayed view
-        still stands for executed tile traffic.
-        """
-        cache = self.submatrix_cache
-        view = cache.get(key)
-        if view is None:
-            self.submatrix_misses += 1
-            view = link_state.round_view(listeners, senders)
-            cache[key] = view
-            while len(cache) > self.submatrix_max_entries:
-                cache.popitem(last=False)
-        else:
-            self.submatrix_hits += 1
-            cache.move_to_end(key)
-        link_state.note_round(view)
-        return view
 
     # -- introspection ----------------------------------------------------------------
     def cache_info(self) -> dict:
@@ -270,12 +228,6 @@ class SlotPlan:
                 "max_entries": self.submatrix_max_entries,
                 "hits": self.submatrix_hits,
                 "misses": self.submatrix_misses,
-            },
-            "round_memo": {
-                "entries": len(self.round_memo),
-                "max_entries": self.round_memo_max_entries,
-                "hits": self.round_memo_hits,
-                "misses": self.round_memo_misses,
             },
             "transmissions_interned": len(self._tx_cache),
         }

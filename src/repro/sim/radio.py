@@ -22,18 +22,20 @@ Precomputed link state
 For a static deployment the pairwise quantity a channel derives from node
 positions (audibility for the unit-disk model, received power for Friis) never
 changes during a run.  Channels therefore expose :meth:`Channel.link_state`,
-which precomputes that quantity for *all* node pairs once, and
-:meth:`Channel.resolve_links`, which resolves a round from the
-``(listeners, senders)`` slice of that state instead of recomputing
-distances.  The engine caches the state per ``(channel, positions)`` pair and
-its slot plans cache the slices, which removes the per-round distance
-computation from the hot path entirely.
+which precomputes that quantity for *all* node pairs once as a dense matrix,
+:meth:`Channel.link_state_sparse`, which keeps positions (plus, for the unit
+disk, a CSR audibility graph) instead, and :meth:`Channel.resolve_links`,
+which resolves a round from the exact ``(listeners, senders)`` block of
+either (:func:`~repro.sim.linkstate.link_block`) instead of recomputing
+distances.  This is the only way the engine resolves a round against a link
+state.  The engine caches the state per ``(channel, positions)`` pair and its
+slot plans cache the blocks, which removes the per-round distance computation
+from the hot path.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,7 +45,7 @@ import numpy as np
 from ..core.messages import Frame
 from ..core.protocol import ChannelState, Observation, SILENCE
 from ..registry import ChannelPlugin, register_channel
-from .linkstate import FriisLinkState, RoundView, SparseLinkState, UnitDiskLinkState
+from .linkstate import FriisLinkState, SparseLinkState, UnitDiskLinkState
 
 __all__ = [
     "Transmission",
@@ -189,11 +191,11 @@ class Channel(abc.ABC):
         """Precomputed pairwise link state for a static deployment.
 
         ``positions`` is the ``(N, 2)`` array of all node positions; the
-        representation is channel-specific (audibility sets for
-        :class:`UnitDiskChannel`, a received-power matrix for
-        :class:`FriisChannel`) and opaque to the engine, which only slices it
-        for :meth:`resolve_links`.  Only called when
-        :meth:`link_signature` returned a key.
+        matrix is channel-specific (an audibility mask for
+        :class:`UnitDiskChannel`, received powers for :class:`FriisChannel`)
+        and opaque to the engine, which only slices blocks of it for
+        :meth:`resolve_links`.  Only called when :meth:`link_signature`
+        returned a key.
 
         Implementations must call :meth:`_check_dense_budget` before
         allocating: a dense matrix over the ``REPRO_LINK_STATE_MAX_BYTES``
@@ -220,35 +222,13 @@ class Channel(abc.ABC):
             )
 
     def link_state_sparse(self, positions: np.ndarray) -> SparseLinkState:
-        """Sparse (CSR + region tiling) link state for a static deployment.
+        """Sparse link state (no dense matrix) for a static deployment.
 
         Returns a :class:`~repro.sim.linkstate.SparseLinkState` whose
         ``submatrix`` is bit-identical to slicing :meth:`link_state` but whose
-        memory is ``O(N * neighborhood)``.  Channels without a sparse tier
-        raise ``NotImplementedError``; the engine then falls back to the
+        memory is at most ``O(N * neighborhood)``.  Channels without a sparse
+        tier raise ``NotImplementedError``; the engine then falls back to the
         dense path (subject to the byte budget).
-        """
-        raise NotImplementedError
-
-    def supports_sparse_rounds(self) -> bool:
-        """Whether :meth:`resolve_links_sparse` can resolve this configuration.
-
-        ``False`` routes sparse-state rounds through exact on-demand
-        :meth:`~repro.sim.linkstate.SparseLinkState.submatrix` blocks and the
-        dense :meth:`resolve_links` kernels instead.
-        """
-        return False
-
-    def resolve_links_sparse(
-        self,
-        view: RoundView,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Resolve one round from a CSR :class:`~repro.sim.linkstate.RoundView`.
-
-        Must produce exactly the observations of :meth:`resolve_links` on the
-        corresponding dense submatrix and consume the RNG identically.
         """
         raise NotImplementedError
 
@@ -274,7 +254,7 @@ class Channel(abc.ABC):
 
         ``False`` means a round's observations are a pure function of the
         listeners, the link state and the transmissions — which is what lets
-        the engine memoize whole resolved rounds without perturbing the RNG
+        the engine jump over repeated quiet cycles without perturbing the RNG
         stream of stochastic configurations.
         """
         return True
@@ -307,15 +287,6 @@ class Channel(abc.ABC):
     def supports_soa_rounds(self) -> bool:
         """Aggregate verdict of :meth:`soa_round_support` (the engine's gate)."""
         return self.soa_round_support().eligible
-
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        """Whether a single transmission at ``transmitter_position`` is audible.
-
-        Used by the engine to bound which devices could possibly be affected
-        by a transmission; channel subclasses with soft thresholds should be
-        conservative (return ``True`` whenever reception is possible).
-        """
-        raise NotImplementedError
 
 
 class UnitDiskChannel(Channel):
@@ -368,15 +339,6 @@ class UnitDiskChannel(Channel):
             return np.max(np.abs(diff), axis=-1)
         return np.sqrt(np.sum(diff**2, axis=-1))
 
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        lx, ly = float(listener_position[0]), float(listener_position[1])
-        tx, ty = float(transmitter_position[0]), float(transmitter_position[1])
-        if self.norm == "linf":
-            d = max(abs(lx - tx), abs(ly - ty))
-        else:
-            d = math.hypot(lx - tx, ly - ty)
-        return d <= self.radius + 1e-12
-
     def link_signature(self) -> Optional[tuple]:
         return ("unitdisk", self.radius, self.norm)
 
@@ -398,22 +360,12 @@ class UnitDiskChannel(Channel):
         return audible
 
     def link_state_sparse(self, positions: np.ndarray) -> UnitDiskLinkState:
-        """CSR audibility built per tile; bit-identical to :meth:`link_state`.
+        """Positions plus the CSR audibility graph; blocks equal :meth:`link_state`'s.
 
         Unit-disk audibility beyond the radius is exactly ``False``, so the
         CSR stores the complete physics — no truncation is involved.
         """
         return UnitDiskLinkState(np.asarray(positions, dtype=float), self.radius, self.norm)
-
-    def supports_sparse_rounds(self) -> bool:
-        """CSR round views cover the deterministic and loss-only kernels.
-
-        Capture configurations need each listener's full audible column set
-        (their RNG draws are data-dependent), so they fall back to exact
-        on-demand submatrices through the scalar reference loop — same
-        dispatch rule as the dense vectorized kernel.
-        """
-        return self.use_vectorized_kernels and self.capture_probability == 0.0
 
     def soa_round_support(self) -> SoaRoundSupport:
         """Unit-disk rounds lower to disjunction kernels; capture stays scalar.
@@ -464,35 +416,6 @@ class UnitDiskChannel(Channel):
             loss_probability=loss,
             verdicts=verdicts,
         )
-
-    def resolve_links_sparse(
-        self,
-        view: RoundView,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """CSR fast path of :meth:`resolve_links` (dense kernel is the oracle).
-
-        Mirrors the vectorized branch of :meth:`_resolve_audible` statement
-        for statement: SILENCE for zero audible transmissions, one batched
-        loss draw per single-transmission listener in listener order, and the
-        summed column index of a single hit *is* its ``argmax``.
-        """
-        counts = view.counts
-        num_listeners = counts.shape[0]
-        out = np.empty(num_listeners, dtype=object)
-        out[:] = _COLLISION
-        out[counts == 0] = SILENCE
-        singles = np.flatnonzero(counts == 1)
-        if singles.size and self.loss_probability > 0.0:
-            draws = rng.random(singles.size)
-            singles = singles[draws >= self.loss_probability]
-        if singles.size:
-            tx_index = view.tx_sum[singles]
-            for tx in np.unique(tx_index):
-                obs = message_observation(transmissions[int(tx)].frame)
-                out[singles[tx_index == tx]] = obs
-        return list(out)
 
     def consumes_rng(self) -> bool:
         return self.capture_probability > 0.0 or self.loss_probability > 0.0
@@ -663,11 +586,6 @@ class FriisChannel(Channel):
         """Distance out to which a lone transmission is sensed (but maybe not decoded)."""
         return self.reception_range * self.sense_range_factor
 
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        lx, ly = float(listener_position[0]), float(listener_position[1])
-        tx, ty = float(transmitter_position[0]), float(transmitter_position[1])
-        return math.hypot(lx - tx, ly - ty) <= self.sense_range + 1e-12
-
     def link_signature(self) -> Optional[tuple]:
         return (
             "friis",
@@ -693,16 +611,15 @@ class FriisChannel(Channel):
         return powers
 
     def link_state_sparse(self, positions: np.ndarray) -> FriisLinkState:
-        """Sparse Friis state: positions + sense-range CSR, no power matrix.
+        """Sparse Friis state: positions only, no power matrix.
 
-        Rounds resolve through exact on-demand submatrices (every sender's
+        Rounds resolve through exact on-demand power blocks (every sender's
         power still reaches every listener's interference sum), so the sparse
         tier changes memory, never physics — see
         :class:`~repro.sim.linkstate.FriisLinkState`.
         """
         return FriisLinkState(
             np.asarray(positions, dtype=float),
-            sense_range=self.sense_range,
             tx_power=self.tx_power,
             reference_distance=self.reference_distance,
             path_loss_exponent=self.path_loss_exponent,

@@ -113,6 +113,7 @@ from ..core.multipath import MultiPathNode
 from ..core.neighborwatch import NeighborWatchNode
 from ..core.twobit import NUM_PHASES, soa_veto_mask
 from .events import EventKind
+from .linkstate import UnitDiskLinkState, link_block
 from .node import SimNode
 from .plan import REC_HONEST, REC_ID, REC_NODE, SlotPlan
 
@@ -157,27 +158,6 @@ def _column_values(bits: np.ndarray) -> np.ndarray:
     return weights @ bits
 
 
-def _power_block(link_state, row_ids: np.ndarray, col_ids: np.ndarray):
-    """Exact rows×cols received-power block of the channel's link state.
-
-    Sliced from the dense power matrix or recomputed on demand by the
-    sparse tier's ``submatrix`` (defined to be bit-identical to the dense
-    slice), so the block equals the ``plan.submatrix`` slice the scalar
-    loop would hand ``_resolve_powers`` — same values, same row layout,
-    hence the same pairwise column sums.  ``None`` when the link state
-    exposes no power representation.
-    """
-    if isinstance(link_state, np.ndarray):
-        sub = link_state[np.ix_(row_ids, col_ids)]
-    elif hasattr(link_state, "submatrix"):
-        sub = link_state.submatrix(row_ids, col_ids)
-    elif hasattr(link_state, "matrix"):
-        sub = link_state.matrix[np.ix_(row_ids, col_ids)]
-    else:
-        return None
-    return np.ascontiguousarray(np.asarray(sub, dtype=np.float64))
-
-
 class _PowerColumns:
     """Lazily materialized member×member power block of a power-sum group.
 
@@ -206,7 +186,9 @@ class _PowerColumns:
         cols = self.cols
         missing = [int(j) for j in idx if int(j) not in cols]
         if missing:
-            block = _power_block(
+            # The exact block the scalar loop's plan.submatrix would hand
+            # _resolve_powers: same values, hence the same column sums.
+            block = link_block(
                 self.link_state,
                 self.member_ids,
                 self.member_ids[np.asarray(missing, dtype=np.intp)],
@@ -851,9 +833,6 @@ class SoaRuntime:
         self.cycles_fast_forwarded = 0
         self.busy_cache_evictions = 0
         self.thrash_warned = False
-        # Node -> group-local index lookup of the CSR gather, shared by
-        # every group (-1 outside a _group_adjacency call).
-        local_of = np.full(size, -1, dtype=np.intp)
         for slot, records in plan.slot_records.items():
             group = self._compile_slot(
                 slot,
@@ -861,7 +840,6 @@ class SoaRuntime:
                 plan.participant_arrays[slot],
                 link_state,
                 phases_per_slot,
-                local_of,
             )
             if group is not None:
                 self.groups[slot] = group
@@ -875,7 +853,6 @@ class SoaRuntime:
         member_ids: np.ndarray,
         link_state,
         phases_per_slot: int,
-        local_of: np.ndarray,
     ) -> Optional[_SlotGroup]:
         first = records[0][REC_NODE].protocol
         kernel = required_phases = None
@@ -934,19 +911,11 @@ class SoaRuntime:
         if n > 1 and np.any(np.diff(member_ids) <= 0):
             return None
         if self.busy_mode == "power-sum":
-            if not (
-                isinstance(link_state, np.ndarray)
-                or hasattr(link_state, "submatrix")
-                or hasattr(link_state, "matrix")
-            ):
-                return None
             power = _PowerColumns(member_ids, link_state)
             adjacency = (None, None)
         else:
             power = None
-            adjacency = self._group_adjacency(member_ids, link_state, local_of)
-            if adjacency is None:
-                return None
+            adjacency = self._group_adjacency(member_ids, link_state)
 
         group = _SlotGroup()
         group.slot = slot
@@ -971,58 +940,28 @@ class SoaRuntime:
         return group
 
     @staticmethod
-    def _group_adjacency(member_ids: np.ndarray, link_state, local_of: np.ndarray):
+    def _group_adjacency(member_ids: np.ndarray, link_state):
         """Group-local hearers-of-sender CSR from the channel's link state.
 
         ``indices[indptr[j]:indptr[j+1]]`` lists, ascending, the local
-        indices that hear local member ``j`` — column ``j`` of the members'
-        audibility submatrix on the dense tier, the intersection of ``j``'s
-        global CSR neighborhood with the member set on the sparse tier
-        (unit-disk audibility is symmetric, so rows and columns agree).
-        Rows ascend so the kernels' decode/draw iteration matches the
-        scalar loop's ascending listener order.
-
-        The sparse tier gathers all members' global rows at once and maps
-        them to local indices through ``local_of``, a node-id-indexed
-        lookup array that must hold -1 everywhere: it is filled with the
-        members' local indices for the gather and reset before returning.
+        indices that hear local member ``j``: the true entries of column
+        ``j`` of the members' audibility block.  Rows ascend so the kernels'
+        decode/draw iteration matches the scalar loop's ascending listener
+        order.  On the CSR tier :meth:`UnitDiskLinkState.block_entries`
+        returns the entries in exactly that layout, since the member ids
+        ascend.
         """
         n = member_ids.size
-        matrix = None
-        if isinstance(link_state, np.ndarray):
-            matrix = link_state
-        elif hasattr(link_state, "matrix"):
-            matrix = link_state.matrix
-        if matrix is not None:
-            sub = np.asarray(matrix[np.ix_(member_ids, member_ids)], dtype=bool)
+        if isinstance(link_state, UnitDiskLinkState):
+            hearers, senders = link_state.block_entries(member_ids, member_ids)
+        else:
             # Row-major nonzero over the transpose comes out sender-sorted
             # with hearers ascending within each sender — the CSR layout,
             # with no argsort/reindex pass.
-            senders, hearers = np.nonzero(sub.T)
-            indices = hearers
-            counts = np.bincount(senders, minlength=n)
-        elif hasattr(link_state, "indptr"):
-            global_indptr = link_state.indptr
-            starts = global_indptr[member_ids].astype(np.int64)
-            lengths = global_indptr[member_ids + 1] - starts
-            senders = np.repeat(np.arange(n), lengths)
-            # Entry p of the concatenated rows is global entry
-            # starts[s] + (p - offset of row s) for its sender s.
-            shift = starts - (np.cumsum(lengths) - lengths)
-            neighbors = link_state.indices[shift[senders] + np.arange(senders.size)]
-            local_of[member_ids] = np.arange(n)
-            local = local_of[neighbors]
-            local_of[member_ids] = -1
-            # Global rows and member_ids both ascend, so the surviving
-            # entries are sender-grouped with hearers ascending: no sort.
-            kept = local >= 0
-            indices = local[kept]
-            counts = np.bincount(senders[kept], minlength=n)
-        else:
-            return None
+            senders, hearers = np.nonzero(link_block(link_state, member_ids, member_ids).T)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, np.asarray(indices, dtype=np.int64)
+        np.cumsum(np.bincount(senders, minlength=n), out=indptr[1:])
+        return indptr, np.asarray(hearers, dtype=np.int64)
 
     # -- execution -------------------------------------------------------------------
     def run_slot(self, sim, group: _SlotGroup) -> None:

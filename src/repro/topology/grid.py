@@ -12,7 +12,7 @@ building CSR neighbor structures without ever touching an ``N x N`` matrix.
 Its results are *exact* — candidate pairs are over-collected from surrounding
 cells and then filtered with the very same elementwise distance expressions
 the dense code paths use, so the returned neighbor sets (and therefore
-everything built on top of them: link states, schedules, tilings) are
+everything built on top of them: link states and schedules) are
 bit-identical to the brute-force computation.
 """
 

@@ -158,7 +158,7 @@ class TestCohortGrouping:
         sim.run(600)
         info = sim.plan_cache_info()
         assert set(info) == {
-            "submatrix", "round_memo", "transmissions_interned", "cohort_runtime",
+            "submatrix", "transmissions_interned", "cohort_runtime",
             "soa_kernels", "spatial_tiling",
         }
         cohort_info = info["cohort_runtime"]

@@ -348,8 +348,8 @@ class TestSpatialTilingEquivalence:
         serialized = {}
         for tiled in (False, True):
             clear_link_cache()
-            # Pinned to the cohort/scalar tiers: the tiled round counters
-            # asserted below only accumulate when rounds resolve through the
+            # Pinned to the cohort/scalar tiers: the block-cache misses
+            # asserted below only happen when rounds resolve through the
             # link state, which the SoA slot kernels bypass.
             sim = build_simulation(
                 deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
@@ -363,7 +363,7 @@ class TestSpatialTilingEquivalence:
             assert info["enabled"] is tiled
             if tiled:
                 assert info["sparse_nnz"] < num_nodes * num_nodes
-                assert info["rounds_resolved"] > 0
+                assert sim.plan_cache_info()["submatrix"]["misses"] > 0
         assert serialized[True] == serialized[False]
 
     @pytest.mark.parametrize("loss", [0.0, 0.1])

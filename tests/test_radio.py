@@ -76,10 +76,12 @@ class TestUnitDiskChannel:
         chan = UnitDiskChannel(2.0)
         assert chan.observe([], np.empty((0, 2)), [tx(1, 0, 0)], rng) == []
 
-    def test_hears(self):
+    def test_range_boundary(self, rng):
         chan = UnitDiskChannel(2.0)
-        assert chan.hears((0, 0), (2, 0))
-        assert not chan.hears((0, 0), (2.5, 0))
+        at_range = chan.observe([0], np.array([[0.0, 0.0]]), [tx(1, 2.0, 0.0)], rng)
+        assert at_range[0].state is ChannelState.MESSAGE
+        beyond = chan.observe([0], np.array([[0.0, 0.0]]), [tx(1, 2.5, 0.0)], rng)
+        assert beyond[0].state is ChannelState.SILENT
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -124,11 +126,13 @@ class TestFriisChannel:
         )
         assert obs[0].state is ChannelState.COLLISION
 
-    def test_sense_range_property(self):
+    def test_sense_range_property(self, rng):
         chan = FriisChannel(reception_range=4.0, sense_range_factor=1.5)
         assert chan.sense_range == pytest.approx(6.0)
-        assert chan.hears((0, 0), (5.9, 0))
-        assert not chan.hears((0, 0), (6.2, 0))
+        sensed = chan.observe([0], np.array([[0.0, 0.0]]), [tx(1, 5.9, 0.0)], rng)
+        assert sensed[0].busy
+        beyond = chan.observe([0], np.array([[0.0, 0.0]]), [tx(1, 6.2, 0.0)], rng)
+        assert beyond[0].state is ChannelState.SILENT
 
     def test_loss_probability(self, rng):
         chan = FriisChannel(reception_range=4.0, loss_probability=1.0)
@@ -287,12 +291,3 @@ class TestSparseLinkState:
         assert np.array_equal(
             sparse.submatrix(listeners, senders), dense[np.ix_(listeners, senders)]
         )
-
-    def test_supports_sparse_rounds_classification(self):
-        assert UnitDiskChannel(3.0).supports_sparse_rounds()
-        assert UnitDiskChannel(3.0, loss_probability=0.2).supports_sparse_rounds()
-        assert not UnitDiskChannel(3.0, capture_probability=0.5).supports_sparse_rounds()
-        vec_off = UnitDiskChannel(3.0)
-        vec_off.use_vectorized_kernels = False
-        assert not vec_off.supports_sparse_rounds()
-        assert not FriisChannel(3.0).supports_sparse_rounds()

@@ -129,75 +129,3 @@ class TestOccupancy:
         for square, ids in occ.items():
             for i in ids:
                 assert grid.square_of(pos[i]) == square
-
-
-class TestFlatSquaresOf:
-    """The vectorised flat square assignment must match square_of per node."""
-
-    @given(
-        side=st.sampled_from([1.0, 2.0, 3.0]),
-        seed=st.integers(0, 100),
-        count=st.integers(1, 40),
-    )
-    def test_matches_scalar_square_of(self, side, seed, count):
-        grid = SquareGrid(width=12, height=9, side=side)
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0.0, [12.0, 9.0], size=(count, 2))
-        flat = grid.flat_squares_of(pos)
-        for i in range(count):
-            assert grid.square_from_flat(int(flat[i])) == grid.square_of(pos[i])
-
-    def test_upper_edge_folds_into_last_square(self):
-        grid = SquareGrid(width=6, height=6, side=2.0)
-        flat = grid.flat_squares_of(np.array([[6.0, 6.0], [0.0, 0.0]]))
-        assert grid.square_from_flat(int(flat[0])) == (2, 2)
-        assert grid.square_from_flat(int(flat[1])) == (0, 0)
-
-
-class TestRegionTiling:
-    def test_audible_pairs_span_adjacent_tiles_only(self):
-        """Tile side >= interaction radius: links stay within the 8-neighborhood."""
-        from repro.sim.tiling import RegionTiling
-        from repro.topology.grid import GridBuckets
-
-        rng = np.random.default_rng(9)
-        pos = rng.uniform(0.0, 20.0, size=(300, 2))
-        radius = 3.0
-        tiling = RegionTiling(pos, side=radius)
-        indptr, indices = GridBuckets(pos, cell_size=radius).neighbor_arrays(
-            radius, "l2", include_self=True
-        )
-        grid = tiling.grid
-        src = np.repeat(np.arange(300), np.diff(indptr))
-        for a, b in zip(src.tolist(), indices.tolist()):
-            sq_a = grid.square_from_flat(int(tiling.tile_of[a]))
-            sq_b = grid.square_from_flat(int(tiling.tile_of[b]))
-            assert sq_a == sq_b or grid.are_neighbors(sq_a, sq_b)
-
-    def test_classify_links_counts(self):
-        from repro.sim.tiling import RegionTiling
-
-        # Two nodes in one tile, one across the boundary; symmetric CSR with
-        # self-links: 2 interior directed links, 2 boundary, diagonal excluded.
-        pos = np.array([[0.5, 0.5], [0.6, 0.5], [1.5, 0.5]])
-        tiling = RegionTiling(pos, side=1.0)
-        indptr = np.array([0, 3, 6, 8])
-        indices = np.array([0, 1, 2, 0, 1, 2, 2, 0])  # 0<->1 same tile, 0<->2 cross
-        interior, boundary = tiling.classify_links(indptr, indices)
-        assert interior == 2
-        assert boundary == 3  # 1->2, 2->0 and 0->2 cross tiles
-        assert tiling.occupied_tiles == 2
-
-    def test_info_shape(self):
-        from repro.sim.tiling import RegionTiling
-
-        tiling = RegionTiling(np.array([[0.2, 0.2], [5.0, 5.0]]), side=2.0)
-        info = tiling.info()
-        assert set(info) == {"tiles", "occupied_tiles", "tile_side", "grid_cols", "grid_rows"}
-        assert info["occupied_tiles"] == 2
-
-    def test_side_must_be_positive(self):
-        from repro.sim.tiling import RegionTiling
-
-        with pytest.raises(ValueError):
-            RegionTiling(np.zeros((2, 2)), side=0.0)

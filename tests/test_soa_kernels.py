@@ -49,7 +49,7 @@ from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
 from repro.sim.events import EventLog
 from repro.sim.linkstate import UnitDiskLinkState
-from repro.sim.radio import UnitDiskChannel
+from repro.sim.radio import FriisChannel, UnitDiskChannel
 from repro.sim.soa import SoaRuntime
 from repro.topology.deployment import Deployment, grid_jittered_deployment, uniform_deployment
 
@@ -329,17 +329,36 @@ class TestGroupAdjacency:
         drawn = data.draw(st.lists(st.integers(0, num_nodes), min_size=1, unique=True))
         members = sorted(set(drawn) | {isolated})
         groups = [members] + [[member] for member in members]
-        local_of = np.full(positions.shape[0], -1, dtype=np.intp)
         for group in groups:
             member_ids = np.asarray(group, dtype=np.intp)
-            indptr, indices = SoaRuntime._group_adjacency(member_ids, sparse, local_of)
-            assert (local_of == -1).all()
-            want_indptr, want_indices = SoaRuntime._group_adjacency(member_ids, dense, local_of)
+            indptr, indices = SoaRuntime._group_adjacency(member_ids, sparse)
+            assert (sparse._row_of == -1).all()
+            want_indptr, want_indices = SoaRuntime._group_adjacency(member_ids, dense)
             assert indptr.tolist() == want_indptr.tolist()
             assert indices.tolist() == want_indices.tolist()
             assert indptr.dtype == indices.dtype == np.int64
             last = len(group) - 1
             assert indices[indptr[last] : indptr[last + 1]].tolist() == [last]
+
+
+class TestPowerColumns:
+    """Power-sum groups fetch transmitter columns lazily, from either form."""
+
+    def test_sparse_friis_columns_equal_dense_slice(self):
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(0.0, 12.0, size=(40, 2))
+        chan = FriisChannel(reception_range=3.0)
+        matrix = chan.link_state(positions)
+        members = np.sort(rng.choice(40, size=25, replace=False)).astype(np.intp)
+        dense = soa._PowerColumns(members, matrix)
+        sparse = soa._PowerColumns(members, chan.link_state_sparse(positions))
+        # Repeats, cached columns and new ones mixed in one request.
+        for idx in ([3, 0, 3], [5, 1], [0, 24, 5, 17]):
+            got = sparse.gather(idx)
+            assert got.dtype == np.float64 and got.shape == (25, len(idx))
+            assert np.array_equal(got, dense.gather(idx))
+            assert np.array_equal(got, matrix[np.ix_(members, members[idx])])
+        assert sorted(sparse.cols) == [0, 1, 3, 5, 17, 24]
 
 
 class TestScalarFallback:

@@ -1,12 +1,13 @@
-"""Spatially-tiled engine core: knobs, counters and sparse-round equivalence.
+"""Sparse link-state tier: knobs, counters and block equivalence.
 
-PR 6 added the sparse CSR link-state tier with per-region tiling
-(`repro.sim.linkstate` / `repro.sim.tiling`) behind the engine's
-``use_spatial_tiling`` knob.  These tests pin the control surface (env
-defaults, auto threshold, `plan_cache_info()["spatial_tiling"]` counters, the
-memory budget guard) and the bit-identity of the CSR round kernel against the
-dense kernels it replaces — including the RNG stream position for lossy
-configurations.
+The sparse tier (`repro.sim.linkstate`, behind the engine's
+``use_spatial_tiling`` knob) keeps node positions plus, for the unit disk, a
+CSR audibility graph instead of the dense matrix.  These tests pin the
+control surface (env defaults, auto threshold,
+`plan_cache_info()["spatial_tiling"]`, the memory budget guard) and the bit
+identity of the blocks it reads off the CSR against the dense slice — as
+blocks, and as rounds resolved on the channel kernels, RNG stream position
+included.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from repro.sim.builder import build_simulation
 from repro.sim.config import ScenarioConfig, dense_link_state_bytes
 from repro.sim.engine import (
     SPATIAL_TILING_AUTO_NODES,
-    Simulation,
     clear_link_cache,
     default_spatial_tiling,
 )
-from repro.sim.linkstate import SparseLinkState, UnitDiskLinkState
-from repro.sim.radio import Transmission, UnitDiskChannel
+from repro.sim.linkstate import SparseLinkState, UnitDiskLinkState, link_block
+from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel
 from repro.topology.deployment import uniform_deployment
 
 
@@ -63,8 +63,8 @@ class TestDenseLinkStateBytes:
 def _build(deployment, config, tiled):
     clear_link_cache()
     # The SoA tier bypasses per-round link-state resolution entirely; these
-    # tests exercise the tiled round kernels and their counters, so they pin
-    # the cohort/scalar tiers.
+    # tests exercise the rounds resolved from sparse blocks, so they pin the
+    # cohort/scalar tiers.
     return build_simulation(
         deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
     )
@@ -82,25 +82,20 @@ class TestEngineIntegration:
     def test_dense_path_reports_disabled(self, deployment, config):
         sim = _build(deployment, config, False)
         assert sim.plan_cache_info()["spatial_tiling"] == {"enabled": False}
-        assert sim.tiling is None
 
     def test_tiled_path_reports_counters(self, deployment, config):
         sim = _build(deployment, config, True)
         info = sim.plan_cache_info()["spatial_tiling"]
+        assert set(info) == {"enabled", "sparse_nnz", "index_dtype", "dense_bytes_avoided"}
         assert info["enabled"]
-        assert info["sparse_round_kernel"]
-        assert info["tiles"] >= info["occupied_tiles"] > 1
-        assert info["sparse_nnz"] < 150 * 150
-        assert info["interior_links"] + info["boundary_links"] == info["sparse_nnz"] - 150
-        # At 150 nodes the int64 CSR can outweigh the 1-byte dense mask — the
+        assert 150 < info["sparse_nnz"] < 150 * 150
+        assert info["index_dtype"] == "int32"
+        # At 150 nodes the CSR can outweigh the 1-byte dense mask — the
         # counter is honest about that; it only grows at scale (the friis test
         # below and the BENCH_6 macros check the positive case).
         assert info["dense_bytes_avoided"] >= 0
-        assert info["rounds_resolved"] == 0
         sim.run(600)
-        after = sim.plan_cache_info()["spatial_tiling"]
-        assert after["rounds_resolved"] > 0
-        assert after["round_interior_hits"] + after["round_boundary_hits"] > 0
+        assert sim.plan_cache_info()["submatrix"]["misses"] > 0
 
     def test_tiled_run_bit_identical_to_dense(self, deployment, config):
         records = {}
@@ -109,12 +104,40 @@ class TestEngineIntegration:
             records[tiled] = (sim.run(2000).to_record(), sim.rng.random())
         assert records[True] == records[False]
 
-    def test_cohort_runtime_reports_cross_region_cohorts(self, deployment, config):
-        sim = _build(deployment, config, True)
-        info = sim.plan_cache_info()["cohort_runtime"]
-        if info.get("enabled"):
-            assert "cross_region_cohorts" in info
-            assert 0 <= info["cross_region_cohorts"] <= info["initial_cohorts"]
+    @pytest.mark.parametrize(
+        "channel,loss",
+        [("unitdisk", 0.2), ("friis", 0.25)],
+    )
+    def test_lossy_scalar_rounds_bit_identical_to_dense(self, deployment, channel, loss):
+        # Lossy rounds draw the channel RNG per decodable listener, in
+        # listener order; with the SoA tier off every one of them resolves
+        # on a sparse block in the tiled run.
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
+            channel=channel, loss_probability=loss,
+        )
+        records = {}
+        for tiled in (False, True):
+            sim = _build(deployment, config, tiled)
+            records[tiled] = (sim.run(2000).to_record(), sim.rng.random())
+            assert sim.plan_cache_info()["submatrix"]["misses"] > 0
+        assert records[True] == records[False]
+
+    def test_cohort_runtime_on_sparse_blocks_matches_per_device_dense(self, deployment, config):
+        runs = {}
+        for tiled in (False, True):
+            clear_link_cache()
+            sim = build_simulation(
+                deployment, config, use_cohort_runtime=tiled,
+                use_spatial_tiling=tiled, use_soa_kernels=False,
+            )
+            record = sim.run(2000).to_record()
+            runs[tiled] = (record, sim.rng.random(), sim.plan_cache_info()["cohort_runtime"])
+        assert runs[True][:2] == runs[False][:2]
+        assert runs[False][2] == {"enabled": False}
+        cohorts = runs[True][2]
+        assert cohorts["enabled"] and cohorts["active"]
+        assert "cross_region_cohorts" not in cohorts
 
     def test_env_default_is_honored(self, deployment, config, monkeypatch):
         monkeypatch.setenv("REPRO_SPATIAL_TILING", "1")
@@ -129,14 +152,179 @@ class TestEngineIntegration:
         )
         sim = _build(deployment, config, True)
         info = sim.plan_cache_info()["spatial_tiling"]
-        assert info["enabled"]
-        assert not info["sparse_round_kernel"]
+        # Positions only: no CSR, so no link count.
+        assert info == {"enabled": True, "dense_bytes_avoided": info["dense_bytes_avoided"]}
         assert info["dense_bytes_avoided"] > 0  # friis dense is 8 bytes/pair
 
 
+class TestLinkBlock:
+    """`link_block` reads the same exact block out of either form."""
+
+    @pytest.fixture
+    def positions(self):
+        return np.random.default_rng(21).uniform(0, 10, size=(30, 2))
+
+    @staticmethod
+    def _channels():
+        return (
+            UnitDiskChannel(3.0),
+            UnitDiskChannel(3.0, norm="linf"),
+            FriisChannel(reception_range=3.0),
+        )
+
+    def test_dense_matrix_block_is_the_ix_slice(self, positions):
+        rows, cols = [7, 2, 19, 0], [4, 29, 4, 11]
+        for chan in self._channels():
+            matrix = chan.link_state(positions)
+            block = link_block(matrix, rows, cols)
+            assert block.dtype == matrix.dtype
+            assert np.array_equal(block, matrix[np.ix_(rows, cols)])
+
+    def test_sparse_state_block_equals_dense_block(self, positions):
+        rows, cols = [7, 2, 19, 0, 25], [4, 29, 4, 11]
+        for chan in self._channels():
+            block = link_block(chan.link_state_sparse(positions), rows, cols)
+            want = link_block(chan.link_state(positions), rows, cols)
+            assert block.dtype == want.dtype
+            assert np.array_equal(block, want)
+
+    def test_empty_rows_or_cols(self, positions):
+        # A round whose every participant transmits has no listeners.
+        for chan in self._channels():
+            states = (chan.link_state(positions), chan.link_state_sparse(positions))
+            for rows, cols in (([], [1, 2]), ([3, 4, 5], []), ([], [])):
+                dense, sparse = (link_block(state, rows, cols) for state in states)
+                assert dense.shape == sparse.shape == (len(rows), len(cols))
+                assert sparse.dtype == dense.dtype
+
+
+class TestUnitDiskBlock:
+    """The block read off the CSR must equal the dense slice bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        num_nodes=st.integers(1, 40),
+        step=st.sampled_from([0.5, 0.2]),
+        norm=st.sampled_from(["l2", "linf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_submatrix_equals_dense_slice(self, data, num_nodes, step, norm, seed):
+        # With R = 2, half-integer coordinates put many pairs exactly at R
+        # under both norms; on the 0.2 grid, l2 pairs such as (1.2, 1.6)
+        # apart land a rounding error above R, inside the 1e-12 tolerance.
+        cells = np.random.default_rng(seed).integers(0, int(8 / step) + 1, size=(num_nodes, 2))
+        positions = cells * step
+        # One device beyond everyone's range.
+        isolated = num_nodes
+        positions = np.vstack([positions, [[30.0, 30.0]]])
+        ids = st.integers(0, num_nodes)
+        cols = data.draw(st.lists(ids, max_size=num_nodes + 1))
+        rows = data.draw(st.lists(ids, max_size=num_nodes + 1, unique=True))
+        # Rows naming a column's own id read the self pairs (the diagonal
+        # _group_adjacency reads); the isolated device hears only itself.
+        rows += [c for c in dict.fromkeys(cols + [isolated]) if c not in rows]
+        rows = data.draw(st.permutations(rows))
+        cols.append(isolated)
+        chan = UnitDiskChannel(2.0, norm=norm)
+        sparse = chan.link_state_sparse(positions)
+        assert isinstance(sparse, UnitDiskLinkState)
+        dense = chan.link_state(positions)
+        block = sparse.submatrix(rows, cols)
+        want = dense[np.ix_(rows, cols)]
+        assert block.dtype == want.dtype and block.shape == want.shape
+        assert np.array_equal(block, want)
+        assert (sparse._row_of == -1).all()
+        assert block[:, -1].tolist() == [r == isolated for r in rows]
+        # The whole matrix, so every boundary pair of the draw is compared.
+        everyone = list(range(num_nodes + 1))
+        assert np.array_equal(sparse.submatrix(everyone, everyone), dense)
+
+    @pytest.fixture
+    def line(self):
+        # Ten devices 1 apart on a line and R = 2.5: each hears the two
+        # nearest devices on either side, and itself.
+        positions = np.column_stack([np.arange(10.0), np.zeros(10)])
+        return UnitDiskChannel(2.5).link_state_sparse(positions)
+
+    def test_block_entries_grouped_by_column_in_ascending_rows(self, line):
+        rows = [0, 1, 3, 4, 5, 8, 9]
+        cols = [4, 0, 9]
+        row, col = line.block_entries(rows, cols)
+        # Node 4 is heard by nodes 3, 4, 5; node 0 by 0, 1; node 9 by 8, 9.
+        assert col.tolist() == [0, 0, 0, 1, 1, 2, 2]
+        assert row.tolist() == [2, 3, 4, 0, 1, 5, 6]
+        # The layout _group_adjacency reads: the nonzeros of the transpose.
+        want_col, want_row = np.nonzero(line.submatrix(rows, cols).T)
+        assert col.tolist() == want_col.tolist()
+        assert row.tolist() == want_row.tolist()
+
+    def test_block_entries_ascend_by_node_for_unsorted_rows(self, line):
+        rows = [9, 3, 5, 4, 0]
+        row, col = line.block_entries(rows, [4, 9])
+        # Node 4's hearers 3, 4, 5 sit at rows 1, 3, 2; node 9 hears itself.
+        assert col.tolist() == [0, 0, 0, 1]
+        assert row.tolist() == [1, 3, 2, 0]
+
+    def test_row_lookup_does_not_leak_between_calls(self, line):
+        line.block_entries(list(range(10)), [4])
+        # A lookup left filled would count nodes 2..6 as rows of this call.
+        row, col = line.block_entries([0], [4])
+        assert row.size == col.size == 0
+        assert (line._row_of == -1).all()
+        assert line.submatrix([2, 6, 7], [4]).tolist() == [[True], [True], [False]]
+
+
+class TestSparseStateMemory:
+    """What `dense_bytes_avoided` reports in `plan_cache_info()`."""
+
+    def test_friis_keeps_positions_only(self):
+        positions = np.random.default_rng(4).uniform(0, 50, size=(400, 2))
+        state = FriisChannel(reception_range=3.0).link_state_sparse(positions)
+        assert state.sparse_bytes == positions.nbytes
+        assert state.dense_bytes_avoided == 400 * 400 * 8 - positions.nbytes
+        assert state.info() == {"dense_bytes_avoided": state.dense_bytes_avoided}
+
+    def test_unitdisk_counts_the_csr(self):
+        positions = np.random.default_rng(5).uniform(0, 60, size=(2000, 2))
+        state = UnitDiskChannel(1.5).link_state_sparse(positions)
+        assert state.nnz == state.indices.size == int(state.indptr[-1])
+        assert state.dense_bytes_avoided == 2000 * 2000 - state.sparse_bytes > 0
+        assert state.info() == {
+            "sparse_nnz": state.nnz,
+            "index_dtype": "int32",
+            "dense_bytes_avoided": state.dense_bytes_avoided,
+        }
+
+    def test_dense_bytes_avoided_is_never_negative(self):
+        # Three devices in range of each other: the CSR and the positions
+        # outweigh the 9-byte dense mask.
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        state = UnitDiskChannel(3.0).link_state_sparse(positions)
+        assert state.nnz == 9
+        assert state.sparse_bytes > 3 * 3
+        assert state.dense_bytes_avoided == 0
+
+
+class TestPlanBlockCache:
+    def test_sparse_block_built_once_per_key(self):
+        deployment = uniform_deployment(60, 8, 8, rng=3)
+        config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=2, seed=2)
+        sim = _build(deployment, config, True)
+        plan, state = sim.plan, sim._link_state
+        misses, hits = plan.submatrix_misses, plan.submatrix_hits
+        listeners, senders = [0, 1, 2, 5, 40], (3, 7)
+        first = plan.submatrix(("occurrence", senders), state, listeners, senders)
+        again = plan.submatrix(("occurrence", senders), state, listeners, senders)
+        assert again is first
+        assert (plan.submatrix_misses, plan.submatrix_hits) == (misses + 1, hits + 1)
+        dense = sim.channel.link_state(deployment.positions)
+        assert np.array_equal(first, dense[np.ix_(listeners, senders)])
+
+
 class TestSparseRoundKernel:
-    """The CSR round kernel must match the dense vectorized kernel bit for bit
-    (observations and RNG stream position) on randomized rounds."""
+    """Rounds resolved from a sparse block must match the dense block's
+    (observations and RNG stream position) on every unit-disk kernel."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -144,9 +332,10 @@ class TestSparseRoundKernel:
         num_nodes=st.integers(8, 40),
         num_tx=st.integers(1, 5),
         loss=st.sampled_from([0.0, 0.25, 0.9]),
+        capture=st.sampled_from([0.0, 0.5]),
         norm=st.sampled_from(["l2", "linf"]),
     )
-    def test_matches_dense_kernel(self, seed, num_nodes, num_tx, loss, norm):
+    def test_matches_dense_kernel(self, seed, num_nodes, num_tx, loss, capture, norm):
         layout_rng = np.random.default_rng(seed)
         positions = np.round(layout_rng.uniform(0, 12, size=(num_nodes, 2)) * 2) / 2
         num_tx = min(num_tx, num_nodes - 1)
@@ -157,81 +346,17 @@ class TestSparseRoundKernel:
                          Frame(FrameKind.DATA_BIT, t, (t % 2,)))
             for t in tx_ids
         ]
-        chan = UnitDiskChannel(3.0, loss_probability=loss, norm=norm)
-        assert chan.supports_sparse_rounds()
-        dense_state = chan.link_state(positions)
-        sparse_state = chan.link_state_sparse(positions)
-        view = sparse_state.round_view(listeners, tx_ids)
+        chan = UnitDiskChannel(
+            3.0, loss_probability=loss, capture_probability=capture, norm=norm
+        )
+        dense_block = chan.link_state(positions)[np.ix_(listeners, tx_ids)]
+        sparse_block = chan.link_state_sparse(positions).submatrix(listeners, tx_ids)
         rng_dense = np.random.default_rng(seed)
         rng_sparse = np.random.default_rng(seed)
-        dense_obs = chan.resolve_links(
-            dense_state[np.ix_(listeners, tx_ids)], transmissions, rng_dense
-        )
-        sparse_obs = chan.resolve_links_sparse(view, transmissions, rng_sparse)
+        dense_obs = chan.resolve_links(dense_block, transmissions, rng_dense)
+        sparse_obs = chan.resolve_links(sparse_block, transmissions, rng_sparse)
         assert sparse_obs == dense_obs
         assert rng_dense.random() == rng_sparse.random()
-
-    def test_round_view_counts_match_dense_mask(self):
-        rng = np.random.default_rng(4)
-        positions = rng.uniform(0, 20, size=(200, 2))
-        chan = UnitDiskChannel(3.0)
-        dense = chan.link_state(positions)
-        sparse = chan.link_state_sparse(positions)
-        assert isinstance(sparse, UnitDiskLinkState)
-        senders = [3, 77, 140]
-        listeners = [i for i in range(200) if i not in senders]
-        view = sparse.round_view(listeners, senders)
-        block = dense[np.ix_(listeners, senders)]
-        assert np.array_equal(view.counts, block.sum(axis=1))
-        singles = view.counts == 1
-        assert np.array_equal(view.tx_sum[singles], np.argmax(block, axis=1)[singles])
-
-    def test_round_view_exchange_counters_accumulate(self):
-        rng = np.random.default_rng(6)
-        positions = rng.uniform(0, 15, size=(100, 2))
-        chan = UnitDiskChannel(3.0)
-        sparse = chan.link_state_sparse(positions)
-        view = sparse.round_view(list(range(1, 100)), [0])
-        audible = int(view.counts.sum())
-        assert view.interior_hits + view.boundary_hits == audible
-        assert sparse.rounds_resolved == 0
-        sparse.note_round(view)
-        sparse.note_round(view)
-        assert sparse.rounds_resolved == 2
-        assert sparse.round_interior_hits == 2 * view.interior_hits
-        assert sparse.round_boundary_hits == 2 * view.boundary_hits
-
-
-class TestPlanRoundViewCache:
-    def test_round_views_share_the_submatrix_lru(self):
-        rng = np.random.default_rng(8)
-        positions = rng.uniform(0, 10, size=(30, 2))
-        chan = UnitDiskChannel(3.0)
-        sparse = chan.link_state_sparse(positions)
-        nodes = []
-        from repro.sim.node import SimNode
-
-        for i in range(30):
-            nodes.append(SimNode(node_id=i, position=tuple(positions[i]), protocol=None, honest=True))
-        from repro.core.schedule import Schedule
-
-        class _OneSlot(Schedule):
-            def slot_of_node(self, node_id):
-                return 0
-
-            def owners_of_slot(self, slot):
-                return ()
-
-        plan_sim = Simulation(nodes, _OneSlot(num_slots=1), chan, (1,))
-        plan = plan_sim.plan
-        key = ("occ", (0,))
-        view1 = plan.round_view(key, sparse, [1, 2, 3], [0])
-        view2 = plan.round_view(key, sparse, [1, 2, 3], [0])
-        assert view1 is view2
-        assert plan.submatrix_misses == 1
-        assert plan.submatrix_hits == 1
-        # The exchange counters accumulate on hits too.
-        assert sparse.rounds_resolved == 2
 
 
 class TestCsrIndexDtype:
