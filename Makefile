@@ -50,6 +50,10 @@ bench-baseline:
 # smoke spec for the PR 9 power-sum (+ loss) kernels — and sparse vs dense
 # link state for JAM, whose jammer-joined slot occurrences fall back to the
 # scalar loop and so resolve their rounds from sparse link-state blocks.
+# FIG7 (NeighborWatchRB, capture-free unit disk) is diffed twice: cohort
+# runtime vs scalar loop with the SoA kernels pinned off on both sides (with
+# them on, every FIG7 slot compiles and no cohort runtime is built), and SoA
+# kernels vs scalar loop.
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
@@ -61,7 +65,12 @@ bench-smoke:
 	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-dense.json
 	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-tiled.json
 	cmp /tmp/jam-dense.json /tmp/jam-tiled.json
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-cohort.json
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-scalar.json
+	cmp /tmp/fig7-cohort.json /tmp/fig7-scalar.json
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-soa.json
+	cmp /tmp/fig7-soa.json /tmp/fig7-scalar.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

@@ -161,11 +161,8 @@ class NeighborWatchNode(Protocol):
             self._committed = list(self._preloaded[:k])
             self._sender.extend(self._committed)
 
-        my_square = schedule.square_of_node(context.node_id)
-        for neighbor in schedule.grid.neighbors(my_square):
-            slot = schedule.slot_of_square(neighbor)
-            if slot != self._my_slot:
-                self._receivers.setdefault(slot, OneHopReceiver(expected_length=k))
+        for slot in schedule.neighbor_square_slots(schedule.square_of_node(context.node_id)):
+            self._receivers.setdefault(slot, OneHopReceiver(expected_length=k))
         # Listen to the source only when it is actually within range; the
         # schedule gives every device the source's location, mirroring the
         # paper's assumption that slot 0 is known to belong to the source.

@@ -178,6 +178,7 @@ class SquareSchedule(Schedule):
         for idx, sq in enumerate(self._square_of_node):
             self._members.setdefault(sq, []).append(idx)
         self._owners_cache: dict[int, tuple[int, ...]] = {}
+        self._neighbor_square_slots: dict[SquareId, tuple[int, ...]] = {}
 
     # -- square-level API ---------------------------------------------------------
     @property
@@ -189,6 +190,21 @@ class SquareSchedule(Schedule):
         """Slot during which every member of ``square`` broadcasts."""
         col, row = square
         return 1 + (col % self._pattern) * self._pattern + (row % self._pattern)
+
+    def neighbor_square_slots(self, square: SquareId) -> tuple[int, ...]:
+        """Distinct slots of the squares around ``square``, its own slot dropped.
+
+        In :meth:`~repro.core.regions.SquareGrid.neighbors` walk order, first
+        occurrence kept.  These are a member's receiver slots, the same for
+        every member of the square, so each square's walk runs once.
+        """
+        slots = self._neighbor_square_slots.get(square)
+        if slots is None:
+            own = self.slot_of_square(square)
+            found = dict.fromkeys(self.slot_of_square(nb) for nb in self.grid.neighbors(square))
+            found.pop(own, None)
+            slots = self._neighbor_square_slots[square] = tuple(found)
+        return slots
 
     def squares_of_slot(self, slot: int) -> list[SquareId]:
         """All squares sharing ``slot`` (they are pairwise at least ``separation`` apart)."""
@@ -237,10 +253,7 @@ class SquareSchedule(Schedule):
         of the up-to-eight neighboring squares.
         """
         sq = self._square_of_node[node_id]
-        slots = {SOURCE_SLOT, self.slot_of_square(sq)}
-        for nb in self.grid.neighbors(sq):
-            slots.add(self.slot_of_square(nb))
-        return sorted(slots)
+        return sorted({SOURCE_SLOT, self.slot_of_square(sq), *self.neighbor_square_slots(sq)})
 
 
 class NodeSchedule(Schedule):

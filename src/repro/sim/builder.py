@@ -41,10 +41,6 @@ def build_channel(config: ScenarioConfig) -> Channel:
     return config.channel_plugin().build(config)
 
 
-def _honest_protocol(config: ScenarioConfig) -> Protocol:
-    return config.protocol_plugin().build(config)
-
-
 def build_simulation(
     deployment: Deployment,
     config: ScenarioConfig,
@@ -104,7 +100,7 @@ def build_simulation(
             honest = False
             protocol = plugin.build_liar(config, fake)
         else:
-            protocol = _honest_protocol(config)
+            protocol = plugin.build(config)
 
         if protocol is not None:
             is_source = node_id == deployment.source_index

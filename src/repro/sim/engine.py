@@ -72,7 +72,11 @@ for the unit disk.  Unit-disk rounds read their exact block off the CSR,
 Friis rounds recompute their power block from positions, and both resolve on
 the dense kernels.  The knob is ``use_spatial_tiling`` (env
 ``REPRO_SPATIAL_TILING``, auto-on above :data:`SPATIAL_TILING_AUTO_NODES`
-nodes); the dense matrix remains the oracle.
+nodes).  Both unit-disk forms are read off one CSR
+(:func:`~repro.sim.linkstate.unit_disk_csr`; the dense mask is scattered from
+it), so tiled-vs-dense runs compare the two block readers, while audibility
+itself is pinned against the distance predicate of ``observe`` by the
+link-state and grid-bucket tests.
 
 The RNG contract is strict: stochastic channel configurations consume the
 generator exactly as the scalar reference kernels would, and the cohort

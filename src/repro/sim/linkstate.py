@@ -6,19 +6,28 @@ takes one of two forms, and :func:`link_block` reads an exact
 ``(rows, cols)`` block out of either:
 
 * the dense ``N x N`` matrix of :meth:`~repro.sim.radio.Channel.link_state`,
-  the oracle, sliced with ``np.ix_``;
+  sliced with ``np.ix_``;
 * a :class:`SparseLinkState` from
   :meth:`~repro.sim.radio.Channel.link_state_sparse`, which keeps the node
   positions instead.  :class:`UnitDiskLinkState` also keeps the CSR
-  audibility graph, built with grid-bucketed array passes
-  (:class:`~repro.topology.grid.GridBuckets`), and reads a block off one
-  gather of the columns' CSR rows.  :class:`FriisLinkState` recomputes each
-  power block from positions.
+  audibility graph and reads a block off one gather of the columns' CSR
+  rows.  :class:`FriisLinkState` recomputes each power block from
+  positions.
+
+Both unit-disk forms are read off one CSR, :func:`unit_disk_csr`, built with
+grid-bucketed array passes (:class:`~repro.topology.grid.GridBuckets`): the
+dense mask is scattered from it and :class:`UnitDiskLinkState` keeps it.  So
+a tiled-vs-dense byte diff of a unit-disk run checks the two block readers,
+the ``np.ix_`` slice and the CSR gather, against each other; audibility
+itself is pinned against the distance predicate of
+:meth:`~repro.sim.radio.UnitDiskChannel.observe` by the brute-force tests of
+:meth:`~repro.topology.grid.GridBuckets.neighbor_arrays` and by the
+link-state tests, which compare both forms with that predicate.
 
 Bit identity is the hard contract: every block equals the dense slice bit
 for bit.  Unit-disk audibility beyond the radius is exactly false, and the
-CSR keeps exactly the pairs the dense predicate accepts, so its rows are the
-dense rows' true entries.  Friis powers never truncate, so their blocks are
+CSR keeps exactly the pairs the distance predicate accepts, so it is the
+whole link state.  Friis powers never truncate, so their blocks are
 recomputed with the dense construction's elementwise expressions, whose
 float64 results do not depend on the array shape.  The sparse form saves
 memory (``O(N * neighborhood)`` for unit disk, ``O(N)`` for Friis, instead of
@@ -35,6 +44,7 @@ from ..topology.grid import GridBuckets
 
 __all__ = [
     "link_block",
+    "unit_disk_csr",
     "SparseLinkState",
     "UnitDiskLinkState",
     "FriisLinkState",
@@ -56,6 +66,22 @@ def _index_dtype(num_nodes: int, nnz: int) -> np.dtype:
     if num_nodes <= limit and nnz <= limit:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def unit_disk_csr(positions: np.ndarray, radius: float, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of unit-disk audibility, self-links included.
+
+    Row ``i`` (``indices[indptr[i]:indptr[i+1]]``, ascending) lists every
+    node ``j`` with ``distance(i, j) <= radius + 1e-12`` under ``norm``: the
+    audibility predicate of :meth:`~repro.sim.radio.UnitDiskChannel.observe`,
+    tolerance included, evaluated in grid-bucketed array passes
+    (:meth:`~repro.topology.grid.GridBuckets.neighbor_arrays`).  Both
+    unit-disk forms are read off it: :class:`UnitDiskLinkState` keeps it,
+    and the dense mask of
+    :meth:`~repro.sim.radio.UnitDiskChannel.link_state` is scattered from it.
+    """
+    buckets = GridBuckets(positions, cell_size=radius)
+    return buckets.neighbor_arrays(radius + 1e-12, norm, include_self=True)
 
 
 def link_block(state, rows, cols) -> np.ndarray:
@@ -108,9 +134,7 @@ class UnitDiskLinkState(SparseLinkState):
         super().__init__(positions, dense_itemsize=1)
         self.radius = float(radius)
         self.norm = norm
-        buckets = GridBuckets(self.positions, cell_size=self.radius)
-        # + 1e-12 is the dense audibility tolerance.
-        indptr, indices = buckets.neighbor_arrays(self.radius + 1e-12, norm, include_self=True)
+        indptr, indices = unit_disk_csr(self.positions, self.radius, norm)
         # Downcast the CSR pair to int32 when safe: the values are identical,
         # only the storage shrinks.
         dtype = _index_dtype(self.positions.shape[0], int(indices.size))

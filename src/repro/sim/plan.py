@@ -9,7 +9,8 @@ simulation, so :class:`SlotPlan` compiles it once at construction:
 * **slot records** — per slot, a frozen tuple of per-participant records
   ``(node_id, node, act, observe, end_slot, honest, position)`` with the
   protocol's bound methods resolved ahead of time, so the per-phase loop does
-  no attribute lookups;
+  no attribute lookups.  Records are grouped per slot by one sort over every
+  declared interest;
 * **frozen id arrays** — per slot, the participant ids as an immutable NumPy
   array (``writeable=False``), for introspection and vectorised consumers;
 * **flex candidates** — per slot, the flexible transmitters (adversaries with
@@ -76,14 +77,13 @@ class SlotPlan:
         *,
         submatrix_max_entries: int = 256,
     ) -> None:
-        # One pass over the nodes builds everything: the per-node record with
-        # the protocol's bound methods resolved once, and the per-slot record
-        # lists (records appended directly, so no second id-to-record pass).
-        record_lists: dict[int, list[tuple]] = {}
+        # One interests() call per device; everything per slot then comes
+        # from array passes over the concatenated interests.
+        records: list[tuple] = []
+        declared: list = []
+        counts: list[int] = []
         flex_transmitters: list[int] = []
-        self._node_records: dict[int, tuple] = {}
         wants_slot_by_id: dict[int, object] = {}
-        num_slots = schedule.num_slots
         for node in nodes:
             proto = node.protocol
             if proto is None:
@@ -97,47 +97,59 @@ class SlotPlan:
                 node.honest,
                 node.position,
             )
-            self._node_records[node.node_id] = record
-            wants_slot_by_id[node.node_id] = proto.wants_slot
-            declared: set[int] = set()
-            for slot in proto.interests():
-                if not (0 <= slot < num_slots):
-                    raise ValueError(
-                        f"node {node.node_id} declared interest in slot {slot}, "
-                        f"but the schedule only has {num_slots} slots"
-                    )
-                # Deduplicate (order-preserving): a protocol that declares the
-                # same slot twice must still act and observe once per phase.
-                slot = int(slot)
-                if slot in declared:
-                    continue
-                declared.add(slot)
-                slot_list = record_lists.get(slot)
-                if slot_list is None:
-                    record_lists[slot] = [record]
-                else:
-                    slot_list.append(record)
+            records.append(record)
+            size = len(declared)
+            declared.extend(proto.interests())
+            counts.append(len(declared) - size)
             if getattr(proto, "may_transmit_anywhere", False):
                 flex_transmitters.append(node.node_id)
-
-        self.slot_records: dict[int, tuple] = {
-            slot: tuple(records) for slot, records in record_lists.items()
-        }
-        self.interest_map: dict[int, tuple[int, ...]] = {
-            slot: tuple(record[REC_ID] for record in records)
-            for slot, records in self.slot_records.items()
-        }
+                wants_slot_by_id[node.node_id] = proto.wants_slot
+        self._node_records: dict[int, tuple] = {record[REC_ID]: record for record in records}
         self.flex_transmitters: tuple[int, ...] = tuple(flex_transmitters)
+
+        m = len(records)
+        slots = np.asarray(declared, dtype=np.int64)
+        num_slots = schedule.num_slots
+        bad = (slots < 0) | (slots >= num_slots)
+        if bad.any():
+            # The first offender in node order, then in declaration order.
+            first = int(np.argmax(bad))
+            rec = int(np.searchsorted(np.cumsum(counts), first, side="right"))
+            raise ValueError(
+                f"node {records[rec][REC_ID]} declared interest in slot {declared[first]}, "
+                f"but the schedule only has {num_slots} slots"
+            )
+        # One sort of ``slot * m + record`` keys groups the records per slot
+        # in node order; equal keys are a slot declared twice by one device,
+        # which must still act and observe once per phase.
+        keys = slots * m + np.repeat(np.arange(m), counts)
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        key_slot, member = np.divmod(keys, m)
+        # Slot keys in order of first appearance over (node, declaration).
+        first_seen = np.full(num_slots, slots.size)
+        np.minimum.at(first_seen, slots, np.arange(slots.size))
+        used = np.flatnonzero(first_seen < slots.size)
+        in_order = used[np.argsort(first_seen[used])]
+        starts = np.searchsorted(key_slot, in_order).tolist()
+        ends = np.searchsorted(key_slot, in_order, side="right").tolist()
 
         # Frozen per-slot participant ids, in record order.  Shared with the
         # SoA compiler, which adopts each array as its group's member_ids
         # (ascending ids are what make the packed-mask member indexing line
-        # up with scalar record order).
+        # up with scalar record order).  The tuples hold the records' own
+        # objects, ids included, so no int is allocated per participant.
+        record_objects = np.fromiter(records, dtype=object, count=m)
+        id_objects = np.fromiter((record[REC_ID] for record in records), dtype=object, count=m)
+        member_ids = id_objects.astype(np.intp)[member]
+        member_ids.setflags(write=False)
+        self.slot_records: dict[int, tuple] = {}
+        self.interest_map: dict[int, tuple[int, ...]] = {}
         self.participant_arrays: dict[int, np.ndarray] = {}
-        for slot, ids in self.interest_map.items():
-            array = np.asarray(ids, dtype=np.intp)
-            array.setflags(write=False)
-            self.participant_arrays[slot] = array
+        for slot, lo, hi in zip(in_order.tolist(), starts, ends):
+            self.slot_records[slot] = tuple(record_objects[member[lo:hi]].tolist())
+            self.interest_map[slot] = tuple(id_objects[member[lo:hi]].tolist())
+            self.participant_arrays[slot] = member_ids[lo:hi]
 
         # Flex candidates per slot: flexible transmitters outside the slot's
         # interest set, in declaration order — the same subsequence the engine

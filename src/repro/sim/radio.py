@@ -45,7 +45,7 @@ import numpy as np
 from ..core.messages import Frame
 from ..core.protocol import ChannelState, Observation, SILENCE
 from ..registry import ChannelPlugin, register_channel
-from .linkstate import FriisLinkState, SparseLinkState, UnitDiskLinkState
+from .linkstate import FriisLinkState, SparseLinkState, UnitDiskLinkState, unit_disk_csr
 
 __all__ = [
     "Transmission",
@@ -345,18 +345,18 @@ class UnitDiskChannel(Channel):
     def link_state(self, positions: np.ndarray) -> np.ndarray:
         """Boolean audibility mask between every pair of nodes.
 
-        Rows are computed in blocks so the transient distance matrix stays
-        small for large maps; the stored mask is one byte per pair.
+        Scattered into a zeroed mask, one byte per pair, from the CSR
+        audibility graph of :func:`~repro.sim.linkstate.unit_disk_csr`, the
+        query whose result the sparse tier keeps.  The build measures only
+        pairs of nearby grid cells and allocates no quadratic float
+        temporary.
         """
         pos = np.asarray(positions, dtype=float)
         num_nodes = pos.shape[0]
         self._check_dense_budget(num_nodes, 1)
-        audible = np.empty((num_nodes, num_nodes), dtype=bool)
-        block = 512
-        for start in range(0, num_nodes, block):
-            audible[start : start + block] = (
-                self._distances(pos[start : start + block], pos) <= self.radius + 1e-12
-            )
+        indptr, indices = unit_disk_csr(pos, self.radius, self.norm)
+        audible = np.zeros((num_nodes, num_nodes), dtype=bool)
+        audible[np.repeat(np.arange(num_nodes), np.diff(indptr)), indices] = True
         return audible
 
     def link_state_sparse(self, positions: np.ndarray) -> UnitDiskLinkState:

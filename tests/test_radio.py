@@ -212,14 +212,28 @@ class TestLinkStateEquivalence:
         assert UnitDiskChannel(3.0).link_signature() != UnitDiskChannel(3.0, norm="linf").link_signature()
         assert FriisChannel(3.0).link_signature() is not None
 
-    def test_link_state_blocked_construction_matches_direct(self):
-        # Exercise the block boundary: more nodes than one 512-row block.
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_link_state_matches_distance_predicate_at_boundaries(self, norm):
+        # The mask is scattered from the grid CSR, so it is checked against
+        # the distance predicate observe() uses.  With R = 2, the
+        # half-integer grid puts many pairs exactly at R and the 0.2 grid
+        # puts l2 pairs a rounding error above it (inside the 1e-12
+        # tolerance); both span negative coordinates, hold coincident
+        # devices and have more than 512 nodes.
         rng = np.random.default_rng(3)
-        positions = rng.uniform(0, 40, size=(600, 2))
-        chan = UnitDiskChannel(3.0)
-        state = chan.link_state(positions)
-        expected = chan._distances(positions, positions) <= 3.0 + 1e-12
-        assert np.array_equal(state, expected)
+        layouts = [
+            np.empty((0, 2)),
+            np.array([[-1.5, 0.5]]),
+            rng.integers(-24, 25, size=(700, 2)) * 0.5,
+            rng.integers(-40, 41, size=(600, 2)) * 0.2,
+            rng.uniform(-40, 40, size=(600, 2)),
+        ]
+        chan = UnitDiskChannel(2.0, norm=norm)
+        for positions in layouts:
+            state = chan.link_state(positions)
+            expected = chan._distances(positions, positions) <= 2.0 + 1e-12
+            assert state.dtype == expected.dtype and state.shape == expected.shape
+            assert np.array_equal(state, expected)
 
 
 class TestLinkStateMemoryBudget:
@@ -276,9 +290,12 @@ class TestSparseLinkState:
         sparse = chan.link_state_sparse(positions)
         listeners = list(range(0, 120, 3))
         senders = list(range(1, 120, 7))
-        assert np.array_equal(
-            sparse.submatrix(listeners, senders), dense[np.ix_(listeners, senders)]
-        )
+        # Both forms are read off one CSR, so each is checked against the
+        # distance predicate observe() uses rather than against the other.
+        predicate = chan._distances(positions, positions) <= 3.0 + 1e-12
+        want = predicate[np.ix_(listeners, senders)]
+        assert np.array_equal(sparse.submatrix(listeners, senders), want)
+        assert np.array_equal(dense[np.ix_(listeners, senders)], want)
 
     def test_friis_submatrix_bitwise_equal(self):
         rng = np.random.default_rng(12)

@@ -366,3 +366,80 @@ class TestBucketedNodeSchedule:
         dense = NodeSchedule(dep.positions, 2.0, dep.source_index)
         for node in (0, 7, 149):
             assert bucketed.neighbor_slots_of_node(node, 5.0) == dense.neighbor_slots_of_node(node, 5.0)
+
+
+def per_device_walk(schedule: SquareSchedule, node: int) -> tuple[int, ...]:
+    """The receiver-slot walk NeighborWatchRB set-up made for every device."""
+    square = schedule.square_of_node(node)
+    own = schedule.slot_of_square(square)
+    slots: dict[int, None] = {}
+    for neighbor in schedule.grid.neighbors(square):
+        slot = schedule.slot_of_square(neighbor)
+        if slot != own:
+            slots.setdefault(slot, None)
+    return tuple(slots)
+
+
+class TestNeighborSquareSlots:
+    """The per-square receiver-slot table against the per-device walk."""
+
+    @pytest.fixture
+    def repeating(self):
+        # separation == side gives pattern_size 2, so the eight neighbours
+        # of an inner square fall on three slots, each repeated.  Square
+        # (4, 3) holds one device, square (1, 1) none, the rest two each.
+        positions = []
+        for col in range(6):
+            for row in range(5):
+                if (col, row) == (1, 1):
+                    continue
+                positions.append((col + 0.25, row + 0.3))
+                if (col, row) != (4, 3):
+                    positions.append((col + 0.7, row + 0.8))
+        positions = np.asarray(positions)
+        grid = SquareGrid(6, 5, side=1.0)
+        schedule = SquareSchedule(grid, radius=3.0, positions=positions, source_index=0,
+                                  separation=1.0)
+        assert schedule.pattern_size == 2
+        return schedule
+
+    def test_every_square_matches_the_walk(self, repeating):
+        grid = repeating.grid
+        inner = 0
+        for square in grid.iter_squares():
+            walk = {}
+            for neighbor in grid.neighbors(square):
+                walk.setdefault(repeating.slot_of_square(neighbor), None)
+            walk.pop(repeating.slot_of_square(square), None)
+            slots = repeating.neighbor_square_slots(square)
+            assert slots == tuple(walk)
+            assert repeating.neighbor_square_slots(square) is slots
+            if len(grid.neighbors(square)) == 8:
+                inner += 1
+                assert len(slots) == 3
+        assert inner == 4 * 3
+
+    def test_every_device_matches_the_walk(self, repeating):
+        lone = [i for i in range(repeating.positions.shape[0])
+                if repeating.members_of_square(repeating.square_of_node(i)) == [i]]
+        assert [repeating.square_of_node(i) for i in lone] == [(4, 3)]
+        for node in range(repeating.positions.shape[0]):
+            square = repeating.square_of_node(node)
+            assert repeating.neighbor_square_slots(square) == per_device_walk(repeating, node)
+            old = {SOURCE_SLOT, repeating.slot_of_square(square)}
+            old.update(repeating.slot_of_square(nb) for nb in repeating.grid.neighbors(square))
+            assert repeating.listening_slots_of_node(node) == sorted(old)
+
+    def test_neighborwatch_receivers_follow_the_walk(self, repeating):
+        from repro.core.neighborwatch import NeighborWatchNode
+        from repro.core.protocol import NodeContext
+
+        source = repeating.positions[repeating.source_index]
+        for node in range(1, repeating.positions.shape[0]):
+            position = tuple(float(v) for v in repeating.positions[node])
+            proto = NeighborWatchNode()
+            proto.setup(NodeContext(node_id=node, position=position, radius=3.0,
+                                    schedule=repeating, message_length=2))
+            in_range = float(np.hypot(*(repeating.positions[node] - source))) <= 3.0
+            want = list(per_device_walk(repeating, node)) + [SOURCE_SLOT] * in_range
+            assert list(proto._receivers) == want
