@@ -53,7 +53,8 @@ bench-baseline:
 # FIG7 (NeighborWatchRB, capture-free unit disk) is diffed twice: cohort
 # runtime vs scalar loop with the SoA kernels pinned off on both sides (with
 # them on, every FIG7 slot compiles and no cohort runtime is built), and SoA
-# kernels vs scalar loop.
+# kernels vs scalar loop.  EPID (the epidemic flood) is diffed SoA kernels vs
+# scalar loop too: its slots compile on the epidemic kernel.
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
@@ -70,7 +71,10 @@ bench-smoke:
 	cmp /tmp/fig7-cohort.json /tmp/fig7-scalar.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-soa.json
 	cmp /tmp/fig7-soa.json /tmp/fig7-scalar.json
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-soa.json
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-scalar.json
+	cmp /tmp/epid-soa.json /tmp/epid-scalar.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

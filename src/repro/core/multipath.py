@@ -367,12 +367,18 @@ class MultiPathNode(Protocol):
         """Handle the next control frame of ``slot``'s stream, read as an MSB-first integer.
 
         The frame's bits are already on the receiver stream; this consumes
-        them.
+        them.  A SOURCE or HEARD frame about an already-committed index is
+        inert: both paths end in ``_commit``/``_add_vote``, which ignore a
+        committed index.  A COMMIT frame is still handled, because it relays
+        HEARD once per (peer, index, value) whatever this device committed.
         """
         self._consumed[slot] += self._codec.frame_bits
         message = self._codec.decode_frame(frame)
-        if message is not None:
-            self._handle_control(self._peer_of_slot[slot], message)
+        if message is None:
+            return
+        if message.mtype is not ControlType.COMMIT and message.bit_index in self._commit_values:
+            return
+        self._handle_control(self._peer_of_slot[slot], message)
 
     def _handle_control(self, peer: int, message: ControlMessage) -> None:
         if message.mtype is ControlType.SOURCE:

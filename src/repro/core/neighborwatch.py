@@ -208,7 +208,9 @@ class NeighborWatchNode(Protocol):
         blocks (``idle_veto`` fixes whether an idle owner vetoes
         unconditionally); in a receiver slot the kernel drives the bound
         :class:`OneHopReceiver` stream and re-runs the commit pipeline after
-        an accepted bit.
+        an accepted bit that lands at index ``len(committed)`` — the only
+        index whose votes the rule reads.  ``committed`` is the live list
+        the rule extends, so the kernel sees its length move.
         """
         if slot == self._my_slot:
             return {
@@ -223,6 +225,7 @@ class NeighborWatchNode(Protocol):
             "role": "receiver",
             "receiver": receiver,
             "update_commits": self._update_commits,
+            "committed": self._committed,
         }
 
     # -- slot lifecycle ----------------------------------------------------------------------

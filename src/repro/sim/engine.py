@@ -403,8 +403,11 @@ class Simulation:
           opportunistic transmitter joined, how many whole quiet schedule
           cycles :meth:`run` jumped over instead of executing, and the
           busy-pattern memo counters (evictions count entries dropped by
-          wholesale overflow clears of a group's memo).  ``slots_run`` and
-          the memo counters count executed occurrences only;
+          wholesale overflow clears of a group's memo).  Only stream groups
+          (NeighborWatchRB, MultiPathRB) keep a busy memo; epidemic groups
+          resolve every occurrence afresh and never touch these counters.
+          ``slots_run`` and the memo counters count executed occurrences
+          only;
         * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
           otherwise ``{"enabled": True, "dense_bytes_avoided"}``, the bytes
           the dense matrix would need beyond what the sparse state keeps;

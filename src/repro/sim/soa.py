@@ -60,20 +60,24 @@ and after it :meth:`_SlotGroup.resync`; at the end of ``run()`` and
 The kernels raise :attr:`SoaRuntime.moved` whenever they move protocol
 state (a sender advances, a receiver accepts a bit, an epidemic owner pops
 a payload).  A schedule cycle that raised nothing is a fixed point whose
-only output is its broadcast tally, which is what lets
+only output is its stream groups' broadcast tally, which is what lets
 :meth:`repro.sim.engine.Simulation.run` jump over the idle tail of a run
-that never terminates (:meth:`SoaRuntime.repeat_tallies`).
+that never terminates (:meth:`SoaRuntime.repeat_tallies`).  An epidemic
+broadcast always pops a payload, so a quiet cycle holds none.
 
 Mask conventions
 ----------------
 Within one compiled slot group the members are indexed ``0..n-1`` in
 participant (node id) order; a *mask* is a Python integer whose bit ``i``
-refers to member ``i``.  Each distinct transmitter mask is resolved once
-and memoized as ``(busy mask, transmitter indices, loss-draw count)`` — in
-steady state a slot's busy pattern repeats every cycle, so the six phases
-cost six dictionary hits.  Broadcast counts are tallied per transmitter
-mask (one dictionary bump per phase) and decoded into per-node counters at
-:meth:`SoaRuntime.flush_broadcasts`.
+refers to member ``i``.  A stream group resolves each distinct transmitter
+mask once and memoizes it as ``(busy mask, loss-draw count)`` — in steady
+state a slot's busy pattern repeats every cycle, so the six phases cost six
+dictionary hits.  Stream broadcasts are tallied per transmitter mask (one
+dictionary bump per phase) and decoded into per-node counters at
+:meth:`SoaRuntime.flush_broadcasts`.  The epidemic kernel keeps neither:
+its owners flood once each, so no transmitter set repeats, and it counts
+each broadcast on the sender's :class:`~repro.sim.node.SimNode` as the
+scalar loop does.
 
 A group whose receivers drain whole frames (MultiPathRB's spec declares
 ``frame_bits`` F; its streams are unbounded) also keeps every member's
@@ -88,8 +92,10 @@ time.  Streams are therefore complete at every frame boundary, and the
 pending bits of a partial frame are written into them (idempotently)
 before a scalar fallback and at the end of ``run()``/``run_slots()``, so
 every reader outside the kernel sees the scalar loop's streams.
-NeighborWatchRB keeps the per-bit path: its commit rule reruns after every
-accepted bit, so there is nothing to batch.
+NeighborWatchRB keeps the per-bit path, but calls its commit rule only for
+a bit that lands at the device's committed frontier (index
+``len(committed)``): a bit at any other index leaves every vote the rule
+reads unchanged, and the rule has already run on the state before it.
 
 The six-phase stream recurrence mirrors :mod:`repro.core.twobit` exactly:
 data rounds R1/R3 carry the parity and data bits, ack rounds R2/R4 echo
@@ -300,7 +306,7 @@ class _SlotGroup:
             received.extend(bits[start:, i].tolist())
 
     def phase_busy(self, tx_mask: int) -> int:
-        """Channel-busy mask for one phase, tallying member broadcasts.
+        """Channel-busy mask for one stream phase, tallying member broadcasts.
 
         Resolves the transmitter mask via the per-group memo, bumps the
         per-mask broadcast tally, and — when the configuration draws — burns
@@ -316,7 +322,7 @@ class _SlotGroup:
             self.cache_hits += 1
         tally = self.tally
         tally[tx_mask] = tally.get(tx_mask, 0) + 1
-        draws = entry[2]
+        draws = entry[1]
         if draws:
             self.runtime.rng_random(draws)
         return entry[0]
@@ -324,14 +330,19 @@ class _SlotGroup:
     def _resolve_mask(self, tx_mask: int) -> tuple:
         """Miss path of :meth:`phase_busy`: resolve + memoize one mask.
 
-        The memo entry is ``(busy mask, transmitter indices, draw count)``.
-        The draw count — single-audible (disjunction) or decodable
-        (power-sum) members that are *not* transmitting — is cacheable
-        because the scalar channel kernels draw for every such listener
-        regardless of protocol state, and a phase's listeners are exactly
-        the members outside its transmitter set.  Transmitter bits of the
-        busy mask are garbage by the same token; no phase of the stream
-        recurrence reads a member's busy bit in a phase it transmits in.
+        The memo entry is ``(busy mask, draw count)``.  The draw count —
+        single-audible (disjunction) or decodable (power-sum) members that
+        are *not* transmitting — is cacheable because the scalar channel
+        kernels draw for every such listener regardless of protocol state,
+        and a phase's listeners are exactly the members outside its
+        transmitter set.  Transmitter bits of the busy mask are garbage by
+        the same token; no phase of the stream recurrence reads a member's
+        busy bit in a phase it transmits in.
+
+        The memo is bounded: overflow clears it wholesale, counts the
+        evictions, and warns once per runtime when the lookups were mostly
+        misses — a thrashing memo means this slot's transmitter masks do not
+        repeat and the group is re-resolving every cycle.
         """
         self.cache_misses += 1
         runtime = self.runtime
@@ -371,21 +382,8 @@ class _SlotGroup:
                 busy_flags = np.zeros(n, dtype=bool)
                 for j in idx:
                     busy_flags[indices[indptr[j] : indptr[j + 1]]] = True
-        return self._memoize(tx_mask, (_pack_mask(busy_flags), idx, draws))
-
-    def _memoize(self, key: int, entry: tuple) -> tuple:
-        """Store one resolved entry in the bounded per-group memo.
-
-        Shared by the stream busy resolver and the epidemic decode-geometry
-        resolver (one group only ever holds one entry shape).  Overflow
-        clears the memo wholesale, counts the evictions, and warns once per
-        runtime when the lookups were mostly misses — a thrashing memo
-        means this slot's transmitter masks do not repeat and the group is
-        re-resolving every cycle.
-        """
         cache = self.busy_cache
         if len(cache) >= _BUSY_CACHE_MAX:
-            runtime = self.runtime
             runtime.busy_cache_evictions += len(cache)
             calls = self.cache_hits + self.cache_misses
             if not runtime.thrash_warned and self.cache_misses * 2 > calls:
@@ -397,10 +395,10 @@ class _SlotGroup:
                     "transmitter masks do not repeat, so the compiled group "
                     "is re-resolving masks every cycle",
                     RuntimeWarning,
-                    stacklevel=4,
+                    stacklevel=3,
                 )
             cache.clear()
-        cache[key] = entry
+        entry = cache[tx_mask] = (_pack_mask(busy_flags), draws)
         return entry
 
     def trace_stream(self, trace, round_index: int, phase_tx: tuple) -> None:
@@ -434,13 +432,16 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     listening.  Scalar fallbacks are reconciled by :meth:`_SlotGroup.resync`.
 
     What an accepted bit costs depends on the receiver's commit callback.
-    NeighborWatchRB's ``update_commits`` reruns its commit rule on every
-    accepted bit (its squares' votes can change with any bit), so each
-    accepted member appends its bit and calls back.  MultiPathRB's
-    ``drain_slot`` acts only on a completed control frame of ``frame_bits``
-    bits, so its groups append in mask algebra (:func:`_append_frame_bits`)
-    and only the members that completed a frame cost Python: the frame goes
-    onto the member's stream and to the drain as one MSB-first integer.
+    NeighborWatchRB's ``update_commits`` reruns its commit rule, which votes
+    on the bit at index ``len(committed)`` of each stream.  Each accepted
+    member appends its bit; only a bit that lands at that index calls back
+    (and can stamp a delivery).  A bit before it cannot vote, a bit past it
+    changes no vote, and the rule already ran on the state before the bit.
+    MultiPathRB's ``drain_slot`` acts only on a completed control frame of
+    ``frame_bits`` bits, so its groups append in mask algebra
+    (:func:`_append_frame_bits`) and only the members that completed a frame
+    cost Python: the frame goes onto the member's stream and to the drain as
+    one MSB-first integer.
     """
     senders = b1 = b2 = always = cond = 0
     slot_senders = None
@@ -513,7 +514,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
         for i, frame, column in zip(
             members.tolist(), _column_values(bits).tolist(), bits.T.tolist()
         ):
-            receiver, drain, _limit = receiver_at[i]
+            receiver, drain, _limit, _committed = receiver_at[i]
             received = receiver.peek_received()
             # A flush may already have written the frame's first bits.
             received.extend(column[len(received) % frame_bits :])
@@ -524,11 +525,13 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
         bit = accepted & -accepted
         accepted ^= bit
         i = bit.bit_length() - 1
-        receiver, post, limit = receiver_at[i]
-        if receiver.soa_append(1 if heard2 & bit else 0) == limit:
+        receiver, update_commits, limit, committed = receiver_at[i]
+        length = receiver.soa_append(1 if heard2 & bit else 0)
+        if length == limit:
             group.active ^= bit
-        post()
-        _stamp_delivery(records[i], end_round, trace)
+        if length == len(committed) + 1:
+            update_commits()
+            _stamp_delivery(records[i], end_round, trace)
 
 
 def _append_frame_bits(group: _SlotGroup, accepted: int, data: int) -> int:
@@ -592,24 +595,34 @@ def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tupl
     channel never resolves them (they are not listeners), and on the
     deterministic path their inclusion is a no-op because the adoption
     callback rejects already-adopted members.
+
+    Several transmitters cost one gather over their spans of the group CSR
+    (offsets by ``np.repeat``, as :meth:`UnitDiskLinkState.block_entries`
+    builds them over the global one), one ``np.bincount`` for the hearing
+    counts and one scatter of each entry's transmitter: a member hearing
+    exactly one of them is written once, by its sole sender.
     """
     indptr, indices = group.indptr, group.indices
+    loss = group.runtime.loss
     if len(transmitters) == 1:
         j, _payload = transmitters[0]
         rows = indices[indptr[j] : indptr[j + 1]]
-        if group.runtime.loss > 0.0:
+        if loss > 0.0:
             rows = rows[rows != j]
         return rows, np.full(rows.size, j, dtype=np.int64)
-    counts = np.zeros(group.n, dtype=np.int64)
+    tx = np.array([j for j, _payload in transmitters], dtype=np.int64)
+    starts = indptr[tx]
+    lengths = indptr[tx + 1] - starts
+    # Entry p of the concatenated spans is CSR entry starts[t] + (p - the
+    # offset of span t) for its transmitter t.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    heard_by = indices[np.repeat(shift, lengths) + np.arange(lengths.sum())]
+    counts = np.bincount(heard_by, minlength=group.n)
+    if loss > 0.0:
+        counts[tx] = 0
     sender_of = np.zeros(group.n, dtype=np.int64)
-    for j, _payload in transmitters:
-        heard_by = indices[indptr[j] : indptr[j + 1]]
-        counts[heard_by] += 1
-        sender_of[heard_by] = j
-    if group.runtime.loss > 0.0:
-        for j, _payload in transmitters:
-            counts[j] = 0
-    rows = np.nonzero(counts == 1)[0]
+    sender_of[heard_by] = np.repeat(tx, lengths)
+    rows = np.flatnonzero(counts == 1)
     return rows, sender_of[rows]
 
 
@@ -641,44 +654,28 @@ def _epidemic_decodes_power(group: _SlotGroup, transmitters: list) -> tuple:
     return rows, tx_idx[strongest[rows]]
 
 
-def _epidemic_geometry(group: _SlotGroup, transmitters: list, tx_mask: int) -> tuple:
-    """Decode geometry for one transmitter set, memoized per packed mask.
-
-    ``(rows, senders)`` is a pure function of the transmitter set and the
-    compiled channel structure — never of payloads or protocol state — so
-    the epidemic steady state (every member flooding every cycle) replays
-    one memo entry per slot instead of re-reducing the power columns or the
-    adjacency counts.  Shares the group memo (and its eviction accounting)
-    with the stream kernels' busy entries; an epidemic group never calls
-    :meth:`_SlotGroup.phase_busy`, so the entry shapes cannot collide.
-    """
-    entry = group.busy_cache.get(tx_mask)
-    if entry is not None:
-        group.cache_hits += 1
-        return entry
-    group.cache_misses += 1
-    if group.power is not None:
-        entry = _epidemic_decodes_power(group, transmitters)
-    else:
-        entry = _epidemic_decodes_disjunction(group, transmitters)
-    return group._memoize(tx_mask, entry)
-
-
 def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
     """One single-phase epidemic slot: flood decisions + decode adoption.
 
-    A listener decodes a payload when exactly *one* transmission is audible
-    to it (unit disk) or when the strongest received power passes the SINR
-    test (Friis) — the same rules the scalar channel kernels apply — and a
-    configured loss then drops each decode independently with one draw per
-    decoding listener, in ascending member order.  The adoption callback
-    revalidates payload shape and the member's not-yet-adopted status, so
-    stale role assumptions are impossible.
+    An owner whose ``pop()`` yields a payload broadcasts it, counted on its
+    node at once as the scalar loop counts it.  A listener decodes a payload
+    when exactly *one* transmission is audible to it (unit disk) or when the
+    strongest received power passes the SINR test (Friis) — the same rules
+    the scalar channel kernels apply — and a configured loss then drops each
+    decode independently with one draw per decoding listener, in ascending
+    member order.  The adoption callback revalidates payload shape and the
+    member's not-yet-adopted status, so stale role assumptions are
+    impossible.
+
+    The decode geometry is resolved afresh every occurrence: each owner
+    floods once, so a transmitter set never repeats and a memo of it would
+    never be hit.
     """
     transmitters = None
-    for i, pop in group.owners:
+    for i, pop, node in group.owners:
         payload = pop()
         if payload is not None:
+            node.broadcasts += 1
             if transmitters is None:
                 transmitters = [(i, tuple(payload))]
             else:
@@ -689,14 +686,9 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
     runtime.moved = True
     trace = sim.trace
     round_index = sim.round_index
-    tally = group.tally
     member_ids = group.member_ids
-    tx_mask = 0
-    for j, _payload in transmitters:
-        bit = 1 << j
-        tx_mask |= bit
-        tally[bit] = tally.get(bit, 0) + 1
-        if trace is not None:
+    if trace is not None:
+        for j, _payload in transmitters:
             trace.record(
                 EventKind.BROADCAST,
                 round_index,
@@ -705,7 +697,10 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
                 0,
                 "PAYLOAD",
             )
-    rows, senders = _epidemic_geometry(group, transmitters, tx_mask)
+    if group.power is not None:
+        rows, senders = _epidemic_decodes_power(group, transmitters)
+    else:
+        rows, senders = _epidemic_decodes_disjunction(group, transmitters)
     if rows.size and runtime.loss > 0.0:
         keep = runtime.rng_random(rows.size) >= runtime.loss
         rows = rows[keep]
@@ -873,17 +868,18 @@ class SoaRuntime:
             owned = np.flatnonzero(self._owner_slot[member_ids] == slot)
             pop_of = self._pop_of
             owners = [
-                (i, pop_of[nid])
+                (i, pop_of[nid], records[i][REC_NODE])
                 for i, nid in zip(owned.tolist(), member_ids[owned].tolist())
             ]
         else:
             # The stream protocols bind per-slot machines, so they resolve
             # one soa_state_spec per (member, slot) pair.  A receiver entry is
-            # (stream, commit callback, stream bound); the callback is either
-            # update_commits, called after every accepted bit, or the
-            # drain_slot of an unbounded stream, handed each completed frame
-            # of frame_bits bits (then the whole group must drain such
-            # frames, and keeps frame planes).
+            # (stream, commit callback, stream bound, committed prefix); the
+            # callback is either update_commits, called for an accepted bit
+            # at the committed prefix's length, or the drain_slot of an
+            # unbounded stream, handed each completed frame of frame_bits
+            # bits (then the whole group must drain such frames, and keeps
+            # frame planes).
             receiver_at = [None] * n
             frame_sizes = set()
             for i, record in enumerate(records):
@@ -903,7 +899,9 @@ class SoaRuntime:
                         return None
                     post = partial(spec["drain_slot"], slot)
                 frame_sizes.add(spec.get("frame_bits"))
-                receiver_at[i] = (receiver, post, receiver.expected_length)
+                receiver_at[i] = (
+                    receiver, post, receiver.expected_length, spec.get("committed")
+                )
             if len(frame_sizes) > 1:
                 return None
             frame_bits = next(iter(frame_sizes), None)
@@ -975,7 +973,9 @@ class SoaRuntime:
         The engine calls this when it jumps over ``cycles`` whole quiet
         schedule cycles, with the tallies holding exactly one quiet cycle
         (flushed at the boundary before it); a skipped cycle would have
-        broadcast exactly what that cycle did.
+        broadcast exactly what that cycle did.  Only stream groups tally:
+        an epidemic broadcast pops a payload, which raises :attr:`moved`,
+        so a quiet cycle has no epidemic broadcast to repeat.
         """
         factor = cycles + 1
         for group in self.groups.values():
@@ -985,13 +985,15 @@ class SoaRuntime:
         self.cycles_fast_forwarded += cycles
 
     def flush_broadcasts(self) -> None:
-        """Fold the batched per-mask broadcast tallies into the nodes.
+        """Fold the stream groups' per-mask broadcast tallies into the nodes.
 
         Called by the engine at the end of ``run()``/``run_slots()`` — the
         only points where ``SimNode.broadcasts`` is consumed — and at a
         run's first quiet cycle boundary (see :meth:`repeat_tallies`).
         Idempotent: each flush clears the tallies, and scalar-fallback
-        occurrences increment the nodes directly, so the two paths compose.
+        occurrences (like the epidemic kernel) increment the nodes
+        directly, so the paths compose.  An epidemic group's tally stays
+        empty.
         """
         for group in self.groups.values():
             tally = group.tally

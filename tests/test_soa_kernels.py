@@ -22,6 +22,12 @@ draws being data-dependent.  These tests pin
 * the MultiPathRB frame planes — streams and ``_consumed`` entries match the
   oracle after every ``run_slots`` chunk, and the plane algebra matches
   per-member lists under any accept mask;
+* the callbacks the stream kernel skips — NeighborWatchRB's commit rule
+  runs exactly for bits at the committed frontier, and the MultiPathRB
+  frames a drain skips change no state;
+* the epidemic kernel — its one-gather decode against a brute-force count,
+  shared-slot occurrences against the oracle, and per-node broadcast
+  counts, kept at the sender, after every chunk and across a jump;
 * the quiet-cycle fast-forward of ``Simulation.run`` — runs that never
   terminate jump over their idle tail with oracle-identical records and RNG
   positions, and runs with loss draws, traces, opportunistic transmitters or
@@ -37,11 +43,15 @@ draws being data-dependent.  These tests pin
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.messages import int_from_bits
+from repro.core.messages import ControlType, int_from_bits
+from repro.core.multipath import MultiPathNode
+from repro.core.neighborwatch import NeighborWatchNode
 from repro.core.onehop import OneHopReceiver
 from repro.sim import soa
 from repro.sim.builder import build_simulation
@@ -226,8 +236,10 @@ class TestThreeTierEquivalence:
         protocol=st.sampled_from(["neighborwatch", "multipath", "epidemic"]),
         idle_veto=st.booleans(),
     )
-    # Every run compares MultiPathRB's receiver streams, whatever is drawn.
+    # Every run compares MultiPathRB's receiver streams and an epidemic
+    # flood, whatever is drawn.
     @example(seed=1, protocol="multipath", idle_veto=True)
+    @example(seed=1, protocol="epidemic", idle_veto=False)
     def test_random_uniform_deployments(self, seed, protocol, idle_veto):
         deployment = uniform_deployment(70, 7.5, 7.5, rng=seed % 101)
         config = ScenarioConfig(
@@ -249,6 +261,7 @@ class TestThreeTierEquivalence:
         loss=st.sampled_from([0.15, 0.35]),
     )
     @example(seed=1, protocol="multipath", loss=0.15)
+    @example(seed=1, protocol="epidemic", loss=0.35)
     def test_lossy_unitdisk(self, seed, protocol, loss):
         # Loss-only unit disk: one batched listener-ordered draw per phase —
         # the RNG tail assertion is what pins the stream position.
@@ -272,6 +285,7 @@ class TestThreeTierEquivalence:
         loss=st.sampled_from([0.0, 0.2]),
     )
     @example(seed=1, protocol="multipath", loss=0.2)
+    @example(seed=1, protocol="epidemic", loss=0.2)
     def test_friis_power_sum_groups(self, seed, protocol, loss):
         # Friis busy resolves through the compiled power blocks; with loss,
         # the decodable-listener draw counts must also replay exactly.
@@ -540,6 +554,238 @@ class TestFramePlanes:
         for _ in range(2):  # the flush is idempotent
             group.flush_frames()
             assert {i: group.receiver_at[i][0].peek_received() for i in pending} == pending
+
+
+class TestNeighborWatchFrontierCommits:
+    """NeighborWatchRB's commit rule runs only for bits at the committed frontier.
+
+    The rule votes on index ``len(committed)`` of each receiver stream, so
+    the stream kernel calls ``update_commits`` only for an accepted bit that
+    lands there.  Every ``soa_append`` is classified independently (is the
+    new bit's index before, at or past the owner's committed length?), and
+    the callbacks must be exactly the frontier appends, each called with its
+    bit in place.  Liars, which start fully committed, and the source-range
+    receivers of slot 0 ride along; on this strip, 2-vote streams also run
+    past the frontier while a bit waits for its second vote.  Records and
+    streams must still equal the scalar loop's.
+    """
+
+    @pytest.mark.parametrize(
+        "protocol,past_frontier", [("neighborwatch", False), ("neighborwatch2", True)]
+    )
+    def test_callbacks_are_exactly_the_frontier_bits(self, protocol, past_frontier, monkeypatch):
+        config = ScenarioConfig(protocol=protocol, radius=3.0, message_length=3, seed=11)
+        deployment = uniform_deployment(60, 12, 6, rng=2)
+        faults = FaultPlan(liars=(3, 11))
+        committed_of: dict = {}
+        counts = {"before": 0, "frontier": 0, "past": 0, "calls": 0, "off_frontier": 0}
+        spec_of = NeighborWatchNode.soa_state_spec
+        append = OneHopReceiver.soa_append
+
+        def probed(update, receiver, committed):
+            def update_commits():
+                counts["calls"] += 1
+                counts["off_frontier"] += len(receiver.peek_received()) != len(committed) + 1
+                update()
+
+            return update_commits
+
+        def probed_spec(self, slot):
+            spec = spec_of(self, slot)
+            if spec is not None and spec["role"] == "receiver":
+                receiver, committed = spec["receiver"], spec["committed"]
+                committed_of[id(receiver)] = committed
+                spec = {**spec, "update_commits": probed(spec["update_commits"], receiver, committed)}
+            return spec
+
+        def counted_append(self, data):
+            index, frontier = len(self.peek_received()), len(committed_of[id(self)])
+            counts["before" if index < frontier else "frontier" if index == frontier else "past"] += 1
+            return append(self, data)
+
+        runs = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            with monkeypatch.context() as patch:
+                if tier == "soa":
+                    patch.setattr(NeighborWatchNode, "soa_state_spec", probed_spec)
+                    patch.setattr(OneHopReceiver, "soa_append", counted_append)
+                sim = build_simulation(deployment, config, faults, **kwargs)
+                result = sim.run(MAX_ROUNDS)
+            runs[tier] = (result.to_record(), sim.rng.random(), _stream_state(sim))
+            if tier == "soa":
+                # Slot 0 is the source's: its receivers are the devices in range.
+                assert 0 in sim.soa_runtime.groups
+        assert runs["soa"] == runs["scalar"]
+        assert counts["off_frontier"] == 0
+        assert counts["calls"] == counts["frontier"] > 0
+        # Most accepted bits land behind a frontier another neighbour moved.
+        assert counts["before"] > counts["frontier"]
+        assert (counts["past"] > 0) == past_frontier
+
+
+def _multipath_state(proto) -> tuple:
+    """Everything a MultiPathRB control frame can move on one device."""
+    votes = {key: {voter: list(w) for voter, w in per.items()} for key, per in proto._votes.items()}
+    return (
+        dict(proto._commit_values),
+        votes,
+        set(proto._heard_sent),
+        proto._sender.pending_count,
+    )
+
+
+class TestMultipathInertDrains:
+    def test_skipped_frames_change_nothing(self, monkeypatch):
+        """``_drain_frame`` skips only frames that ``_handle_control`` ignores.
+
+        Every decoded frame the drain did not hand to ``_handle_control`` is
+        handed to it here afterwards, and no vote, commit, relay set or
+        queued frame may move.  The run is a lying MultiPathRB flood, where
+        most HEARD frames arrive after their index committed.
+        """
+        drain = MultiPathNode._drain_frame
+        handle = MultiPathNode._handle_control
+        handled = []
+        skipped = {mtype: 0 for mtype in ControlType}
+
+        def spying_handle(self, peer, message):
+            handled.append(message)
+            handle(self, peer, message)
+
+        def checking_drain(self, slot, frame):
+            handled.clear()
+            drain(self, slot, frame)
+            message = self._codec.decode_frame(frame)
+            if message is not None and not handled:
+                before = _multipath_state(self)
+                handle(self, self._peer_of_slot[slot], message)
+                assert _multipath_state(self) == before, message
+                skipped[message.mtype] += 1
+
+        monkeypatch.setattr(MultiPathNode, "_handle_control", spying_handle)
+        monkeypatch.setattr(MultiPathNode, "_drain_frame", checking_drain)
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1, seed=11
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=7)
+        sim = build_simulation(deployment, config, FaultPlan(liars=(4,)), use_soa_kernels=True)
+        sim.run(20_000)
+        assert skipped[ControlType.HEARD] > 0
+        assert skipped[ControlType.COMMIT] == 0
+
+
+class TestEpidemicKernel:
+    """The epidemic kernel: broadcasts counted at the sender, one-gather decodes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 48),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]),
+        self_links=st.booleans(),
+        loss=st.sampled_from([0.0, 0.3]),
+    )
+    @example(seed=0, n=1, density=1.0, self_links=True, loss=0.0)
+    @example(seed=0, n=6, density=0.0, self_links=False, loss=0.3)
+    def test_disjunction_decode_matches_brute_force(self, seed, n, density, self_links, loss):
+        # hears[r, j]: member r hears member j.  Some members hear nobody at
+        # all, and with self-links (as the unit-disk CSR has) a transmitter
+        # hears itself, so it decodes its own frame when nothing is drawn.
+        rng = np.random.default_rng(seed)
+        hears = rng.random((n, n)) < density
+        hears |= hears.T & rng.integers(0, 2, (n, n), dtype=bool)
+        np.fill_diagonal(hears, self_links)
+        hears[rng.random(n) < 0.15] = False
+        tx = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.9))
+        if tx.size == 0:
+            tx = np.array([int(rng.integers(n))])
+        senders, hearers = np.nonzero(hears.T)
+        group = soa._SlotGroup()
+        group.n = n
+        group.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(senders, minlength=n), out=group.indptr[1:])
+        group.indices = hearers.astype(np.int64)
+        group.runtime = SimpleNamespace(loss=loss)
+
+        rows, sources = soa._epidemic_decodes_disjunction(
+            group, [(int(j), (1,)) for j in tx]
+        )
+        expected = []
+        for r in range(n):
+            heard = [int(j) for j in tx if hears[r, j]]
+            if len(heard) == 1 and not (loss > 0.0 and r in tx):
+                expected.append((r, heard[0]))
+        assert list(zip(rows.tolist(), sources.tolist())) == expected
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"loss_probability": 0.25}, {"channel": "friis", "loss_probability": 0.2}],
+        ids=["deterministic", "loss", "friis-loss"],
+    )
+    def test_shared_slots_match_the_oracle(self, overrides, monkeypatch):
+        # R = 2 on a 20x10 map reuses every slot several times, so most
+        # occurrences have two or more transmitters; the map is too sparse
+        # for the flood to reach everyone, so every run goes to its cap.
+        multi = 0
+        decodes = {
+            name: getattr(soa, name)
+            for name in ("_epidemic_decodes_disjunction", "_epidemic_decodes_power")
+        }
+
+        def counting(decode):
+            def counted(group, transmitters):
+                nonlocal multi
+                multi += len(transmitters) > 1
+                return decode(group, transmitters)
+
+            return counted
+
+        for name, decode in decodes.items():
+            monkeypatch.setattr(soa, name, counting(decode))
+        config = ScenarioConfig(
+            protocol="epidemic", radius=2.0, message_length=2, seed=1, **overrides
+        )
+        runs = _run_tiers(uniform_deployment(120, 20, 10, rng=3), config, max_rounds=1_500)
+        _assert_tiers_identical(runs)
+        assert multi > 0
+
+    @pytest.mark.parametrize("chunk,chunks", [(1, 90), (13, 12)])
+    def test_broadcast_counts_match_the_oracle_after_every_chunk(
+        self, epidemic_config, chunk, chunks
+    ):
+        deployment = uniform_deployment(120, 20, 10, rng=3)
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(deployment, epidemic_config, **kwargs)
+        groups = sims["soa"].soa_runtime.groups.values()
+        for _ in range(chunks):
+            for sim in sims.values():
+                sim.run_slots(chunk)
+            counts = [node.broadcasts for node in sims["soa"].nodes]
+            assert counts == [node.broadcasts for node in sims["scalar"].nodes]
+            assert not any(group.tally for group in groups)
+        assert sum(counts) > 10
+
+    def test_broadcast_counts_match_the_oracle_across_a_quiet_cycle_jump(self):
+        # The strip of TestQuietCycleFastForward: the flood stops moving
+        # after five cycles and the run jumps to its cap.  A jump multiplies
+        # the stream tallies; an epidemic device still floods exactly once.
+        config = ScenarioConfig(protocol="epidemic", radius=2.0, message_length=2, seed=11)
+        deployment = _with_isolated_device(uniform_deployment(60, 24, 4, rng=1))
+        counts = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sim = build_simulation(deployment, config, **kwargs)
+            sim.run(3_001)
+            counts[tier] = [node.broadcasts for node in sim.nodes]
+            if tier == "soa":
+                info = sim.plan_cache_info()["soa_kernels"]
+        assert info["cycles_fast_forwarded"] > 0
+        assert info["busy_cache_hits"] == info["busy_cache_misses"] == 0
+        assert counts["soa"] == counts["scalar"]
+        assert set(counts["soa"]) == {0, 1}
 
 
 class TestTraceSynthesis:
