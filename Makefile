@@ -54,7 +54,10 @@ bench-baseline:
 # runtime vs scalar loop with the SoA kernels pinned off on both sides (with
 # them on, every FIG7 slot compiles and no cohort runtime is built), and SoA
 # kernels vs scalar loop.  EPID (the epidemic flood) is diffed SoA kernels vs
-# scalar loop too: its slots compile on the epidemic kernel.
+# scalar loop too: its slots compile on the epidemic kernel.  So is the
+# MultiPathRB lying smoke spec, which runs the stream kernel's frame drains
+# under lying devices (no built-in experiment runs MultiPathRB with liars at
+# small scale).
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
@@ -74,7 +77,10 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-soa.json
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-scalar.json
 	cmp /tmp/epid-soa.json /tmp/epid-scalar.json
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-soa.json
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-scalar.json
+	cmp /tmp/mplie-soa.json /tmp/mplie-scalar.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

@@ -141,11 +141,14 @@ class EpidemicNode(Protocol):
         ownership by comparing ``owner_slot`` against the group's slot —
         a device listens in ~density-many slots, and one spec dict per
         (member, slot) pair was the dominant compile cost at paper scale.
+        ``pending_broadcasts`` tells the kernel when an owner that just
+        popped has spent its last broadcast, so it can stop polling it.
         """
         return {
             "owner_slot": self._my_slot,
             "pop": self._decide_broadcast,
             "adopt": self._soa_try_adopt,
+            "pending_broadcasts": self._pending_broadcasts,
         }
 
     def _soa_try_adopt(self, payload: tuple) -> bool:
@@ -211,10 +214,11 @@ class EpidemicNode(Protocol):
     def delivered_message(self) -> Optional[Bits]:
         return self._message
 
-    @property
-    def pending_broadcasts(self) -> int:
+    def _pending_broadcasts(self) -> int:
         """Broadcasts the device still intends to perform."""
         return self._remaining_broadcasts if self._message is not None else 0
+
+    pending_broadcasts = property(_pending_broadcasts)
 
 
 # -- registry plugin ----------------------------------------------------------------------

@@ -180,6 +180,11 @@ class ControlMessage:
 #: :meth:`ControlCodec.decode_frame`).
 _FRAME_TABLES: dict[tuple[int, int], dict[int, "ControlMessage | None"]] = {}
 
+#: The inverse tables, shared the same way: each valid message of a shape
+#: mapped to its encoded bits, filled on first sight (see
+#: :meth:`ControlCodec.encode`).
+_ENCODE_TABLES: dict[tuple[int, int], dict["ControlMessage", Bits]] = {}
+
 
 class ControlCodec:
     """Fixed-width bit codec for :class:`ControlMessage`.
@@ -208,6 +213,7 @@ class ControlCodec:
         self.index_width = max(1, (message_length - 1).bit_length())
         self.cause_width = max(1, (num_slots - 1).bit_length())
         self._frames = _FRAME_TABLES.setdefault((message_length, num_slots), {})
+        self._encoded = _ENCODE_TABLES.setdefault((message_length, num_slots), {})
 
     @property
     def frame_bits(self) -> int:
@@ -215,19 +221,32 @@ class ControlCodec:
         return self.TYPE_WIDTH + self.index_width + self.VALUE_WIDTH + self.cause_width
 
     def encode(self, message: ControlMessage) -> Bits:
-        """Serialise a control message into its fixed-width bit representation."""
+        """Serialise a control message into its fixed-width bit representation.
+
+        A message is encoded once per codec shape: the bits are kept in a
+        table shared like :meth:`decode_frame`'s, and a repeated message
+        (MultiPathRB relays a HEARD for every COMMIT it hears) gets the same
+        tuple back.  Only a message that passed the range checks enters the
+        table, so an out-of-range index or cause raises on every call.
+        """
+        encoded = self._encoded
+        bits = encoded.get(message)
+        if bits is not None:
+            return bits
         if message.bit_index > self.message_length:
             raise ValueError(
                 f"bit_index {message.bit_index} exceeds message length {self.message_length}"
             )
         if message.cause >= self.num_slots and message.mtype is ControlType.HEARD:
             raise ValueError(f"cause slot {message.cause} out of range (< {self.num_slots})")
-        bits: list[int] = []
-        bits.extend(bits_from_int(int(message.mtype), self.TYPE_WIDTH))
-        bits.extend(bits_from_int(message.bit_index - 1, self.index_width))
-        bits.extend(bits_from_int(message.bit_value, self.VALUE_WIDTH))
-        bits.extend(bits_from_int(message.cause, self.cause_width))
-        return tuple(bits)
+        bits = (
+            bits_from_int(int(message.mtype), self.TYPE_WIDTH)
+            + bits_from_int(int(message.bit_index) - 1, self.index_width)
+            + bits_from_int(int(message.bit_value), self.VALUE_WIDTH)
+            + bits_from_int(int(message.cause), self.cause_width)
+        )
+        encoded[message] = bits
+        return bits
 
     def decode(self, bits: Sequence[int]) -> ControlMessage | None:
         """Decode a fixed-width bit frame back into a control message.

@@ -144,7 +144,6 @@ class MultiPathNode(Protocol):
         self._heard_sent: set[tuple[int, int, int]] = set()
         self._receivers: dict[int, OneHopReceiver] = {}
         self._peer_of_slot: dict[int, int] = {}
-        self._consumed: dict[int, int] = {}
         self._cause_of: dict[int, Optional[int]] = {}
         self._sender = OneHopSender()
         self._role = _Role.IDLE
@@ -176,7 +175,6 @@ class MultiPathNode(Protocol):
                 continue
             self._receivers[slot] = OneHopReceiver(expected_length=None)
             self._peer_of_slot[slot] = owner
-            self._consumed[slot] = 0
 
         if self._is_source:
             message = context.source_message or ()
@@ -254,7 +252,17 @@ class MultiPathNode(Protocol):
         )
 
     def soa_state_spec(self, slot: int) -> Optional[dict]:
-        """Role of this device in ``slot`` for the SoA compiler."""
+        """Role of this device in ``slot`` for the SoA compiler.
+
+        Only a completed control frame can change state, so the kernel
+        appends each frame of ``frame_bits`` accepted bits to the unbounded
+        stream and decides from the frame alone whether it can move this
+        device: ``decode_frame`` reads it, ``frame_gate`` (the rule
+        :meth:`_drain_frame` applies) names the index whose commit makes it
+        inert, and the live ``committed`` map is checked for that index.
+        Only a frame that can move the device is handed to ``drain_slot``,
+        as one MSB-first integer.
+        """
         if slot == self._my_slot:
             return {
                 "role": "owner",
@@ -264,14 +272,14 @@ class MultiPathNode(Protocol):
         receiver = self._receivers.get(slot)
         if receiver is None:
             return None
-        # Only a completed control frame can change state, so the kernel
-        # appends each frame of frame_bits accepted bits to the unbounded
-        # stream and hands it over as one integer.
         return {
             "role": "receiver",
             "receiver": receiver,
             "drain_slot": self._drain_frame,
             "frame_bits": self._codec.frame_bits,
+            "decode_frame": self._codec.decode_frame,
+            "frame_gate": self._frame_gate,
+            "committed": self._commit_values,
         }
 
     # -- slot lifecycle ---------------------------------------------------------------------------------
@@ -322,8 +330,8 @@ class MultiPathNode(Protocol):
         if self._role is _Role.SENDER:
             self._sender.finish_slot()
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
-            self._active_receiver.finish_slot()
-            self._drain_stream(slot)
+            if self._active_receiver.finish_slot() is not None:
+                self._drain_stream(slot)
         self._role = _Role.IDLE
         self._active_receiver = None
         self._blocker = None
@@ -351,34 +359,47 @@ class MultiPathNode(Protocol):
 
     # -- control-message processing ---------------------------------------------------------------------
     def _drain_stream(self, slot: int) -> None:
-        """Handle every complete control frame of ``slot``'s stream not yet consumed.
+        """Handle the control frame that ``slot``'s stream just completed, if any.
 
-        Leaves ``_consumed[slot] == frame_bits * (len // frame_bits)``, so a
-        drain before the next frame completes is a no-op.
+        Called after each accepted bit.  The frames are the stream's
+        consecutive ``frame_bits``-bit runs from its start, so one completes
+        exactly when a bit brings the length to a multiple of ``frame_bits``,
+        and every earlier frame was dealt with when it completed (here, or
+        by the SoA kernel, which hands :meth:`_drain_frame` only the frames
+        that can move this device).  No count of handled bits is kept.
         """
         frame_bits = self._codec.frame_bits
         bits = self._receivers[slot].peek_received()
-        consumed = self._consumed
-        while consumed[slot] + frame_bits <= len(bits):
-            start = consumed[slot]
-            self._drain_frame(slot, int_from_bits(bits[start : start + frame_bits]))
+        if len(bits) % frame_bits == 0:
+            self._drain_frame(slot, int_from_bits(bits[-frame_bits:]))
+
+    @staticmethod
+    def _frame_gate(message: Optional[ControlMessage]) -> Optional[int]:
+        """The bit index whose commit makes handling ``message`` change nothing.
+
+        A device handles a frame only when the gate is not ``None`` and not
+        in its commit map.  A frame that decodes to nothing is inert: its
+        gate is ``None``.  A SOURCE or HEARD message is gated by its own
+        index, because both paths end in ``_commit``/``_add_vote``, which
+        ignore a committed index.  A COMMIT message gets 0, an index no
+        device commits (indexes are 1-based): it relays HEARD once per
+        (peer, index, value) whatever the device committed.
+        """
+        if message is None:
+            return None
+        return 0 if message.mtype is ControlType.COMMIT else message.bit_index
 
     def _drain_frame(self, slot: int, frame: int) -> None:
-        """Handle the next control frame of ``slot``'s stream, read as an MSB-first integer.
+        """Handle a completed control frame of ``slot``'s stream, read as an MSB-first integer.
 
-        The frame's bits are already on the receiver stream; this consumes
-        them.  A SOURCE or HEARD frame about an already-committed index is
-        inert: both paths end in ``_commit``/``_add_vote``, which ignore a
-        committed index.  A COMMIT frame is still handled, because it relays
-        HEARD once per (peer, index, value) whatever this device committed.
+        The frame's bits are already on the receiver stream.  A frame that
+        cannot move this device (see :meth:`_frame_gate`) is dropped
+        unhandled.
         """
-        self._consumed[slot] += self._codec.frame_bits
         message = self._codec.decode_frame(frame)
-        if message is None:
-            return
-        if message.mtype is not ControlType.COMMIT and message.bit_index in self._commit_values:
-            return
-        self._handle_control(self._peer_of_slot[slot], message)
+        gate = self._frame_gate(message)
+        if gate is not None and gate not in self._commit_values:
+            self._handle_control(self._peer_of_slot[slot], message)
 
     def _handle_control(self, peer: int, message: ControlMessage) -> None:
         if message.mtype is ControlType.SOURCE:

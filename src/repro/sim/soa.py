@@ -91,7 +91,13 @@ completed cost Python, and a receiver stream gets its bits one frame at a
 time.  Streams are therefore complete at every frame boundary, and the
 pending bits of a partial frame are written into them (idempotently)
 before a scalar fallback and at the end of ``run()``/``run_slots()``, so
-every reader outside the kernel sees the scalar loop's streams.
+every reader outside the kernel sees the scalar loop's streams.  A group
+decodes each distinct frame value once, into its bits and its gate (the
+spec's ``frame_gate`` rule: the index whose commit makes the frame inert),
+and a member's ``drain_slot`` gets a frame only if the gate is not in the
+member's live ``committed`` map: a frame that decodes to nothing, or a
+SOURCE/HEARD frame about an index the member committed, changes nothing,
+and under lying devices almost every completed frame is such a HEARD.
 NeighborWatchRB keeps the per-bit path, but calls its commit rule only for
 a bit that lands at the device's committed frontier (index
 ``len(committed)``): a bit at any other index leaves every vote the rule
@@ -115,6 +121,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.epidemic import EpidemicNode
+from ..core.messages import bits_from_int
 from ..core.multipath import MultiPathNode
 from ..core.neighborwatch import NeighborWatchNode
 from ..core.twobit import NUM_PHASES, soa_veto_mask
@@ -209,7 +216,14 @@ class _PowerColumns:
 
 
 class _SlotGroup:
-    """Compiled state of one slot: members, channel structure, role bindings."""
+    """Compiled state of one slot: members, channel structure, role bindings.
+
+    A group holds no reference to its :class:`SoaRuntime`: the runtime hands
+    itself to the kernel it runs (``run(sim, runtime, group)``), so a
+    finished simulation has no reference cycle through its groups and is
+    freed by reference counting as soon as its caller drops it, not at
+    whichever full collection comes next.
+    """
 
     __slots__ = (
         "slot",
@@ -231,7 +245,8 @@ class _SlotGroup:
         "planes",
         "counters",
         "idle_counters",
-        "runtime",
+        "frame_rule",
+        "decoded_frames",
     )
 
     def resync(self) -> None:
@@ -305,7 +320,7 @@ class _SlotGroup:
             start = frame_bits - int(counts[i]) + len(received) % frame_bits
             received.extend(bits[start:, i].tolist())
 
-    def phase_busy(self, tx_mask: int) -> int:
+    def phase_busy(self, runtime: SoaRuntime, tx_mask: int) -> int:
         """Channel-busy mask for one stream phase, tallying member broadcasts.
 
         Resolves the transmitter mask via the per-group memo, bumps the
@@ -317,17 +332,17 @@ class _SlotGroup:
             return 0
         entry = self.busy_cache.get(tx_mask)
         if entry is None:
-            entry = self._resolve_mask(tx_mask)
+            entry = self._resolve_mask(runtime, tx_mask)
         else:
             self.cache_hits += 1
         tally = self.tally
         tally[tx_mask] = tally.get(tx_mask, 0) + 1
         draws = entry[1]
         if draws:
-            self.runtime.rng_random(draws)
+            runtime.rng_random(draws)
         return entry[0]
 
-    def _resolve_mask(self, tx_mask: int) -> tuple:
+    def _resolve_mask(self, runtime: SoaRuntime, tx_mask: int) -> tuple:
         """Miss path of :meth:`phase_busy`: resolve + memoize one mask.
 
         The memo entry is ``(busy mask, draw count)``.  The draw count —
@@ -345,7 +360,6 @@ class _SlotGroup:
         repeat and the group is re-resolving every cycle.
         """
         self.cache_misses += 1
-        runtime = self.runtime
         n = self.n
         idx = _mask_indices(tx_mask, n)
         loss = runtime.loss
@@ -422,7 +436,7 @@ class _SlotGroup:
                 )
 
 
-def _run_stream_slot(sim, group: _SlotGroup) -> None:
+def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     """One six-phase 1Hop/2Bit slot over all members at once.
 
     Sender roles are read from the live owner objects at entry (a group has
@@ -440,8 +454,14 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     MultiPathRB's ``drain_slot`` acts only on a completed control frame of
     ``frame_bits`` bits, so its groups append in mask algebra
     (:func:`_append_frame_bits`) and only the members that completed a frame
-    cost Python: the frame goes onto the member's stream and to the drain as
-    one MSB-first integer.
+    cost Python: the frame, read as one MSB-first integer, goes onto the
+    member's stream.  ``decoded_frames`` holds each distinct frame value the
+    group has completed, decoded once by its ``frame_rule`` into the
+    frame's bits and its gate; only a frame whose gate the member has not
+    committed reaches its drain and a delivery check.  The others are a
+    frame that decodes to nothing and a SOURCE or HEARD frame about a
+    committed index.  A COMMIT frame always reaches the drain, which
+    relays HEARD once per (peer, index, value).
     """
     senders = b1 = b2 = always = cond = 0
     slot_senders = None
@@ -464,20 +484,20 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     active = group.active
 
     phase_busy = group.phase_busy
-    busy0 = phase_busy(b1)
+    busy0 = phase_busy(runtime, b1)
     heard1 = busy0 & active
-    busy1 = phase_busy(heard1)
-    busy2 = phase_busy(b2)
+    busy1 = phase_busy(runtime, heard1)
+    busy2 = phase_busy(runtime, b2)
     heard2 = busy2 & active
-    busy3 = phase_busy(heard2)
+    busy3 = phase_busy(runtime, heard2)
     # Conditional blockers arm on any activity they heard in the four
     # data/ack rounds (TwoBitBlocker listens R1-R4 and jams R5/R6).
     blockers = always | (cond & (busy0 | busy1 | busy2 | busy3))
     tx4 = soa_veto_mask(senders, b1, b2, busy1, busy3) | blockers
-    busy4 = phase_busy(tx4)
+    busy4 = phase_busy(runtime, tx4)
     heard_veto = busy4 & active
     tx5 = heard_veto | blockers
-    busy5 = phase_busy(tx5)
+    busy5 = phase_busy(runtime, tx5)
 
     trace = sim.trace
     if trace is not None:
@@ -490,7 +510,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
         for bit, sender in slot_senders:
             if not (final & bit):
                 sender.soa_advance()
-                group.runtime.moved = True
+                runtime.moved = True
 
     # A receiver accepts exactly when its slot was veto-free and the parity
     # it heard matches the next expected one (XNOR against the parity mask);
@@ -498,7 +518,7 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
     accepted = active & ~heard_veto & ~(heard1 ^ group.parity1)
     if not accepted:
         return
-    group.runtime.moved = True
+    runtime.moved = True
     group.parity1 ^= accepted
     end_round = sim.round_index + NUM_PHASES
     records = group.records
@@ -510,16 +530,22 @@ def _run_stream_slot(sim, group: _SlotGroup) -> None:
         n = group.n
         frame_bits = len(group.planes)
         members = _mask_indices(completed, n)
-        bits = _unpack_planes(group.planes, n)[:, members]
-        for i, frame, column in zip(
-            members.tolist(), _column_values(bits).tolist(), bits.T.tolist()
-        ):
-            receiver, drain, _limit, _committed = receiver_at[i]
+        frames = _column_values(_unpack_planes(group.planes, n)[:, members])
+        decoded = group.decoded_frames
+        for i, frame in zip(members.tolist(), frames.tolist()):
+            entry = decoded.get(frame)
+            if entry is None:
+                decode, gate_of = group.frame_rule
+                entry = decoded[frame] = (bits_from_int(frame, frame_bits), gate_of(decode(frame)))
+            column, gate = entry
+            receiver, drain, _limit, committed = receiver_at[i]
             received = receiver.peek_received()
             # A flush may already have written the frame's first bits.
-            received.extend(column[len(received) % frame_bits :])
-            drain(frame)
-            _stamp_delivery(records[i], end_round, trace)
+            pending = len(received) % frame_bits
+            received.extend(column[pending:] if pending else column)
+            if gate is not None and gate not in committed:
+                drain(frame)
+                _stamp_delivery(records[i], end_round, trace)
         return
     while accepted:
         bit = accepted & -accepted
@@ -584,7 +610,7 @@ def _stamp_delivery(record: tuple, end_round: int, trace) -> None:
             trace.record(EventKind.DELIVERY, end_round, node.node_id)
 
 
-def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tuple:
+def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list, loss: float) -> tuple:
     """Unit-disk decode geometry: members hearing exactly one transmission.
 
     Returns aligned ``(rows, senders)`` arrays — the decoding member
@@ -603,7 +629,6 @@ def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tupl
     exactly one of them is written once, by its sole sender.
     """
     indptr, indices = group.indptr, group.indices
-    loss = group.runtime.loss
     if len(transmitters) == 1:
         j, _payload = transmitters[0]
         rows = indices[indptr[j] : indptr[j + 1]]
@@ -626,7 +651,7 @@ def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list) -> tupl
     return rows, sender_of[rows]
 
 
-def _epidemic_decodes_power(group: _SlotGroup, transmitters: list) -> tuple:
+def _epidemic_decodes_power(group: _SlotGroup, transmitters: list, runtime: SoaRuntime) -> tuple:
     """Friis decode geometry: members whose strongest signal passes SINR.
 
     Same ``(rows, senders)`` shape; the expressions mirror the vectorized
@@ -636,7 +661,6 @@ def _epidemic_decodes_power(group: _SlotGroup, transmitters: list) -> tuple:
     *strongest* transmitter's payload (capture effect), not a sole
     transmission's.
     """
-    runtime = group.runtime
     n = group.n
     tx_idx = np.asarray([j for j, _payload in transmitters], dtype=np.int64)
     cols = group.power.gather(tx_idx)
@@ -654,7 +678,7 @@ def _epidemic_decodes_power(group: _SlotGroup, transmitters: list) -> tuple:
     return rows, tx_idx[strongest[rows]]
 
 
-def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
+def _run_epidemic_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     """One single-phase epidemic slot: flood decisions + decode adoption.
 
     An owner whose ``pop()`` yields a payload broadcasts it, counted on its
@@ -670,19 +694,28 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
     The decode geometry is resolved afresh every occurrence: each owner
     floods once, so a transmitter set never repeats and a memo of it would
     never be hit.
+
+    The owners are a map from member index to ``(pop, node,
+    pending_broadcasts)``, in ascending member order, so the transmitters
+    come out in the scalar loop's order.  An owner whose pop just spent its
+    last broadcast is deleted from it: it holds its message, so ``_adopt``
+    does nothing more and its ``pop()`` would return ``None`` for ever, with
+    no side effect.  An owner that has not adopted a message stays.
     """
-    transmitters = None
-    for i, pop, node in group.owners:
+    transmitters = []
+    spent = []
+    owners = group.owners
+    for i, (pop, node, pending) in owners.items():
         payload = pop()
         if payload is not None:
             node.broadcasts += 1
-            if transmitters is None:
-                transmitters = [(i, tuple(payload))]
-            else:
-                transmitters.append((i, tuple(payload)))
-    if transmitters is None:
+            transmitters.append((i, tuple(payload)))
+            if not pending():
+                spent.append(i)
+    if not transmitters:
         return
-    runtime = group.runtime
+    for i in spent:
+        del owners[i]
     runtime.moved = True
     trace = sim.trace
     round_index = sim.round_index
@@ -698,9 +731,9 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
                 "PAYLOAD",
             )
     if group.power is not None:
-        rows, senders = _epidemic_decodes_power(group, transmitters)
+        rows, senders = _epidemic_decodes_power(group, transmitters, runtime)
     else:
-        rows, senders = _epidemic_decodes_disjunction(group, transmitters)
+        rows, senders = _epidemic_decodes_disjunction(group, transmitters, runtime.loss)
     if rows.size and runtime.loss > 0.0:
         keep = runtime.rng_random(rows.size) >= runtime.loss
         rows = rows[keep]
@@ -730,9 +763,10 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
 #: Protocol family -> (kernel, required rounds per slot).  NeighborWatchRB
 #: and MultiPathRB share the stream kernel: both drive 1Hop/2Bit exchanges
 #: and differ only in the post-accept callback their ``soa_state_spec``
-#: binds: ``update_commits`` (the commit-pipeline rerun, after every
-#: accepted bit) vs. ``drain_slot`` (the control-stream drain, handed each
-#: completed frame of ``frame_bits`` accepted bits as one integer).
+#: binds: ``update_commits`` (the commit-pipeline rerun, for a bit at the
+#: committed frontier) vs. ``drain_slot`` (the control-stream drain, handed
+#: each completed frame of ``frame_bits`` accepted bits that can move its
+#: device, as one integer).
 _FAMILIES = (
     (NeighborWatchNode, _run_stream_slot, NUM_PHASES),
     (MultiPathNode, _run_stream_slot, NUM_PHASES),
@@ -807,6 +841,7 @@ class SoaRuntime:
         self._epidemic_ok = np.zeros(size, dtype=bool)
         self._owner_slot = np.full(size, -1, dtype=np.int64)
         self._pop_of: list = [None] * size
+        self._pending_of: list = [None] * size
         self.adopt_of: list = [None] * size
         for node in nodes:
             proto = node.protocol
@@ -816,6 +851,7 @@ class SoaRuntime:
                 self._epidemic_ok[nid] = True
                 self._owner_slot[nid] = spec["owner_slot"]
                 self._pop_of[nid] = spec["pop"]
+                self._pending_of[nid] = spec["pending_broadcasts"]
                 self.adopt_of[nid] = spec["adopt"]
         self.member_slots = 0
         self.slots_run = 0
@@ -861,25 +897,27 @@ class SoaRuntime:
         n = len(records)
         owners = []
         receiver_at: list = []
-        frame_bits = None
+        frame_bits = frame_rule = None
         if kernel is _run_epidemic_slot:
             if not self._epidemic_ok[member_ids].all():
                 return None
             owned = np.flatnonzero(self._owner_slot[member_ids] == slot)
-            pop_of = self._pop_of
-            owners = [
-                (i, pop_of[nid], records[i][REC_NODE])
+            pop_of, pending_of = self._pop_of, self._pending_of
+            owners = {
+                i: (pop_of[nid], records[i][REC_NODE], pending_of[nid])
                 for i, nid in zip(owned.tolist(), member_ids[owned].tolist())
-            ]
+            }
         else:
             # The stream protocols bind per-slot machines, so they resolve
             # one soa_state_spec per (member, slot) pair.  A receiver entry is
-            # (stream, commit callback, stream bound, committed prefix); the
+            # (stream, commit callback, stream bound, committed state); the
             # callback is either update_commits, called for an accepted bit
             # at the committed prefix's length, or the drain_slot of an
             # unbounded stream, handed each completed frame of frame_bits
-            # bits (then the whole group must drain such frames, and keeps
-            # frame planes).
+            # bits whose (decode_frame, frame_gate) gate is not in the
+            # committed map (then the whole group must drain such frames,
+            # and keeps frame planes; every member of one simulation shares
+            # the codec shape, so one rule and one memo serve them).
             receiver_at = [None] * n
             frame_sizes = set()
             for i, record in enumerate(records):
@@ -898,6 +936,7 @@ class SoaRuntime:
                     if receiver.expected_length is not None:
                         return None
                     post = partial(spec["drain_slot"], slot)
+                    frame_rule = (spec["decode_frame"], spec["frame_gate"])
                 frame_sizes.add(spec.get("frame_bits"))
                 receiver_at[i] = (
                     receiver, post, receiver.expected_length, spec.get("committed")
@@ -927,10 +966,11 @@ class SoaRuntime:
         group.tally = {}
         group.cache_hits = 0
         group.cache_misses = 0
-        group.runtime = self
-        group.owners = tuple(owners)
+        group.owners = owners
         group.receiver_at = receiver_at
         group.planes = group.counters = None
+        group.frame_rule = frame_rule
+        group.decoded_frames = {}
         if frame_bits is not None:
             group.planes = [0] * frame_bits
             group.counters = [0] * frame_bits.bit_length()
@@ -965,7 +1005,7 @@ class SoaRuntime:
     def run_slot(self, sim, group: _SlotGroup) -> None:
         """Execute one compiled slot occurrence (no opportunistic joiners)."""
         self.slots_run += 1
-        group.run(sim, group)
+        group.run(sim, self, group)
 
     def repeat_tallies(self, cycles: int) -> None:
         """Credit ``cycles`` more repetitions of the tallied broadcasts.

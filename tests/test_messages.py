@@ -159,6 +159,41 @@ class TestControlCodec:
         msg = ControlMessage(mtype, index, value, cause=cause)
         assert codec.decode(codec.encode(msg)) == msg
 
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=300),
+        st.data(),
+    )
+    def test_encode_table_round_trips_and_validates_every_call(self, message_length, num_slots, data):
+        """``encode`` builds each valid message once per codec shape.
+
+        The bits decode back to the message, a repeated encode (also from a
+        fresh codec of the same shape, of an equal message) returns the
+        identical tuple, and an out-of-range index or cause raises on every
+        call: only a message that passed the range checks enters the table.
+        The out-of-range fields below fit their bit widths unless the limit
+        is a power of two, so a table filled before the checks would answer
+        the second call.
+        """
+        codec = ControlCodec(message_length=message_length, num_slots=num_slots)
+        mtype = data.draw(st.sampled_from(list(ControlType)))
+        index = data.draw(st.integers(min_value=1, max_value=message_length))
+        value = data.draw(st.integers(min_value=0, max_value=1))
+        cause = data.draw(st.integers(min_value=0, max_value=num_slots - 1)) if mtype is ControlType.HEARD else 0
+        msg = ControlMessage(mtype, index, value, cause=cause)
+        bits = codec.encode(msg)
+        assert len(bits) == codec.frame_bits and set(bits) <= {0, 1}
+        assert codec.decode_frame(int_from_bits(bits)) == msg
+        assert codec.encode(msg) is bits
+        fresh = ControlCodec(message_length=message_length, num_slots=num_slots)
+        assert fresh.encode(ControlMessage(mtype, index, value, cause=cause)) is bits
+        bad_index = ControlMessage(mtype, message_length + 1, value, cause=cause)
+        bad_cause = ControlMessage(ControlType.HEARD, index, value, cause=num_slots)
+        for bad in (bad_index, bad_cause):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    codec.encode(bad)
+
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=12, max_size=12))
     def test_decode_never_crashes(self, bits):
         codec = ControlCodec(message_length=4, num_slots=100)

@@ -19,15 +19,18 @@ draws being data-dependent.  These tests pin
   Friis+loss), including runs where jammers force per-slot scalar
   fallbacks, and traced SoA runs produce byte-identical event streams to
   the scalar loop;
-* the MultiPathRB frame planes — streams and ``_consumed`` entries match the
-  oracle after every ``run_slots`` chunk, and the plane algebra matches
-  per-member lists under any accept mask;
+* the MultiPathRB frame planes — streams match the oracle after every
+  ``run_slots`` chunk, the scalar path drains each completed frame once,
+  and the plane algebra matches per-member lists under any accept mask;
 * the callbacks the stream kernel skips — NeighborWatchRB's commit rule
   runs exactly for bits at the committed frontier, and the MultiPathRB
-  frames a drain skips change no state;
+  frames the kernel withholds from ``drain_slot`` change no state;
 * the epidemic kernel — its one-gather decode against a brute-force count,
-  shared-slot occurrences against the oracle, and per-node broadcast
-  counts, kept at the sender, after every chunk and across a jump;
+  shared-slot occurrences against the oracle, per-node broadcast counts,
+  kept at the sender, after every chunk and across a jump, and owners
+  leaving the group once their broadcasts are spent;
+* the runtime's lifetime — no group refers back to its runtime, so a
+  dropped finished simulation is freed by reference counting;
 * the quiet-cycle fast-forward of ``Simulation.run`` — runs that never
   terminate jump over their idle tail with oracle-identical records and RNG
   positions, and runs with loss draws, traces, opportunistic transmitters or
@@ -43,12 +46,14 @@ draws being data-dependent.  These tests pin
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.epidemic import EpidemicConfig, EpidemicNode, EpidemicPlugin
 from repro.core.messages import ControlType, int_from_bits
 from repro.core.multipath import MultiPathNode
 from repro.core.neighborwatch import NeighborWatchNode
@@ -59,6 +64,7 @@ from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
 from repro.sim.events import EventLog
 from repro.sim.linkstate import UnitDiskLinkState
+from repro.sim.plan import REC_NODE
 from repro.sim.radio import FriisChannel, UnitDiskChannel
 from repro.sim.soa import SoaRuntime
 from repro.topology.deployment import Deployment, grid_jittered_deployment, uniform_deployment
@@ -86,7 +92,7 @@ def _run_tiers(deployment, config, faults=None, max_rounds=MAX_ROUNDS):
             result.to_record(),
             sim.rng.random(),
             sim.plan_cache_info(),
-            _stream_state(sim),
+            _receiver_streams(sim),
         )
     return out
 
@@ -401,15 +407,6 @@ def _receiver_streams(sim) -> dict:
     return streams
 
 
-def _stream_state(sim) -> tuple:
-    """Every receiver stream, and every MultiPathRB ``_consumed`` entry, of a run."""
-    consumed = {}
-    for node in sim.nodes:
-        for slot, count in getattr(node.protocol, "_consumed", {}).items():
-            consumed[(node.node_id, slot)] = count
-    return _receiver_streams(sim), consumed
-
-
 class TestReceiverMaskResync:
     """Compiled slots keep their receiver masks across occurrences.
 
@@ -461,26 +458,44 @@ class TestReceiverMaskResync:
 
 
 class TestMultipathFrameDrains:
-    @pytest.mark.parametrize("tier", ["soa", "scalar"])
-    def test_drains_consume_whole_frames(self, uniform_small_deployment, mp_config, tier):
-        """Every drain leaves ``_consumed == frame_bits * (len // frame_bits)``.
+    def test_scalar_path_drains_each_completed_frame_once(
+        self, uniform_small_deployment, mp_config, monkeypatch
+    ):
+        """The scalar path drains ``len(stream) // frame_bits`` frames per receiver.
 
-        That is what makes draining once per completed frame (the SoA
-        kernel) equal to draining after every slot (the scalar loop).
+        ``MultiPathNode`` keeps no count of handled bits: an accepted bit
+        that completes a frame drains that frame, and no other bit drains.
+        The SoA kernel, which completes the same frames in its planes, must
+        leave every stream equal to the oracle's after every chunk; chunks
+        of 53 slots end mid-frame.  The schedule cycle is 85 slots and a
+        frame 11 bits, so the first frames complete after about 18 chunks.
         """
-        clear_link_cache()
-        sim = build_simulation(uniform_small_deployment, mp_config, **dict(TIERS)[tier])
+        drains: dict = {}
+        drain = MultiPathNode._drain_frame
+
+        def counted(self, slot, frame):
+            key = (self.context.node_id, slot)
+            drains[key] = drains.get(key, 0) + 1
+            drain(self, slot, frame)
+
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(uniform_small_deployment, mp_config, **kwargs)
         partial_frames = 0
-        for _ in range(12):
-            sim.run_slots(53)
-            for node in sim.nodes:
-                proto = node.protocol
-                frame_bits = proto._codec.frame_bits
-                for slot, consumed in proto._consumed.items():
-                    length = len(proto._receivers[slot].peek_received())
-                    assert consumed == frame_bits * (length // frame_bits)
-                    partial_frames += length % frame_bits != 0
+        for _ in range(40):
+            sims["soa"].run_slots(53)
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPathNode, "_drain_frame", counted)
+                sims["scalar"].run_slots(53)
+            streams = _receiver_streams(sims["scalar"])
+            assert _receiver_streams(sims["soa"]) == streams
+            for key, bits in streams.items():
+                frame_bits = sims["scalar"].nodes[key[0]].protocol._codec.frame_bits
+                assert drains.get(key, 0) == len(bits) // frame_bits, key
+                partial_frames += len(bits) % frame_bits != 0
         assert partial_frames > 0
+        assert sum(drains.values()) > 0
 
 
 class TestFramePlanes:
@@ -489,11 +504,10 @@ class TestFramePlanes:
     The kernel writes a frame onto its receiver stream only when it
     completes, and ``run_slots()`` writes the pending bits of partial frames
     at its end.  Chunks of 7 and 53 slots end mid-frame, and chunks of one
-    slot end on every occurrence, so after each chunk every stream and every
-    ``_consumed`` entry must equal the scalar oracle's.  The deployment has
-    a 30-slot cycle and 9-bit frames, so a stream completes its first frame
-    after about 240 slots and several frames complete after partial ones
-    were written out.
+    slot end on every occurrence, so after each chunk every stream must
+    equal the scalar oracle's.  The deployment has a 30-slot cycle and
+    9-bit frames, so a stream completes its first frame after about 240
+    slots and several frames complete after partial ones were written out.
     """
 
     @pytest.mark.parametrize("chunk,chunks", [(1, 600), (7, 90), (53, 12)])
@@ -504,16 +518,24 @@ class TestFramePlanes:
             clear_link_cache()
             sims[tier] = build_simulation(deployment, mp_config, **kwargs)
         groups = sims["soa"].soa_runtime.groups.values()
-        assert any(group.planes is not None for group in groups)
-        mid_frame = 0
+        (frame_bits,) = {len(group.planes) for group in groups if group.planes is not None}
+        mid_frame = after_flush = 0
+        flushed: dict = {}
         for _ in range(chunks):
             for sim in sims.values():
                 sim.run_slots(chunk)
-            streams, consumed = _stream_state(sims["soa"])
-            assert (streams, consumed) == _stream_state(sims["scalar"])
-            mid_frame += any(consumed[key] != len(bits) for key, bits in streams.items())
+            streams = _receiver_streams(sims["soa"])
+            assert streams == _receiver_streams(sims["scalar"])
+            mid_frame += any(len(bits) % frame_bits for bits in streams.values())
+            for key, bits in streams.items():
+                # A frame whose first bits a flush wrote out has completed.
+                if key in flushed and len(bits) >= flushed[key]:
+                    after_flush += 1
+                    del flushed[key]
+                if len(bits) % frame_bits and key not in flushed:
+                    flushed[key] = len(bits) - len(bits) % frame_bits + frame_bits
         assert mid_frame > 0
-        assert any(consumed.values())
+        assert after_flush > 0
         assert sims["soa"].plan_cache_info()["soa_kernels"]["slots_run"] > 0
 
     @settings(max_examples=60, deadline=None)
@@ -612,7 +634,7 @@ class TestNeighborWatchFrontierCommits:
                     patch.setattr(OneHopReceiver, "soa_append", counted_append)
                 sim = build_simulation(deployment, config, faults, **kwargs)
                 result = sim.run(MAX_ROUNDS)
-            runs[tier] = (result.to_record(), sim.rng.random(), _stream_state(sim))
+            runs[tier] = (result.to_record(), sim.rng.random(), _receiver_streams(sim))
             if tier == "soa":
                 # Slot 0 is the source's: its receivers are the devices in range.
                 assert 0 in sim.soa_runtime.groups
@@ -636,42 +658,87 @@ def _multipath_state(proto) -> tuple:
 
 
 class TestMultipathInertDrains:
-    def test_skipped_frames_change_nothing(self, monkeypatch):
-        """``_drain_frame`` skips only frames that ``_handle_control`` ignores.
+    def test_withheld_frames_change_nothing(self, monkeypatch):
+        """The stream kernel withholds from ``drain_slot`` only frames that change nothing.
 
-        Every decoded frame the drain did not hand to ``_handle_control`` is
-        handed to it here afterwards, and no vote, commit, relay set or
-        queued frame may move.  The run is a lying MultiPathRB flood, where
-        most HEARD frames arrive after their index committed.
+        Around every compiled occurrence, each member's newly completed
+        frame is read off its stream.  A frame the kernel did not hand to
+        ``drain_slot`` is handed to ``_handle_control`` afterwards, and no
+        vote, commit, relay set or queued frame may move; only the member's
+        own drain could have moved it in between.  The run is a lying
+        MultiPathRB flood, where most HEARD frames arrive after their index
+        committed and liars in the source's range hear SOURCE frames about
+        indexes they hold.  Records, RNG position and streams must still
+        equal the scalar loop's.
         """
-        drain = MultiPathNode._drain_frame
-        handle = MultiPathNode._handle_control
-        handled = []
+        spec_of = MultiPathNode.soa_state_spec
+        run_slot = SoaRuntime.run_slot
+        handed: list = []
         skipped = {mtype: 0 for mtype in ControlType}
+        drained = 0
 
-        def spying_handle(self, peer, message):
-            handled.append(message)
-            handle(self, peer, message)
+        def probed_spec(self, slot):
+            spec = spec_of(self, slot)
+            if spec is not None and spec["role"] == "receiver":
+                drain = spec["drain_slot"]
 
-        def checking_drain(self, slot, frame):
-            handled.clear()
-            drain(self, slot, frame)
-            message = self._codec.decode_frame(frame)
-            if message is not None and not handled:
-                before = _multipath_state(self)
-                handle(self, self._peer_of_slot[slot], message)
-                assert _multipath_state(self) == before, message
+                def recording(slot, frame):
+                    handed.append((self, slot, frame))
+                    drain(slot, frame)
+
+                spec = {**spec, "drain_slot": recording}
+            return spec
+
+        def checked_run_slot(self, sim, group):
+            nonlocal drained
+            lengths = [
+                None if entry is None else len(entry[0].peek_received())
+                for entry in group.receiver_at
+            ]
+            handed.clear()
+            run_slot(self, sim, group)
+            completed = []
+            for i, before in enumerate(lengths):
+                if before is None:
+                    continue
+                proto = group.records[i][REC_NODE].protocol
+                frame_bits = proto._codec.frame_bits
+                bits = group.receiver_at[i][0].peek_received()
+                end = len(bits) - len(bits) % frame_bits
+                if end > before:
+                    completed.append((proto, int_from_bits(bits[end - frame_bits : end])))
+            assert all((proto, frame) in completed for proto, _slot, frame in handed)
+            drained += len(handed)
+            for proto, frame in completed:
+                if (proto, group.slot, frame) in handed:
+                    continue
+                message = proto._codec.decode_frame(frame)
+                if message is None:
+                    continue
+                before = _multipath_state(proto)
+                proto._handle_control(proto._peer_of_slot[group.slot], message)
+                assert _multipath_state(proto) == before, message
                 skipped[message.mtype] += 1
 
-        monkeypatch.setattr(MultiPathNode, "_handle_control", spying_handle)
-        monkeypatch.setattr(MultiPathNode, "_drain_frame", checking_drain)
         config = ScenarioConfig(
             protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1, seed=11
         )
         deployment = uniform_deployment(30, 6.0, 6.0, rng=7)
-        sim = build_simulation(deployment, config, FaultPlan(liars=(4,)), use_soa_kernels=True)
-        sim.run(20_000)
+        faults = FaultPlan(liars=(4,))
+        runs = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            with monkeypatch.context() as patch:
+                if tier == "soa":
+                    patch.setattr(MultiPathNode, "soa_state_spec", probed_spec)
+                    patch.setattr(SoaRuntime, "run_slot", checked_run_slot)
+                sim = build_simulation(deployment, config, faults, **kwargs)
+                result = sim.run(20_000)
+            runs[tier] = (result.to_record(), sim.rng.random(), _receiver_streams(sim))
+        assert runs["soa"] == runs["scalar"]
+        assert drained > 0
         assert skipped[ControlType.HEARD] > 0
+        assert skipped[ControlType.SOURCE] > 0
         assert skipped[ControlType.COMMIT] == 0
 
 
@@ -706,10 +773,9 @@ class TestEpidemicKernel:
         group.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(senders, minlength=n), out=group.indptr[1:])
         group.indices = hearers.astype(np.int64)
-        group.runtime = SimpleNamespace(loss=loss)
 
         rows, sources = soa._epidemic_decodes_disjunction(
-            group, [(int(j), (1,)) for j in tx]
+            group, [(int(j), (1,)) for j in tx], loss
         )
         expected = []
         for r in range(n):
@@ -734,10 +800,10 @@ class TestEpidemicKernel:
         }
 
         def counting(decode):
-            def counted(group, transmitters):
+            def counted(group, transmitters, channel):
                 nonlocal multi
                 multi += len(transmitters) > 1
-                return decode(group, transmitters)
+                return decode(group, transmitters, channel)
 
             return counted
 
@@ -767,6 +833,50 @@ class TestEpidemicKernel:
             assert counts == [node.broadcasts for node in sims["scalar"].nodes]
             assert not any(group.tally for group in groups)
         assert sum(counts) > 10
+
+    @pytest.mark.parametrize("rebroadcasts", [1, 3])
+    def test_spent_owners_leave_their_group(self, rebroadcasts, monkeypatch):
+        """An owner leaves its group's owners with its last broadcast, and only then.
+
+        With ``rebroadcast_count=3`` an owner pops three payloads in three
+        occurrences and stays listed until the third.  An owner that has
+        not adopted stays listed too: this sparse map leaves one device
+        out of the flood.  The per-node broadcast counts must equal the
+        scalar loop's after every chunk, and whole runs must equal the
+        other tiers' records, RNG positions and streams.
+        """
+        monkeypatch.setattr(
+            EpidemicPlugin,
+            "build",
+            lambda self, config: EpidemicNode(EpidemicConfig(rebroadcast_count=rebroadcasts)),
+        )
+        config = ScenarioConfig(protocol="epidemic", radius=2.0, message_length=2, seed=1)
+        deployment = uniform_deployment(120, 20, 10, rng=3)
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(deployment, config, **kwargs)
+        groups = sims["soa"].soa_runtime.groups.values()
+        owned = {group.slot: list(group.owners) for group in groups}
+        listed_midway = waiting = 0
+        for _ in range(24):
+            for sim in sims.values():
+                sim.run_slots(13)
+            counts = [node.broadcasts for node in sims["soa"].nodes]
+            assert counts == [node.broadcasts for node in sims["scalar"].nodes]
+            for group in groups:
+                listed = set(group.owners)
+                for i in owned[group.slot]:
+                    proto = group.records[i][REC_NODE].protocol
+                    spent = proto.delivered and proto.pending_broadcasts == 0
+                    assert (i in listed) != spent, (group.slot, i)
+                    listed_midway += 0 < proto.pending_broadcasts < rebroadcasts
+                    waiting += not proto.delivered
+        assert set(counts) == {0, rebroadcasts}
+        assert sum(len(group.owners) for group in groups) == counts.count(0) > 0
+        assert (listed_midway > 0) == (rebroadcasts > 1)
+        assert waiting > 0
+        _assert_tiers_identical(_run_tiers(deployment, config, max_rounds=3_000))
 
     def test_broadcast_counts_match_the_oracle_across_a_quiet_cycle_jump(self):
         # The strip of TestQuietCycleFastForward: the flood stops moving
@@ -851,6 +961,56 @@ class TestCounters:
             sim.run(MAX_ROUNDS)
         info = sim.plan_cache_info()["soa_kernels"]
         assert info["busy_cache_evictions"] > 0
+
+
+class TestRuntimeLifetime:
+    @pytest.mark.parametrize(
+        "config,faults",
+        [
+            (
+                ScenarioConfig(
+                    protocol="multipath", radius=3.0, message_length=2,
+                    multipath_tolerance=1, seed=11,
+                ),
+                FaultPlan(liars=(9,)),
+            ),
+            (ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=11), None),
+            (
+                ScenarioConfig(
+                    protocol="epidemic", radius=3.0, message_length=3, seed=11,
+                    channel="friis", loss_probability=0.2,
+                ),
+                None,
+            ),
+        ],
+        ids=["multipath-liar", "neighborwatch", "epidemic-friis-loss"],
+    )
+    def test_finished_simulation_is_freed_by_reference_counting(
+        self, uniform_small_deployment, config, faults
+    ):
+        """Dropping a finished SoA simulation frees its runtime, groups and nodes at once.
+
+        No group refers back to its runtime, so nothing of the simulation is
+        cyclic garbage: with the collector off, the last reference going is
+        enough.  A sweep then holds one finished simulation at a time, and
+        its peak memory does not depend on when a full collection happens
+        to run.
+        """
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            sim = build_simulation(uniform_small_deployment, config, faults, use_soa_kernels=True)
+            sim.run(20_000)
+            assert sim.soa_runtime is not None and sim.soa_runtime.groups
+            runtime = weakref.ref(sim.soa_runtime)
+            protocol = weakref.ref(sim.nodes[0].protocol)
+            del sim
+            assert runtime() is None
+            assert protocol() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _mp_cluster_deployment(profile_break: float = 0.0) -> Deployment:
