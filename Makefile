@@ -57,7 +57,11 @@ bench-baseline:
 # scalar loop too: its slots compile on the epidemic kernel.  So is the
 # MultiPathRB lying smoke spec, which runs the stream kernel's frame drains
 # under lying devices (no built-in experiment runs MultiPathRB with liars at
-# small scale).
+# small scale).  Last, the 10^5-node epidemic macro of benchmarks/capture.py
+# is built and run with run_scenario, and its record hash must equal the one
+# BENCH_10.json stores (about 10 s and 410 MB): it pins the node-scheduled
+# construction (the wave colouring, owner-column epidemic groups) at the
+# scale no smaller check reaches.
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
@@ -80,6 +84,17 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-soa.json
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-scalar.json
 	cmp /tmp/mplie-soa.json /tmp/mplie-scalar.json
+	$(PYTHON) -c "import json, sys; sys.path.insert(0, 'benchmarks'); \
+	from capture import MACROS, series_hash; \
+	from repro.experiments.factories import UniformDeploymentFactory; \
+	from repro.sim.builder import run_scenario; \
+	from repro.sim.config import ScenarioConfig; \
+	m = next(m for m in MACROS if m['name'] == 'epidemic-unitdisk-100k'); \
+	dep = UniformDeploymentFactory(m['num_nodes'], m['map_size'], m['map_size'])(m['seed']); \
+	cfg = ScenarioConfig(protocol=m['protocol'], radius=m['radius'], message_length=m['message_length'], seed=m['seed'], channel=m['channel']); \
+	got = series_hash(run_scenario(dep, cfg).to_record()); \
+	want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
+	print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)"
 	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test

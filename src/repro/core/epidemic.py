@@ -77,7 +77,7 @@ class EpidemicNode(Protocol):
         self._message: Optional[Bits] = None
         self._remaining_broadcasts = 0
         self._my_slot = -1
-        self._listen_slots: set[int] = set()
+        self._interests: list[int] = []
 
     # -- setup ---------------------------------------------------------------------------
     def setup(self, context: NodeContext) -> None:
@@ -89,8 +89,7 @@ class EpidemicNode(Protocol):
             raise ValueError("the epidemic baseline uses single-round slots")
         self._schedule = schedule
         self._my_slot = schedule.slot_of_node(context.node_id)
-        self._listen_slots = set(schedule.neighbor_slots_of_node(context.node_id))
-        self._listen_slots.discard(self._my_slot)
+        self._interests = schedule.neighbor_slots_of_node(context.node_id)
         if context.is_source:
             self._adopt(tuple(context.source_message or ()))
         elif self._preloaded is not None:
@@ -104,16 +103,21 @@ class EpidemicNode(Protocol):
 
     # -- protocol interface ------------------------------------------------------------------
     def interests(self) -> Iterable[int]:
-        slots = set(self._listen_slots)
-        slots.add(self._my_slot)
-        return sorted(slots)
+        """The device's own slot and every slot it listens in.
+
+        That is its row of :meth:`NodeSchedule.neighbor_slots_of_node`: the
+        slots of every device in range, its own included, plus
+        :data:`~repro.core.schedule.SOURCE_SLOT`, already ascending and
+        distinct, so it is handed back as it stands.
+        """
+        return self._interests
 
     def cohort_key(self):
         """Post-setup state signature (fixes the interest set and transitions)."""
         return (
             self.config.rebroadcast_count,
             self._my_slot,
-            frozenset(self._listen_slots),
+            frozenset(self._interests),
             self._message,
             self._remaining_broadcasts,
             self.context.message_length,
@@ -141,6 +145,8 @@ class EpidemicNode(Protocol):
         ownership by comparing ``owner_slot`` against the group's slot —
         a device listens in ~density-many slots, and one spec dict per
         (member, slot) pair was the dominant compile cost at paper scale.
+        Only an owner pops, so only an owner ever transmits in its group,
+        and the group's hearers CSR holds the owners' columns alone.
         ``pending_broadcasts`` tells the kernel when an owner that just
         popped has spent its last broadcast, so it can stop polling it.
         """

@@ -61,6 +61,27 @@ SOURCE_SLOT = 0
 BUCKETED_SCHEDULE_MIN_NODES = 2048
 
 
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of entries whose (non-decreasing) row ids are ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
+    """``(k, entries)``: the CSR rows ``rows`` concatenated.
+
+    ``k`` is each entry's position in ``rows``.
+    """
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    k = np.repeat(np.arange(rows.size), lengths)
+    # Entry p of the concatenation is CSR entry starts[k] + (p - the offset
+    # of row k's span).
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return k, indices[shift[k] + np.arange(k.size)]
+
+
 class Schedule(abc.ABC):
     """Common round/slot arithmetic for TDMA schedules."""
 
@@ -262,9 +283,12 @@ class NodeSchedule(Schedule):
     Devices whose distance is at most ``separation`` never share a slot, so a
     receiver can unambiguously attribute a slot to a single device within its
     own neighborhood.  Slot 0 is reserved for the source.  The assignment is a
-    deterministic greedy colouring of the conflict graph in device-id order,
-    which keeps the number of slots within a small factor of the maximum
-    conflict degree (itself ``O(R^2 * density)``).
+    deterministic greedy colouring of the conflict graph in device-id order
+    (each device takes the lowest slot above :data:`SOURCE_SLOT` that no
+    lower-id conflict neighbour holds), which keeps the number of slots
+    within a small factor of the maximum conflict degree (itself
+    ``O(R^2 * density)``).  It is computed in waves of array passes, not
+    one device at a time (:meth:`_first_fit_slots`).
     """
 
     def __init__(
@@ -288,41 +312,74 @@ class NodeSchedule(Schedule):
         if not (0 <= self.source_index < n):
             raise ValueError("source_index out of range")
 
-        slots = np.zeros(n, dtype=int)
-        if n > 1:
-            # The conflict neighborhoods come from a dense distance matrix on
-            # small deployments and from grid-bucketed queries on large ones;
-            # both filter with the same elementwise distance arithmetic and
-            # list neighbors in ascending id order, so the colouring below is
-            # identical either way.
-            indptr, indices = self._neighborhoods(self.separation, include_self=False)
-            source = self.source_index
-            for node in range(n):
-                if node == source:
-                    slots[node] = SOURCE_SLOT
-                    continue
-                # Colour greedily against already-coloured conflict neighbors
-                # (ids below ours, plus the pre-assigned source).  The mask
-                # arithmetic replaces a per-neighbor Python loop but assigns
-                # exactly the same slots.
-                neighbors = indices[indptr[node] : indptr[node + 1]]
-                decided = neighbors[(neighbors < node) | (neighbors == source)]
-                used = set(slots[decided].tolist())
-                used.add(SOURCE_SLOT)
-                slot = 1
-                while slot in used:
-                    slot += 1
-                slots[node] = slot
+        slots = self._first_fit_slots()
         self._slots = slots
-        num_slots = int(slots.max()) + 1 if n else 1
-        super().__init__(num_slots=max(num_slots, 1), phases_per_slot=phases_per_slot)
-        grouped: dict[int, list[int]] = {}
-        for node in range(n):
-            grouped.setdefault(int(slots[node]), []).append(node)
-        self._owners = {slot: tuple(ids) for slot, ids in grouped.items()}
+        super().__init__(num_slots=int(slots.max()) + 1, phases_per_slot=phases_per_slot)
+        # Owners per slot in ascending id order: one stable sort of the slots.
+        order = np.argsort(slots, kind="stable")
+        bounds = np.searchsorted(slots[order], np.arange(self.num_slots + 1)).tolist()
+        ids = order.tolist()
+        self._owners = {
+            slot: tuple(ids[lo:hi])
+            for slot, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        }
         self._neighbor_slot_tables: dict[float, list[list[int]]] = {}
         self._within_memos: dict[float, dict[int, bool]] = {}
         self._position_rows: list | None = None
+
+    def _first_fit_slots(self) -> np.ndarray:
+        """Greedy first-fit slots in device-id order, coloured in waves.
+
+        Each ascending row of the conflict CSR splits at the device's own id
+        into the lower neighbours, whose slots it must avoid, and the upper
+        ones, which wait for it.  The source is dropped from both halves: it
+        holds :data:`SOURCE_SLOT`, which every device excludes anyway.  A
+        device is ready once all of its lower neighbours are coloured, and
+        then its slot is final.  Each wave colours every ready device at
+        once: their lower neighbours' slots are scattered into a (ready x
+        widest lower row + 2) table whose :data:`SOURCE_SLOT` column is set,
+        ``argmin`` finds each row's first free slot (a device with ``d``
+        lower neighbours finds one at or below ``d + 1``, so slots past the
+        table cannot matter), and one ``np.bincount`` of their upper
+        neighbours lowers the pending counts that make the next wave.  The
+        slots are those of colouring one device at a time in id order; the
+        number of waves is the longest id-increasing path of the conflict
+        graph, about 200 at 10^4 nodes.
+        """
+        n = self.positions.shape[0]
+        source = self.source_index
+        indptr, indices = self._neighborhoods(self.separation, include_self=False)
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        kept = (indices != source) & (row != source)
+        lower = kept & (indices < row)
+        upper = kept & (indices > row)
+        lower_ptr = _row_pointers(row[lower], n)
+        upper_ptr = _row_pointers(row[upper], n)
+        lower_ids = indices[lower]
+        upper_ids = indices[upper]
+
+        slots = np.zeros(n, dtype=np.int64)
+        lower_degree = np.diff(lower_ptr)
+        pending = lower_degree.copy()
+        ready = np.flatnonzero(pending == 0)
+        ready = ready[ready != source]
+        while ready.size:
+            wave, below = _gather_rows(lower_ptr, lower_ids, ready)
+            width = int(lower_degree[ready].max()) + 2
+            taken = slots[below]
+            fits = taken < width
+            table = np.zeros((ready.size, width), dtype=bool)
+            table[:, SOURCE_SLOT] = True
+            table[wave[fits], taken[fits]] = True
+            slots[ready] = table.argmin(axis=1)
+            _wave, released = _gather_rows(upper_ptr, upper_ids, ready)
+            pending -= np.bincount(released, minlength=n)
+            # A device with several lower neighbours in this wave is listed
+            # once per neighbour; it must join the next wave once.
+            ready = np.sort(released[pending[released] == 0])
+            ready = ready[np.diff(ready, prepend=-1) != 0]
+        return slots
 
     def _neighborhoods(
         self, threshold: float, *, include_self: bool

@@ -12,7 +12,9 @@ convenience wrapper used by the examples, the experiments and most tests.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from typing import Optional
 
 from ..adversary.jammer import VetoJammer
@@ -41,6 +43,31 @@ def build_channel(config: ScenarioConfig) -> Channel:
     return config.channel_plugin().build(config)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector paused.
+
+    A build allocates hundreds of thousands of long-lived objects (records,
+    bound methods, per-device specs), and with the collector on it pays for
+    hundreds of young and a few full collections that find nothing to
+    free.  On the way out the caller's setting is restored, and a collector
+    that was on runs ``gc.collect(1)``: that moves what the build allocated
+    out of the young generations at once, so the run's first young
+    collections do not scan all of it.  A finished simulation holds no
+    reference cycle, so a sweep still frees each one by reference counting
+    while the next one builds; ``gc.freeze()`` is not used, because it
+    would keep every finished simulation alive.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(1)
+
+
 def build_simulation(
     deployment: Deployment,
     config: ScenarioConfig,
@@ -62,72 +89,77 @@ def build_simulation(
     protocol/channel combinations.  All three are pure memory/throughput
     knobs — results are bit-identical either way, so they are *not* part of
     :class:`ScenarioConfig` and never enter store fingerprints.
+
+    The cyclic garbage collector is paused for the build and the caller's
+    setting restored afterwards, also when the build raises
+    (:func:`_collector_paused`).
     """
-    faults = faults if faults is not None else FaultPlan()
-    faults.validate_for(deployment.num_nodes, deployment.source_index)
+    with _collector_paused():
+        faults = faults if faults is not None else FaultPlan()
+        faults.validate_for(deployment.num_nodes, deployment.source_index)
 
-    plugin = config.protocol_plugin()
-    message = config.message_bits
-    fake = tuple(faults.fake_message) if faults.fake_message is not None else fake_message_for(message)
-    rng_factory = RngFactory(config.seed)
+        plugin = config.protocol_plugin()
+        message = config.message_bits
+        fake = tuple(faults.fake_message) if faults.fake_message is not None else fake_message_for(message)
+        rng_factory = RngFactory(config.seed)
 
-    schedule = build_schedule(deployment, config)
-    channel = build_channel(config)
+        schedule = build_schedule(deployment, config)
+        channel = build_channel(config)
 
-    crashed = set(faults.crashed)
-    jammers = set(faults.jammers)
-    liars = set(faults.liars)
+        crashed = set(faults.crashed)
+        jammers = set(faults.jammers)
+        liars = set(faults.liars)
 
-    nodes: list[SimNode] = []
-    # One bulk conversion to Python floats instead of per-node NumPy scalar
-    # extraction (identical values; tolist round-trips float64 exactly).
-    position_rows = deployment.positions.tolist()
-    for node_id in range(deployment.num_nodes):
-        row = position_rows[node_id]
-        position = (row[0], row[1])
-        protocol: Optional[Protocol]
-        honest = True
-        if node_id in crashed:
-            protocol = None
-        elif node_id in jammers:
-            honest = False
-            protocol = VetoJammer(
-                faults.jammer_budget,
-                jam_probability=faults.jam_probability,
-                rng=rng_factory.node_generator(node_id),
-            )
-        elif node_id in liars:
-            honest = False
-            protocol = plugin.build_liar(config, fake)
-        else:
-            protocol = plugin.build(config)
+        nodes: list[SimNode] = []
+        # One bulk conversion to Python floats instead of per-node NumPy scalar
+        # extraction (identical values; tolist round-trips float64 exactly).
+        position_rows = deployment.positions.tolist()
+        for node_id in range(deployment.num_nodes):
+            row = position_rows[node_id]
+            position = (row[0], row[1])
+            protocol: Optional[Protocol]
+            honest = True
+            if node_id in crashed:
+                protocol = None
+            elif node_id in jammers:
+                honest = False
+                protocol = VetoJammer(
+                    faults.jammer_budget,
+                    jam_probability=faults.jam_probability,
+                    rng=rng_factory.node_generator(node_id),
+                )
+            elif node_id in liars:
+                honest = False
+                protocol = plugin.build_liar(config, fake)
+            else:
+                protocol = plugin.build(config)
 
-        if protocol is not None:
-            is_source = node_id == deployment.source_index
-            context = NodeContext(
-                node_id=node_id,
-                position=position,
-                radius=config.radius,
-                schedule=schedule,
-                message_length=config.message_length,
-                is_source=is_source,
-                source_message=message if is_source else None,
-                rng_seed=config.seed,
-            )
-            protocol.setup(context)
-        nodes.append(SimNode(node_id=node_id, position=position, protocol=protocol, honest=honest))
+            if protocol is not None:
+                is_source = node_id == deployment.source_index
+                context = NodeContext(
+                    node_id=node_id,
+                    position=position,
+                    radius=config.radius,
+                    schedule=schedule,
+                    message_length=config.message_length,
+                    is_source=is_source,
+                    source_message=message if is_source else None,
+                    rng_seed=config.seed,
+                )
+                protocol.setup(context)
+            nodes.append(SimNode(node_id=node_id, position=position, protocol=protocol, honest=honest))
 
-    return Simulation(
-        nodes,
-        schedule,
-        channel,
-        message,
-        rng=rng_factory.generator("channel"),
-        trace=trace,
-        use_cohort_runtime=use_cohort_runtime,
-        use_spatial_tiling=use_spatial_tiling,
-        use_soa_kernels=use_soa_kernels,
-    )
+        return Simulation(
+            nodes,
+            schedule,
+            channel,
+            message,
+            rng=rng_factory.generator("channel"),
+            trace=trace,
+            use_cohort_runtime=use_cohort_runtime,
+            use_spatial_tiling=use_spatial_tiling,
+            use_soa_kernels=use_soa_kernels,
+        )
 
 
 #: Process-wide accumulation of the SoA tier's per-run counters, folded in by

@@ -519,7 +519,13 @@ class Simulation:
         return self._build_result(terminated)
 
     def run_slots(self, num_slots: int) -> None:
-        """Advance the simulation by exactly ``num_slots`` slots (testing helper)."""
+        """Advance the simulation by exactly ``num_slots`` slots (testing helper).
+
+        Like :meth:`run`, it first stamps devices that delivered before its
+        first slot (the source at set-up), so the stamps do not depend on
+        which tier runs the slots.
+        """
+        self._record_deliveries()
         phases = self.schedule.phases_per_slot
         slot_starts = self.schedule.iter_slot_starts(self.round_index)
         for _ in range(num_slots):

@@ -796,8 +796,9 @@ class SoaRuntime:
 
     The channel's :meth:`~repro.sim.radio.Channel.soa_round_support`
     verdict picks the busy model — ``"disjunction"`` compiles a group-local
-    CSR adjacency, ``"power-sum"`` a lazy member×member power-column
-    cache (:class:`_PowerColumns`) — and
+    CSR adjacency (an epidemic group's holds its owners' columns only, see
+    :meth:`_group_adjacency`), ``"power-sum"`` a lazy member×member
+    power-column cache (:class:`_PowerColumns`) — and
     carries the loss probability; ``rng`` is the simulation generator the
     loss draws are burned from (required whenever loss is configured).
     """
@@ -897,15 +898,16 @@ class SoaRuntime:
         n = len(records)
         owners = []
         receiver_at: list = []
-        frame_bits = frame_rule = None
+        frame_bits = frame_rule = columns = None
         if kernel is _run_epidemic_slot:
             if not self._epidemic_ok[member_ids].all():
                 return None
-            owned = np.flatnonzero(self._owner_slot[member_ids] == slot)
+            # Only owners pop, so the group CSR holds their columns only.
+            columns = np.flatnonzero(self._owner_slot[member_ids] == slot)
             pop_of, pending_of = self._pop_of, self._pending_of
             owners = {
                 i: (pop_of[nid], records[i][REC_NODE], pending_of[nid])
-                for i, nid in zip(owned.tolist(), member_ids[owned].tolist())
+                for i, nid in zip(columns.tolist(), member_ids[columns].tolist())
             }
         else:
             # The stream protocols bind per-slot machines, so they resolve
@@ -952,7 +954,7 @@ class SoaRuntime:
             adjacency = (None, None)
         else:
             power = None
-            adjacency = self._group_adjacency(member_ids, link_state)
+            adjacency = self._group_adjacency(member_ids, link_state, columns)
 
         group = _SlotGroup()
         group.slot = slot
@@ -978,7 +980,9 @@ class SoaRuntime:
         return group
 
     @staticmethod
-    def _group_adjacency(member_ids: np.ndarray, link_state):
+    def _group_adjacency(
+        member_ids: np.ndarray, link_state, columns: Optional[np.ndarray] = None
+    ):
         """Group-local hearers-of-sender CSR from the channel's link state.
 
         ``indices[indptr[j]:indptr[j+1]]`` lists, ascending, the local
@@ -988,17 +992,31 @@ class SoaRuntime:
         order.  On the CSR tier :meth:`UnitDiskLinkState.block_entries`
         returns the entries in exactly that layout, since the member ids
         ascend.
+
+        ``columns`` (ascending local indices) limits the CSR to those
+        senders and leaves every other member's span empty.  An epidemic
+        group passes its owners: only owners pop, so the kernel reads the
+        CSR only at them, and the other members (about 15 per owner at
+        10^4 nodes) would cost their whole neighbourhoods for nothing.  A
+        stream group keeps the full adjacency, since any member echoes or
+        relays.
         """
         n = member_ids.size
+        senders = member_ids if columns is None else member_ids[columns]
         if isinstance(link_state, UnitDiskLinkState):
-            hearers, senders = link_state.block_entries(member_ids, member_ids)
+            hearers, col = link_state.block_entries(member_ids, senders)
         else:
             # Row-major nonzero over the transpose comes out sender-sorted
             # with hearers ascending within each sender — the CSR layout,
             # with no argsort/reindex pass.
-            senders, hearers = np.nonzero(link_block(link_state, member_ids, member_ids).T)
+            col, hearers = np.nonzero(link_block(link_state, member_ids, senders).T)
+        counts = np.bincount(col, minlength=senders.size)
+        if columns is not None:
+            per_member = np.zeros(n, dtype=np.int64)
+            per_member[columns] = counts
+            counts = per_member
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(senders, minlength=n), out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
         return indptr, np.asarray(hearers, dtype=np.int64)
 
     # -- execution -------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.neighborwatch import NeighborWatchNode
 from repro.core.multipath import MultiPathNode
 from repro.core.epidemic import EpidemicNode
 from repro.core.schedule import NodeSchedule, SquareSchedule
+from repro.sim import builder
 from repro.sim.builder import build_schedule, build_simulation, run_scenario
 from repro.registry import RegistryError
 from repro.sim.config import (
@@ -217,3 +220,74 @@ class TestBuilder:
         a = run_scenario(deployment, cfg)
         b = run_scenario(deployment, cfg)
         assert a.summary() == b.summary()
+
+
+class TestCollectorPause:
+    """build_simulation pauses the cyclic collector and restores the caller's setting."""
+
+    @pytest.fixture
+    def deployment(self):
+        return uniform_deployment(60, 8, 8, rng=4)
+
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        """Collector state seen inside the build, and gc.collect generations."""
+        seen = {"during": [], "collects": []}
+        schedule = builder.build_schedule
+        collect = gc.collect
+
+        def watched_schedule(*args, **kwargs):
+            seen["during"].append(gc.isenabled())
+            return schedule(*args, **kwargs)
+
+        def watched_collect(*args):
+            seen["collects"].append(args)
+            return collect(*args)
+
+        monkeypatch.setattr(builder, "build_schedule", watched_schedule)
+        monkeypatch.setattr(gc, "collect", watched_collect)
+        return seen
+
+    @pytest.fixture
+    def collector(self):
+        """Yield a setter for the collector; restore the test process's setting after."""
+        enabled = gc.isenabled()
+
+        def set_to(on: bool) -> None:
+            if on:
+                gc.enable()
+            else:
+                gc.disable()
+
+        yield set_to
+        set_to(enabled)
+
+    @pytest.mark.parametrize("on", [True, False], ids=["collector-on", "collector-off"])
+    def test_restores_the_callers_setting(self, deployment, observed, collector, on):
+        collector(on)
+        sim = build_simulation(deployment, ScenarioConfig(protocol="epidemic", radius=3))
+        assert gc.isenabled() is on
+        assert observed["during"] == [False]
+        # A collector that was on moves the build out of the young
+        # generations at once; one that was off is left alone.
+        assert observed["collects"] == ([(1,)] if on else [])
+        assert sim.run(2000).terminated
+
+    @pytest.mark.parametrize("on", [True, False], ids=["collector-on", "collector-off"])
+    def test_restores_the_setting_when_the_build_raises(self, deployment, observed, collector, on):
+        collector(on)
+
+        def failing_channel(config):
+            raise RuntimeError("channel build failed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builder, "build_channel", failing_channel)
+            with pytest.raises(RuntimeError, match="channel build failed"):
+                build_simulation(deployment, ScenarioConfig(protocol="epidemic", radius=3))
+        assert gc.isenabled() is on
+        assert observed["during"] == [False]
+        with pytest.raises(ValueError):
+            build_simulation(
+                deployment, ScenarioConfig(radius=3), FaultPlan(liars=(deployment.source_index,))
+            )
+        assert gc.isenabled() is on

@@ -92,6 +92,21 @@ class TestEpidemicBaseline:
                 NodeContext(node_id=1, position=(1.0, 0.0), radius=2.0, schedule=sched, message_length=2)
             )
 
+    def test_interests_are_the_neighbor_slot_row(self):
+        # The row holds the device's own slot, every listening slot and the
+        # source slot, ascending and distinct: the sorted set the
+        # interests used to be built as.
+        from repro.sim.builder import build_simulation
+
+        dep = uniform_deployment(80, 10, 10, rng=3)
+        sim = build_simulation(dep, epi_config(radius=2.0))
+        schedule = sim.schedule
+        for node in sim.nodes:
+            own = schedule.slot_of_node(node.node_id)
+            row = schedule.neighbor_slots_of_node(node.node_id)
+            interests = list(node.protocol.interests())
+            assert interests == row == sorted({own, 0, *row})
+
     def test_ignores_malformed_payload(self):
         import numpy as np
 

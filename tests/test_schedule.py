@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.regions import SquareGrid
-from repro.core.schedule import PHASES_PER_SLOT, SOURCE_SLOT, NodeSchedule, SquareSchedule
+from repro.core.schedule import (
+    BUCKETED_SCHEDULE_MIN_NODES,
+    PHASES_PER_SLOT,
+    SOURCE_SLOT,
+    NodeSchedule,
+    SquareSchedule,
+)
 from repro.topology.deployment import grid_jittered_deployment, uniform_deployment
 from repro.topology.geometry import pairwise_distances
 
@@ -324,6 +330,126 @@ class TestGreedyColouringReference:
                 slot += 1
             reference[node] = slot
         assert [sched.slot_of_node(i) for i in range(n)] == reference.tolist()
+
+
+def colouring_loop(schedule: NodeSchedule) -> list[int]:
+    """The per-device colouring loop NodeSchedule ran before its waves.
+
+    Kept as the reference the wave colouring must reproduce: devices in id
+    order, each taking the lowest slot above SOURCE_SLOT that no
+    already-coloured conflict neighbour (ids below it, plus the source)
+    holds, over the same conflict neighbourhoods.
+    """
+    n = schedule.positions.shape[0]
+    slots = np.zeros(n, dtype=int)
+    if n > 1:
+        indptr, indices = schedule._neighborhoods(schedule.separation, include_self=False)
+        source = schedule.source_index
+        for node in range(n):
+            if node == source:
+                slots[node] = SOURCE_SLOT
+                continue
+            neighbors = indices[indptr[node] : indptr[node + 1]]
+            decided = neighbors[(neighbors < node) | (neighbors == source)]
+            used = set(slots[decided].tolist())
+            used.add(SOURCE_SLOT)
+            slot = 1
+            while slot in used:
+                slot += 1
+            slots[node] = slot
+    return slots.tolist()
+
+
+def owners_loop(slots: list[int]) -> dict[int, tuple[int, ...]]:
+    """The per-device owner grouping that went with the loop."""
+    grouped: dict[int, list[int]] = {}
+    for node, slot in enumerate(slots):
+        grouped.setdefault(slot, []).append(node)
+    return {slot: tuple(ids) for slot, ids in grouped.items()}
+
+
+def _assert_matches_the_loop(schedule: NodeSchedule) -> None:
+    n = schedule.positions.shape[0]
+    want = colouring_loop(schedule)
+    assert [schedule.slot_of_node(i) for i in range(n)] == want
+    assert schedule.num_slots == max(want) + 1
+    owners = owners_loop(want)
+    for slot in range(schedule.num_slots + 1):
+        assert schedule.owners_of_slot(slot) == owners.get(slot, ())
+
+
+@st.composite
+def deployments(draw, max_nodes: int = 90):
+    """Positions of one of three kinds, with duplicates, and a source anywhere.
+
+    Uniform floats; integer-grid points, where many pairs sit exactly at a
+    separation under either norm; half-grid points (multiples of 0.5).  The
+    grid kinds draw from few points, so devices share positions and the
+    conflict graph holds cliques.
+    """
+    n = draw(st.integers(2, max_nodes))
+    kind = draw(st.sampled_from(["uniform", "integer", "half"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    side = draw(st.integers(1, 14))
+    if kind == "uniform":
+        positions = rng.uniform(0.0, side, size=(n, 2))
+    elif kind == "integer":
+        positions = rng.integers(0, side + 1, size=(n, 2)).astype(float)
+    else:
+        positions = rng.integers(0, 2 * side + 1, size=(n, 2)) * 0.5
+    source = draw(st.integers(0, n - 1))
+    return positions, source
+
+
+class TestWaveColouring:
+    """NodeSchedule colours in waves; its slots must be the loop's exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        deployment=deployments(),
+        radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        separation=st.sampled_from([None, 1.0, 2.0, 4.5]),
+        norm=st.sampled_from(["l2", "linf"]),
+    )
+    def test_slots_match_the_loop(self, deployment, radius, separation, norm):
+        positions, source = deployment
+        schedule = NodeSchedule(positions, radius, source, separation=separation, norm=norm)
+        _assert_matches_the_loop(schedule)
+
+    @pytest.mark.parametrize("source", [0, 1])
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_two_devices(self, source, norm):
+        for gap in (0.0, 1.0, 50.0):
+            positions = np.array([[0.0, 0.0], [gap, 0.0]])
+            schedule = NodeSchedule(positions, 1.0, source, norm=norm)
+            _assert_matches_the_loop(schedule)
+            assert schedule.num_slots == 2
+
+    def test_no_conflict_pairs(self):
+        # Every device out of everyone's reach: all share slot 1.
+        positions = np.column_stack([np.arange(30) * 10.0, np.zeros(30)])
+        schedule = NodeSchedule(positions, 1.0, 17)
+        _assert_matches_the_loop(schedule)
+        assert schedule.owners_of_slot(1) == tuple(i for i in range(30) if i != 17)
+
+    @pytest.mark.parametrize("source", [0, 5, 11])
+    def test_clique_takes_every_slot(self, source):
+        # Twelve devices at one point: each device's lower neighbours hold
+        # exactly the slots 1..d below the one it takes.
+        schedule = NodeSchedule(np.zeros((12, 2)), 1.0, source)
+        _assert_matches_the_loop(schedule)
+        assert schedule.num_slots == 12
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_bucketed_deployment(self, norm):
+        # Above BUCKETED_SCHEDULE_MIN_NODES the neighbourhoods come from grid
+        # buckets; integer positions with duplicates put pairs exactly at 3R.
+        rng = np.random.default_rng(23)
+        positions = rng.integers(0, 60, size=(2500, 2)).astype(float)
+        assert len(positions) >= BUCKETED_SCHEDULE_MIN_NODES
+        schedule = NodeSchedule(positions, 1.0, 1234, norm=norm)
+        _assert_matches_the_loop(schedule)
 
 
 class TestBucketedNodeSchedule:

@@ -360,6 +360,63 @@ class TestGroupAdjacency:
             last = len(group) - 1
             assert indices[indptr[last] : indptr[last + 1]].tolist() == [last]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        num_nodes=st.integers(1, 80),
+        side=st.floats(1.0, 30.0),
+        radius=st.floats(0.5, 6.0),
+        norm=st.sampled_from(["l2", "linf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_owner_columns_are_the_full_spans(self, data, num_nodes, side, radius, norm, seed):
+        # An epidemic group keeps only its owners' columns: each listed
+        # column's span equals its span in the full adjacency, on both link
+        # states, and every other member's span is empty.
+        positions = np.random.default_rng(seed).uniform(0.0, side, size=(num_nodes, 2))
+        members = sorted(data.draw(st.sets(st.integers(0, num_nodes - 1), min_size=1)))
+        member_ids = np.asarray(members, dtype=np.intp)
+        columns = np.asarray(
+            sorted(data.draw(st.sets(st.integers(0, len(members) - 1)))), dtype=np.intp
+        )
+        sparse = UnitDiskLinkState(positions, radius, norm)
+        dense = UnitDiskChannel(radius, norm).link_state(positions)
+        for state in (sparse, dense):
+            full_ptr, full = SoaRuntime._group_adjacency(member_ids, state)
+            indptr, indices = SoaRuntime._group_adjacency(member_ids, state, columns)
+            assert indptr.dtype == indices.dtype == np.int64
+            assert indptr.size == len(members) + 1
+            for j in range(len(members)):
+                span = indices[indptr[j] : indptr[j + 1]].tolist()
+                want = full[full_ptr[j] : full_ptr[j + 1]].tolist() if j in columns else []
+                assert span == want
+
+    @pytest.mark.parametrize("tiled", [True, False], ids=["csr", "dense"])
+    def test_epidemic_groups_hold_only_owner_columns(self, tiled):
+        config = ScenarioConfig(protocol="epidemic", radius=2.0, message_length=2, seed=1)
+        clear_link_cache()
+        sim = build_simulation(
+            uniform_deployment(120, 20, 10, rng=3),
+            config,
+            use_soa_kernels=True,
+            use_spatial_tiling=tiled,
+        )
+        state = sim._link_state
+        assert isinstance(state, UnitDiskLinkState) is tiled
+        groups = sim.soa_runtime.groups.values()
+        assert groups
+        for group in groups:
+            full_ptr, full = SoaRuntime._group_adjacency(group.member_ids, state)
+            owners = set(group.owners)
+            assert owners == {
+                i
+                for i, nid in enumerate(group.member_ids.tolist())
+                if sim.schedule.slot_of_node(nid) == group.slot
+            }
+            for j in range(group.n):
+                span = group.indices[group.indptr[j] : group.indptr[j + 1]].tolist()
+                assert span == (full[full_ptr[j] : full_ptr[j + 1]].tolist() if j in owners else [])
+
 
 class TestPowerColumns:
     """Power-sum groups fetch transmitter columns lazily, from either form."""
@@ -878,6 +935,50 @@ class TestEpidemicKernel:
         assert waiting > 0
         _assert_tiers_identical(_run_tiers(deployment, config, max_rounds=3_000))
 
+    @pytest.mark.parametrize("rebroadcasts", [1, 3])
+    @pytest.mark.parametrize("loss", [0.0, 0.25], ids=["deterministic", "loss"])
+    def test_faults_and_chunks_match_the_oracle(self, rebroadcasts, loss, monkeypatch):
+        """Liars, crashes, loss and repeat broadcasts, run in chunks, then to the end.
+
+        After every ``run_slots`` chunk each device's delivery stamp,
+        message and broadcast count and the channel generator's position
+        must equal the scalar loop's; then so must the whole run's record.
+        """
+        monkeypatch.setattr(
+            EpidemicPlugin,
+            "build",
+            lambda self, config: EpidemicNode(EpidemicConfig(rebroadcast_count=rebroadcasts)),
+        )
+        config = ScenarioConfig(
+            protocol="epidemic", radius=2.0, message_length=2, seed=1, loss_probability=loss
+        )
+        deployment = uniform_deployment(120, 20, 10, rng=3)
+        faults = FaultPlan(liars=(17, 55), crashed=(3, 90))
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(deployment, config, faults, **kwargs)
+        assert sims["soa"].soa_runtime is not None
+
+        def state(sim) -> tuple:
+            nodes = tuple(
+                (node.delivery_round, node.delivered_message, node.broadcasts)
+                for node in sim.nodes
+            )
+            return nodes, sim.rng.bit_generator.state["state"]
+
+        for _ in range(24):
+            for sim in sims.values():
+                sim.run_slots(13)
+            assert state(sims["soa"]) == state(sims["scalar"])
+        records = {
+            tier: (sim.run(3_000).to_record(), sim.rng.random()) for tier, sim in sims.items()
+        }
+        assert records["soa"] == records["scalar"]
+        liar_messages = {sims["soa"].nodes[i].delivered_message for i in faults.liars}
+        assert any(node.delivered for node in sims["soa"].nodes if node.honest)
+        assert liar_messages and None not in liar_messages
+
     def test_broadcast_counts_match_the_oracle_across_a_quiet_cycle_jump(self):
         # The strip of TestQuietCycleFastForward: the flood stops moving
         # after five cycles and the run jumps to its cap.  A jump multiplies
@@ -896,6 +997,31 @@ class TestEpidemicKernel:
         assert info["busy_cache_hits"] == info["busy_cache_misses"] == 0
         assert counts["soa"] == counts["scalar"]
         assert set(counts["soa"]) == {0, 1}
+
+
+class TestRunSlotsStamps:
+    """run_slots stamps set-up deliveries first, as run() does, on every tier.
+
+    The scalar loop stamps a device that delivered at set-up (the source)
+    at the end of the first slot it joins, the SoA kernels only inside
+    commit callbacks, so without the stamp at the top of run_slots the
+    source's delivery round depended on the tier.
+    """
+
+    @pytest.mark.parametrize("protocol", ["epidemic", "neighborwatch", "multipath"])
+    def test_records_match_after_chunks(self, protocol):
+        config = ScenarioConfig(protocol=protocol, radius=2.0, seed=1)
+        deployment = uniform_deployment(120, 20, 10, rng=3)
+        source = deployment.source_index
+        results = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sim = build_simulation(deployment, config, **kwargs)
+            for _ in range(24):
+                sim.run_slots(13)
+            assert sim.nodes[source].delivery_round == 0
+            results[tier] = (sim.run(3000).to_record(), sim.rng.random())
+        assert results["soa"] == results["scalar"]
 
 
 class TestTraceSynthesis:
