@@ -57,7 +57,11 @@ bench-baseline:
 # scalar loop too: its slots compile on the epidemic kernel.  So is the
 # MultiPathRB lying smoke spec, which runs the stream kernel's frame drains
 # under lying devices (no built-in experiment runs MultiPathRB with liars at
-# small scale).  Last, the 10^5-node epidemic macro of benchmarks/capture.py
+# small scale), and so is the lossy stream smoke spec: NeighborWatchRB and
+# MultiPathRB on a unit disk with loss 0.1, the one check that compares the
+# stream kernels' batched loss draws with the scalar loop's (FIG5 and FIG7 are
+# lossless; the Friis smoke spec diffs SoA against the cohort tier).  Last,
+# the 10^5-node epidemic macro of benchmarks/capture.py
 # is built and run with run_scenario, and its record hash must equal the one
 # BENCH_10.json stores (about 10 s and 410 MB): it pins the node-scheduled
 # construction (the wave colouring, owner-column epidemic groups) at the
@@ -84,6 +88,9 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-soa.json
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-scalar.json
 	cmp /tmp/mplie-soa.json /tmp/mplie-scalar.json
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/stream_loss_smoke.toml --export json > /tmp/streamloss-soa.json
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/stream_loss_smoke.toml --export json > /tmp/streamloss-scalar.json
+	cmp /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
 	$(PYTHON) -c "import json, sys; sys.path.insert(0, 'benchmarks'); \
 	from capture import MACROS, series_hash; \
 	from repro.experiments.factories import UniformDeploymentFactory; \
@@ -95,7 +102,7 @@ bench-smoke:
 	got = series_hash(run_scenario(dep, cfg).to_record()); \
 	want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
 	print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)"
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

@@ -188,7 +188,7 @@ class MultiPathNode(Protocol):
 
     # -- helpers ------------------------------------------------------------------------------
     def _enqueue(self, message: ControlMessage) -> None:
-        self._sender.extend(self._codec.encode(message))
+        self._sender.extend_encoded(self._codec.encode(message))
 
     def _resolve_cause(self, cause_slot: int) -> Optional[int]:
         """Resolve the device a HEARD message's cause slot refers to.

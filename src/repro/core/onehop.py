@@ -70,6 +70,16 @@ class OneHopSender:
         """Append newly committed data bits to the outgoing stream."""
         self._bits.extend(validate_bits(bits))
 
+    def extend_encoded(self, bits: Bits) -> None:
+        """Append a codec's output, which is already a tuple of 0/1 ints.
+
+        :meth:`ControlCodec.encode <repro.core.messages.ControlCodec.encode>`
+        builds its tuples from fixed-width bit fields and admits one only
+        after its range checks, so walking it again bit by bit, as
+        :meth:`extend` does for any other input, checks nothing new.
+        """
+        self._bits.extend(bits)
+
     @property
     def queued_bits(self) -> Bits:
         """All data bits ever queued (sent and pending)."""
@@ -118,18 +128,23 @@ class OneHopSender:
         return (tuple(self._bits), self._sent_count)
 
     # -- SoA kernel accessors -----------------------------------------------------------
-    def soa_current_pair(self) -> tuple[int, int]:
-        """``(parity, data)`` of the next pending bit, without allocating.
+    def soa_next_pair(self) -> Optional[tuple[int, int]]:
+        """``(parity, data)`` of the next pending bit, or ``None`` when none is pending.
 
         The SoA kernels drive the 2Bit exchange in mask algebra and never
-        construct the per-slot :class:`TwoBitSender`; the caller guarantees
-        :attr:`has_pending`.  This accessor (like every ``soa_*`` seam)
-        consumes no RNG and reads exactly the state the scalar slot
-        machines would, which is what lets lossy/Friis runs interleave
-        scalar-fallback occurrences with compiled ones: the generator is
-        advanced only at the channel layer, identically on either path.
+        construct the per-slot :class:`TwoBitSender`; this one read stands
+        for :attr:`has_pending` plus the pair :meth:`begin_slot` would
+        build.  This accessor (like every ``soa_*`` seam) consumes no RNG
+        and reads exactly the state the scalar slot machines would, which
+        is what lets lossy/Friis runs interleave scalar-fallback
+        occurrences with compiled ones: the generator is advanced only at
+        the channel layer, identically on either path.
         """
-        return (parity_of_index(self._sent_count + 1), self._bits[self._sent_count])
+        sent = self._sent_count
+        bits = self._bits
+        if sent < len(bits):
+            return (parity_of_index(sent + 1), bits[sent])
+        return None
 
     def soa_advance(self) -> None:
         """Mark the current bit delivered (SoA kernel success path).

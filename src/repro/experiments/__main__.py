@@ -477,14 +477,18 @@ def _command_run(args) -> int:
         # SoA-tier observability for serial/in-process runs (process-pool
         # workers keep their own accumulators): how much executed on the
         # compiled tier, how often slots fell back, how many quiet cycles
-        # were jumped over, and how well the busy-pattern memo held up.
-        lookups = soa["busy_cache_hits"] + soa["busy_cache_misses"]
-        hit_rate = soa["busy_cache_hits"] / lookups if lookups else 0.0
+        # were jumped over, and how well the stream groups' occurrence memo
+        # and the busy-pattern memo behind its misses held up.
+        def hit_rate(name: str) -> float:
+            lookups = soa[f"{name}_hits"] + soa[f"{name}_misses"]
+            return soa[f"{name}_hits"] / lookups if lookups else 0.0
+
         summary += (
             f" [soa: slots_run={soa['slots_run']}"
             f" scalar_fallbacks={soa['scalar_fallbacks']}"
             f" cycles_fast_forwarded={soa['cycles_fast_forwarded']}"
-            f" busy_cache_hit_rate={hit_rate:.1%}"
+            f" occurrence_hit_rate={hit_rate('occurrence'):.1%}"
+            f" busy_cache_hit_rate={hit_rate('busy_cache'):.1%}"
         )
         if soa.get("busy_cache_evictions"):
             summary += f" busy_cache_evictions={soa['busy_cache_evictions']}"

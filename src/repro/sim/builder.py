@@ -173,9 +173,13 @@ def soa_telemetry_snapshot() -> dict:
     """Accumulated SoA-kernel counters of this process's ``run_scenario`` calls.
 
     Keys mirror ``plan_cache_info()["soa_kernels"]``: ``slots_run``,
-    ``scalar_fallbacks``, ``cycles_fast_forwarded`` and the ``busy_cache_*``
-    counters, summed across runs.  Empty until a run executes on the SoA
-    tier.
+    ``scalar_fallbacks``, ``cycles_fast_forwarded``, the stream groups'
+    occurrence memo counters (``occurrence_hits``, ``occurrence_misses``,
+    ``occurrence_evictions``) and the ``busy_cache_*`` counters, summed
+    across runs.  A stream occurrence is one occurrence-memo lookup, and
+    only its misses consult the per-mask busy memo, so the ``busy_cache_*``
+    counters count the lookups made on occurrence misses only.  Empty until
+    a run executes on the SoA tier.
     """
     return dict(_soa_telemetry)
 
@@ -228,6 +232,9 @@ def run_scenario(
             "slots_run",
             "scalar_fallbacks",
             "cycles_fast_forwarded",
+            "occurrence_hits",
+            "occurrence_misses",
+            "occurrence_evictions",
             "busy_cache_hits",
             "busy_cache_misses",
             "busy_cache_evictions",

@@ -395,19 +395,24 @@ class Simulation:
         * ``"soa_kernels"`` — ``{"enabled": False}`` when the
           struct-of-arrays tier is off or no slot compiled, otherwise
           ``{"enabled": True, "slots_compiled", "member_slots", "slots_run",
-          "scalar_fallbacks", "cycles_fast_forwarded", "busy_cache_hits",
+          "scalar_fallbacks", "cycles_fast_forwarded", "occurrence_hits",
+          "occurrence_misses", "occurrence_evictions", "busy_cache_hits",
           "busy_cache_misses", "busy_cache_entries",
           "busy_cache_evictions"}``: how many slots (and slot-memberships)
           compiled into bitmask kernels, how many slot occurrences executed
           on the tier vs. fell back to the oracle loop because an
           opportunistic transmitter joined, how many whole quiet schedule
           cycles :meth:`run` jumped over instead of executing, and the
-          busy-pattern memo counters (evictions count entries dropped by
+          counters of the two memos (evictions count entries dropped by
           wholesale overflow clears of a group's memo).  Only stream groups
-          (NeighborWatchRB, MultiPathRB) keep a busy memo; epidemic groups
-          resolve every occurrence afresh and never touch these counters.
-          ``slots_run`` and the memo counters count executed occurrences
-          only;
+          (NeighborWatchRB, MultiPathRB) keep them; epidemic groups resolve
+          every occurrence afresh and never touch these counters.  A stream
+          occurrence is one lookup in its group's occurrence memo, keyed by
+          the owners' bits and the listening receivers; only a miss
+          resolves its six phases through the per-transmitter-mask busy
+          memo, so the ``busy_cache_*`` counters count the lookups of
+          occurrence misses only.  ``slots_run`` and the memo counters
+          count executed occurrences only;
         * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
           otherwise ``{"enabled": True, "dense_bytes_avoided"}``, the bytes
           the dense matrix would need beyond what the sparse state keeps;

@@ -94,6 +94,16 @@ _MESSAGE_OBSERVATIONS: dict = {}
 _MESSAGE_OBSERVATIONS_MAX = 4096
 
 
+def _decoded_transmitters(tx_index: np.ndarray) -> list[int]:
+    """The distinct transmitter indexes of decoding listeners, ascending.
+
+    What ``np.unique`` returns, from one ``np.bincount``: in NumPy 2 the
+    first ``np.unique`` call imports ``numpy.ma``, which no channel kernel
+    needs.
+    """
+    return np.flatnonzero(np.bincount(tx_index)).tolist()
+
+
 def message_observation(frame: Frame) -> Observation:
     """The interned ``Observation(MESSAGE, frame)`` for a decoded frame."""
     obs = _MESSAGE_OBSERVATIONS.get(frame)
@@ -454,8 +464,8 @@ class UnitDiskChannel(Channel):
                     singles = singles[draws >= self.loss_probability]
             if singles.size:
                 tx_index = np.argmax(audible[singles], axis=1)
-                for tx in np.unique(tx_index):
-                    obs = message_observation(transmissions[int(tx)].frame)
+                for tx in _decoded_transmitters(tx_index):
+                    obs = message_observation(transmissions[tx].frame)
                     out[singles[tx_index == tx]] = obs
             return list(out)
         return self._resolve_audible_scalar(audible, transmissions, rng)
@@ -740,8 +750,8 @@ class FriisChannel(Channel):
             decode_rows = decode_rows[draws >= self.loss_probability]
         if decode_rows.size:
             tx_for_row = strongest[decode_rows]
-            for tx in np.unique(tx_for_row):
-                obs = message_observation(transmissions[int(tx)].frame)
+            for tx in _decoded_transmitters(tx_for_row):
+                obs = message_observation(transmissions[tx].frame)
                 out[decode_rows[tx_for_row == tx]] = obs
         return list(out)
 

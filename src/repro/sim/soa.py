@@ -31,12 +31,13 @@ tier is decided per capability by
   single-transmission (unit disk) or decodable (Friis) listener, in
   listener order (the PR 3 batching contract).  That count depends only on
   the transmitter mask and the geometry — never on protocol state — so it
-  is memoized alongside the busy mask and replayed as one
-  ``rng.random(k)`` per phase, consuming the generator exactly like the
-  scalar loop.  The drawn *values* are never needed: losses convert
-  MESSAGE into COLLISION, both of which are busy, and the stream machines
-  read only ``busy`` (the epidemic kernel, which does decode payloads,
-  keeps its draws and filters adopters with them).
+  is memoized alongside the busy mask.  A stream occurrence replays the
+  sum over its six phases as one ``rng.random(k)``: nothing else draws
+  between its phases, so this consumes the generator exactly like the
+  scalar loop's per-phase draws.  The drawn *values* are never needed:
+  losses convert MESSAGE into COLLISION, both of which are busy, and the
+  stream machines read only ``busy`` (the epidemic kernel, which does
+  decode payloads, keeps its draws and filters adopters with them).
 * **capture** — Friis SINR capture is deterministic (an argmax) and
   compiles; unit-disk ``capture_probability`` draws are data-dependent
   (a uniform plus an integer choice per collision) and keep those
@@ -69,15 +70,29 @@ Mask conventions
 ----------------
 Within one compiled slot group the members are indexed ``0..n-1`` in
 participant (node id) order; a *mask* is a Python integer whose bit ``i``
-refers to member ``i``.  A stream group resolves each distinct transmitter
-mask once and memoizes it as ``(busy mask, loss-draw count)`` — in steady
-state a slot's busy pattern repeats every cycle, so the six phases cost six
-dictionary hits.  Stream broadcasts are tallied per transmitter mask (one
-dictionary bump per phase) and decoded into per-node counters at
-:meth:`SoaRuntime.flush_broadcasts`.  The epidemic kernel keeps neither:
-its owners flood once each, so no transmitter set repeats, and it counts
-each broadcast on the sender's :class:`~repro.sim.node.SimNode` as the
-scalar loop does.
+refers to member ``i``.  The whole input of a stream occurrence is four
+masks: which owners send, their parity and data bits, and which receivers
+still listen.  A stream group memoizes each occurrence on that key
+``(senders, b1, b2, active)`` — what the receivers heard in R1, R3 and R5,
+which senders failed, the loss-draw count of all six phases and the six
+transmitter masks — so a repeated key costs one dictionary hit for the six
+phases.  Keys repeat where a slot idles or relays in a steady pattern:
+MultiPathRB's unbounded streams never leave ``active``, and 97% of the
+``multipath-lying`` and 85% of the ``sweep-small`` perfbench occurrences
+hit.  In large NeighborWatchRB groups most keys are new, since owners move
+on bit by bit and receivers leave ``active`` as their streams complete:
+41%, 27% and 19% hit on the 1,200-, 20,000- and 10^5-node unit-disk
+macros (about 100, 1,760 and 8,860 members per group).  A receiver that
+leaves never listens again, so the kernel drops a group's memo whenever
+``active`` shrinks; no later key could hit what it held.  A miss runs the
+six-phase algebra, resolving each distinct transmitter mask once into a
+per-mask memo ``(busy mask, loss-draw count)``.  Stream broadcasts are
+tallied per occurrence, keyed by its six transmitter masks (one dictionary
+bump); :meth:`SoaRuntime.flush_broadcasts` sums each distinct mask's count
+and decodes it into per-node counters.  The epidemic kernel keeps none of
+these: its owners flood once each, so no transmitter set repeats, and it
+counts each broadcast on the sender's :class:`~repro.sim.node.SimNode` as
+the scalar loop does.
 
 A group whose receivers drain whole frames (MultiPathRB's spec declares
 ``frame_bits`` F; its streams are unbounded) also keeps every member's
@@ -91,13 +106,17 @@ completed cost Python, and a receiver stream gets its bits one frame at a
 time.  Streams are therefore complete at every frame boundary, and the
 pending bits of a partial frame are written into them (idempotently)
 before a scalar fallback and at the end of ``run()``/``run_slots()``, so
-every reader outside the kernel sees the scalar loop's streams.  A group
-decodes each distinct frame value once, into its bits and its gate (the
-spec's ``frame_gate`` rule: the index whose commit makes the frame inert),
-and a member's ``drain_slot`` gets a frame only if the gate is not in the
-member's live ``committed`` map: a frame that decodes to nothing, or a
-SOURCE/HEARD frame about an index the member committed, changes nothing,
-and under lying devices almost every completed frame is such a HEARD.
+every reader outside the kernel sees the scalar loop's streams.  The
+completed members are split plane by plane into parts that share one frame
+value (:func:`_frame_parts`; one mask test per plane when, as almost
+always, they all heard the same frame).  A simulation's frame groups share
+one memo that decodes each distinct frame value once, into its bits and
+its gate (the spec's ``frame_gate`` rule: the index whose commit makes the
+frame inert), and a member's ``drain_slot`` gets a frame only if the gate
+is not in the member's live ``committed`` map: a frame that decodes to
+nothing, or a SOURCE/HEARD frame about an index the member committed,
+changes nothing, and under lying devices almost every completed frame is
+such a HEARD.
 NeighborWatchRB keeps the per-bit path, but calls its commit rule only for
 a bit that lands at the device's committed frontier (index
 ``len(committed)``): a bit at any other index leaves every vote the rule
@@ -135,6 +154,11 @@ __all__ = ["SoaRuntime"]
 #: Busy-pattern memo bound per slot group (cleared wholesale on overflow;
 #: steady-state slots cycle through a handful of transmitter masks).
 _BUSY_CACHE_MAX = 4096
+
+#: Occurrence memo bound per stream group, cleared the same way (a group of
+#: the perfbench workloads sees at most 13 distinct occurrence inputs; a
+#: NeighborWatchRB group also drops its memo whenever a receiver leaves).
+_OCCURRENCE_CACHE_MAX = 4096
 
 #: Frame kind broadcast in each stream phase, for trace synthesis.  Senders
 #: carry DATA_BIT in R1/R3, receivers echo ACK in R2/R4, and every R5/R6
@@ -218,6 +242,13 @@ class _PowerColumns:
 class _SlotGroup:
     """Compiled state of one slot: members, channel structure, role bindings.
 
+    A stream group's ``owners`` are ``(bit, sender)`` pairs, and
+    ``owner_mask``/``veto_mask`` mark every owner and those whose spec sets
+    ``idle_veto``.  ``occurrences`` memoizes whole occurrences (see
+    :meth:`resolve_occurrence`) in front of ``busy_cache``, the per-mask
+    memo its misses consult, and ``tally`` counts occurrences per six-mask
+    broadcast tuple.  Both memos hold ints only.
+
     A group holds no reference to its :class:`SoaRuntime`: the runtime hands
     itself to the kernel it runs (``run(sim, runtime, group)``), so a
     finished simulation has no reference cycle through its groups and is
@@ -235,10 +266,15 @@ class _SlotGroup:
         "indices",
         "power",
         "busy_cache",
+        "occurrences",
         "tally",
         "cache_hits",
         "cache_misses",
+        "occurrence_hits",
+        "occurrence_misses",
         "owners",
+        "owner_mask",
+        "veto_mask",
         "receiver_at",
         "active",
         "parity1",
@@ -320,30 +356,72 @@ class _SlotGroup:
             start = frame_bits - int(counts[i]) + len(received) % frame_bits
             received.extend(bits[start:, i].tolist())
 
-    def phase_busy(self, runtime: SoaRuntime, tx_mask: int) -> int:
-        """Channel-busy mask for one stream phase, tallying member broadcasts.
+    def resolve_occurrence(self, runtime: SoaRuntime, key: tuple) -> tuple:
+        """Miss path of the stream kernel's occurrence memo: the six-phase algebra.
 
-        Resolves the transmitter mask via the per-group memo, bumps the
-        per-mask broadcast tally, and — when the configuration draws — burns
-        the memoized number of loss draws off the simulation generator so
-        the stream position tracks the scalar loop exactly.
+        ``key`` is ``(senders, b1, b2, active)``.  Idle owners block: those
+        in ``veto_mask`` always, the others only on activity they heard in
+        the four data/ack rounds, so both blocker masks follow from
+        ``senders``.  Each phase's transmitter mask is resolved through the
+        per-mask busy memo (:meth:`_busy_of`), which only these misses
+        consult.  The memoized entry is ``(heard1, heard2, heard_veto,
+        failed, draws, phase_tx)``: the active receivers that heard R1, R3
+        and R5 busy, the senders whose R6 was busy, the loss draws of all
+        six phases and the six transmitter masks ``(b1, heard1, b2, heard2,
+        tx4, tx5)``, which the broadcast tally and trace synthesis read.
+        Nothing here depends on ``parity1``, so the kernel computes the
+        accepted receivers from the entry on every occurrence.  The memo is
+        bounded like the busy memo: overflow clears it wholesale and counts
+        the dropped entries.  The kernel also drops it, uncounted, whenever
+        ``active`` shrinks, since no later key can then hit an entry.
         """
+        self.occurrence_misses += 1
+        senders, b1, b2, active = key
+        idle = self.owner_mask & ~senders
+        always = idle & self.veto_mask
+        cond = idle ^ always
+        busy_of = self._busy_of
+        busy0, draws0 = busy_of(runtime, b1)
+        heard1 = busy0 & active
+        busy1, draws1 = busy_of(runtime, heard1)
+        busy2, draws2 = busy_of(runtime, b2)
+        heard2 = busy2 & active
+        busy3, draws3 = busy_of(runtime, heard2)
+        # Conditional blockers arm on any activity they heard in the four
+        # data/ack rounds (TwoBitBlocker listens R1-R4 and jams R5/R6).
+        blockers = always | (cond & (busy0 | busy1 | busy2 | busy3))
+        tx4 = soa_veto_mask(senders, b1, b2, busy1, busy3) | blockers
+        busy4, draws4 = busy_of(runtime, tx4)
+        heard_veto = busy4 & active
+        tx5 = heard_veto | blockers
+        busy5, draws5 = busy_of(runtime, tx5)
+        entry = (
+            heard1,
+            heard2,
+            heard_veto,
+            busy5 & senders,
+            draws0 + draws1 + draws2 + draws3 + draws4 + draws5,
+            (b1, heard1, b2, heard2, tx4, tx5),
+        )
+        cache = self.occurrences
+        if len(cache) >= _OCCURRENCE_CACHE_MAX:
+            runtime.occurrence_evictions += len(cache)
+            cache.clear()
+        cache[key] = entry
+        return entry
+
+    def _busy_of(self, runtime: SoaRuntime, tx_mask: int) -> tuple:
+        """``(busy mask, loss-draw count)`` of one phase's transmitter mask."""
         if not tx_mask:
-            return 0
+            return (0, 0)
         entry = self.busy_cache.get(tx_mask)
         if entry is None:
-            entry = self._resolve_mask(runtime, tx_mask)
-        else:
-            self.cache_hits += 1
-        tally = self.tally
-        tally[tx_mask] = tally.get(tx_mask, 0) + 1
-        draws = entry[1]
-        if draws:
-            runtime.rng_random(draws)
-        return entry[0]
+            return self._resolve_mask(runtime, tx_mask)
+        self.cache_hits += 1
+        return entry
 
     def _resolve_mask(self, runtime: SoaRuntime, tx_mask: int) -> tuple:
-        """Miss path of :meth:`phase_busy`: resolve + memoize one mask.
+        """Miss path of :meth:`_busy_of`: resolve + memoize one mask.
 
         The memo entry is ``(busy mask, draw count)``.  The draw count —
         single-audible (disjunction) or decodable (power-sum) members that
@@ -409,7 +487,7 @@ class _SlotGroup:
                     "transmitter masks do not repeat, so the compiled group "
                     "is re-resolving masks every cycle",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
             cache.clear()
         entry = cache[tx_mask] = (_pack_mask(busy_flags), draws)
@@ -439,11 +517,20 @@ class _SlotGroup:
 def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     """One six-phase 1Hop/2Bit slot over all members at once.
 
-    Sender roles are read from the live owner objects at entry (a group has
-    few owners).  The receiver masks are the group's own and advance here:
-    an accepted bit flips its receiver's expected parity (the 1Hop parity
-    alternates) and a bounded stream that reaches its length stops
-    listening.  Scalar fallbacks are reconciled by :meth:`_SlotGroup.resync`.
+    Sender roles are read from the live owner objects at entry, one
+    ``soa_next_pair`` call per owner, and only the owners that sent are
+    revisited to advance: each NeighborWatchRB device owns one slot, so a
+    group of the 10^5-node unit-disk macro (101 slots) has about 990
+    owners.  With the receiver masks they form the occurrence's whole
+    input, ``(senders, b1, b2, active)``, and one lookup
+    in the group's occurrence memo (:meth:`_SlotGroup.resolve_occurrence`
+    on a miss) yields what the receivers heard, which senders failed, the
+    loss draws to burn (one ``rng.random`` call) and the six transmitter
+    masks to tally (one bump) and trace.  The receiver masks are the
+    group's own and advance here: an accepted bit flips its receiver's
+    expected parity (the 1Hop parity alternates) and a bounded stream that
+    reaches its length stops listening.  Scalar fallbacks are reconciled by
+    :meth:`_SlotGroup.resync`.
 
     What an accepted bit costs depends on the receiver's commit callback.
     NeighborWatchRB's ``update_commits`` reruns its commit rule, which votes
@@ -454,63 +541,46 @@ def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     MultiPathRB's ``drain_slot`` acts only on a completed control frame of
     ``frame_bits`` bits, so its groups append in mask algebra
     (:func:`_append_frame_bits`) and only the members that completed a frame
-    cost Python: the frame, read as one MSB-first integer, goes onto the
-    member's stream.  ``decoded_frames`` holds each distinct frame value the
-    group has completed, decoded once by its ``frame_rule`` into the
-    frame's bits and its gate; only a frame whose gate the member has not
-    committed reaches its drain and a delivery check.  The others are a
-    frame that decodes to nothing and a SOURCE or HEARD frame about a
-    committed index.  A COMMIT frame always reaches the drain, which
-    relays HEARD once per (peer, index, value).
+    cost Python (:func:`_complete_frames`).
     """
-    senders = b1 = b2 = always = cond = 0
-    slot_senders = None
-    for i, bit, sender, idle_veto in group.owners:
-        if sender.has_pending:
-            parity, data = sender.soa_current_pair()
+    senders = b1 = b2 = 0
+    sending = []
+    for owner in group.owners:
+        bit, sender = owner
+        pair = sender.soa_next_pair()
+        if pair is not None:
             senders |= bit
+            sending.append(owner)
+            parity, data = pair
             if parity:
                 b1 |= bit
             if data:
                 b2 |= bit
-            if slot_senders is None:
-                slot_senders = [(bit, sender)]
-            else:
-                slot_senders.append((bit, sender))
-        elif idle_veto:
-            always |= bit
-        else:
-            cond |= bit
     active = group.active
-
-    phase_busy = group.phase_busy
-    busy0 = phase_busy(runtime, b1)
-    heard1 = busy0 & active
-    busy1 = phase_busy(runtime, heard1)
-    busy2 = phase_busy(runtime, b2)
-    heard2 = busy2 & active
-    busy3 = phase_busy(runtime, heard2)
-    # Conditional blockers arm on any activity they heard in the four
-    # data/ack rounds (TwoBitBlocker listens R1-R4 and jams R5/R6).
-    blockers = always | (cond & (busy0 | busy1 | busy2 | busy3))
-    tx4 = soa_veto_mask(senders, b1, b2, busy1, busy3) | blockers
-    busy4 = phase_busy(runtime, tx4)
-    heard_veto = busy4 & active
-    tx5 = heard_veto | blockers
-    busy5 = phase_busy(runtime, tx5)
+    key = (senders, b1, b2, active)
+    entry = group.occurrences.get(key)
+    if entry is None:
+        entry = group.resolve_occurrence(runtime, key)
+    else:
+        group.occurrence_hits += 1
+    heard1, heard2, heard_veto, failed, draws, phase_tx = entry
+    tally = group.tally
+    tally[phase_tx] = tally.get(phase_tx, 0) + 1
+    if draws:
+        runtime.rng_random(draws)
 
     trace = sim.trace
     if trace is not None:
-        group.trace_stream(
-            trace, sim.round_index, (b1, heard1, b2, heard2, tx4, tx5)
-        )
+        group.trace_stream(trace, sim.round_index, phase_tx)
 
-    if slot_senders is not None:
-        final = busy5 & senders
-        for bit, sender in slot_senders:
-            if not (final & bit):
+    # Only the owners that sent are tested: a large group has hundreds of
+    # owners, and each test is an n-bit operation.
+    advanced = senders & ~failed
+    if advanced:
+        runtime.moved = True
+        for bit, sender in sending:
+            if advanced & bit:
                 sender.soa_advance()
-                runtime.moved = True
 
     # A receiver accepts exactly when its slot was veto-free and the parity
     # it heard matches the next expected one (XNOR against the parity mask);
@@ -521,42 +591,105 @@ def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     runtime.moved = True
     group.parity1 ^= accepted
     end_round = sim.round_index + NUM_PHASES
-    records = group.records
-    receiver_at = group.receiver_at
     if group.planes is not None:
         completed = _append_frame_bits(group, accepted, heard2)
-        if not completed:
-            return
-        n = group.n
-        frame_bits = len(group.planes)
-        members = _mask_indices(completed, n)
-        frames = _column_values(_unpack_planes(group.planes, n)[:, members])
-        decoded = group.decoded_frames
-        for i, frame in zip(members.tolist(), frames.tolist()):
-            entry = decoded.get(frame)
-            if entry is None:
-                decode, gate_of = group.frame_rule
-                entry = decoded[frame] = (bits_from_int(frame, frame_bits), gate_of(decode(frame)))
-            column, gate = entry
-            receiver, drain, _limit, committed = receiver_at[i]
-            received = receiver.peek_received()
-            # A flush may already have written the frame's first bits.
-            pending = len(received) % frame_bits
-            received.extend(column[pending:] if pending else column)
-            if gate is not None and gate not in committed:
-                drain(frame)
-                _stamp_delivery(records[i], end_round, trace)
+        if completed:
+            _complete_frames(group, completed, end_round, trace)
         return
+    records = group.records
+    receiver_at = group.receiver_at
     while accepted:
         bit = accepted & -accepted
         accepted ^= bit
         i = bit.bit_length() - 1
-        receiver, update_commits, limit, committed = receiver_at[i]
+        receiver, update_commits, limit, committed, _received = receiver_at[i]
         length = receiver.soa_append(1 if heard2 & bit else 0)
         if length == limit:
             group.active ^= bit
+            # A complete stream never listens again, so no later key holds
+            # the old ``active``: every memoized occurrence is dead.
+            group.occurrences.clear()
         if length == len(committed) + 1:
             update_commits()
+            _stamp_delivery(records[i], end_round, trace)
+
+
+def _frame_parts(planes: list, completed: int) -> list:
+    """Split the ``completed`` members by frame value: ``[(members, frame), ...]``.
+
+    Plane ``k`` holds bit ``k`` of every member's frame, most significant
+    first, so a part whose members share their first ``k`` bits splits on
+    plane ``k`` into the members with bit ``k`` clear and those with it set.
+    When every member holds one frame value (almost every occurrence: they
+    all heard the same owner) that is one mask test per plane.  Parts come
+    out in ascending frame order, each nonempty.
+    """
+    frame = 0
+    for k, plane in enumerate(planes):
+        ones = completed & plane
+        if ones == completed:
+            frame = frame << 1 | 1
+        elif not ones:
+            frame <<= 1
+        else:
+            break
+    else:
+        return [(completed, frame)]
+    parts = [(completed, frame)]
+    for plane in planes[k:]:
+        split = []
+        for members, value in parts:
+            ones = members & plane
+            value <<= 1
+            if ones != members:
+                split.append((members ^ ones, value))
+            if ones:
+                split.append((ones, value | 1))
+        parts = split
+    return parts
+
+
+def _complete_frames(group: _SlotGroup, completed: int, end_round: int, trace) -> None:
+    """Hand each member in ``completed`` its frame, read off the frame planes.
+
+    Each frame value goes onto the member's stream, is looked up once per
+    part in ``decoded_frames`` (its bits and its gate, decoded by the
+    group's ``frame_rule`` the first time any group of the simulation
+    completes it: a message is relayed in many devices' slots), and
+    reaches the member's drain and a delivery check only if the member has
+    not committed its gate.  The others are a frame that decodes to nothing
+    and a SOURCE or HEARD frame about a committed index; a COMMIT frame
+    always reaches the drain, which relays HEARD once per (peer, index,
+    value).  Members are walked in ascending order, as the scalar loop
+    walks its records, so drains and DELIVERY events keep their order.
+    """
+    planes = group.planes
+    frame_bits = len(planes)
+    decoded = group.decoded_frames
+    parts = []
+    for members, frame in _frame_parts(planes, completed):
+        entry = decoded.get(frame)
+        if entry is None:
+            decode, gate_of = group.frame_rule
+            entry = decoded[frame] = (bits_from_int(frame, frame_bits), gate_of(decode(frame)))
+        parts.append((members, frame, entry))
+    records = group.records
+    receiver_at = group.receiver_at
+    members, frame, (column, gate) = parts[0]
+    while completed:
+        bit = completed & -completed
+        completed ^= bit
+        if not members & bit:
+            for members, frame, (column, gate) in parts:
+                if members & bit:
+                    break
+        i = bit.bit_length() - 1
+        _receiver, drain, _limit, committed, received = receiver_at[i]
+        # A flush may already have written the frame's first bits.
+        pending = len(received) % frame_bits
+        received.extend(column[pending:] if pending else column)
+        if gate is not None and gate not in committed:
+            drain(frame)
             _stamp_delivery(records[i], end_round, trace)
 
 
@@ -864,6 +997,8 @@ class SoaRuntime:
         self.moved = True
         self.cycles_fast_forwarded = 0
         self.busy_cache_evictions = 0
+        self.occurrence_evictions = 0
+        self._decoded_frames: dict = {}
         self.thrash_warned = False
         for slot, records in plan.slot_records.items():
             group = self._compile_slot(
@@ -897,6 +1032,7 @@ class SoaRuntime:
             return None
         n = len(records)
         owners = []
+        owner_mask = veto_mask = 0
         receiver_at: list = []
         frame_bits = frame_rule = columns = None
         if kernel is _run_epidemic_slot:
@@ -912,14 +1048,15 @@ class SoaRuntime:
         else:
             # The stream protocols bind per-slot machines, so they resolve
             # one soa_state_spec per (member, slot) pair.  A receiver entry is
-            # (stream, commit callback, stream bound, committed state); the
-            # callback is either update_commits, called for an accepted bit
-            # at the committed prefix's length, or the drain_slot of an
-            # unbounded stream, handed each completed frame of frame_bits
-            # bits whose (decode_frame, frame_gate) gate is not in the
-            # committed map (then the whole group must drain such frames,
-            # and keeps frame planes; every member of one simulation shares
-            # the codec shape, so one rule and one memo serve them).
+            # (stream, commit callback, stream bound, committed state, the
+            # stream's accepted-bit list); the callback is either
+            # update_commits, called for an accepted bit at the committed
+            # prefix's length, or the drain_slot of an unbounded stream,
+            # handed each completed frame of frame_bits bits whose
+            # (decode_frame, frame_gate) gate is not in the committed map
+            # (then the whole group must drain such frames, and keeps frame
+            # planes; every member of one simulation shares the codec shape,
+            # so one rule and one memo serve them).
             receiver_at = [None] * n
             frame_sizes = set()
             for i, record in enumerate(records):
@@ -930,7 +1067,10 @@ class SoaRuntime:
                 if spec is None:
                     return None
                 if spec["role"] == "owner":
-                    owners.append((i, 1 << i, spec["sender"], spec["idle_veto"]))
+                    owners.append((1 << i, spec["sender"]))
+                    owner_mask |= 1 << i
+                    if spec["idle_veto"]:
+                        veto_mask |= 1 << i
                     continue
                 receiver = spec["receiver"]
                 post = spec.get("update_commits")
@@ -941,7 +1081,11 @@ class SoaRuntime:
                     frame_rule = (spec["decode_frame"], spec["frame_gate"])
                 frame_sizes.add(spec.get("frame_bits"))
                 receiver_at[i] = (
-                    receiver, post, receiver.expected_length, spec.get("committed")
+                    receiver,
+                    post,
+                    receiver.expected_length,
+                    spec.get("committed"),
+                    receiver.peek_received(),
                 )
             if len(frame_sizes) > 1:
                 return None
@@ -965,14 +1109,21 @@ class SoaRuntime:
         group.indptr, group.indices = adjacency
         group.power = power
         group.busy_cache = {}
+        group.occurrences = {}
         group.tally = {}
         group.cache_hits = 0
         group.cache_misses = 0
+        group.occurrence_hits = 0
+        group.occurrence_misses = 0
         group.owners = owners
+        group.owner_mask = owner_mask
+        group.veto_mask = veto_mask
         group.receiver_at = receiver_at
         group.planes = group.counters = None
         group.frame_rule = frame_rule
-        group.decoded_frames = {}
+        # One simulation's codecs share their shape, so its frame groups
+        # share one decode memo.
+        group.decoded_frames = self._decoded_frames.setdefault(frame_bits, {})
         if frame_bits is not None:
             group.planes = [0] * frame_bits
             group.counters = [0] * frame_bits.bit_length()
@@ -1038,12 +1189,16 @@ class SoaRuntime:
         factor = cycles + 1
         for group in self.groups.values():
             tally = group.tally
-            for mask in tally:
-                tally[mask] *= factor
+            for phase_tx in tally:
+                tally[phase_tx] *= factor
         self.cycles_fast_forwarded += cycles
 
     def flush_broadcasts(self) -> None:
-        """Fold the stream groups' per-mask broadcast tallies into the nodes.
+        """Fold the stream groups' broadcast tallies into the nodes.
+
+        A tally counts occurrences per six-mask tuple ``(b1, heard1, b2,
+        heard2, tx4, tx5)``; each member of each mask broadcast once per
+        such occurrence.
 
         Called by the engine at the end of ``run()``/``run_slots()`` — the
         only points where ``SimNode.broadcasts`` is consumed — and at a
@@ -1057,9 +1212,16 @@ class SoaRuntime:
             tally = group.tally
             if not tally:
                 continue
+            # Tuples share masks, and a mask decodes in O(n): sum each
+            # distinct mask's count first.
+            counts: dict = {}
+            for phase_tx, times in tally.items():
+                for mask in phase_tx:
+                    if mask:
+                        counts[mask] = counts.get(mask, 0) + times
             n = group.n
             folded = np.zeros(n, dtype=np.int64)
-            for mask, times in tally.items():
+            for mask, times in counts.items():
                 folded[_mask_indices(mask, n)] += times
             records = group.records
             for i in np.nonzero(folded)[0]:
@@ -1087,6 +1249,9 @@ class SoaRuntime:
             "slots_run": self.slots_run,
             "scalar_fallbacks": self.scalar_fallbacks,
             "cycles_fast_forwarded": self.cycles_fast_forwarded,
+            "occurrence_hits": sum(g.occurrence_hits for g in groups),
+            "occurrence_misses": sum(g.occurrence_misses for g in groups),
+            "occurrence_evictions": self.occurrence_evictions,
             "busy_cache_hits": sum(g.cache_hits for g in groups),
             "busy_cache_misses": sum(g.cache_misses for g in groups),
             "busy_cache_entries": sum(len(g.busy_cache) for g in groups),

@@ -11,7 +11,8 @@ a run diverges).  These tests pin that contract:
 
 * property tests drive randomized listener/transmitter sets through both
   channel implementations side by side (same seed) and compare observation
-  lists and the next RNG draw;
+  lists and the next RNG draw, and a round whose listeners decode three
+  different transmitters must leave ``numpy.ma`` unimported;
 * end-to-end tests run whole scenarios with the vectorized kernels forced
   off — and, separately, with the cohort runtime toggled — and compare the
   full result records and the channel-RNG position;
@@ -402,3 +403,70 @@ class TestSpatialTilingEquivalence:
             results[tiled] = (record, sim.rng.random())
         assert results[True][0] == results[False][0]
         assert results[True][1] == results[False][1]
+
+
+class TestNoMaskedArrayImport:
+    """The vectorized resolvers group decoding listeners without ``np.unique``.
+
+    In NumPy 2 the first ``np.unique`` call imports ``numpy.ma``, which no
+    channel kernel needs; grouping by transmitter with one ``np.bincount``
+    keeps it out of a sweep that never asked for it.  A unit-disk and a
+    Friis round, each with three transmitters decoded by separate
+    listeners, run in a fresh interpreter; the same rounds must equal the
+    scalar loops' observations and RNG positions.
+    """
+
+    CODE = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.core.messages import Frame, FrameKind\n"
+        "from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel\n"
+        "transmissions = [\n"
+        "    Transmission(i, (10.0 * i, 0.0), Frame(FrameKind.DATA_BIT, i, (i % 2,)))\n"
+        "    for i in range(3)\n"
+        "]\n"
+        "xs = [10.0 * i + d for i in range(3) for d in (0.5, -0.7, 1.1)]\n"
+        "positions = np.array([[x, 0.0] for x in xs])\n"
+        "listeners = list(range(3, 3 + len(xs)))\n"
+        "for channel in (UnitDiskChannel(2.0, loss_probability=0.1),\n"
+        "                FriisChannel(2.0, loss_probability=0.1)):\n"
+        "    rng = np.random.default_rng(5)\n"
+        "    observed = channel.observe(listeners, positions, transmissions, rng)\n"
+        "    senders = {obs.decoded.sender for obs in observed if obs.decoded is not None}\n"
+        "    assert len(senders) >= 2, senders\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+
+    def test_resolves_leave_numpy_ma_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        result = subprocess.run(
+            [sys.executable, "-c", self.CODE], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("channel_cls", [UnitDiskChannel, FriisChannel])
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    def test_grouped_decodes_match_the_scalar_loop(self, channel_cls, loss):
+        transmissions = [
+            Transmission(i, (10.0 * i, 0.0), Frame(FrameKind.DATA_BIT, i, (i % 2,)))
+            for i in range(3)
+        ]
+        xs = [10.0 * i + d for i in range(3) for d in (0.5, -0.7, 1.1)] + [5.0, 15.0]
+        positions = np.array([[x, 0.0] for x in xs])
+        listeners = list(range(3, 3 + len(xs)))
+        fast = channel_cls(2.0, loss_probability=loss)
+        slow = channel_cls(2.0, loss_probability=loss)
+        slow.use_vectorized_kernels = False
+        rng_fast, rng_slow = np.random.default_rng(5), np.random.default_rng(5)
+        observed = fast.observe(listeners, positions, transmissions, rng_fast)
+        assert observed == slow.observe(listeners, positions, transmissions, rng_slow)
+        assert rng_fast.random() == rng_slow.random()
+        assert len({obs.decoded.sender for obs in observed if obs.decoded is not None}) == 3

@@ -25,6 +25,14 @@ draws being data-dependent.  These tests pin
 * the callbacks the stream kernel skips — NeighborWatchRB's commit rule
   runs exactly for bits at the committed frontier, and the MultiPathRB
   frames the kernel withholds from ``drain_slot`` change no state;
+* the occurrence memo — both stream protocols on unit disk and Friis,
+  with and without loss and idle vetoes, under liars, across a
+  quiet-cycle jump and with a memo bound of one entry, equal the scalar
+  loop after every ``run_slots`` chunk (records, broadcasts, generator
+  state, streams, traced events and handled control messages); an
+  occurrence that completes two frame values splits them by plane masks;
+  and ``soa_next_pair`` answers what ``has_pending`` and the slot's pair
+  did;
 * the epidemic kernel — its one-gather decode against a brute-force count,
   shared-slot occurrences against the oracle, per-node broadcast counts,
   kept at the sender, after every chunk and across a jump, and owners
@@ -57,7 +65,7 @@ from repro.core.epidemic import EpidemicConfig, EpidemicNode, EpidemicPlugin
 from repro.core.messages import ControlType, int_from_bits
 from repro.core.multipath import MultiPathNode
 from repro.core.neighborwatch import NeighborWatchNode
-from repro.core.onehop import OneHopReceiver
+from repro.core.onehop import OneHopReceiver, OneHopSender, parity_of_index
 from repro.sim import soa
 from repro.sim.builder import build_simulation
 from repro.sim.config import FaultPlan, ScenarioConfig
@@ -797,6 +805,262 @@ class TestMultipathInertDrains:
         assert skipped[ControlType.HEARD] > 0
         assert skipped[ControlType.SOURCE] > 0
         assert skipped[ControlType.COMMIT] == 0
+
+
+def _chunk_state(sim) -> tuple:
+    """What a ``run_slots`` chunk may move: the record (delivery stamps and
+    per-node broadcast counts), the generator state and every receiver
+    stream."""
+    return (
+        sim._build_result(False).to_record(),
+        [node.broadcasts for node in sim.nodes],
+        sim.rng.bit_generator.state,
+        _receiver_streams(sim),
+    )
+
+
+def _events(log) -> bytes:
+    return "\n".join(str(event) for event in log).encode()
+
+
+def _handled_controls(monkeypatch) -> dict:
+    """Record every MultiPathRB control message handled, per tier, in call order.
+
+    Both tiers reach ``_handle_control`` only for a frame that can move its
+    device, so equal sequences mean the kernel drained the same frames in
+    the scalar loop's (ascending member) order.
+    """
+    handled = {"current": []}
+    handle = MultiPathNode._handle_control
+
+    def recording(self, peer, message):
+        handled["current"].append((self.context.node_id, peer, message))
+        handle(self, peer, message)
+
+    monkeypatch.setattr(MultiPathNode, "_handle_control", recording)
+    return handled
+
+
+class TestOccurrenceMemo:
+    """Stream occurrences at one lookup, against the scalar oracle.
+
+    A stream group memoizes each occurrence on ``(senders, b1, b2,
+    active)``: the phases' heard masks, the failed senders, the loss draws
+    of all six phases (burned in one call) and the six transmitter masks
+    (tallied once per occurrence, and traced).  Each run below steps the SoA
+    tier and the scalar loop through the same ``run_slots`` chunks and
+    compares the record, the per-node broadcast counts, the generator
+    state and every receiver stream after each chunk and after ``run()``,
+    plus the traced event streams and, for MultiPathRB, every handled
+    control message in call order.  ``idle_veto`` on and off makes idle
+    owners block always and conditionally; liars make streams disagree.
+    """
+
+    @pytest.mark.parametrize("idle_veto", [True, False], ids=["veto", "no-veto"])
+    @pytest.mark.parametrize(
+        "channel,loss",
+        [("unit_disk", 0.0), ("unit_disk", 0.2), ("friis", 0.0), ("friis", 0.2)],
+    )
+    @pytest.mark.parametrize("protocol", ["neighborwatch", "multipath"])
+    def test_chunks_match_the_oracle(self, protocol, channel, loss, idle_veto, monkeypatch):
+        config = ScenarioConfig(
+            protocol=protocol,
+            radius=3.0,
+            message_length=2,
+            multipath_tolerance=1,
+            seed=11,
+            channel=channel,
+            loss_probability=loss,
+            idle_veto=idle_veto,
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=7)
+        faults = FaultPlan(liars=(4, 17))
+        handled = _handled_controls(monkeypatch)
+        sims, logs, controls = {}, {}, {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            logs[tier] = EventLog()
+            sims[tier] = build_simulation(deployment, config, faults, trace=logs[tier], **kwargs)
+            controls[tier] = []
+        initial = sims["soa"].rng.bit_generator.state
+        for _ in range(12):
+            for tier, sim in sims.items():
+                handled["current"] = controls[tier]
+                sim.run_slots(37)
+            assert _chunk_state(sims["soa"]) == _chunk_state(sims["scalar"])
+        records = {}
+        for tier, sim in sims.items():
+            handled["current"] = controls[tier]
+            records[tier] = sim.run(6_000).to_record()
+        assert records["soa"] == records["scalar"]
+        assert _chunk_state(sims["soa"]) == _chunk_state(sims["scalar"])
+        assert _events(logs["soa"]) == _events(logs["scalar"])
+        assert controls["soa"] == controls["scalar"]
+        info = sims["soa"].plan_cache_info()["soa_kernels"]
+        assert info["scalar_fallbacks"] == 0
+        assert info["occurrence_hits"] + info["occurrence_misses"] == info["slots_run"]
+        assert info["occurrence_hits"] > 0 and info["occurrence_misses"] > 0
+        # Only occurrence misses consult the per-mask memo, six masks each
+        # at most (phases in which nobody transmits skip it).
+        assert info["busy_cache_hits"] + info["busy_cache_misses"] <= 6 * info["occurrence_misses"]
+        # A receiver that stops listening never listens again, so the memo
+        # keeps only keys of the group's current receiver mask.
+        for group in sims["soa"].soa_runtime.groups.values():
+            assert all(key[3] == group.active for key in group.occurrences)
+        if protocol == "multipath":
+            assert controls["soa"]
+        # Loss draws moved the generator (and equally on both tiers).
+        assert (sims["soa"].rng.bit_generator.state != initial) == bool(loss)
+
+    @pytest.mark.parametrize(
+        "protocol,base,message_length,liars",
+        [
+            ("neighborwatch", uniform_deployment(30, 6.0, 6.0, rng=7), 2, (4,)),
+            # MultiPathRB relays long after delivery; on a small grid its
+            # backlog drains within the cap (see TestQuietCycleFastForward).
+            ("multipath", grid_jittered_deployment(2, 2, spacing=1.0), 1, ()),
+        ],
+        ids=["neighborwatch", "multipath"],
+    )
+    def test_tally_survives_a_quiet_cycle_jump(self, protocol, base, message_length, liars):
+        # A run that never terminates jumps over its quiet tail, multiplying
+        # the per-occurrence tallies; the broadcast counts must still be the
+        # scalar loop's.
+        config = ScenarioConfig(
+            protocol=protocol, radius=3.0, message_length=message_length,
+            multipath_tolerance=1, seed=11,
+        )
+        deployment = _with_isolated_device(base)
+        states = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sim = build_simulation(deployment, config, FaultPlan(liars=liars), **kwargs)
+            sim.run_slots(50)
+            states[tier] = [_chunk_state(sim), sim.run(9_001).to_record(), _chunk_state(sim)]
+            if tier == "soa":
+                info = sim.plan_cache_info()["soa_kernels"]
+        assert info["cycles_fast_forwarded"] > 0
+        assert states["soa"] == states["scalar"]
+
+    def test_overflowing_memo_clears_are_counted(self, monkeypatch):
+        # A one-entry memo clears on every miss after the first: the clears
+        # are counted, and nothing else changes.
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1,
+            seed=11, loss_probability=0.2,
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=7)
+        runs, infos = {}, {}
+        for bound in (soa._OCCURRENCE_CACHE_MAX, 1):
+            monkeypatch.setattr(soa, "_OCCURRENCE_CACHE_MAX", bound)
+            for tier, kwargs in (TIERS[0], TIERS[2]):
+                clear_link_cache()
+                sim = build_simulation(deployment, config, FaultPlan(liars=(4,)), **kwargs)
+                sim.run_slots(200)
+                chunk = _chunk_state(sim)
+                record = sim.run(6_000).to_record()
+                runs[bound, tier] = [chunk, record, _chunk_state(sim)]
+                if tier == "soa":
+                    infos[bound] = sim.plan_cache_info()["soa_kernels"]
+            assert runs[bound, "soa"] == runs[bound, "scalar"]
+        (default_bound, default), (_one, shrunk) = infos.items()
+        assert runs[1, "soa"] == runs[default_bound, "soa"]
+        assert default["occurrence_evictions"] == 0
+        assert shrunk["occurrence_evictions"] > 0
+        assert shrunk["occurrence_misses"] > default["occurrence_misses"]
+        assert shrunk["slots_run"] == default["slots_run"]
+
+    def test_one_occurrence_completes_two_frame_values(self, monkeypatch):
+        # On a strip wider than 3R several owners share each slot, so one
+        # occurrence can complete different frames at different members.
+        # The plane split must then hand each member its own frame, and
+        # the members must drain in ascending order.
+        config = ScenarioConfig(
+            protocol="multipath", radius=2.0, message_length=2, multipath_tolerance=1, seed=11
+        )
+        deployment = uniform_deployment(36, 13, 4, rng=3)
+        split = soa._frame_parts
+        parts_seen = {"multi": 0, "members": 0}
+
+        def counted(planes, completed):
+            parts = split(planes, completed)
+            if len(parts) > 1:
+                parts_seen["multi"] += 1
+                parts_seen["members"] += bin(completed).count("1")
+            assert sum(members for members, _frame in parts) == completed
+            return parts
+
+        monkeypatch.setattr(soa, "_frame_parts", counted)
+        handled = _handled_controls(monkeypatch)
+        states, controls = {}, {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            handled["current"] = controls[tier] = []
+            log = EventLog()
+            sim = build_simulation(deployment, config, FaultPlan(liars=(4,)), trace=log, **kwargs)
+            sim.run_slots(300)
+            chunk = _chunk_state(sim)
+            record = sim.run(6_000).to_record()
+            states[tier] = [chunk, record, _chunk_state(sim), _events(log)]
+            if tier == "soa":
+                assert max(len(group.owners) for group in sim.soa_runtime.groups.values()) > 1
+        assert parts_seen["multi"] > 0
+        assert parts_seen["members"] > 2 * parts_seen["multi"]
+        assert states["soa"] == states["scalar"]
+        assert controls["soa"] == controls["scalar"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_frame_parts_match_per_member_values(self, data):
+        n = data.draw(st.integers(1, 40), label="members")
+        frame_bits = data.draw(st.integers(1, 12), label="frame_bits")
+        values = data.draw(
+            st.lists(st.integers(0, (1 << frame_bits) - 1), min_size=n, max_size=n), label="values"
+        )
+        completed = data.draw(st.integers(1, (1 << n) - 1), label="completed")
+        planes = [
+            sum(1 << i for i, value in enumerate(values) if value >> (frame_bits - 1 - k) & 1)
+            for k in range(frame_bits)
+        ]
+        parts = soa._frame_parts(planes, completed)
+        expected: dict = {}
+        for i in range(n):
+            if completed >> i & 1:
+                expected[values[i]] = expected.get(values[i], 0) | 1 << i
+        assert parts == [(members, value) for value, members in sorted(expected.items())]
+
+
+class TestSenderAccessor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=12),
+        sent=st.integers(0, 12),
+        appended=st.lists(st.integers(0, 1), max_size=4),
+    )
+    def test_next_pair_is_has_pending_plus_the_pair(self, bits, sent, appended):
+        """``soa_next_pair`` answers what ``has_pending`` and the slot's pair did."""
+        sender = OneHopSender(bits)
+        for _ in range(min(sent, len(bits))):
+            sender.soa_advance()
+        sender.extend_encoded(tuple(appended))
+        queue = sender.queued_bits
+        pair = sender.soa_next_pair()
+        if sender.has_pending:
+            assert pair == (parity_of_index(sender.sent_count + 1), queue[sender.sent_count])
+            # The pair the scalar slot machine would transmit.
+            probe = sender.clone()
+            assert probe.begin_slot()
+            assert pair == probe.current_pair
+        else:
+            assert pair is None
+            assert not sender.clone().begin_slot()
+
+    def test_extend_encoded_appends_without_checking(self):
+        sender = OneHopSender((1,))
+        sender.extend_encoded((0, 1, 1))
+        assert sender.queued_bits == (1, 0, 1, 1)
+        with pytest.raises(ValueError):
+            sender.extend((0, 2))
 
 
 class TestEpidemicKernel:
