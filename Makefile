@@ -9,13 +9,18 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
+# The repository benchmark's workloads (BENCHMARK.json): the construction
+# layers (epidemic-10k), the SoA stream kernel (multipath-lying), the
+# quiet-cycle fast-forward of sweep-small's 13 runs that never terminate, and
+# unit-disk capture on the cohort tier and the scalar channel loop
+# (nw-capture-2400).  `make bench` and `make bench-smoke` run one traced
+# sample of each, which fails on any record-hash mismatch or layer span that
+# did not fire.
+PERFBENCH_WORKLOADS = epidemic-10k multipath-lying sweep-small nw-capture-2400
+
 # Capture a post-change benchmark run into BENCH_$(PR).json (merges with the
 # stored baseline and computes speedups; fails on series-hash drift), then
-# run one traced epidemic-10k, multipath-lying and sweep-small sample set of
-# the repository benchmark (the construction layers, the SoA stream kernel,
-# and the quiet-cycle fast-forward of sweep-small's 13 runs that never
-# terminate), each failing on any record-hash mismatch or layer span that
-# did not fire.  The
+# run the traced sample of every PERFBENCH_WORKLOADS entry.  The
 # cross-PR trend report (benchmarks/trend.py) is on demand only: it compares
 # single-shot captures and flags noise as regressions.
 # PR 7/9's varied knob is the protocol execution runtime: the baseline is
@@ -34,21 +39,20 @@ BENCH_TILING ?= on
 bench:
 	@test -n "$(PR)" || { echo "make bench: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench PR=20)" >&2; exit 2; }
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
-	$(PYTHON) perfbench/run.py --workload epidemic-10k --seed 1 --seconds 1 --trace 1
-	$(PYTHON) perfbench/run.py --workload multipath-lying --seed 1 --seconds 1 --trace 1
-	$(PYTHON) perfbench/run.py --workload sweep-small --seed 1 --seconds 1 --trace 1
-	$(PYTHON) perfbench/run.py --workload nw-capture-2400 --seed 1 --seconds 1 --trace 1
+	for w in $(PERFBENCH_WORKLOADS); do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; done
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:
 	@test -n "$(PR)" || { echo "make bench-baseline: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench-baseline PR=20)" >&2; exit 2; }
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE) --tiling $(BENCH_TILING)
 
-# CI smoke: verify BENCH_10.json (the newest capture, as CI checks it) exists
-# and its suite hashes reproduce, then check exports are byte-identical
-# SoA-on vs SoA-off — FIG5 for the unit-disk disjunction kernels, the Friis
-# smoke spec for the PR 9 power-sum (+ loss) kernels — and sparse vs dense
-# link state for JAM, whose jammer-joined slot occurrences fall back to the
+# CI smoke (CI's bench-smoke job runs exactly this target): verify the
+# captured BENCH_*.json files exist and BENCH_10.json's suite hashes (the
+# newest capture) reproduce, run the traced sample of every
+# PERFBENCH_WORKLOADS entry, then check exports are byte-identical SoA-on vs
+# SoA-off — FIG5 for the unit-disk disjunction kernels, the Friis smoke spec
+# for the power-sum (+ loss) kernels — and sparse vs dense link state
+# for FIG5 and for JAM, whose jammer-joined slot occurrences fall back to the
 # scalar loop and so resolve their rounds from sparse link-state blocks.
 # FIG7 (NeighborWatchRB, capture-free unit disk) is diffed twice: cohort
 # runtime vs scalar loop with the SoA kernels pinned off on both sides (with
@@ -66,14 +70,21 @@ bench-baseline:
 # BENCH_10.json stores (about 10 s and 410 MB): it pins the node-scheduled
 # construction (the wave colouring, owner-column epidemic groups) at the
 # scale no smaller check reaches.
+BENCH_CAPTURES = BENCH_3.json BENCH_4.json BENCH_6.json BENCH_7.json BENCH_9.json BENCH_10.json
+
 bench-smoke:
+	for f in $(BENCH_CAPTURES); do test -f $$f || { echo "$$f missing from the perf trajectory (see make bench)" >&2; exit 1; }; done
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
+	for w in $(PERFBENCH_WORKLOADS); do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; done
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/nosoa.json
 	cmp /tmp/soa.json /tmp/nosoa.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-nosoa.json
 	cmp /tmp/friis-soa.json /tmp/friis-nosoa.json
+	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/fig5-dense.json
+	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/fig5-tiled.json
+	cmp /tmp/fig5-dense.json /tmp/fig5-tiled.json
 	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-dense.json
 	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-tiled.json
 	cmp /tmp/jam-dense.json /tmp/jam-tiled.json
@@ -102,7 +113,7 @@ bench-smoke:
 	got = series_hash(run_scenario(dep, cfg).to_record()); \
 	want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
 	print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)"
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/fig5-dense.json /tmp/fig5-tiled.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

@@ -20,7 +20,7 @@ builder takes); the helpers here are thin conveniences that delegate through
 ``repro.registry.PROTOCOLS``, so there is exactly one construction rule per
 protocol.
 
-Cohort runtime note: although the honest protocol *classes* used here are
+Cohort runtime note: although NeighborWatchRB's protocol *class* is
 ``shareable``, the devices built by these factories are registered with
 ``honest=False`` in the simulation, and the cohort runtime never shares
 dishonest devices — every lying device runs as a singleton cohort, exactly as

@@ -19,9 +19,7 @@ from .runtime import (
     OPAQUE_LISTEN,
     ActionSpec,
     PhaseContext,
-    PhaseDrivenProtocol,
     action_spec,
-    clone_machine,
 )
 from .regions import SquareGrid, SquareId, default_square_side
 from .schedule import PHASES_PER_SLOT, SOURCE_SLOT, NodeSchedule, Schedule, SquareSchedule
@@ -55,9 +53,7 @@ __all__ = [
     "OPAQUE_LISTEN",
     "ActionSpec",
     "PhaseContext",
-    "PhaseDrivenProtocol",
     "action_spec",
-    "clone_machine",
     "SquareGrid",
     "SquareId",
     "default_square_side",

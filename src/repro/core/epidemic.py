@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from ..registry import ProtocolPlugin, register_protocol
 from .messages import Bits, Frame, FrameKind, validate_bits
 from .protocol import NodeContext, Observation, Protocol
-from .runtime import OPAQUE_LISTEN, ActionSpec, PhaseContext, action_spec
 from .schedule import NodeSchedule
 
 __all__ = ["EpidemicConfig", "EpidemicNode"]
@@ -52,18 +51,13 @@ class EpidemicNode(Protocol):
     Byzantine "liar"): because the baseline performs no authentication at all,
     a single such device can poison every node it reaches first.
 
-    The legacy ``act``/``observe`` methods are the primary implementation
-    (the hot single-phase path stays allocation-free); only ``phase_act`` is
-    overridden explicitly, because the default adapter would embed *this*
-    device's id in the shared decision — the override returns the
-    member-independent ``(PAYLOAD, message)`` spec instead, and adoption
-    depends only on shared state, so the protocol is :attr:`shareable`.  In
-    practice the node-level TDMA coloring gives nearly every device a
-    distinct ``(own slot, listen set)`` pair, so epidemic cohorts are usually
-    singletons; the declaration matters for correctness, not speed.
+    The node-level TDMA colouring gives nearly every device its own pair of
+    slot and listen set, so devices would not group into cohorts: the
+    protocol is not ``shareable`` and runs per device through
+    ``act``/``observe`` (allocation-free on the single-phase path), or on
+    the SoA tier through :meth:`soa_node_spec`.
     """
 
-    shareable = True
     soa_compilable = True
 
     def __init__(
@@ -112,41 +106,17 @@ class EpidemicNode(Protocol):
         """
         return self._interests
 
-    def cohort_key(self):
-        """Post-setup state signature (fixes the interest set and transitions)."""
-        return (
-            self.config.rebroadcast_count,
-            self._my_slot,
-            frozenset(self._interests),
-            self._message,
-            self._remaining_broadcasts,
-            self.context.message_length,
-        )
-
-    def soa_state_spec(self, slot: int) -> Optional[dict]:
-        """Role of this device in ``slot`` for the SoA compiler.
-
-        Every group member is a potential adopter (an owner with nothing to
-        flood listens in its own slot like everyone else); owners additionally
-        expose the queue-consuming broadcast decision.
-        """
-        return {
-            "role": "member",
-            "owner": slot == self._my_slot,
-            "pop": self._decide_broadcast,
-            "adopt": self._soa_try_adopt,
-        }
-
     def soa_node_spec(self) -> dict:
-        """Slot-independent form of :meth:`soa_state_spec`.
+        """This device's role in every SoA epidemic slot group it joins.
 
-        The epidemic per-slot spec varies only in the owner flag, so the
-        compiler can resolve the bound methods once per device and derive
-        ownership by comparing ``owner_slot`` against the group's slot —
-        a device listens in ~density-many slots, and one spec dict per
-        (member, slot) pair was the dominant compile cost at paper scale.
-        Only an owner pops, so only an owner ever transmits in its group,
-        and the group's hearers CSR holds the owners' columns alone.
+        The compiler resolves the bound methods once per device and derives
+        ownership by comparing ``owner_slot`` against the group's slot: a
+        device listens in ~density-many slots, so one spec per (member, slot)
+        pair would dominate the compile at paper scale.  Every group member
+        is a potential adopter (an owner with nothing to flood listens in its
+        own slot like everyone else).  Only an owner pops, so only an owner
+        ever transmits in its group, and the group's hearers CSR holds the
+        owners' columns alone.
         ``pending_broadcasts`` tells the kernel when an owner that just
         popped has spent its last broadcast, so it can stop polling it.
         """
@@ -186,16 +156,6 @@ class EpidemicNode(Protocol):
         if payload is None:
             return None
         return Frame(FrameKind.PAYLOAD, self.context.node_id, tuple(payload))
-
-    def phase_act(self, ctx: PhaseContext) -> Optional[ActionSpec]:
-        adopted = self._message is not None
-        if ctx.slot == self._my_slot and ctx.phase == 0:
-            payload = self._decide_broadcast()
-            if payload is not None:
-                return action_spec(FrameKind.PAYLOAD, tuple(payload))
-        # Once adopted, observe() discards every observation — listening
-        # rounds are opaque and can no longer split a cohort.
-        return OPAQUE_LISTEN if adopted else None
 
     def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
         if self._message is not None:

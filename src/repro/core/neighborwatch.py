@@ -89,11 +89,10 @@ class NeighborWatchConfig:
 class NeighborWatchNode(Protocol):
     """Per-device behaviour of NeighborWatchRB.
 
-    The state machine exists once, as the ``_act_core``/``_observe_core``/
-    ``_end_core`` transitions, with two equally thin entry points: the legacy
-    per-device ``act``/``observe``/``end_slot`` interface (oracle engine
-    path) and the typed phase-machine interface ``phase_act``/
-    ``phase_observe``/``phase_end`` used by the cohort runtime.
+    The state machine exists once, as the typed phase-machine transitions
+    ``phase_act``/``phase_observe``/``phase_end`` the cohort runtime calls;
+    the per-device ``act``/``observe``/``end_slot`` interface (oracle engine
+    path) is a thin adapter over them.
     NeighborWatchRB is the paper's meta-node protocol — all honest devices of
     a square behave identically until their observations diverge — and its
     transitions consume no randomness and never consult the device identity
@@ -357,9 +356,9 @@ class NeighborWatchNode(Protocol):
         Shares the immutable collaborators (config, schedule, preloaded
         message) and hand-copies the genuinely per-device state; the in-slot
         aliases (``_active_receiver`` pointing into ``_receivers``) are
-        re-established against the copies.  ~30x faster than the generic
-        ``copy.deepcopy`` fallback, which matters because splits happen
-        inside the simulation hot path.
+        re-established against the copies.  ~30x faster than a memo-seeded
+        ``copy.deepcopy``, which matters because splits happen inside the
+        simulation hot path.
         """
         clone = type(self).__new__(type(self))
         clone.config = self.config
@@ -436,11 +435,6 @@ class NeighborWatchNode(Protocol):
     def committed_bits(self) -> Bits:
         """The prefix of the message this device has committed to so far."""
         return tuple(self._committed)
-
-    @property
-    def relayed_count(self) -> int:
-        """Number of committed bits already relayed to the neighboring squares."""
-        return self._sender.sent_count
 
     @property
     def delivered(self) -> bool:

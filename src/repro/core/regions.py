@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["SquareId", "default_square_side", "SquareGrid", "region_profile_of"]
+__all__ = ["SquareId", "default_square_side", "SquareGrid"]
 
 #: A square is identified by its integer column/row in the partition.
 SquareId = tuple[int, int]
@@ -43,52 +43,6 @@ def default_square_side(radius: float, norm: str = "l2") -> float:
     if norm == "l2":
         return radius / 3.0
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def region_profile_of(schedule, position: Sequence[float], radius: float) -> tuple:
-    """Hashable region-derived view of a device position under a schedule.
-
-    This is the opt-in key material behind the
-    :attr:`~repro.core.protocol.Protocol.position_cohort_attr` contract: a
-    protocol whose transitions read the device position only *through* the
-    region decomposition (MultiPathRB's commit rule) is position-equivalent to
-    any other device with an equal profile.  The profile pins everything such
-    a transition can derive from the position:
-
-    * the containing region square (the paper's decomposition, side
-      :func:`default_square_side` for the schedule's norm, unbounded grid);
-    * the exact set of node ids within ``radius`` (the device's R-ball —
-      determines which voters/witnesses count toward a neighborhood-scoped
-      commit, with the commit rule's ``1e-9`` tolerance folded in);
-    * per schedule slot, the tuple of slot owners within ``2 * radius``
-      (determines HEARD-cause resolution, which scans a ``2R`` disc).
-
-    Two devices with equal profiles *and* equal protocol state evolve
-    identically: every distance comparison the MultiPathRB transitions make
-    against the device's own position is answered by the profile.  Note that
-    under the paper's standard ``3R`` slot separation two distinct devices
-    sharing a slot *and* an R-ball cannot exist, so multi-member region
-    cohorts only arise in deliberately dense/low-separation deployments —
-    the contract is about correctness of the grouping, not about forcing
-    sharing where the geometry forbids it.
-    """
-    pos = np.asarray(schedule.positions, dtype=float)
-    my_pos = np.asarray(position, dtype=float).reshape(2)
-    norm = getattr(schedule, "norm", "l2")
-    diff = pos - my_pos[None, :]
-    if norm == "linf":
-        dist = np.max(np.abs(diff), axis=1)
-    else:
-        dist = np.sqrt(np.sum(diff**2, axis=1))
-    ball = frozenset(np.nonzero(dist <= radius + 1e-9)[0].tolist())
-    within_two = dist <= 2.0 * radius + 1e-9
-    owner_views = tuple(
-        tuple(owner for owner in schedule.owners_of_slot(slot) if within_two[owner])
-        for slot in range(schedule.num_slots)
-    )
-    side = default_square_side(radius, norm)
-    square = (int(math.floor(my_pos[0] / side)), int(math.floor(my_pos[1] / side)))
-    return (square, ball, owner_views)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Phase-machine protocol runtime: the typed contract behind cohort execution.
 
-The simulation engine historically drove every device through an *implicit*
-object protocol — ``act(cycle, slot, phase)`` returning a ready-made
+The simulation engine drives every device through a per-device object
+protocol — ``act(cycle, slot, phase)`` returning a ready-made
 :class:`~repro.core.messages.Frame` and ``observe(...)`` consuming a channel
 observation.  That interface is per-device by construction: the returned frame
 embeds the device id, so two devices in identical protocol states still cannot
@@ -23,27 +23,30 @@ shared (cohort) execution implements three *phase transitions* over a typed
 
 The shareability contract
 -------------------------
-A protocol may declare itself ``shareable = True`` only when its transitions
-are pure functions of ``(state, observations)`` that
+NeighborWatchRB is the one protocol that declares itself ``shareable = True``:
+the honest devices of one square are the paper's meta-node.  MultiPathRB and
+the epidemic flood give each device its own slot, so no two of their devices
+could ever share a machine, and they stay unshareable.  A shareable protocol's
+transitions are pure functions of ``(state, observations)`` that
 
 * consume **no randomness** (sharing one evaluation across members must not
   move any RNG stream — bit-identity is a hard contract, see ROADMAP), and
-* depend on the device identity **only at setup time** (anything derived from
-  ``context.node_id`` / ``context.position`` after ``setup`` — e.g. the
-  position-dependent vote geometry of MultiPathRB — disqualifies sharing; such
-  protocols keep ``shareable = False`` and run as singleton cohorts), and
+* depend on the device identity **only at setup time**, and
 * group correctly: :meth:`~repro.core.protocol.Protocol.cohort_key` must
   capture *everything* that distinguishes the device's post-setup state,
   including its interest set — two devices mapping to the same key must be
   byte-for-byte interchangeable state machines.
 
-Divergence is handled by cloning: when two cohort members observe different
-things, the shared machine is deep-copied per observation class
-(:func:`clone_machine`) and execution continues on the finer partition.
-State-machine state must therefore be plain deep-copyable Python data; large
-immutable collaborators (the schedule, the node context, protocol config
-objects) are *shared* across clones via
-:meth:`~repro.core.protocol.Protocol.shared_on_clone`.
+The class implements the three ``phase_*`` transitions, overrides
+:meth:`~repro.core.protocol.Protocol.cohort_key`,
+:meth:`~repro.core.protocol.Protocol.clone_for_split` and
+:meth:`~repro.core.protocol.Protocol.state_signature`, and names its
+observation projection in
+:attr:`~repro.core.protocol.Protocol.shared_observation_attr`; the protocol
+registry rejects a shareable class that misses any of them.  Divergence is
+handled by cloning: when two cohort members observe different projected
+things, the shared machine is copied per observation class with
+``clone_for_split`` and execution continues on the finer partition.
 
 The SoA lowering contract
 -------------------------
@@ -53,13 +56,13 @@ per-group state masks and replays the slot with a handful of bitwise
 operations instead of per-device (or per-cohort) ``phase_act`` /
 ``phase_observe`` calls.  A protocol family opts in by declaring
 ``soa_compilable = True`` and implementing
-:meth:`~repro.core.protocol.Protocol.soa_state_spec`, and may do so only when
+:meth:`~repro.core.protocol.Protocol.soa_state_spec` (the stream protocols)
+or ``soa_node_spec`` (the epidemic flood), and may do so only when
 
 * its transitions consume **no randomness** and read **nothing** of an
-  observation beyond the declared
-  :attr:`~repro.core.protocol.Protocol.shared_observation_attr` projection
-  (for the bit-exchange stack: ``busy``) or — for payload protocols such as
-  the epidemic counters — the decoded frame of an uncontended round, and
+  observation beyond channel activity (``busy``, for the bit-exchange
+  stack) or — for payload protocols such as the epidemic flood — the
+  decoded frame of an uncontended round, and
 * a slot's evolution is a *closed function* of the group's state: every
   device whose state the slot can change declares the slot in its interest
   set, so the compiler sees the full support of the transition, and
@@ -76,7 +79,6 @@ every exported row must match the per-device oracle byte for byte.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 from .messages import FrameKind
@@ -86,8 +88,6 @@ __all__ = [
     "OPAQUE_LISTEN",
     "PhaseContext",
     "ActionSpec",
-    "PhaseDrivenProtocol",
-    "clone_machine",
 ]
 
 #: Sentinel phase used for the end-of-slot transition (:meth:`phase_end`).
@@ -138,11 +138,10 @@ class PhaseContext(NamedTuple):
 class ActionSpec(NamedTuple):
     """A member-independent transmit decision: frame kind plus payload.
 
-    Deliberately excludes the sender id — the runtime (or the per-device
-    adapter in :class:`PhaseDrivenProtocol`) turns a spec into a concrete
-    :class:`~repro.core.messages.Frame` per member, so one shared evaluation
-    serves a whole cohort.  Specs for the payload-less protocol alphabet are
-    interned via :func:`action_spec`.
+    Deliberately excludes the sender id — the cohort runtime turns a spec
+    into a concrete :class:`~repro.core.messages.Frame` per member, so one
+    shared evaluation serves a whole cohort.  Specs for the payload-less
+    protocol alphabet are interned via :func:`action_spec`.
     """
 
     kind: FrameKind
@@ -159,69 +158,3 @@ def action_spec(kind: FrameKind, payload: tuple = ()) -> ActionSpec:
     if not payload:
         return _BARE_SPECS[kind]
     return ActionSpec(kind, payload)
-
-
-class PhaseDrivenProtocol:
-    """Mixin for protocols whose :meth:`phase_*` transitions are primary.
-
-    Supplies the legacy engine-facing ``act``/``observe``/``end_slot`` methods
-    as thin adapters over the phase machine, so the state machine exists
-    exactly once and the scalar (oracle) engine path and the cohort runtime
-    exercise the same code.  ``act`` materialises the member's concrete frame
-    from the member-independent :class:`ActionSpec`: payload-less specs go
-    through the per-instance frame intern
-    (:meth:`~repro.core.protocol.Protocol._interned_frame`, identical to the
-    historical frames), payload-carrying specs build a fresh value-equal
-    frame stamped with this device's id.
-    """
-
-    def act(self, slot_cycle: int, slot: int, phase: int):
-        spec = self.phase_act(PhaseContext(slot_cycle, slot, phase))
-        if spec is None or spec is OPAQUE_LISTEN:
-            return None
-        if spec.payload:
-            from .messages import Frame
-
-            return Frame(spec.kind, self.context.node_id, spec.payload)
-        return self._interned_frame(spec.kind)
-
-    def observe(self, slot_cycle: int, slot: int, phase: int, observation) -> None:
-        self.phase_observe(PhaseContext(slot_cycle, slot, phase), observation)
-
-    def end_slot(self, slot_cycle: int, slot: int) -> None:
-        self.phase_end(PhaseContext(slot_cycle, slot, END_PHASE))
-
-    def phase_end(self, ctx: PhaseContext) -> None:
-        """Default end-of-slot transition: nothing to finalise.
-
-        Overrides the base :class:`~repro.core.protocol.Protocol` adapter
-        (which delegates ``phase_end`` *to* ``end_slot``) so a phase-driven
-        protocol without per-slot finalisation does not recurse through the
-        two adapters; protocols with real end-of-slot work override this.
-        """
-
-
-def clone_machine(machine):
-    """Copy a protocol state machine for a cohort split.
-
-    Prefers the protocol's native
-    :meth:`~repro.core.protocol.Protocol.clone_for_split` (hand-written state
-    copies are ~30x cheaper than the generic machinery, and splits happen in
-    the simulation hot path).  The fallback is a ``copy.deepcopy`` whose memo
-    is pre-seeded with the objects the protocol declares shared
-    (:meth:`~repro.core.protocol.Protocol.shared_on_clone` — typically the
-    node context, the schedule and the config), so the copy touches only the
-    genuinely per-device state (receiver buffers, embedded 2Bit machines,
-    committed prefixes).  The clone's frame intern is reset because its cached
-    frames carry the donor's node id; the caller is expected to rebind
-    ``clone.context`` to the new cohort leader's context.
-    """
-    clone = machine.clone_for_split()
-    if clone is None:
-        memo: dict = {}
-        for obj in machine.shared_on_clone():
-            if obj is not None:
-                memo[id(obj)] = obj
-        clone = copy.deepcopy(machine, memo)
-    clone._frame_cache = None
-    return clone

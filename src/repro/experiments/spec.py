@@ -45,7 +45,7 @@ import ast
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -336,10 +336,6 @@ class ExperimentSpec:
     # -- scale handling -------------------------------------------------------------------
     def scale_names(self) -> tuple[str, ...]:
         return tuple(self.scales)
-
-    def with_updates(self, **changes: Any) -> "ExperimentSpec":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
 
     # -- serialization --------------------------------------------------------------------
     def to_dict(self) -> dict:

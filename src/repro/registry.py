@@ -246,10 +246,11 @@ class ProtocolPlugin:
     Subclasses implement the three builders and may override the derived-bound
     hooks.  ``protocol_classes`` lists every :class:`~repro.core.protocol.Protocol`
     subclass the plugin instantiates; registration validates that each one
-    declares the shareable contract the cohort runtime requires
-    (``shareable``, ``shared_observation_attr``, and a ``cohort_key``
-    override whenever ``shareable`` is true — see the PR 4 notes in
-    ROADMAP.md).
+    declares ``shareable`` as a bool and that a shareable class completes the
+    contract the cohort runtime relies on (see :mod:`repro.core.runtime`):
+    ``cohort_key``, ``clone_for_split`` and ``state_signature`` overrides, the
+    ``phase_act``/``phase_observe``/``phase_end`` transitions and an
+    observation projection in ``shared_observation_attr``.
     """
 
     #: Canonical registry key; filled in at registration.
@@ -311,14 +312,23 @@ def _validate_protocol_plugin(key: str, plugin: Any) -> None:
             raise RegistryError(
                 f"protocol {key!r}: {cls.__name__} must declare 'shareable' as a bool"
             )
-        if not hasattr(cls, "shared_observation_attr"):
+        if not shareable:
+            continue
+        for method in ("cohort_key", "clone_for_split", "state_signature"):
+            if getattr(cls, method, None) in (None, getattr(Protocol, method)):
+                raise RegistryError(
+                    f"protocol {key!r}: {cls.__name__} is shareable but does not override "
+                    f"{method}(); the cohort runtime cannot share it safely"
+                )
+        for method in ("phase_act", "phase_observe", "phase_end"):
+            if not callable(getattr(cls, method, None)):
+                raise RegistryError(
+                    f"protocol {key!r}: {cls.__name__} is shareable but lacks {method}()"
+                )
+        if not isinstance(getattr(cls, "shared_observation_attr", None), str):
             raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} must declare 'shared_observation_attr'"
-            )
-        if shareable and cls.cohort_key is Protocol.cohort_key:
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} is shareable but does not override "
-                "cohort_key(); the cohort runtime cannot group it safely"
+                f"protocol {key!r}: {cls.__name__} is shareable but declares no "
+                "'shared_observation_attr' (the observation projection cohorts split on)"
             )
     _require_picklable("protocol", key, plugin)
 

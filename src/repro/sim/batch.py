@@ -8,11 +8,11 @@ are one computation, not one per device.  :class:`CohortRuntime` exploits
 exactly that:
 
 * at construction, honest devices whose protocols declare themselves
-  ``shareable`` are grouped into **cohorts** by
-  :meth:`~repro.core.protocol.Protocol.cohort_key` (for NeighborWatchRB this
-  seeds one cohort per group of state-identical square members); adversaries,
-  dishonest devices, RNG-consuming protocols and one-member groups stay on the
-  scalar per-device path as **singletons**;
+  ``shareable`` — NeighborWatchRB is the one protocol that does — are grouped
+  into **cohorts** by :meth:`~repro.core.protocol.Protocol.cohort_key`, one
+  cohort per group of state-identical square members; adversaries, dishonest
+  devices, the other protocols and one-member groups stay on the scalar
+  per-device path as **singletons**;
 * each cohort is driven through the typed phase-machine API of
   :mod:`repro.core.runtime`: ``phase_act`` is evaluated once per cohort per
   round and the member-independent :class:`~repro.core.runtime.ActionSpec` is
@@ -23,7 +23,8 @@ exactly that:
   declares ``OPAQUE_LISTEN`` are skipped entirely), and the moment two
   members' projected observations differ the cohort **splits**
   (copy-on-divergence): the shared machine is cloned per observation class
-  and execution continues on the finer partition;
+  (:meth:`~repro.core.protocol.Protocol.clone_for_split`) and execution
+  continues on the finer partition;
 * at slot boundaries, sibling cohorts whose
   :meth:`~repro.core.protocol.Protocol.state_signature` reconverged are
   **re-merged** (a receiver that missed a bit and caught up on the
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.messages import Frame
 from ..core.protocol import SILENCE
-from ..core.runtime import END_PHASE, OPAQUE_LISTEN, PhaseContext, clone_machine
+from ..core.runtime import END_PHASE, OPAQUE_LISTEN, PhaseContext
 from .events import EventKind
 from .node import SimNode
 from .radio import Transmission
@@ -95,7 +96,7 @@ class Cohort:
         self.machine = machine
         self.members = members
         self.slots = slots
-        self.proj = getattr(type(machine), "shared_observation_attr", None)
+        self.proj = type(machine).shared_observation_attr
         self.family = family  # index of the construction-time ancestor cohort
         self._tag = -1       # phase stamp of the last computed act decision
         self._obs_tag = -1   # phase stamp of the last delivered silence
@@ -138,23 +139,11 @@ class CohortRuntime:
                 continue
             if getattr(proto, "may_transmit_anywhere", False):
                 continue
-            key = proto.cohort_key()
-            if key is None:
-                continue
             # The interest tuple is part of the grouping key as defence in
             # depth: cohort_key() is documented to determine it, but a
             # protocol that breaks that rule must degrade to finer cohorts,
             # never to members executing slots they did not declare.
-            full_key = (type(proto), key, tuple(proto.interests()))
-            # Region-keyed grouping (opt-in): protocols whose transitions
-            # depend on position only through the paper's region decomposition
-            # (MultiPathRB's commit geometry) expose that view as a hashable
-            # profile; folding it in here means two members share a machine
-            # exactly when their region-derived views — R-ball membership,
-            # per-slot owner neighborhoods — are equal.
-            attr = getattr(proto, "position_cohort_attr", None)
-            if attr is not None:
-                full_key = full_key + (getattr(proto, attr),)
+            full_key = (type(proto), proto.cohort_key(), tuple(proto.interests()))
             groups.setdefault(full_key, []).append(node)
 
         #: Saved per-member contexts: clones are rebound to the context of
@@ -364,17 +353,11 @@ class CohortRuntime:
                     # differences between members do not split the cohort.
                     proj = cohort.proj
                     uniform = True
-                    if proj is None:
-                        for obs in buf_obs:
-                            if obs is not first and obs != first:
-                                uniform = False
-                                break
-                    else:
-                        first_value = getattr(first, proj)
-                        for obs in buf_obs:
-                            if obs is not first and getattr(obs, proj) != first_value:
-                                uniform = False
-                                break
+                    first_value = getattr(first, proj)
+                    for obs in buf_obs:
+                        if obs is not first and getattr(obs, proj) != first_value:
+                            uniform = False
+                            break
                     if uniform:
                         if len(buf_obs) != len(cohort.members):
                             raise RuntimeError(
@@ -423,8 +406,10 @@ class CohortRuntime:
         Groups are formed over the *projected* observations (see
         :attr:`Cohort.proj`) in first-appearance (= ascending member id)
         order; the first group keeps the original machine, every further
-        group gets a deep copy taken *before* any observation is applied, and
-        each group's machine is rebound to its new leader's context.  The
+        group gets a :meth:`~repro.core.protocol.Protocol.clone_for_split`
+        copy taken *before* any observation is applied, and each group's
+        machine is rebound to its new leader's context (with its frame
+        intern reset: cached frames carry the donor's node id).  The
         compiled per-slot entries are rewritten in place for every slot of
         the cohort's interest set, so the next phase already executes on the
         finer partition.  Returns the number of per-device evaluations still
@@ -440,7 +425,7 @@ class CohortRuntime:
         groups: list[tuple] = []
         index: dict = {}
         for entry, obs in zip(buf_entries, buf_obs):
-            value = obs if proj is None else getattr(obs, proj)
+            value = getattr(obs, proj)
             i = index.get(value)
             if i is None:
                 index[value] = len(groups)
@@ -451,7 +436,7 @@ class CohortRuntime:
         # Clone before the first group's observation mutates the shared state.
         machines = [cohort.machine]
         for _ in range(len(groups) - 1):
-            machines.append(clone_machine(cohort.machine))
+            machines.append(cohort.machine.clone_for_split())
         self.divergence_splits += len(groups) - 1
         self.live_cohorts += len(groups) - 1
         if self.record_splits:
@@ -528,17 +513,10 @@ class CohortRuntime:
             if not any(cohort.machine._cohort_state_dirty for cohort in cohorts):
                 continue
             by_signature: dict = {}
-            mergeable = True
             for cohort in cohorts:
                 machine = cohort.machine
                 machine._cohort_state_dirty = False
-                signature = machine.state_signature()
-                if signature is None:
-                    mergeable = False
-                    break
-                by_signature.setdefault(signature, []).append(cohort)
-            if not mergeable:
-                continue
+                by_signature.setdefault(machine.state_signature(), []).append(cohort)
             merged = False
             for group in by_signature.values():
                 if len(group) > 1:

@@ -366,9 +366,9 @@ class Simulation:
             else None
         )
         # Hot-path dispatch: when construction compiled no multi-member cohort
-        # (every device a singleton — adversaries, RNG consumers, MultiPathRB,
-        # sparse deployments) the scalar loop does the identical calls with
-        # less indirection, so the runtime is kept for introspection only.
+        # (every device a singleton — adversaries, MultiPathRB, the epidemic
+        # flood, sparse deployments) the scalar loop does the identical calls
+        # with less indirection, so the runtime is kept for introspection only.
         self._slot_runtime: Optional[CohortRuntime] = (
             self.cohort_runtime if self.cohort_runtime is not None and self.cohort_runtime.cohorts else None
         )

@@ -176,10 +176,6 @@ class SlotPlan:
         self._tx_cache: dict[tuple, Transmission] = {}
 
     # -- hot-path helpers ------------------------------------------------------------
-    def node_record(self, node_id: int) -> tuple:
-        """The compiled record of one device (participants and flex joiners)."""
-        return self._node_records[node_id]
-
     def compile_cohort_entries(self, cohort_of: dict) -> dict:
         """Per-slot execution entries for the cohort runtime.
 

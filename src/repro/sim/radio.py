@@ -152,10 +152,9 @@ class SoaRoundSupport:
         contract).
     verdicts:
         ``(capability, ok, reason)`` triples, one per capability —
-        ``channel`` (busy model), ``kernels`` (vectorized kernels knob),
-        ``loss``, ``capture`` and ``trace``.  ``reason`` explains the
-        verdict either way; for a failed capability it says *why* the
-        configuration stays on the cohort/scalar tiers.
+        ``channel`` (busy model), ``loss``, ``capture`` and ``trace``.
+        ``reason`` explains the verdict either way; for a failed capability
+        it says *why* the configuration stays on the cohort/scalar tiers.
     """
 
     eligible: bool
@@ -170,12 +169,6 @@ class SoaRoundSupport:
 
 class Channel(abc.ABC):
     """Interface of a per-round channel model."""
-
-    #: Whether the per-round resolvers may take their vectorized fast paths.
-    #: The scalar fallbacks produce identical observations and consume the RNG
-    #: identically (the equivalence test suite asserts both); flipping this to
-    #: ``False`` on an instance forces the scalar reference implementation.
-    use_vectorized_kernels: bool = True
 
     @abc.abstractmethod
     def observe(
@@ -275,10 +268,10 @@ class Channel(abc.ABC):
         The SoA tier (:mod:`repro.sim.soa`) compiles whole slots into mask
         kernels that bypass per-round resolution.  This method decomposes
         eligibility into independent capabilities — the busy model
-        (disjunction vs power sum), the vectorized-kernel knob, loss draws,
-        capture draws and tracing — each with a human-readable reason, so
-        the eligibility surfaces (``experiments describe``, run summaries)
-        can say *which* predicate failed rather than just "ineligible".
+        (disjunction vs power sum), loss draws, capture draws and tracing —
+        each with a human-readable reason, so the eligibility surfaces
+        (``experiments describe``, run summaries) can say *which* predicate
+        failed rather than just "ineligible".
         Channels without an SoA round model return the ineligible default.
         """
         return SoaRoundSupport(
@@ -397,13 +390,6 @@ class UnitDiskChannel(Channel):
         verdicts = (
             ("channel", True, "unit-disk busy is a per-listener audibility disjunction"),
             (
-                "kernels",
-                self.use_vectorized_kernels,
-                "vectorized kernels on"
-                if self.use_vectorized_kernels
-                else "use_vectorized_kernels=False pins the scalar reference loop",
-            ),
-            (
                 "loss",
                 True,
                 f"loss_probability={loss:g} → one batched listener-ordered draw per phase"
@@ -446,8 +432,6 @@ class UnitDiskChannel(Channel):
         listener, in listener order.  Capture configurations interleave
         data-dependent draws and fall back to the scalar reference loop.
         """
-        if not self.use_vectorized_kernels:
-            return self._resolve_audible_scalar(audible, transmissions, rng)
         if self.capture_probability == 0.0:
             counts = audible.sum(axis=1)
             num_listeners = audible.shape[0]
@@ -688,13 +672,6 @@ class FriisChannel(Channel):
                 "friis busy is a power sum → per-group power blocks precompiled",
             ),
             (
-                "kernels",
-                self.use_vectorized_kernels,
-                "vectorized kernels on"
-                if self.use_vectorized_kernels
-                else "use_vectorized_kernels=False pins the scalar reference loop",
-            ),
-            (
                 "loss",
                 True,
                 f"loss_probability={loss:g} → one batched listener-ordered draw per phase"
@@ -728,8 +705,6 @@ class FriisChannel(Channel):
         Every arithmetic step mirrors the scalar loop's expressions operation
         for operation, so the results are bit-identical, not just close.
         """
-        if not self.use_vectorized_kernels:
-            return self._resolve_powers_scalar(powers, transmissions, rng)
         num_listeners = powers.shape[0]
         total = powers.sum(axis=1)
         sensed = total >= self.sense_threshold
@@ -763,8 +738,8 @@ class FriisChannel(Channel):
     ) -> list[Observation]:
         """Reference per-listener loop (the pre-vectorization implementation).
 
-        Kept as the oracle for the kernel-equivalence tests; not used on the
-        hot path unless :attr:`use_vectorized_kernels` is flipped off.
+        Kept as the oracle the kernel-equivalence tests compare
+        :meth:`_resolve_powers` against; never on the simulation path.
         """
         num_listeners = powers.shape[0]
         total = powers.sum(axis=1)

@@ -71,10 +71,6 @@ class Deployment:
         """Devices per unit area, the density metric used throughout Section 6."""
         return self.num_nodes / self.area
 
-    @property
-    def source_position(self) -> np.ndarray:
-        return self.positions[self.source_index]
-
     def with_source_at_center(self) -> "Deployment":
         """Return a copy whose source is the device closest to the map center."""
         center = np.array([self.width / 2.0, self.height / 2.0])

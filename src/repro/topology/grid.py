@@ -1,4 +1,4 @@
-"""Grid deployments and grid-bucketed spatial queries.
+"""Grid deployments and grid-bucketed neighbour graphs.
 
 The paper's running-time analysis places one device at every integer grid
 point of an ``width x height`` rectangle and measures communication in the
@@ -7,13 +7,13 @@ and compute the quantities the analysis refers to (diameter, neighborhood
 size, maximum tolerable number of Byzantine devices).
 
 :class:`GridBuckets` is the scale-enabling piece: a spatial hash of an
-``(N, 2)`` position array into square cells, answering radius queries and
-building CSR neighbor structures without ever touching an ``N x N`` matrix.
-Its results are *exact* — candidate pairs are over-collected from surrounding
-cells and then filtered with the very same elementwise distance expressions
-the dense code paths use, so the returned neighbor sets (and therefore
-everything built on top of them: link states and schedules) are
-bit-identical to the brute-force computation.
+``(N, 2)`` position array into square cells, building CSR neighbor
+structures without ever touching an ``N x N`` matrix.  Its results are
+*exact* — candidate pairs are over-collected from surrounding cells and then
+filtered with the very same elementwise distance expressions the dense code
+paths use, so the returned neighbor sets (and therefore everything built on
+top of them: link states and schedules) are bit-identical to the
+brute-force computation.
 """
 
 from __future__ import annotations
@@ -142,26 +142,8 @@ class GridTopology:
         return self.index_of(self.spec.width // 2, self.spec.height // 2)
 
 
-def _bucket_distances(block: np.ndarray, candidates: np.ndarray, norm: str) -> np.ndarray:
-    """Distance matrix between two position blocks, mirroring the dense kernels.
-
-    Uses exactly the elementwise expression sequence of
-    :func:`repro.topology.geometry.pairwise_distances` and the channels'
-    ``_distances`` helpers (subtract, abs/max for L-infinity; subtract,
-    square, 2-term sum, sqrt for L2).  Elementwise float64 ufuncs give the
-    same bits regardless of array shape, so filtering candidate pairs with
-    these values reproduces the dense predicate exactly.
-    """
-    diff = block[:, None, :] - candidates[None, :, :]
-    if norm == "linf":
-        return np.max(np.abs(diff), axis=-1)
-    if norm == "l2":
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")
-
-
 class GridBuckets:
-    """Spatial hash of positions into square cells for exact radius queries.
+    """Spatial hash of positions into square cells for exact neighbour graphs.
 
     Parameters
     ----------
@@ -173,14 +155,14 @@ class GridBuckets:
         per cell offset, so cells of the communication radius serve every
         threshold from ``R`` to ``3R`` with a few nodes per cell.
 
-    Queries return neighbor sets identical to the brute-force dense
-    computation: candidate cells are taken with one extra ring beyond
-    ``ceil(threshold / cell_size)`` (insurance against boundary rounding) and
-    candidates are filtered with the same elementwise arithmetic as the dense
-    paths.
+    :meth:`neighbor_arrays` returns neighbor sets identical to the
+    brute-force dense computation: candidate cells are taken with one extra
+    ring beyond ``ceil(threshold / cell_size)`` (insurance against boundary
+    rounding) and candidates are filtered with the same elementwise
+    arithmetic as the dense paths.
     """
 
-    __slots__ = ("positions", "cell_size", "_cells", "_cell_of")
+    __slots__ = ("positions", "cell_size", "_cell_of")
 
     def __init__(self, positions: np.ndarray, cell_size: float) -> None:
         if cell_size <= 0:
@@ -193,21 +175,6 @@ class GridBuckets:
         cols = np.floor(pos[:, 0] / self.cell_size).astype(np.int64)
         rows = np.floor(pos[:, 1] / self.cell_size).astype(np.int64)
         self._cell_of = np.stack([cols, rows], axis=1)
-        # Per-cell member arrays, built by the first query(); neighbor_arrays
-        # never needs them.
-        self._cells: dict[tuple[int, int], np.ndarray] | None = None
-
-    def _cell_members(self) -> dict[tuple[int, int], np.ndarray]:
-        """Bucket members keyed by ``(col, row)``, each array ascending in node id."""
-        if self._cells is None:
-            self._cells = {}
-            if self.positions.shape[0]:
-                order, sorted_keys, _ = self._sorted_by_cell(0)
-                boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-                for chunk in np.split(order, boundaries):
-                    col, row = self._cell_of[int(chunk[0])]
-                    self._cells[(int(col), int(row))] = chunk
-        return self._cells
 
     def _sorted_by_cell(self, margin: int) -> tuple[np.ndarray, np.ndarray, int]:
         """``(order, sorted keys, span)`` of the nodes sorted by flat cell key.
@@ -225,47 +192,12 @@ class GridBuckets:
         order = np.argsort(keys, kind="stable")
         return order, keys[order], span
 
-    @property
-    def num_cells(self) -> int:
-        return len(self._cell_members())
-
-    def _candidates_around(self, col: int, row: int, reach: int) -> np.ndarray:
-        """Ids in the ``(2*reach+1)^2`` cell window around ``(col, row)``, ascending."""
-        chunks = []
-        cells = self._cell_members()
-        for dc in range(-reach, reach + 1):
-            for dr in range(-reach, reach + 1):
-                members = cells.get((col + dc, row + dr))
-                if members is not None:
-                    chunks.append(members)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        out = np.concatenate(chunks)
-        out.sort()
-        return out
-
     def _reach(self, threshold: float) -> int:
         # One extra ring beyond the geometric bound: a pair excluded by the
         # window then has per-coordinate separation strictly greater than
         # threshold + cell_size, far outside any floating-point rounding of
         # the distance predicate.
         return int(math.ceil(threshold / self.cell_size)) + 1
-
-    def query(self, center, threshold: float, norm: str = "l2") -> np.ndarray:
-        """Ids of positions within ``threshold`` of ``center`` (ascending).
-
-        Equivalent to filtering the brute-force distance row with
-        ``distance <= threshold`` — callers that need the dense paths'
-        tolerance fold it into ``threshold`` themselves.
-        """
-        c = np.asarray(center, dtype=float).reshape(2)
-        col = int(math.floor(c[0] / self.cell_size))
-        row = int(math.floor(c[1] / self.cell_size))
-        candidates = self._candidates_around(col, row, self._reach(threshold))
-        if not candidates.size:
-            return candidates
-        dist = _bucket_distances(c[None, :], self.positions[candidates], norm)[0]
-        return candidates[dist <= threshold]
 
     def neighbor_arrays(
         self, threshold: float, norm: str = "l2", *, include_self: bool = True
@@ -289,7 +221,7 @@ class GridBuckets:
         ``-(y - x)``), so only half of the offsets are scanned and each pair
         found at ``(dc, dr)`` also yields its mirror at ``(-dc, -dr)``.
         Offsets whose cells are at least ``threshold + cell_size`` apart are
-        skipped: the same insurance as the extra ring of :meth:`query`.
+        skipped: the extra ring of :meth:`_reach` is the insurance.
         """
         if norm not in ("l2", "linf"):
             raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")

@@ -24,9 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary.placement import random_fault_selection
 from repro.core.neighborwatch import NeighborWatchNode
-from repro.core.runtime import OPAQUE_LISTEN, PhaseContext, PhaseDrivenProtocol, action_spec
-from repro.core.messages import FrameKind
-from repro.core.protocol import Protocol
 from repro.sim.batch import CohortRuntime
 from repro.sim.builder import build_simulation
 from repro.sim.config import FaultPlan, ScenarioConfig
@@ -145,13 +142,33 @@ class TestCohortGrouping:
         for node_id in (*jammers, *liars):
             assert node_id not in shared
 
-    def test_multipath_runs_all_singleton_on_the_scalar_loop(self, tiny_grid_deployment, mp_config):
-        sim = build_simulation(tiny_grid_deployment, mp_config, use_cohort_runtime=True, use_soa_kernels=False)
-        info = sim.plan_cache_info()["cohort_runtime"]
-        assert info["enabled"] is True
-        assert info["active"] is False
-        assert info["shared_members"] == 0
-        assert sim._slot_runtime is None
+    @pytest.mark.parametrize("protocol", ["multipath", "epidemic"])
+    def test_multipath_runs_all_singleton_on_the_scalar_loop(self, tiny_grid_deployment, protocol):
+        # Unit-disk capture is the one configuration the SoA tier refuses,
+        # so the default tiers build the cohort runtime here; neither
+        # per-slot protocol may form a cohort, and the run must equal the
+        # scalar loop's record for record and draw for draw.
+        config = ScenarioConfig(
+            protocol=protocol, radius=3.0, message_length=2, multipath_tolerance=1,
+            seed=11, channel="unitdisk", capture_probability=0.3, loss_probability=0.1,
+        )
+        runs = {}
+        for cohort in (True, False):
+            clear_link_cache()
+            sim = build_simulation(
+                tiny_grid_deployment, config, use_cohort_runtime=cohort, use_soa_kernels=True
+            )
+            if cohort:
+                assert sim.soa_runtime is None
+                info = sim.plan_cache_info()["cohort_runtime"]
+                assert info["enabled"] is True
+                assert info["active"] is False
+                assert info["shared_members"] == 0
+                assert sim._slot_runtime is None
+            result = sim.run(4000)
+            assert all(node.delivered for node in sim.nodes)
+            runs[cohort] = (result.to_record(), sim.rng.random())
+        assert runs[True] == runs[False]
 
     def test_plan_cache_info_shape(self, tiny_grid_deployment, nw_config):
         sim = build_simulation(tiny_grid_deployment, nw_config, use_cohort_runtime=True, use_soa_kernels=False)
@@ -302,53 +319,3 @@ class TestCloneForSplit:
         some_slot = next(iter(clone._receivers))
         clone._receivers[some_slot]._received.append(0)
         assert clone.state_signature() != machine.state_signature()
-
-
-class _ToyPhaseProtocol(PhaseDrivenProtocol, Protocol):
-    """Minimal phase-driven protocol exercising the adapter mixin."""
-
-    def __init__(self) -> None:
-        self.observed: list = []
-        self.ended: list = []
-
-    def interests(self):
-        return (0,)
-
-    def phase_act(self, ctx):
-        if ctx.phase == 0:
-            return action_spec(FrameKind.CONTROL)
-        if ctx.phase == 1:
-            return OPAQUE_LISTEN
-        return None
-
-    def phase_observe(self, ctx, observation):
-        self.observed.append((ctx.phase, observation.busy))
-
-    @property
-    def delivered(self) -> bool:
-        return False
-
-
-class TestPhaseDrivenAdapters:
-    def test_act_adapter_materialises_frames_and_masks_opaque(self):
-        import numpy as np
-
-        from repro.core.protocol import NodeContext, SILENCE
-        from repro.core.schedule import NodeSchedule
-
-        schedule = NodeSchedule(
-            np.asarray([[0.0, 0.0], [1.0, 0.0]]), 2.0, 0, separation=6.0
-        )
-        proto = _ToyPhaseProtocol()
-        proto.setup(NodeContext(
-            node_id=7, position=(0.0, 0.0), radius=1.0,
-            schedule=schedule, message_length=1,
-            is_source=False, source_message=None,
-        ))
-        frame = proto.act(0, 0, 0)
-        assert frame is not None and frame.sender == 7 and frame.kind is FrameKind.CONTROL
-        assert proto.act(0, 0, 1) is None  # OPAQUE_LISTEN listens on-air
-        assert proto.act(0, 0, 2) is None
-        proto.observe(0, 0, 2, SILENCE)
-        assert proto.observed == [(2, False)]
-        proto.end_slot(0, 0)  # default phase_end: no-op, must not recurse

@@ -104,7 +104,7 @@ class TestGridTopology:
 
 
 class TestGridBuckets:
-    """Grid-bucketed neighbor queries must equal the brute-force computation.
+    """Grid-bucketed neighbor graphs must equal the brute-force computation.
 
     The bucketed path over-collects candidates from surrounding cells and
     filters with the same elementwise distance expressions as the dense code,
@@ -119,25 +119,6 @@ class TestGridBuckets:
         else:
             dist = np.sqrt(np.sum(diff**2, axis=-1))
         return np.flatnonzero(dist <= threshold)
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=60
-        ),
-        cell=st.sampled_from([1.0, 1.5, 3.0, 7.0]),
-        threshold=st.sampled_from([0.5, 1.0, 2.0, 4.0, 9.0]),
-        norm=st.sampled_from(["l2", "linf"]),
-        center=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-    )
-    def test_query_matches_brute_force(self, points, cell, threshold, norm, center):
-        # Half-integer coordinates produce exact-boundary distances, the
-        # adversarial case for a threshold predicate.
-        pos = np.asarray(points, dtype=float) / 2.0
-        buckets = GridBuckets(pos, cell_size=cell)
-        got = buckets.query(np.asarray(center, dtype=float) / 2.0, threshold, norm=norm)
-        expected = self._brute_force(pos, np.asarray(center, dtype=float) / 2.0, threshold, norm)
-        assert got.tolist() == expected.tolist()
 
     def _assert_rows_match(self, pos, cell, threshold, norm, include_self):
         buckets = GridBuckets(pos, cell_size=cell)
@@ -216,4 +197,4 @@ class TestGridBuckets:
     def test_unknown_norm_rejected(self):
         buckets = GridBuckets(np.zeros((3, 2)), cell_size=1.0)
         with pytest.raises(ValueError):
-            buckets.query((0.0, 0.0), 1.0, norm="l1")
+            buckets.neighbor_arrays(1.0, "l1")

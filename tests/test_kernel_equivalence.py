@@ -13,9 +13,10 @@ a run diverges).  These tests pin that contract:
   channel implementations side by side (same seed) and compare observation
   lists and the next RNG draw, and a round whose listeners decode three
   different transmitters must leave ``numpy.ma`` unimported;
-* end-to-end tests run whole scenarios with the vectorized kernels forced
-  off — and, separately, with the cohort runtime toggled — and compare the
-  full result records and the channel-RNG position;
+* end-to-end tests run whole scenarios on the scalar engine loop with the
+  channel's resolves routed through its scalar reference loop — and,
+  separately, with the cohort runtime toggled — and compare the full result
+  records and the channel-RNG position;
 * a warm-store regression runs one experiment cold then warm through a
   ``ResultStore`` (the ``REPRO_BENCH_CACHE_DIR`` path of the benchmark
   harness) and asserts the fast path reproduces the cached bytes with zero
@@ -59,13 +60,23 @@ def _split_roles(positions, data):
     return listener_ids, transmissions
 
 
+def _kernel_name(channel) -> str:
+    """The channel's per-round resolver, whose scalar reference adds ``_scalar``."""
+    return "_resolve_powers" if isinstance(channel, FriisChannel) else "_resolve_audible"
+
+
+def _pin_scalar(channel):
+    """Route ``channel``'s per-round resolves through its scalar reference loop."""
+    name = _kernel_name(channel)
+    setattr(channel, name, getattr(channel, name + "_scalar"))
+    return channel
+
+
 def _observe_both(channel_factory, positions, listener_ids, transmissions, seed):
     """Run the vectorized and the scalar kernel on the same round and RNG seed."""
     pos = np.asarray(positions, dtype=float) / 2.0
     fast = channel_factory()
-    slow = channel_factory()
-    slow.use_vectorized_kernels = False
-    assert fast.use_vectorized_kernels  # class default
+    slow = _pin_scalar(channel_factory())
     rng_fast = np.random.default_rng(seed)
     rng_slow = np.random.default_rng(seed)
     obs_fast = fast.observe(listener_ids, pos[listener_ids], transmissions, rng_fast)
@@ -152,33 +163,47 @@ class TestMessageObservationInterning:
         assert a != b and a.decoded != b.decoded
 
 
-def _run_with_kernels(deployment, config, faults=None, *, vectorized: bool):
+def _run_with_kernels(deployment, config, *, vectorized: bool):
+    """One scalar-loop run whose every round resolves through the named kernel.
+
+    Returns the record, the next RNG draw and the number of kernel calls.
+    """
     from repro.sim.builder import build_simulation
     from repro.sim.engine import clear_link_cache
 
     clear_link_cache()  # the link cache is keyed by channel params, but keep runs isolated
-    sim = build_simulation(deployment, config, faults)
-    sim.channel.use_vectorized_kernels = vectorized
-    return sim.run(4000)
+    sim = build_simulation(deployment, config, use_soa_kernels=False, use_cohort_runtime=False)
+    channel = sim.channel
+    name = _kernel_name(channel)
+    kernel = getattr(channel, name if vectorized else name + "_scalar")
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    setattr(channel, name, counted)
+    record = sim.run(4000).to_record()
+    return record, sim.rng.random(), calls
 
 
 class TestEndToEndEquivalence:
-    """Whole runs with the vectorized kernels forced off must not move a bit."""
+    """Whole runs through the scalar reference loops must not move a bit."""
 
     @pytest.mark.parametrize("channel,loss", [("unitdisk", 0.0), ("unitdisk", 0.2),
                                               ("friis", 0.0), ("friis", 0.2)])
     def test_full_run_identical(self, tiny_grid_deployment, channel, loss):
-        from dataclasses import replace
-
         from repro.sim.config import ScenarioConfig
 
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
             channel=channel, loss_probability=loss,
         )
-        fast = _run_with_kernels(tiny_grid_deployment, config, vectorized=True)
-        slow = _run_with_kernels(tiny_grid_deployment, replace(config), vectorized=False)
-        assert fast.to_record() == slow.to_record()
+        *fast, fast_calls = _run_with_kernels(tiny_grid_deployment, config, vectorized=True)
+        *slow, slow_calls = _run_with_kernels(tiny_grid_deployment, config, vectorized=False)
+        assert fast_calls > 0 and slow_calls > 0
+        assert fast == slow
 
 
 class TestCohortRuntimeEquivalence:
@@ -463,8 +488,7 @@ class TestNoMaskedArrayImport:
         positions = np.array([[x, 0.0] for x in xs])
         listeners = list(range(3, 3 + len(xs)))
         fast = channel_cls(2.0, loss_probability=loss)
-        slow = channel_cls(2.0, loss_probability=loss)
-        slow.use_vectorized_kernels = False
+        slow = _pin_scalar(channel_cls(2.0, loss_probability=loss))
         rng_fast, rng_slow = np.random.default_rng(5), np.random.default_rng(5)
         observed = fast.observe(listeners, positions, transmissions, rng_fast)
         assert observed == slow.observe(listeners, positions, transmissions, rng_slow)

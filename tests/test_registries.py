@@ -162,20 +162,44 @@ class TestProtocolContract:
         with pytest.raises(RegistryError, match="shareable"):
             registry.get("bogus")
 
-    def test_shareable_without_cohort_key_is_rejected(self):
+    @pytest.mark.parametrize(
+        "missing",
+        [
+            "cohort_key",
+            "clone_for_split",
+            "state_signature",
+            "phase_act",
+            "phase_observe",
+            "phase_end",
+            "shared_observation_attr",
+        ],
+    )
+    def test_incomplete_shareable_contract_is_rejected(self, missing):
         from repro.core.protocol import Protocol
+
+        def hook(self, *args):  # pragma: no cover - never called
+            return None
+
+        members = {
+            "shareable": True,
+            "shared_observation_attr": "busy",
+            "cohort_key": hook,
+            "clone_for_split": hook,
+            "state_signature": hook,
+            "phase_act": hook,
+            "phase_observe": hook,
+            "phase_end": hook,
+        }
+        del members[missing]
+        Incomplete = type("Incomplete", (Protocol,), members)
 
         registry = Registry(
             "protocol", validator=PROTOCOLS._validator, instantiate=True
         )
 
-        class NoKey(Protocol):
-            shareable = True
-            shared_observation_attr = None
-
-        @registry.register("nokey")
-        class NoKeyPlugin(ProtocolPlugin):
-            protocol_classes = (NoKey,)
+        @registry.register("incomplete")
+        class IncompletePlugin(ProtocolPlugin):
+            protocol_classes = (Incomplete,)
 
             def build(self, config):  # pragma: no cover - never called
                 return None
@@ -186,8 +210,8 @@ class TestProtocolContract:
             def build_schedule(self, deployment, config):  # pragma: no cover
                 return None
 
-        with pytest.raises(RegistryError, match="cohort_key"):
-            registry.get("nokey")
+        with pytest.raises(RegistryError, match=missing):
+            registry.get("incomplete")
 
     def test_factory_registries_reject_non_dataclasses(self):
         registry = Registry("deployment", validator=DEPLOYMENTS._validator)

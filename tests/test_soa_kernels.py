@@ -43,13 +43,7 @@ draws being data-dependent.  These tests pin
   terminate jump over their idle tail with oracle-identical records and RNG
   positions, and runs with loss draws, traces, opportunistic transmitters or
   uncompiled slots never jump; and
-* the region-keyed MultiPath cohort contract that rode along: devices whose
-  :func:`~repro.core.regions.region_profile_of` profiles (and states) are
-  equal share one machine, split exactly when their busy streams diverge, and
-  never group when the profiles differ.  Under the paper's standard ``3R``
-  slot separation such cohorts cannot exist (two same-slot devices are more
-  than ``3R`` apart, hence have disjoint R-balls), so the geometries below
-  deliberately shrink ``schedule_separation``.
+* that MultiPathRB forms no cohort on the cohort tier: it is not shareable.
 """
 
 from __future__ import annotations
@@ -1403,102 +1397,14 @@ class TestRuntimeLifetime:
                 gc.enable()
 
 
-def _mp_cluster_deployment(profile_break: float = 0.0) -> Deployment:
-    """A Friis geometry producing one genuine two-member MultiPath cohort.
-
-    The candidate pair shares the unit square ``(10, 5)`` (side ``R/3`` for
-    ``R = 3``), one R-ball and one set of 2R owner views, so their region
-    profiles are equal; at 0.6 apart (> ``schedule_separation`` 0.5) the
-    greedy colouring gives both slot 1.  Node 3 — a preloaded liar, hence a
-    sender with pending COMMIT frames — conflicts with nobody and also lands
-    in slot 1, co-owning the pair's broadcast interval.  Its distance to the
-    two members straddles the Friis carrier-sense range (``1.5 * R = 4.5``):
-    4.45 to the near member (busy) and 5.05 to the far one (silent).  The
-    pair are blockers in their own slot and listen during phases 0-3, so the
-    liar's first data-bit broadcast is the first state-relevant divergence,
-    which must split the cohort.  The liar stays outside both R-balls
-    (> 3) and inside both 2R owner views (< 6), so the region profiles stay
-    equal.  ``profile_break`` shifts the far member right; at 0.5 it crosses
-    into the next region square, which must keep the devices singleton even
-    though their protocol states are identical.
-    """
-    positions = np.asarray(
-        [
-            [1.0, 1.0],  # source, out of sense range of everything
-            [10.2, 5.0],  # near pair member
-            [10.8 + profile_break, 5.0],  # far pair member
-            [5.75, 5.0],  # straddling liar, co-owner of the pair's slot
-        ]
-    )
-    return Deployment(positions=positions, width=16.0, height=10.0, source_index=0)
-
-
-def _mp_cluster_config() -> ScenarioConfig:
-    # separation < pair distance (0.6): the pair may share a slot.  Friis
-    # busy depends on exact distances (not the R-ball), which is what lets
-    # two profile-equal devices diverge at all — under unit disk an equal
-    # R-ball implies identical busy forever.
-    return ScenarioConfig(
-        protocol="multipath",
-        radius=3.0,
-        message_length=2,
-        multipath_tolerance=0,
-        seed=3,
-        channel="friis",
-        schedule_separation=0.5,
-    )
-
-
 class TestRegionKeyedMultipathCohorts:
-    def test_profile_equal_pair_shares_then_splits_at_divergence(self):
-        deployment = _mp_cluster_deployment()
-        config = _mp_cluster_config()
-        # The liar is the divergence driver: a slot-1 co-owner with preloaded
-        # COMMIT frames, straddling the pair's carrier-sense range.
-        faults = FaultPlan(liars=(3,))
-
-        clear_link_cache()
-        oracle = build_simulation(
-            deployment, config, faults, use_cohort_runtime=False, use_soa_kernels=False
-        )
-        oracle_record = oracle.run(400).to_record()
-
-        clear_link_cache()
-        sim = build_simulation(
-            deployment, config, faults, use_cohort_runtime=True, use_soa_kernels=False
-        )
-        pair = [n.protocol for n in sim.nodes if n.node_id in (1, 2)]
-        assert pair[0].region_profile == pair[1].region_profile
-        info = sim.plan_cache_info()["cohort_runtime"]
-        assert info["enabled"] and info["shared_members"] == 2
-
-        record = sim.run(400).to_record()
-        assert record == oracle_record
-        after = sim.plan_cache_info()["cohort_runtime"]
-        assert after["divergence_splits"] > 0
-
-    def test_profile_mismatch_stays_singleton(self):
-        deployment = _mp_cluster_deployment(profile_break=0.5)
-        config = _mp_cluster_config()
-        clear_link_cache()
-        sim = build_simulation(
-            deployment,
-            config,
-            FaultPlan(liars=(3,)),
-            use_cohort_runtime=True,
-            use_soa_kernels=False,
-        )
-        pair = [n.protocol for n in sim.nodes if n.node_id in (1, 2)]
-        assert pair[0].region_profile != pair[1].region_profile
-        info = sim.plan_cache_info()["cohort_runtime"]
-        assert info["shared_members"] == 0
+    """MultiPathRB is not shareable, so it forms no cohort of any key."""
 
     def test_standard_separation_forbids_multipath_cohorts(
         self, tiny_grid_deployment, mp_config
     ):
-        # The paper's 3R separation: same-slot devices are > 3R apart, so no
-        # two can share an R-ball and the region key degenerates to
-        # singletons — the historical all-singleton behaviour.
+        # MultiPathRB is not shareable: under the paper's 3R separation
+        # same-slot devices are > 3R apart, so no two could share a machine.
         sim = build_simulation(
             tiny_grid_deployment, mp_config, use_cohort_runtime=True, use_soa_kernels=False
         )
