@@ -61,10 +61,14 @@ bench-baseline:
 # scalar loop too: its slots compile on the epidemic kernel.  So is the
 # MultiPathRB lying smoke spec, which runs the stream kernel's frame drains
 # under lying devices (no built-in experiment runs MultiPathRB with liars at
-# small scale), and so is the lossy stream smoke spec: NeighborWatchRB and
+# small scale), the lossy stream smoke spec: NeighborWatchRB and
 # MultiPathRB on a unit disk with loss 0.1, the one check that compares the
 # stream kernels' batched loss draws with the scalar loop's (FIG5 and FIG7 are
-# lossless; the Friis smoke spec diffs SoA against the cohort tier).  Last,
+# lossless; the Friis smoke spec diffs SoA against the cohort tier), and the
+# MultiPathRB jammer smoke spec, the one check in which MultiPathRB frame
+# groups fall back to the scalar loop mid-frame (322 fallbacks).  Every
+# export goes to one temporary directory per run, removed at the end (also
+# on failure), so two checkouts can run this target at once.  Last,
 # the 10^5-node epidemic macro of benchmarks/capture.py
 # is built and run with run_scenario, and its record hash must equal the one
 # BENCH_10.json stores (about 10 s and 410 MB): it pins the node-scheduled
@@ -76,32 +80,32 @@ bench-smoke:
 	for f in $(BENCH_CAPTURES); do test -f $$f || { echo "$$f missing from the perf trajectory (see make bench)" >&2; exit 1; }; done
 	$(PYTHON) benchmarks/capture.py --check BENCH_10.json
 	for w in $(PERFBENCH_WORKLOADS); do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; done
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
-	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/nosoa.json
-	cmp /tmp/soa.json /tmp/nosoa.json
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-soa.json
-	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-nosoa.json
-	cmp /tmp/friis-soa.json /tmp/friis-nosoa.json
-	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/fig5-dense.json
-	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/fig5-tiled.json
-	cmp /tmp/fig5-dense.json /tmp/fig5-tiled.json
-	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-dense.json
-	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-tiled.json
-	cmp /tmp/jam-dense.json /tmp/jam-tiled.json
-	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-cohort.json
-	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-scalar.json
-	cmp /tmp/fig7-cohort.json /tmp/fig7-scalar.json
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > /tmp/fig7-soa.json
-	cmp /tmp/fig7-soa.json /tmp/fig7-scalar.json
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-soa.json
-	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-scalar.json
-	cmp /tmp/epid-soa.json /tmp/epid-scalar.json
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-soa.json
-	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/multipath_lying_smoke.toml --export json > /tmp/mplie-scalar.json
-	cmp /tmp/mplie-soa.json /tmp/mplie-scalar.json
-	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/stream_loss_smoke.toml --export json > /tmp/streamloss-soa.json
-	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/stream_loss_smoke.toml --export json > /tmp/streamloss-scalar.json
-	cmp /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/soa.json; \
+	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/nosoa.json; \
+	cmp $$tmp/soa.json $$tmp/nosoa.json; \
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > $$tmp/friis-soa.json; \
+	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > $$tmp/friis-nosoa.json; \
+	cmp $$tmp/friis-soa.json $$tmp/friis-nosoa.json; \
+	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/fig5-dense.json; \
+	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/fig5-tiled.json; \
+	cmp $$tmp/fig5-dense.json $$tmp/fig5-tiled.json; \
+	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > $$tmp/jam-dense.json; \
+	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > $$tmp/jam-tiled.json; \
+	cmp $$tmp/jam-dense.json $$tmp/jam-tiled.json; \
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > $$tmp/fig7-cohort.json; \
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > $$tmp/fig7-scalar.json; \
+	cmp $$tmp/fig7-cohort.json $$tmp/fig7-scalar.json; \
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > $$tmp/fig7-soa.json; \
+	cmp $$tmp/fig7-soa.json $$tmp/fig7-scalar.json; \
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > $$tmp/epid-soa.json; \
+	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > $$tmp/epid-scalar.json; \
+	cmp $$tmp/epid-soa.json $$tmp/epid-scalar.json; \
+	for spec in multipath_lying_smoke stream_loss_smoke multipath_jam_smoke; do \
+		REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/$$spec.toml --export json > $$tmp/$$spec-soa.json; \
+		REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/$$spec.toml --export json > $$tmp/$$spec-scalar.json; \
+		cmp $$tmp/$$spec-soa.json $$tmp/$$spec-scalar.json; \
+	done
 	$(PYTHON) -c "import json, sys; sys.path.insert(0, 'benchmarks'); \
 	from capture import MACROS, series_hash; \
 	from repro.experiments.factories import UniformDeploymentFactory; \
@@ -113,20 +117,20 @@ bench-smoke:
 	got = series_hash(run_scenario(dep, cfg).to_record()); \
 	want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
 	print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)"
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json /tmp/fig5-dense.json /tmp/fig5-tiled.json /tmp/jam-dense.json /tmp/jam-tiled.json /tmp/fig7-cohort.json /tmp/fig7-scalar.json /tmp/fig7-soa.json /tmp/epid-soa.json /tmp/epid-scalar.json /tmp/mplie-soa.json /tmp/mplie-scalar.json /tmp/streamloss-soa.json /tmp/streamloss-scalar.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical
-# rows to a plain run (every injected fault recovered).  No --timeout here:
+# rows to a plain run (every injected fault recovered), both exported into a
+# temporary directory removed at the end.  No --timeout here:
 # seeded plans may draw "delay" faults, and with a budget in force those are
 # deliberately stretched past it (the injected sleep would dominate the
 # smoke's wall-clock); the timeout path is covered by the pytest files.
 chaos-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_backends.py tests/test_store_integrity.py
-	$(PYTHON) -m repro.experiments run DUAL --scale small --export json > /tmp/chaos-plain.json
-	REPRO_CHAOS_SEED=7 REPRO_CHAOS_RATE=0.7 $(PYTHON) -m repro.experiments run DUAL --scale small --backend chaos --max-retries 3 --export json > /tmp/chaos-faulty.json
-	cmp /tmp/chaos-plain.json /tmp/chaos-faulty.json
-	rm -f /tmp/chaos-plain.json /tmp/chaos-faulty.json
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(PYTHON) -m repro.experiments run DUAL --scale small --export json > $$tmp/chaos-plain.json; \
+	REPRO_CHAOS_SEED=7 REPRO_CHAOS_RATE=0.7 $(PYTHON) -m repro.experiments run DUAL --scale small --backend chaos --max-retries 3 --export json > $$tmp/chaos-faulty.json; \
+	cmp $$tmp/chaos-plain.json $$tmp/chaos-faulty.json
 
 # CI smoke for the distributed sweep service: the focused queue/store test
 # files, then the end-to-end drill — submit a small sweep, run two worker

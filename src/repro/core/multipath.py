@@ -44,7 +44,6 @@ from .messages import (
     ControlType,
     Frame,
     FrameKind,
-    int_from_bits,
     validate_bits,
 )
 from .onehop import OneHopReceiver, OneHopSender
@@ -159,7 +158,7 @@ class MultiPathNode(Protocol):
             owner = schedule.owner_in_neighborhood(slot, context.node_id)
             if owner is None or owner == context.node_id:
                 continue
-            self._receivers[slot] = OneHopReceiver(expected_length=None)
+            self._receivers[slot] = OneHopReceiver(frame_bits=self._codec.frame_bits)
             self._peer_of_slot[slot] = owner
 
         if self._is_source:
@@ -201,14 +200,17 @@ class MultiPathNode(Protocol):
     def soa_state_spec(self, slot: int) -> Optional[dict]:
         """Role of this device in ``slot`` for the SoA compiler.
 
-        Only a completed control frame can change state, so the kernel
-        appends each frame of ``frame_bits`` accepted bits to the unbounded
-        stream and decides from the frame alone whether it can move this
-        device: ``decode_frame`` reads it, ``frame_gate`` (the rule
+        Only a completed control frame can change state, so the kernel keeps
+        each framed stream's partial frame in its own frame planes and
+        decides from a completed frame alone whether it can move this
+        device: ``decode_frame`` reads it, and ``frame_gate`` (the rule
         :meth:`_drain_frame` applies) names the index whose commit makes it
-        inert, and the live ``committed`` map is checked for that index.
-        Only a frame that can move the device is handed to ``drain_slot``,
-        as one MSB-first integer.
+        inert.  The kernel keeps, per bit index, the mask of its members
+        whose ``committed`` map holds it, seeded from this live map at
+        compile time and updated after every drain and scalar fallback, so
+        only a frame that can move the device is handed to ``drain_slot``,
+        as one MSB-first integer.  The stream itself (its count and partial
+        frame) is stored back only when the kernel flushes.
         """
         if slot == self._my_slot:
             return {
@@ -223,7 +225,6 @@ class MultiPathNode(Protocol):
             "role": "receiver",
             "receiver": receiver,
             "drain_slot": self._drain_frame,
-            "frame_bits": self._codec.frame_bits,
             "decode_frame": self._codec.decode_frame,
             "frame_gate": self._frame_gate,
             "committed": self._commit_values,
@@ -287,17 +288,15 @@ class MultiPathNode(Protocol):
     def _drain_stream(self, slot: int) -> None:
         """Handle the control frame that ``slot``'s stream just completed, if any.
 
-        Called after each accepted bit.  The frames are the stream's
-        consecutive ``frame_bits``-bit runs from its start, so one completes
-        exactly when a bit brings the length to a multiple of ``frame_bits``,
-        and every earlier frame was dealt with when it completed (here, or
-        by the SoA kernel, which hands :meth:`_drain_frame` only the frames
-        that can move this device).  No count of handled bits is kept.
+        Called after each accepted bit.  The stream keeps only its partial
+        frame, and the bit that fills it empties it into :meth:`_drain_frame`
+        (:meth:`OneHopReceiver.take_frame`); the SoA kernel completes the
+        same frames in its planes and hands :meth:`_drain_frame` only those
+        that can move this device.
         """
-        frame_bits = self._codec.frame_bits
-        bits = self._receivers[slot].peek_received()
-        if len(bits) % frame_bits == 0:
-            self._drain_frame(slot, int_from_bits(bits[-frame_bits:]))
+        frame = self._receivers[slot].take_frame()
+        if frame is not None:
+            self._drain_frame(slot, frame)
 
     @staticmethod
     def _frame_gate(message: Optional[ControlMessage]) -> Optional[int]:
@@ -318,9 +317,8 @@ class MultiPathNode(Protocol):
     def _drain_frame(self, slot: int, frame: int) -> None:
         """Handle a completed control frame of ``slot``'s stream, read as an MSB-first integer.
 
-        The frame's bits are already on the receiver stream.  A frame that
-        cannot move this device (see :meth:`_frame_gate`) is dropped
-        unhandled.
+        A frame that cannot move this device (see :meth:`_frame_gate`) is
+        dropped unhandled.
         """
         message = self._codec.decode_frame(frame)
         gate = self._frame_gate(message)

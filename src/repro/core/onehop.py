@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .messages import Bits, validate_bits
+from .messages import Bits, int_from_bits, validate_bits
 from .twobit import TwoBitOutcome, TwoBitReceiver, TwoBitSender
 
 __all__ = ["parity_of_index", "OneHopSender", "OneHopReceiver"]
@@ -212,17 +212,33 @@ class OneHopSender:
 class OneHopReceiver:
     """Receiver side of the 1Hop-Protocol.
 
-    ``expected_length`` bounds the number of data bits accepted; pass ``None``
-    for an open-ended stream (MultiPathRB's control channel).  The receiver
-    tracks the alternating parity: a successful 2Bit exchange whose parity
-    matches the *next expected* bit is appended to the stream, anything else
-    (a retransmission of the previous bit, or noise) is ignored, which is
-    always safe.
+    A stream is either *bounded*, accepting at most ``expected_length`` data
+    bits (NeighborWatchRB's message streams), or *framed*: open-ended and
+    read ``frame_bits`` bits at a time (MultiPathRB's control channel).  A
+    framed stream keeps only its accepted count and the bits of its current
+    partial frame; its consumer empties each frame with :meth:`take_frame`
+    as it completes.  The receiver tracks the alternating parity: a
+    successful 2Bit exchange whose parity matches the *next expected* bit is
+    accepted, anything else (a retransmission of the previous bit, or
+    noise) is ignored, which is always safe.
     """
 
-    def __init__(self, expected_length: Optional[int] = None) -> None:
-        if expected_length is not None and expected_length < 0:
+    # Class defaults, so that a bounded stream's construction sets neither.
+    _frame_bits: Optional[int] = None
+    #: Bits of the frames :meth:`take_frame` emptied.
+    _taken = 0
+
+    def __init__(
+        self, expected_length: Optional[int] = None, *, frame_bits: Optional[int] = None
+    ) -> None:
+        if expected_length is None:
+            if frame_bits is None or frame_bits < 1:
+                raise ValueError("an open-ended stream is framed: frame_bits must be positive")
+            self._frame_bits = frame_bits
+        elif expected_length < 0:
             raise ValueError("expected_length must be non-negative")
+        elif frame_bits is not None:
+            raise ValueError("a stream is either bounded (expected_length) or framed (frame_bits)")
         self._expected_length = expected_length
         self._received: list[int] = []
         self._current: Optional[TwoBitReceiver] = None
@@ -233,11 +249,11 @@ class OneHopReceiver:
     # -- state -------------------------------------------------------------------------
     @property
     def received_bits(self) -> Bits:
-        """Data bits accepted so far, in order."""
+        """Data bits held, in order: all accepted bits, or a framed stream's partial frame."""
         return tuple(self._received)
 
     def peek_received(self) -> list:
-        """The internal accepted-bit list, without copying.
+        """The internal list behind :attr:`received_bits`, without copying.
 
         Hot-path accessor for per-slot consumers (NeighborWatchRB's commit
         rule scans every receiver after every slot); callers must treat the
@@ -247,12 +263,18 @@ class OneHopReceiver:
 
     @property
     def received_count(self) -> int:
-        return len(self._received)
+        """Data bits accepted so far, those of emptied frames included."""
+        return self._taken + len(self._received)
 
     @property
     def expected_length(self) -> Optional[int]:
-        """Bound on the stream length (``None`` for an open-ended stream)."""
+        """Bound on the stream length (``None`` for a framed stream)."""
         return self._expected_length
+
+    @property
+    def frame_bits(self) -> Optional[int]:
+        """Width of a framed stream's frames (``None`` for a bounded stream)."""
+        return self._frame_bits
 
     @property
     def complete(self) -> bool:
@@ -276,23 +298,33 @@ class OneHopReceiver:
     @property
     def expected_parity(self) -> int:
         """Parity value the next new data bit must carry."""
-        return parity_of_index(len(self._received) + 1)
+        return parity_of_index(self._taken + len(self._received) + 1)
 
-    def take_new_bits(self, already_consumed: int) -> Bits:
-        """Bits received beyond ``already_consumed`` (helper for stream consumers)."""
-        return tuple(self._received[already_consumed:])
+    def take_frame(self) -> Optional[int]:
+        """Empty a framed stream's completed frame, returned as an MSB-first integer.
+
+        ``None`` while the current frame is partial.  The count of accepted
+        bits (and with it the expected parity) is kept.
+        """
+        bits = self._received
+        if len(bits) != self._frame_bits:
+            return None
+        frame = int_from_bits(bits)
+        self._taken += len(bits)
+        bits.clear()
+        return frame
 
     def state_signature(self) -> tuple:
         """Behaviour-relevant state for cohort re-merging (slot boundaries only).
 
-        The accepted stream determines the expected parity and the
-        completion check; failure/ignore tallies are statistics and excluded
-        (a member whose exchange failed and one that ignored a stale
-        retransmission hold the same stream and behave identically).
+        The accepted count and the bits held determine the expected parity
+        and the completion check; failure/ignore tallies are statistics and
+        excluded (a member whose exchange failed and one that ignored a
+        stale retransmission hold the same stream and behave identically).
         """
-        return tuple(self._received)
+        return (self._taken, *self._received)
 
-    # -- SoA kernel accessor ------------------------------------------------------------
+    # -- SoA kernel accessors -----------------------------------------------------------
     def soa_append(self, data: int) -> int:
         """Append an accepted data bit (SoA kernel accept path); returns the new length.
 
@@ -305,11 +337,22 @@ class OneHopReceiver:
         received.append(data)
         return len(received)
 
+    def soa_store_frames(self, frames: int, partial: list) -> None:
+        """Bring a framed stream level with the SoA kernel's frame planes.
+
+        ``frames`` more frames completed (and were handled) since the last
+        store, and ``partial`` holds the bits of the current partial frame.
+        """
+        self._taken += frames * self._frame_bits
+        self._received[:] = partial
+
     def clone(self) -> "OneHopReceiver":
         """Independent state-identical copy (cohort splits, possibly mid-slot)."""
         other = OneHopReceiver.__new__(OneHopReceiver)
         other._expected_length = self._expected_length
+        other._frame_bits = self._frame_bits
         other._received = list(self._received)
+        other._taken = self._taken
         other._current = None if self._current is None else self._current.clone()
         other._failed_slots = self._failed_slots
         other._accepted_slots = self._accepted_slots

@@ -13,9 +13,9 @@ shared (cohort) execution implements three *phase transitions* over a typed
 
 ``phase_act(ctx) -> Optional[ActionSpec]``
     The transmit decision for one round.  Crucially the result is a
-    *member-independent* :class:`ActionSpec` — a frame kind plus payload,
-    without a sender id — so one evaluation can be fanned out to every member
-    of a cohort (each member materialises its own on-air frame).
+    *member-independent* :class:`ActionSpec` — a frame kind without a
+    sender id — so one evaluation can be fanned out to every member of a
+    cohort (each member materialises its own on-air frame).
 ``phase_observe(ctx, observation)``
     Deliver the channel observation of a listened round.
 ``phase_end(ctx)``
@@ -136,25 +136,22 @@ class PhaseContext(NamedTuple):
 
 
 class ActionSpec(NamedTuple):
-    """A member-independent transmit decision: frame kind plus payload.
+    """A member-independent transmit decision: the frame kind.
 
     Deliberately excludes the sender id — the cohort runtime turns a spec
     into a concrete :class:`~repro.core.messages.Frame` per member, so one
-    shared evaluation serves a whole cohort.  Specs for the payload-less
-    protocol alphabet are interned via :func:`action_spec`.
+    shared evaluation serves a whole cohort.  Specs are interned via
+    :func:`action_spec`.
     """
 
     kind: FrameKind
-    payload: tuple = ()
 
 
-#: Interned payload-less specs, one per frame kind (the whole alphabet of the
+#: Interned specs, one per frame kind (the whole alphabet of the
 #: bit-exchange protocols); avoids a per-round allocation in phase_act.
-_BARE_SPECS: dict[FrameKind, ActionSpec] = {kind: ActionSpec(kind) for kind in FrameKind}
+_SPECS: dict[FrameKind, ActionSpec] = {kind: ActionSpec(kind) for kind in FrameKind}
 
 
-def action_spec(kind: FrameKind, payload: tuple = ()) -> ActionSpec:
-    """The (interned, when payload-less) spec for ``kind``/``payload``."""
-    if not payload:
-        return _BARE_SPECS[kind]
-    return ActionSpec(kind, payload)
+def action_spec(kind: FrameKind) -> ActionSpec:
+    """The interned spec for ``kind``."""
+    return _SPECS[kind]

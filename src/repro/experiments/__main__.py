@@ -492,6 +492,12 @@ def _command_run(args) -> int:
         )
         if soa.get("busy_cache_evictions"):
             summary += f" busy_cache_evictions={soa['busy_cache_evictions']}"
+        if soa.get("frame_completions"):
+            # MultiPathRB control frames: completed, and handed to a drain.
+            summary += (
+                f" frame_completions={soa['frame_completions']}"
+                f" frame_drains={soa['frame_drains']}"
+            )
         summary += "]"
     print(summary + "\n", file=status)
 

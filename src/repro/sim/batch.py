@@ -223,9 +223,9 @@ class CohortRuntime:
         """Interned fan-out transmission for one member and a shared decision.
 
         The embedded frame is value-equal to the one the member's own ``act``
-        adapter would have built (kind + payload from the spec, sender id
-        from the member); the cache retains it via ``tx.frame``, so one
-        intern table serves both.
+        adapter would have built (kind from the spec, sender id from the
+        member); the cache retains it via ``tx.frame``, so one intern table
+        serves both.
         """
         key = (node_id, spec)
         cache = self._spec_transmissions
@@ -233,7 +233,7 @@ class CohortRuntime:
         if tx is None:
             if len(cache) >= _SPEC_TX_CACHE_MAX:
                 cache.clear()
-            tx = Transmission(node_id, position, Frame(spec.kind, node_id, spec.payload))
+            tx = Transmission(node_id, position, Frame(spec.kind, node_id))
             cache[key] = tx
         return tx
 

@@ -173,13 +173,15 @@ def soa_telemetry_snapshot() -> dict:
     """Accumulated SoA-kernel counters of this process's ``run_scenario`` calls.
 
     Keys mirror ``plan_cache_info()["soa_kernels"]``: ``slots_run``,
-    ``scalar_fallbacks``, ``cycles_fast_forwarded``, the stream groups'
-    occurrence memo counters (``occurrence_hits``, ``occurrence_misses``,
-    ``occurrence_evictions``) and the ``busy_cache_*`` counters, summed
-    across runs.  A stream occurrence is one occurrence-memo lookup, and
-    only its misses consult the per-mask busy memo, so the ``busy_cache_*``
-    counters count the lookups made on occurrence misses only.  Empty until
-    a run executes on the SoA tier.
+    ``scalar_fallbacks``, ``cycles_fast_forwarded``, the MultiPathRB frame
+    counters (``frame_completions``, the members whose control frame
+    completed, and ``frame_drains``, those handed to ``drain_slot``), the
+    stream groups' occurrence memo counters (``occurrence_hits``,
+    ``occurrence_misses``, ``occurrence_evictions``) and the
+    ``busy_cache_*`` counters, summed across runs.  A stream occurrence is
+    one occurrence-memo lookup, and only its misses consult the per-mask
+    busy memo, so the ``busy_cache_*`` counters count the lookups made on
+    occurrence misses only.  Empty until a run executes on the SoA tier.
     """
     return dict(_soa_telemetry)
 
@@ -232,6 +234,8 @@ def run_scenario(
             "slots_run",
             "scalar_fallbacks",
             "cycles_fast_forwarded",
+            "frame_completions",
+            "frame_drains",
             "occurrence_hits",
             "occurrence_misses",
             "occurrence_evictions",

@@ -579,6 +579,7 @@ class Simulation:
                 group.flush_frames()
                 self._run_slot_scalar(cycle, slot, records, occurrence_key)
                 group.resync()
+                soa.note_commits(records)
                 return
         runtime = self._slot_runtime
         if runtime is not None:

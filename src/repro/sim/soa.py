@@ -77,7 +77,7 @@ still listen.  A stream group memoizes each occurrence on that key
 which senders failed, the loss-draw count of all six phases and the six
 transmitter masks — so a repeated key costs one dictionary hit for the six
 phases.  Keys repeat where a slot idles or relays in a steady pattern:
-MultiPathRB's unbounded streams never leave ``active``, and 97% of the
+MultiPathRB's framed streams never leave ``active``, and 97% of the
 ``multipath-lying`` and 85% of the ``sweep-small`` perfbench occurrences
 hit.  In large NeighborWatchRB groups most keys are new, since owners move
 on bit by bit and receivers leave ``active`` as their streams complete:
@@ -94,29 +94,32 @@ these: its owners flood once each, so no transmitter set repeats, and it
 counts each broadcast on the sender's :class:`~repro.sim.node.SimNode` as
 the scalar loop does.
 
-A group whose receivers drain whole frames (MultiPathRB's spec declares
-``frame_bits`` F; its streams are unbounded) also keeps every member's
-partial frame in masks: F shift-register *frame planes* (plane ``k`` holds
-bit ``k`` of each member's last F accepted bits, oldest first) and
-``F.bit_length()`` *counter planes* (each member's partial-frame length,
-offset so that reaching F carries out of the top plane).  An occurrence
-appends the accepted bits of all members with 3F mask operations for the
-shift and at most three per counter plane; only members whose frame
-completed cost Python, and a receiver stream gets its bits one frame at a
-time.  Streams are therefore complete at every frame boundary, and the
-pending bits of a partial frame are written into them (idempotently)
-before a scalar fallback and at the end of ``run()``/``run_slots()``, so
-every reader outside the kernel sees the scalar loop's streams.  The
+A group whose receivers drain whole frames (MultiPathRB's framed streams,
+which keep only their accepted count and partial frame) holds those streams
+in masks: F shift-register *frame planes* (plane ``k`` holds bit ``k`` of
+each member's last F accepted bits, oldest first), ``F.bit_length()``
+*counter planes* (each member's partial-frame length, offset so that
+reaching F carries out of the top plane) and *frame-count planes* (the
+frames each member completed since the last flush, in binary).  An
+occurrence appends the accepted bits of all members with 3F mask operations
+for the shift and at most three per counter plane, and adds the completed
+members to their frame counts.  The receivers see neither until
+:meth:`_SlotGroup.flush_frames` stores each member's frame count and partial
+frame, before a scalar fallback and at the end of ``run()``/``run_slots()``,
+so every reader outside the kernel sees the scalar loop's streams.  The
 completed members are split plane by plane into parts that share one frame
 value (:func:`_frame_parts`; one mask test per plane when, as almost
 always, they all heard the same frame).  A simulation's frame groups share
-one memo that decodes each distinct frame value once, into its bits and
-its gate (the spec's ``frame_gate`` rule: the index whose commit makes the
-frame inert), and a member's ``drain_slot`` gets a frame only if the gate
-is not in the member's live ``committed`` map: a frame that decodes to
-nothing, or a SOURCE/HEARD frame about an index the member committed,
-changes nothing, and under lying devices almost every completed frame is
-such a HEARD.
+one memo that decodes each distinct frame value once into its gate (the
+spec's ``frame_gate`` rule: the index whose commit makes the frame inert),
+and each group keeps, per bit index, the mask of its members whose commit
+map holds it.  A part drains only ``members & ~mask[gate]``: a frame that
+decodes to nothing drains none, and a SOURCE/HEARD frame about an index a
+member committed changes nothing, which under lying devices is almost every
+completed frame.  So a completion that drains nobody costs no per-member
+Python.  The masks are seeded from the live commit maps at compile time and
+updated wherever a member commits: after a drain the kernel makes and after
+a scalar fallback.
 NeighborWatchRB keeps the per-bit path, but calls its commit rule only for
 a bit that lands at the device's committed frontier (index
 ``len(committed)``): a bit at any other index leaves every vote the rule
@@ -140,7 +143,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.epidemic import EpidemicNode
-from ..core.messages import bits_from_int
 from ..core.multipath import MultiPathNode
 from ..core.neighborwatch import NeighborWatchNode
 from ..core.twobit import NUM_PHASES, soa_veto_mask
@@ -281,8 +283,10 @@ class _SlotGroup:
         "planes",
         "counters",
         "idle_counters",
+        "frames",
         "frame_rule",
         "decoded_frames",
+        "committed_masks",
     )
 
     def resync(self) -> None:
@@ -291,10 +295,11 @@ class _SlotGroup:
         ``active`` holds the streams still listening (a bounded stream leaves
         once complete) and ``parity1`` those whose next bit carries parity 1;
         a frame-draining group also rebuilds its frame planes from each
-        stream's bits past its last frame boundary.  The stream kernel
-        advances all of these itself, so this full scan runs only at compile
-        time and after the engine ran this slot as a scalar fallback — the
-        one other path that moves these receivers.
+        framed stream's partial frame and restarts its frame counts at zero
+        (the streams hold every frame count flushed into them).  The stream
+        kernel advances all of these itself, so this full scan runs only at
+        compile time and after the engine ran this slot as a scalar fallback
+        — the one other path that moves these receivers.
         """
         active = parity1 = 0
         for i, entry in enumerate(self.receiver_at):
@@ -319,11 +324,11 @@ class _SlotGroup:
             if entry is None:
                 continue
             received = entry[0].peek_received()
-            count = len(received) % frame_bits
+            count = len(received)
             if not count:
                 continue
             bit = 1 << i
-            for k, data in enumerate(received[-count:], frame_bits - count):
+            for k, data in enumerate(received, frame_bits - count):
                 if data:
                     planes[k] |= bit
             for j in widths:
@@ -333,28 +338,33 @@ class _SlotGroup:
                     counters[j] &= ~bit
         self.planes = planes
         self.counters = counters
+        self.frames = []
 
     def flush_frames(self) -> None:
-        """Write every member's partial-frame bits into its receiver stream.
+        """Write every member's frame count and partial frame into its receiver.
 
-        The kernel appends a frame to the stream only once it completes, so
-        between frame boundaries a stream lacks the bits still held in the
-        planes; this brings it level with the scalar loop.  Idempotent: the
-        bits a stream already holds past its last frame boundary are the
-        first of the pending ones, and only the rest are written.
+        Between flushes a framed stream's state lives in the planes only:
+        the frame-count planes count the frames each member completed since
+        the last flush, and the frame planes hold its partial frame.  Each
+        member with either is stored (:meth:`OneHopReceiver.soa_store_frames`),
+        which brings its stream level with the scalar loop's, and the frame
+        counts restart at zero, so a second flush stores the same partial
+        frames and no frames: flushing is idempotent.
         """
         planes = self.planes
-        if planes is None or self.counters == self.idle_counters:
+        if planes is None or (not self.frames and self.counters == self.idle_counters):
             return
         n = self.n
         frame_bits = len(planes)
         base = (1 << len(self.counters)) - frame_bits
         counts = _column_values(_unpack_planes(self.counters[::-1], n)) - base
+        frames = _column_values(_unpack_planes(self.frames[::-1], n))
         bits = _unpack_planes(planes, n)
-        for i in np.flatnonzero(counts).tolist():
-            received = self.receiver_at[i][0].peek_received()
-            start = frame_bits - int(counts[i]) + len(received) % frame_bits
-            received.extend(bits[start:, i].tolist())
+        for i in np.flatnonzero(counts | frames).tolist():
+            self.receiver_at[i][0].soa_store_frames(
+                int(frames[i]), bits[frame_bits - counts[i] :, i].tolist()
+            )
+        self.frames = []
 
     def resolve_occurrence(self, runtime: SoaRuntime, key: tuple) -> tuple:
         """Miss path of the stream kernel's occurrence memo: the six-phase algebra.
@@ -538,10 +548,10 @@ def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     member appends its bit; only a bit that lands at that index calls back
     (and can stamp a delivery).  A bit before it cannot vote, a bit past it
     changes no vote, and the rule already ran on the state before the bit.
-    MultiPathRB's ``drain_slot`` acts only on a completed control frame of
-    ``frame_bits`` bits, so its groups append in mask algebra
-    (:func:`_append_frame_bits`) and only the members that completed a frame
-    cost Python (:func:`_complete_frames`).
+    MultiPathRB's ``drain_slot`` acts only on a completed control frame, so
+    its groups append in mask algebra (:func:`_append_frame_bits`) and only
+    the members whose completed frame can move them cost Python
+    (:func:`_complete_frames`).
     """
     senders = b1 = b2 = 0
     sending = []
@@ -594,7 +604,7 @@ def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
     if group.planes is not None:
         completed = _append_frame_bits(group, accepted, heard2)
         if completed:
-            _complete_frames(group, completed, end_round, trace)
+            _complete_frames(runtime, group, completed, end_round, trace)
         return
     records = group.records
     receiver_at = group.receiver_at
@@ -602,7 +612,7 @@ def _run_stream_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
         bit = accepted & -accepted
         accepted ^= bit
         i = bit.bit_length() - 1
-        receiver, update_commits, limit, committed, _received = receiver_at[i]
+        receiver, update_commits, limit, committed, _seat = receiver_at[i]
         length = receiver.soa_append(1 if heard2 & bit else 0)
         if length == limit:
             group.active ^= bit
@@ -649,48 +659,94 @@ def _frame_parts(planes: list, completed: int) -> list:
     return parts
 
 
-def _complete_frames(group: _SlotGroup, completed: int, end_round: int, trace) -> None:
-    """Hand each member in ``completed`` its frame, read off the frame planes.
+def _complete_frames(
+    runtime: SoaRuntime, group: _SlotGroup, completed: int, end_round: int, trace
+) -> None:
+    """Count the frames ``completed`` holds and drain the members they can move.
 
-    Each frame value goes onto the member's stream, is looked up once per
-    part in ``decoded_frames`` (its bits and its gate, decoded by the
-    group's ``frame_rule`` the first time any group of the simulation
-    completes it: a message is relayed in many devices' slots), and
-    reaches the member's drain and a delivery check only if the member has
-    not committed its gate.  The others are a frame that decodes to nothing
-    and a SOURCE or HEARD frame about a committed index; a COMMIT frame
-    always reaches the drain, which relays HEARD once per (peer, index,
-    value).  Members are walked in ascending order, as the scalar loop
-    walks its records, so drains and DELIVERY events keep their order.
+    The completions go into the frame-count planes (:func:`_count_frames`),
+    which reach the receivers only at the next flush.  The members are split
+    by frame value (:func:`_frame_parts`), and each value's gate is looked
+    up once in ``decoded_frames`` (decoded by ``frame_rule`` the first time
+    any group of the simulation completes it: a message is relayed in many
+    devices' slots).  A part drains ``members & ~committed_masks[gate]``: a
+    frame that decodes to nothing drains none, a COMMIT frame (gate 0, an
+    index nobody commits) every member, since it relays HEARD once per
+    (peer, index, value), and a SOURCE or HEARD frame those that have not
+    committed its index.  Drained members are walked in ascending order, as
+    the scalar loop walks its records, so drains and DELIVERY events keep
+    their order; a drain that commits marks the new index in every frame
+    group its member listens in (:func:`_note_commits`) and stamps a
+    delivery it completes.
     """
-    planes = group.planes
-    frame_bits = len(planes)
+    _count_frames(group.frames, completed)
+    runtime.frame_completions += completed.bit_count()
     decoded = group.decoded_frames
+    masks = group.committed_masks
     parts = []
-    for members, frame in _frame_parts(planes, completed):
-        entry = decoded.get(frame)
-        if entry is None:
+    todo = 0
+    for members, frame in _frame_parts(group.planes, completed):
+        gate = decoded.get(frame, -1)
+        if gate == -1:
             decode, gate_of = group.frame_rule
-            entry = decoded[frame] = (bits_from_int(frame, frame_bits), gate_of(decode(frame)))
-        parts.append((members, frame, entry))
+            gate = decoded[frame] = gate_of(decode(frame))
+        if gate is not None:
+            members &= ~masks.get(gate, 0)
+            if members:
+                parts.append((members, frame))
+                todo |= members
+    if not todo:
+        return
+    runtime.frame_drains += todo.bit_count()
     records = group.records
     receiver_at = group.receiver_at
-    members, frame, (column, gate) = parts[0]
-    while completed:
-        bit = completed & -completed
-        completed ^= bit
+    members, frame = parts[0]
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
         if not members & bit:
-            for members, frame, (column, gate) in parts:
+            for members, frame in parts:
                 if members & bit:
                     break
         i = bit.bit_length() - 1
-        _receiver, drain, _limit, committed, received = receiver_at[i]
-        # A flush may already have written the frame's first bits.
-        pending = len(received) % frame_bits
-        received.extend(column[pending:] if pending else column)
-        if gate is not None and gate not in committed:
-            drain(frame)
+        _receiver, drain, _limit, committed, seat = receiver_at[i]
+        drain(frame)
+        if len(committed) != seat[0]:
+            # Delivery moves only with a commit.
+            _note_commits(seat)
             _stamp_delivery(records[i], end_round, trace)
+
+
+def _count_frames(frames: list, completed: int) -> None:
+    """Add one to the frame count of every member in ``completed``.
+
+    ``frames`` holds the counts in binary over the members, plane ``j``
+    being bit ``j``; a ripple carry adds the mask and grows a plane when it
+    carries out of the top one.
+    """
+    carry = completed
+    for j, plane in enumerate(frames):
+        frames[j] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    frames.append(carry)
+
+
+def _note_commits(seat: list) -> None:
+    """Mark a framed receiver's new commits in the index masks of its frame groups.
+
+    ``seat`` is ``[commits marked, committed map, [(index masks, member bit),
+    ...]]``, one per device, listing every frame group the device listens
+    in.  Commits are never undone and the map holds them in commit order,
+    so the new ones are those past the marked count.
+    """
+    marked, committed, places = seat
+    new = list(committed)[marked:]
+    for masks, bit in places:
+        for index in new:
+            masks[index] = masks.get(index, 0) | bit
+    seat[0] = len(committed)
 
 
 def _append_frame_bits(group: _SlotGroup, accepted: int, data: int) -> int:
@@ -898,8 +954,8 @@ def _run_epidemic_slot(sim, runtime: SoaRuntime, group: _SlotGroup) -> None:
 #: and differ only in the post-accept callback their ``soa_state_spec``
 #: binds: ``update_commits`` (the commit-pipeline rerun, for a bit at the
 #: committed frontier) vs. ``drain_slot`` (the control-stream drain, handed
-#: each completed frame of ``frame_bits`` accepted bits that can move its
-#: device, as one integer).
+#: each completed frame of a framed stream that can move its device, as one
+#: integer).
 _FAMILIES = (
     (NeighborWatchNode, _run_stream_slot, NUM_PHASES),
     (MultiPathNode, _run_stream_slot, NUM_PHASES),
@@ -998,7 +1054,11 @@ class SoaRuntime:
         self.cycles_fast_forwarded = 0
         self.busy_cache_evictions = 0
         self.occurrence_evictions = 0
+        self.frame_completions = 0
+        self.frame_drains = 0
         self._decoded_frames: dict = {}
+        #: Node id -> seat of a framed receiver (see :func:`_note_commits`).
+        self._seats: dict = {}
         self.thrash_warned = False
         for slot, records in plan.slot_records.items():
             group = self._compile_slot(
@@ -1048,17 +1108,19 @@ class SoaRuntime:
         else:
             # The stream protocols bind per-slot machines, so they resolve
             # one soa_state_spec per (member, slot) pair.  A receiver entry is
-            # (stream, commit callback, stream bound, committed state, the
-            # stream's accepted-bit list); the callback is either
-            # update_commits, called for an accepted bit at the committed
-            # prefix's length, or the drain_slot of an unbounded stream,
-            # handed each completed frame of frame_bits bits whose
-            # (decode_frame, frame_gate) gate is not in the committed map
-            # (then the whole group must drain such frames, and keeps frame
+            # (stream, commit callback, stream bound, committed state, seat);
+            # the callback is either update_commits, called for an accepted
+            # bit at the committed prefix's length, or the drain_slot of a
+            # framed stream, handed each completed frame whose
+            # (decode_frame, frame_gate) gate is not in the committed map.
+            # Then the whole group must drain such frames and keeps frame
             # planes; every member of one simulation shares the codec shape,
-            # so one rule and one memo serve them).
+            # so one rule and one memo serve them.  The seat is the device's
+            # place in the runtime's committed-index bookkeeping (framed
+            # receivers only).
             receiver_at = [None] * n
             frame_sizes = set()
+            framed = []
             for i, record in enumerate(records):
                 proto = record[REC_NODE].protocol
                 if not _lowerable(proto, family):
@@ -1075,17 +1137,14 @@ class SoaRuntime:
                 receiver = spec["receiver"]
                 post = spec.get("update_commits")
                 if post is None:
-                    if receiver.expected_length is not None:
+                    if receiver.frame_bits is None:
                         return None
                     post = partial(spec["drain_slot"], slot)
                     frame_rule = (spec["decode_frame"], spec["frame_gate"])
-                frame_sizes.add(spec.get("frame_bits"))
+                    framed.append(i)
+                frame_sizes.add(receiver.frame_bits)
                 receiver_at[i] = (
-                    receiver,
-                    post,
-                    receiver.expected_length,
-                    spec.get("committed"),
-                    receiver.peek_received(),
+                    receiver, post, receiver.expected_length, spec.get("committed"), None
                 )
             if len(frame_sizes) > 1:
                 return None
@@ -1119,14 +1178,29 @@ class SoaRuntime:
         group.owner_mask = owner_mask
         group.veto_mask = veto_mask
         group.receiver_at = receiver_at
-        group.planes = group.counters = None
+        group.planes = group.counters = group.frames = None
         group.frame_rule = frame_rule
         # One simulation's codecs share their shape, so its frame groups
         # share one decode memo.
         group.decoded_frames = self._decoded_frames.setdefault(frame_bits, {})
+        group.committed_masks = None
         if frame_bits is not None:
             group.planes = [0] * frame_bits
             group.counters = [0] * frame_bits.bit_length()
+            # Each framed receiver's index masks start from its live commit
+            # map (the source's and the liars' set-up commits).
+            masks = group.committed_masks = {}
+            seats = self._seats
+            for i in framed:
+                receiver, post, limit, committed, _seat = receiver_at[i]
+                nid = records[i][REC_ID]
+                seat = seats.get(nid)
+                if seat is None:
+                    seat = seats[nid] = [len(committed), committed, []]
+                seat[2].append((masks, 1 << i))
+                for index in committed:
+                    masks[index] = masks.get(index, 0) | 1 << i
+                receiver_at[i] = (receiver, post, limit, committed, seat)
         group.resync()
         return group
 
@@ -1229,14 +1303,29 @@ class SoaRuntime:
             tally.clear()
 
     def flush_frames(self) -> None:
-        """Bring every receiver stream level with the scalar loop.
+        """Bring every framed receiver stream level with the scalar loop.
 
         Called by the engine at the end of ``run()``/``run_slots()``, so
-        every reader outside the kernel sees complete streams (see
+        every reader outside the kernel sees the scalar loop's streams (see
         :meth:`_SlotGroup.flush_frames`).
         """
         for group in self.groups.values():
             group.flush_frames()
+
+    def note_commits(self, records) -> None:
+        """Mark the commits a scalar fallback made in the index masks.
+
+        A framed receiver may commit in any slot whose frame it drains, and
+        every frame group it listens in must see the commit.  Were a mask
+        ever behind, it would only hand ``drain_slot`` a frame that the
+        drain's own gate check drops, and that drain would mark the commit.
+        """
+        seats = self._seats
+        if seats:
+            for record in records:
+                seat = seats.get(record[REC_ID])
+                if seat is not None and len(seat[1]) != seat[0]:
+                    _note_commits(seat)
 
     # -- introspection ---------------------------------------------------------------
     def info(self) -> dict:
@@ -1249,6 +1338,8 @@ class SoaRuntime:
             "slots_run": self.slots_run,
             "scalar_fallbacks": self.scalar_fallbacks,
             "cycles_fast_forwarded": self.cycles_fast_forwarded,
+            "frame_completions": self.frame_completions,
+            "frame_drains": self.frame_drains,
             "occurrence_hits": sum(g.occurrence_hits for g in groups),
             "occurrence_misses": sum(g.occurrence_misses for g in groups),
             "occurrence_evictions": self.occurrence_evictions,

@@ -98,8 +98,16 @@ class TestOneHopReceiverState:
         assert receiver.begin_slot() is False
 
     def test_open_ended_receiver_never_complete(self):
-        receiver = OneHopReceiver(expected_length=None)
+        receiver = OneHopReceiver(frame_bits=3)
         assert not receiver.complete
+        assert receiver.expected_length is None
+
+    def test_stream_is_bounded_or_framed(self):
+        for kwargs in ({}, {"expected_length": None}, {"expected_length": 2, "frame_bits": 3}):
+            with pytest.raises(ValueError):
+                OneHopReceiver(**kwargs)
+        with pytest.raises(ValueError):
+            OneHopReceiver(frame_bits=0)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -111,10 +119,16 @@ class TestOneHopReceiverState:
         with pytest.raises(RuntimeError):
             receiver.begin_slot()
 
-    def test_take_new_bits(self):
-        receiver = OneHopReceiver(expected_length=None)
-        receiver._received.extend([1, 0, 1])  # direct manipulation for the helper test
-        assert receiver.take_new_bits(1) == (0, 1)
+    def test_take_frame(self):
+        receiver = OneHopReceiver(frame_bits=3)
+        receiver._received.extend([1, 0])  # direct manipulation for the helper test
+        assert receiver.take_frame() is None
+        receiver._received.append(1)
+        assert receiver.take_frame() == 0b101
+        assert receiver.received_bits == ()
+        assert receiver.received_count == 3
+        assert receiver.expected_parity == 0
+        assert receiver.take_frame() is None
 
 
 class TestStreamTransfer:
@@ -203,12 +217,22 @@ class TestStreamTransfer:
         assert sender.successful_slots == 1
 
     def test_open_ended_stream_accepts_many_bits(self):
+        # A framed stream holds its partial frame only; each frame is
+        # emptied as it completes, and the count keeps the parity going.
         bits = (1, 0, 1, 1, 0, 0, 1, 0)
         sender = OneHopSender(bits)
-        receiver = OneHopReceiver(expected_length=None)
+        receiver = OneHopReceiver(frame_bits=3)
+        frames = []
         for _ in range(len(bits)):
             run_slot(sender, [receiver])
-        assert receiver.received_bits == bits
+            frame = receiver.take_frame()
+            if frame is not None:
+                frames.append(frame)
+            assert len(receiver.received_bits) < 3
+        assert frames == [0b101, 0b100]
+        assert receiver.received_bits == (1, 0)
+        assert receiver.received_count == len(bits)
+        assert not sender.has_pending
 
     def test_extra_bits_beyond_expected_length_ignored(self):
         sender = OneHopSender((1, 0, 1))

@@ -19,12 +19,16 @@ draws being data-dependent.  These tests pin
   Friis+loss), including runs where jammers force per-slot scalar
   fallbacks, and traced SoA runs produce byte-identical event streams to
   the scalar loop;
-* the MultiPathRB frame planes — streams match the oracle after every
-  ``run_slots`` chunk, the scalar path drains each completed frame once,
-  and the plane algebra matches per-member lists under any accept mask;
+* the MultiPathRB frame planes — each framed stream's (accepted count,
+  partial frame) matches the oracle after every ``run_slots`` chunk, the
+  scalar path drains each completed frame once, no stream holds a whole
+  frame after a run, and the plane algebra matches per-member lists under
+  any accept mask;
 * the callbacks the stream kernel skips — NeighborWatchRB's commit rule
-  runs exactly for bits at the committed frontier, and the MultiPathRB
-  frames the kernel withholds from ``drain_slot`` change no state;
+  runs exactly for bits at the committed frontier, the MultiPathRB frames
+  the kernel withholds from ``drain_slot`` change no state, and each frame
+  group's committed-index masks equal its members' live commit maps after
+  every chunk, under liars and under jammers whose slots fall back;
 * the occurrence memo — both stream protocols on unit disk and Friis,
   with and without loss and idle vetoes, under liars, across a
   quiet-cycle jump and with a memo bound of one entry, equal the scalar
@@ -66,7 +70,7 @@ from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
 from repro.sim.events import EventLog
 from repro.sim.linkstate import UnitDiskLinkState
-from repro.sim.plan import REC_NODE
+from repro.sim.plan import REC_ID, REC_NODE
 from repro.sim.radio import FriisChannel, UnitDiskChannel
 from repro.sim.soa import SoaRuntime
 from repro.topology.deployment import Deployment, grid_jittered_deployment, uniform_deployment
@@ -111,14 +115,14 @@ def _assert_tiers_identical(runs):
 
 def _stream_positions(sim, slot: int) -> tuple:
     """How far each member's 1Hop stream of ``slot`` has moved: the owner's
-    pending bits and every receiver's accepted length."""
+    pending bits and every receiver's accepted count."""
     positions = []
     for node_id in sim.plan.participant_arrays[slot].tolist():
         spec = sim.nodes[node_id].protocol.soa_state_spec(slot)
         if spec["role"] == "owner":
             positions.append(spec["sender"].pending_count)
         else:
-            positions.append(len(spec["receiver"].peek_received()))
+            positions.append(spec["receiver"].received_count)
     return tuple(positions)
 
 
@@ -453,7 +457,11 @@ class TestScalarFallback:
 
 
 def _receiver_streams(sim) -> dict:
-    """Every device's 1Hop receiver stream, keyed ``(node id, slot)``."""
+    """Every device's 1Hop receiver stream, keyed ``(node id, slot)``.
+
+    A stream is ``(accepted count, bits held)``: all its bits when bounded
+    (NeighborWatchRB), its partial frame when framed (MultiPathRB).
+    """
     streams = {}
     for node in sim.nodes:
         proto = node.protocol
@@ -462,7 +470,8 @@ def _receiver_streams(sim) -> dict:
         for slot in proto.interests():
             spec = proto.soa_state_spec(slot)
             if spec is not None and spec["role"] == "receiver":
-                streams[(node.node_id, slot)] = tuple(spec["receiver"].peek_received())
+                receiver = spec["receiver"]
+                streams[(node.node_id, slot)] = (receiver.received_count, receiver.received_bits)
     return streams
 
 
@@ -513,21 +522,22 @@ class TestReceiverMaskResync:
         assert soa[1] == scalar[1], "RNG position differs"
         assert soa[2] == scalar[2], "event streams differ"
         assert soa[3] == scalar[3], "receiver streams differ"
-        assert any(soa[3].values())
+        assert any(count for count, _bits in soa[3].values())
 
 
 class TestMultipathFrameDrains:
     def test_scalar_path_drains_each_completed_frame_once(
         self, uniform_small_deployment, mp_config, monkeypatch
     ):
-        """The scalar path drains ``len(stream) // frame_bits`` frames per receiver.
+        """The scalar path drains ``count // frame_bits`` frames per receiver.
 
-        ``MultiPathNode`` keeps no count of handled bits: an accepted bit
-        that completes a frame drains that frame, and no other bit drains.
-        The SoA kernel, which completes the same frames in its planes, must
-        leave every stream equal to the oracle's after every chunk; chunks
-        of 53 slots end mid-frame.  The schedule cycle is 85 slots and a
-        frame 11 bits, so the first frames complete after about 18 chunks.
+        A framed stream keeps only its accepted count and its partial frame:
+        an accepted bit that fills the frame empties it into the drain, and
+        no other bit drains.  The SoA kernel, which completes the same
+        frames in its planes, must leave every stream equal to the oracle's
+        after every chunk; chunks of 53 slots end mid-frame.  The schedule
+        cycle is 85 slots and a frame 11 bits, so the first frames complete
+        after about 18 chunks.
         """
         drains: dict = {}
         drain = MultiPathNode._drain_frame
@@ -549,24 +559,26 @@ class TestMultipathFrameDrains:
                 sims["scalar"].run_slots(53)
             streams = _receiver_streams(sims["scalar"])
             assert _receiver_streams(sims["soa"]) == streams
-            for key, bits in streams.items():
+            for key, (count, bits) in streams.items():
                 frame_bits = sims["scalar"].nodes[key[0]].protocol._codec.frame_bits
-                assert drains.get(key, 0) == len(bits) // frame_bits, key
-                partial_frames += len(bits) % frame_bits != 0
+                assert drains.get(key, 0) == count // frame_bits, key
+                assert len(bits) == count % frame_bits, key
+                partial_frames += len(bits) != 0
         assert partial_frames > 0
         assert sum(drains.values()) > 0
 
 
 class TestFramePlanes:
-    """MultiPathRB groups hold partial control frames in bit planes.
+    """MultiPathRB groups hold framed streams in bit planes.
 
-    The kernel writes a frame onto its receiver stream only when it
-    completes, and ``run_slots()`` writes the pending bits of partial frames
-    at its end.  Chunks of 7 and 53 slots end mid-frame, and chunks of one
-    slot end on every occurrence, so after each chunk every stream must
-    equal the scalar oracle's.  The deployment has a 30-slot cycle and
-    9-bit frames, so a stream completes its first frame after about 240
-    slots and several frames complete after partial ones were written out.
+    Between flushes the kernel keeps each framed stream's frame count and
+    partial frame in its planes only, and ``run_slots()`` stores both into
+    the receivers at its end.  Chunks of 7 and 53 slots end mid-frame, and
+    chunks of one slot end on every occurrence, so after each chunk every
+    stream's (count, partial frame) must equal the scalar oracle's.  The
+    deployment has a 30-slot cycle and 9-bit frames, so a stream completes
+    its first frame after about 240 slots and several frames complete after
+    partial ones were stored.
     """
 
     @pytest.mark.parametrize("chunk,chunks", [(1, 600), (7, 90), (53, 12)])
@@ -585,37 +597,66 @@ class TestFramePlanes:
                 sim.run_slots(chunk)
             streams = _receiver_streams(sims["soa"])
             assert streams == _receiver_streams(sims["scalar"])
-            mid_frame += any(len(bits) % frame_bits for bits in streams.values())
-            for key, bits in streams.items():
-                # A frame whose first bits a flush wrote out has completed.
-                if key in flushed and len(bits) >= flushed[key]:
+            mid_frame += any(bits for _count, bits in streams.values())
+            for key, (count, bits) in streams.items():
+                assert len(bits) == count % frame_bits
+                # A frame whose first bits a flush stored has completed.
+                if key in flushed and count >= flushed[key]:
                     after_flush += 1
                     del flushed[key]
-                if len(bits) % frame_bits and key not in flushed:
-                    flushed[key] = len(bits) - len(bits) % frame_bits + frame_bits
+                if bits and key not in flushed:
+                    flushed[key] = count - len(bits) + frame_bits
         assert mid_frame > 0
         assert after_flush > 0
         assert sims["soa"].plan_cache_info()["soa_kernels"]["slots_run"] > 0
+
+    @pytest.mark.parametrize("tier", ["soa", "scalar"])
+    def test_no_stream_holds_a_whole_frame_after_a_run(self, tier):
+        # A framed stream keeps its partial frame only: whichever tier
+        # completed a frame, no receiver holds frame_bits bits afterwards.
+        # A liar floods COMMIT frames and a jammer makes slots fall back.
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1, seed=11
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=11)
+        faults = FaultPlan(liars=(4,), jammers=(17,), jammer_budget=200, jam_probability=0.05)
+        clear_link_cache()
+        sim = build_simulation(deployment, config, faults, **dict(TIERS)[tier])
+        sim.run(20_000)
+        frames = held = 0
+        for node in sim.nodes:
+            proto = node.protocol
+            if not isinstance(proto, MultiPathNode):
+                continue
+            frame_bits = proto._codec.frame_bits
+            for receiver in proto._receivers.values():
+                assert len(receiver.received_bits) <= frame_bits - 1
+                frames += receiver.received_count // frame_bits
+                held += len(receiver.received_bits)
+        assert frames > 0 and held > 0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_plane_algebra_matches_per_member_lists(self, data):
         # Simulated runs almost never leave a receiver that skips a bit
         # with two or more pending bits, so the shift under a partial
-        # accept mask is pinned here against per-member lists.
+        # accept mask is pinned here against per-member lists, and the
+        # frame counts and partial frames a flush stores against counts.
         n = data.draw(st.integers(1, 24), label="members")
         frame_bits = data.draw(st.integers(5, 16), label="frame_bits")
         streams = data.draw(st.integers(1, (1 << n) - 1), label="stream mask")
         group = soa._SlotGroup()
         group.n = n
         group.receiver_at = [
-            (OneHopReceiver(None), None, None) if streams >> i & 1 else None for i in range(n)
+            (OneHopReceiver(frame_bits=frame_bits),) if streams >> i & 1 else None
+            for i in range(n)
         ]
         group.planes = [0] * frame_bits
         group.counters = [0] * frame_bits.bit_length()
         group.resync()
         pending = {i: [] for i in range(n) if streams >> i & 1}
-        for _ in range(data.draw(st.integers(1, 3 * frame_bits), label="steps")):
+        totals = dict.fromkeys(pending, 0)
+        for _ in range(data.draw(st.integers(1, 4 * frame_bits), label="steps")):
             everyone = data.draw(st.booleans(), label="all accept")
             accepted = streams if everyone else data.draw(st.integers(0, streams)) & streams
             bits = data.draw(st.integers(0, (1 << n) - 1), label="data") & streams
@@ -624,6 +665,7 @@ class TestFramePlanes:
             frames = {}
             for i, bucket in pending.items():
                 if accepted >> i & 1:
+                    totals[i] += 1
                     bucket.append(bits >> i & 1)
                     if len(bucket) == frame_bits:
                         frames[i] = int_from_bits(bucket)
@@ -632,9 +674,16 @@ class TestFramePlanes:
             assert completed == sum(1 << i for i in frames)
             values = soa._column_values(soa._unpack_planes(group.planes, n))
             assert {i: int(values[i]) for i in frames} == frames
+            if completed:
+                soa._count_frames(group.frames, completed)
+            if data.draw(st.booleans(), label="flush"):
+                group.flush_frames()
         for _ in range(2):  # the flush is idempotent
             group.flush_frames()
-            assert {i: group.receiver_at[i][0].peek_received() for i in pending} == pending
+            receivers = {i: group.receiver_at[i][0] for i in pending}
+            stored = {i: (r.received_count, r.peek_received()) for i, r in receivers.items()}
+            assert stored == {i: (totals[i], pending[i]) for i in pending}
+        assert group.frames == []
 
 
 class TestNeighborWatchFrontierCommits:
@@ -720,21 +769,25 @@ class TestMultipathInertDrains:
     def test_withheld_frames_change_nothing(self, monkeypatch):
         """The stream kernel withholds from ``drain_slot`` only frames that change nothing.
 
-        Around every compiled occurrence, each member's newly completed
-        frame is read off its stream.  A frame the kernel did not hand to
-        ``drain_slot`` is handed to ``_handle_control`` afterwards, and no
-        vote, commit, relay set or queued frame may move; only the member's
-        own drain could have moved it in between.  The run is a lying
-        MultiPathRB flood, where most HEARD frames arrive after their index
-        committed and liars in the source's range hear SOURCE frames about
-        indexes they hold.  Records, RNG position and streams must still
-        equal the scalar loop's.
+        Around every compiled occurrence the group is flushed, so each
+        member's frame count is read off its stream before and after; a
+        member whose count crossed a frame boundary completed the frame the
+        planes then hold.  A frame the kernel did not hand to ``drain_slot``
+        is handed to ``_handle_control`` afterwards, and no vote, commit,
+        relay set or queued frame may move; only the member's own drain
+        could have moved it in between.  The run is a lying MultiPathRB
+        flood, where most HEARD frames arrive after their index committed
+        and liars in the source's range hear SOURCE frames about indexes
+        they hold.  Records, RNG position and streams must still equal the
+        scalar loop's (the extra flushes store what the kernel's own would),
+        and the runtime's frame counters must count the completions and the
+        drains seen here.
         """
         spec_of = MultiPathNode.soa_state_spec
         run_slot = SoaRuntime.run_slot
         handed: list = []
         skipped = {mtype: 0 for mtype in ControlType}
-        drained = 0
+        drained = completions = 0
 
         def probed_spec(self, slot):
             spec = spec_of(self, slot)
@@ -749,25 +802,27 @@ class TestMultipathInertDrains:
             return spec
 
         def checked_run_slot(self, sim, group):
-            nonlocal drained
-            lengths = [
-                None if entry is None else len(entry[0].peek_received())
-                for entry in group.receiver_at
+            nonlocal drained, completions
+            group.flush_frames()
+            counts = [
+                None if entry is None else entry[0].received_count for entry in group.receiver_at
             ]
             handed.clear()
             run_slot(self, sim, group)
+            group.flush_frames()
+            values = soa._column_values(soa._unpack_planes(group.planes, group.n))
             completed = []
-            for i, before in enumerate(lengths):
+            for i, before in enumerate(counts):
                 if before is None:
                     continue
                 proto = group.records[i][REC_NODE].protocol
                 frame_bits = proto._codec.frame_bits
-                bits = group.receiver_at[i][0].peek_received()
-                end = len(bits) - len(bits) % frame_bits
-                if end > before:
-                    completed.append((proto, int_from_bits(bits[end - frame_bits : end])))
+                after = group.receiver_at[i][0].received_count
+                if after // frame_bits > before // frame_bits:
+                    completed.append((proto, int(values[i])))
             assert all((proto, frame) in completed for proto, _slot, frame in handed)
             drained += len(handed)
+            completions += len(completed)
             for proto, frame in completed:
                 if (proto, group.slot, frame) in handed:
                     continue
@@ -794,11 +849,111 @@ class TestMultipathInertDrains:
                 sim = build_simulation(deployment, config, faults, **kwargs)
                 result = sim.run(20_000)
             runs[tier] = (result.to_record(), sim.rng.random(), _receiver_streams(sim))
+            if tier == "soa":
+                info = sim.plan_cache_info()["soa_kernels"]
         assert runs["soa"] == runs["scalar"]
         assert drained > 0
         assert skipped[ControlType.HEARD] > 0
         assert skipped[ControlType.SOURCE] > 0
         assert skipped[ControlType.COMMIT] == 0
+        assert info["frame_drains"] == drained
+        assert info["frame_completions"] == completions > drained
+
+
+def _frame_groups(sim) -> list:
+    return [group for group in sim.soa_runtime.groups.values() if group.planes is not None]
+
+
+def _assert_masks_match_commits(sim) -> None:
+    """Each frame group's index masks hold exactly its members' live commits."""
+    for group in _frame_groups(sim):
+        expected: dict = {}
+        for i, entry in enumerate(group.receiver_at):
+            if entry is not None:
+                for index in entry[3]:
+                    expected[index] = expected.get(index, 0) | 1 << i
+        assert {g: mask for g, mask in group.committed_masks.items() if mask} == expected
+
+
+class TestCommittedIndexMasks:
+    """A frame group's committed-index masks follow its members' commit maps.
+
+    The masks start from the live maps (the source's and the liars' set-up
+    commits) and are updated wherever a member commits: after a drain the
+    kernel makes and after a scalar fallback.
+    Budgeted jammers join slots at random, so those occurrences fall back
+    and members commit inside them.  After every ``run_slots`` chunk the
+    masks must equal the maps, and at the end the streams and records the
+    oracle's.
+    """
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        faults=st.sampled_from(["liars", "jammers"]),
+        chunk=st.sampled_from([30, 90, 270]),
+    )
+    @example(seed=11, faults="jammers", chunk=60)
+    @example(seed=11, faults="liars", chunk=13)
+    def test_masks_equal_the_live_commit_maps_after_every_chunk(self, seed, faults, chunk):
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1, seed=seed
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=seed)
+        faulty = [i for i in (4, 17, 23) if i != deployment.source_index][:2]
+        plan = (
+            FaultPlan(liars=faulty)
+            if faults == "liars"
+            else FaultPlan(jammers=faulty, jammer_budget=200, jam_probability=0.05)
+        )
+        sims = {}
+        for tier, kwargs in (TIERS[0], TIERS[2]):
+            clear_link_cache()
+            sims[tier] = build_simulation(deployment, config, plan, **kwargs)
+        _assert_masks_match_commits(sims["soa"])
+        for _ in range(2700 // chunk):
+            for sim in sims.values():
+                sim.run_slots(chunk)
+            _assert_masks_match_commits(sims["soa"])
+        assert _chunk_state(sims["soa"]) == _chunk_state(sims["scalar"])
+
+    @pytest.mark.parametrize("faults", ["liars", "jammers"])
+    def test_both_update_paths_run(self, faults, monkeypatch):
+        # The set-up commits seed the masks.  With liars every later commit
+        # is marked after a kernel drain; with jammers some are made, and
+        # marked, in scalar fallbacks.
+        config = ScenarioConfig(
+            protocol="multipath", radius=3.0, message_length=2, multipath_tolerance=1, seed=11
+        )
+        deployment = uniform_deployment(30, 6.0, 6.0, rng=11)
+        plan = (
+            FaultPlan(liars=(4, 17))
+            if faults == "liars"
+            else FaultPlan(jammers=(4, 17), jammer_budget=200, jam_probability=0.05)
+        )
+        note_seat, note_slot = soa._note_commits, SoaRuntime.note_commits
+        marked = {"all": 0, "scalar": 0}
+
+        def counted_seat(seat):
+            marked["all"] += 1
+            note_seat(seat)
+
+        def counted_slot(self, records):
+            for record in records:
+                seat = self._seats.get(record[REC_ID])
+                marked["scalar"] += seat is not None and seat[0] != len(seat[1])
+            note_slot(self, records)
+
+        monkeypatch.setattr(soa, "_note_commits", counted_seat)
+        monkeypatch.setattr(SoaRuntime, "note_commits", counted_slot)
+        sim = build_simulation(deployment, config, plan, use_soa_kernels=True)
+        assert any(group.committed_masks for group in _frame_groups(sim))
+        sim.run(20_000)
+        _assert_masks_match_commits(sim)
+        info = sim.plan_cache_info()["soa_kernels"]
+        assert info["frame_drains"] > 0
+        assert marked["all"] > marked["scalar"]
+        assert (marked["scalar"] > 0) == (info["scalar_fallbacks"] > 0) == (faults == "jammers")
 
 
 def _chunk_state(sim) -> tuple:
