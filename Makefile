@@ -69,12 +69,17 @@ bench-baseline:
 # groups fall back to the scalar loop mid-frame (322 fallbacks).  Every
 # export goes to one temporary directory per run, removed at the end (also
 # on failure), so two checkouts can run this target at once.  Last,
-# the 10^5-node epidemic macro of benchmarks/capture.py
-# is built and run with run_scenario, and its record hash must equal the one
-# BENCH_10.json stores (about 10 s and 410 MB): it pins the node-scheduled
-# construction (the wave colouring, owner-column epidemic groups) at the
-# scale no smaller check reaches.
+# each benchmarks/capture.py macro of BENCH_SMOKE_MACROS, every BENCH_10.json
+# macro that runs in seconds, is built and run with run_scenario, and its
+# record hash must equal the one BENCH_10.json stores (the first three take
+# about 1 s together, the 10^5-node epidemic about 10 s and 410 MB).
+# epidemic-friis-1200 is the one stored node schedule between 150 and 2,048
+# devices; the 10^5-node epidemic pins the node-scheduled construction (the
+# wave colouring, owner-column epidemic groups) at the scale no smaller check
+# reaches.  nw-unitdisk-100k (minutes) and the queue-service macro are not
+# run here.
 BENCH_CAPTURES = BENCH_3.json BENCH_4.json BENCH_6.json BENCH_7.json BENCH_9.json BENCH_10.json
+BENCH_SMOKE_MACROS = epidemic-friis-1200 nw-friis-600 nw-unitdisk-1200 epidemic-unitdisk-100k
 
 bench-smoke:
 	for f in $(BENCH_CAPTURES); do test -f $$f || { echo "$$f missing from the perf trajectory (see make bench)" >&2; exit 1; }; done
@@ -106,17 +111,19 @@ bench-smoke:
 		REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/$$spec.toml --export json > $$tmp/$$spec-scalar.json; \
 		cmp $$tmp/$$spec-soa.json $$tmp/$$spec-scalar.json; \
 	done
-	$(PYTHON) -c "import json, sys; sys.path.insert(0, 'benchmarks'); \
-	from capture import MACROS, series_hash; \
-	from repro.experiments.factories import UniformDeploymentFactory; \
-	from repro.sim.builder import run_scenario; \
-	from repro.sim.config import ScenarioConfig; \
-	m = next(m for m in MACROS if m['name'] == 'epidemic-unitdisk-100k'); \
-	dep = UniformDeploymentFactory(m['num_nodes'], m['map_size'], m['map_size'])(m['seed']); \
-	cfg = ScenarioConfig(protocol=m['protocol'], radius=m['radius'], message_length=m['message_length'], seed=m['seed'], channel=m['channel']); \
-	got = series_hash(run_scenario(dep, cfg).to_record()); \
-	want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
-	print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)"
+	for macro in $(BENCH_SMOKE_MACROS); do \
+		$(PYTHON) -c "import json, sys; sys.path.insert(0, 'benchmarks'); \
+		from capture import MACROS, series_hash; \
+		from repro.experiments.factories import UniformDeploymentFactory; \
+		from repro.sim.builder import run_scenario; \
+		from repro.sim.config import ScenarioConfig; \
+		m = next(m for m in MACROS if m['name'] == '$$macro'); \
+		dep = UniformDeploymentFactory(m['num_nodes'], m['map_size'], m['map_size'])(m['seed']); \
+		cfg = ScenarioConfig(protocol=m['protocol'], radius=m['radius'], message_length=m['message_length'], seed=m['seed'], channel=m['channel']); \
+		got = series_hash(run_scenario(dep, cfg).to_record()); \
+		want = json.load(open('BENCH_10.json'))['runs']['current']['macros'][m['name']]['result_sha256']; \
+		print(m['name'], 'result_sha256', got, 'stored', want); sys.exit(got != want)" || exit 1; \
+	done
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

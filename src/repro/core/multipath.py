@@ -152,11 +152,8 @@ class MultiPathNode(Protocol):
         k = context.message_length
         self._codec = ControlCodec(message_length=k, num_slots=schedule.num_slots)
 
-        for slot in schedule.neighbor_slots_of_node(context.node_id):
+        for slot, owner in schedule.slot_owners_of_node(context.node_id).items():
             if slot == self._my_slot:
-                continue
-            owner = schedule.owner_in_neighborhood(slot, context.node_id)
-            if owner is None or owner == context.node_id:
                 continue
             self._receivers[slot] = OneHopReceiver(frame_bits=self._codec.frame_bits)
             self._peer_of_slot[slot] = owner
@@ -179,9 +176,11 @@ class MultiPathNode(Protocol):
         """Resolve the device a HEARD message's cause slot refers to.
 
         The cause lies within ``R`` of the HEARD sender, hence within ``2R`` of
-        this device, and the schedule guarantees slot uniqueness within the
-        separation distance (``3R`` by default), so the owner is unambiguous.
-        Devices never move, so each cause slot is resolved once.
+        this device: it is the unique holder of the slot in this device's row
+        at ``2R`` (:meth:`NodeSchedule.owner_in_neighborhood`), and ``None``
+        when no device or several there hold it (two holders of a slot are
+        only ``separation`` apart, by default ``3R``, so both can lie within
+        ``2R``).  Devices never move, so each cause slot is resolved once.
         """
         causes = self._cause_of
         if cause_slot not in causes:
@@ -363,9 +362,11 @@ class MultiPathNode(Protocol):
         """Commit ``(index, value)`` once ``t + 1`` neighborhood-compatible voters exist.
 
         A candidate neighborhood is the R-ball around this device or around
-        one voter.  Its membership tests are the schedule's memoized pair
-        tests; this device's centre is its schedule position, which is its
-        context position (the builder takes both from the deployment).
+        one voter.  Its membership tests are :meth:`NodeSchedule.within`:
+        whether the centre is in a voter's (or witness's) row at ``R``
+        (plus ``1e-9``).  This device's centre is its schedule position,
+        which is its context position (the builder takes both from the
+        deployment).
         """
         per_voter = self._votes.get((index, value), {})
         needed = self.config.tolerance + 1

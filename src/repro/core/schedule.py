@@ -14,11 +14,10 @@ Two schedule flavours are provided:
   with a ``m x m`` periodic pattern, which reuses slots only between squares
   at least ``separation`` apart and therefore needs only ``O(R^2)`` slots.
 * :class:`NodeSchedule` -- used by MultiPathRB and the epidemic baseline,
-  where each device has its own slot.  On the analytical grid the same
-  periodic-pattern rule applies; for arbitrary random deployments we fall
-  back to a deterministic greedy colouring of the conflict graph (a stand-in
-  for the paper's location-derived rule, which the paper specifies only for
-  grid placements).
+  where each device has its own slot, from a deterministic greedy colouring
+  of the conflict graph (a stand-in for the paper's location-derived rule,
+  which the paper specifies only for grid placements).  It answers every
+  distance question from grid-bucketed neighbour rows.
 
 Both flavours expose the mapping between rounds and ``(cycle, slot, phase)``
 triples and the inverse mapping from slots to their owners, which receivers
@@ -30,11 +29,12 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
 
-from ..topology.geometry import as_positions, l2_distance_floats, pairwise_distances
+from ..topology.geometry import as_positions
 from ..topology.grid import GridBuckets
 from .regions import SquareGrid, SquareId
 
@@ -51,14 +51,6 @@ PHASES_PER_SLOT = 6
 
 #: The slot reserved for the broadcast source.
 SOURCE_SLOT = 0
-
-#: Deployment size above which :class:`NodeSchedule` derives its conflict and
-#: listening neighborhoods from grid-bucketed queries instead of dense
-#: ``N x N`` distance matrices.  Both paths filter with the same elementwise
-#: distance arithmetic and yield neighbor ids in the same ascending order, so
-#: the greedy colouring and the neighbor-slot tables are identical — only the
-#: memory (O(N * neighborhood) vs O(N^2)) differs.
-BUCKETED_SCHEDULE_MIN_NODES = 2048
 
 
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
@@ -289,6 +281,13 @@ class NodeSchedule(Schedule):
     within a small factor of the maximum conflict degree (itself
     ``O(R^2 * density)``).  It is computed in waves of array passes, not
     one device at a time (:meth:`_first_fit_slots`).
+
+    Every distance question reads grid-bucketed rows at its threshold
+    (:meth:`_neighborhoods`): the conflict rows colour the schedule and are
+    dropped; the slot groups (:meth:`_slot_groups`) and :meth:`within`'s
+    rows are computed for all devices at the first question at their
+    threshold and kept.  The rows evaluate the dense distance expressions
+    float for float, so every answer is the brute-force one.
     """
 
     def __init__(
@@ -324,9 +323,13 @@ class NodeSchedule(Schedule):
             for slot, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
             if hi > lo
         }
-        self._neighbor_slot_tables: dict[float, list[list[int]]] = {}
-        self._within_memos: dict[float, dict[int, bool]] = {}
-        self._position_rows: list | None = None
+        # The same id objects by device, and None at index -1: peers, causes
+        # and within's rows are read through it, so what every device keeps
+        # adds no int objects.
+        self._id_objects = np.empty(n + 1, dtype=object)
+        self._id_objects[order] = ids
+        self._slot_group_tables: dict[float, tuple[list[int], list[int], np.ndarray]] = {}
+        self._within_rows: dict[float, tuple[list[int], list[int]]] = {}
 
     def _first_fit_slots(self) -> np.ndarray:
         """Greedy first-fit slots in device-id order, coloured in waves.
@@ -384,25 +387,39 @@ class NodeSchedule(Schedule):
     def _neighborhoods(
         self, threshold: float, *, include_self: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the neighbors within ``threshold``.
+        """CSR ``(indptr, indices)``: row ``i`` lists, ascending, the ids within ``threshold`` of ``i``."""
+        buckets = GridBuckets(self.positions, cell_size=self.radius)
+        return buckets.neighbor_arrays(threshold, self.norm, include_self=include_self)
 
-        Row ``i`` (``indices[indptr[i]:indptr[i+1]]``) ascends.  Small
-        deployments read the rows off a dense pairwise matrix (the historical
-        oracle); at :data:`BUCKETED_SCHEDULE_MIN_NODES` nodes and above they
-        come from :meth:`~repro.topology.grid.GridBuckets.neighbor_arrays`
-        over cells of the communication radius, for every threshold, without
-        materializing anything quadratic.  The distance predicate is the same
-        elementwise expression in both paths, so the rows match exactly.
+    def _slot_groups(self, radius: float | None) -> tuple[list[int], list[int], np.ndarray]:
+        """``(bounds, slots, owners)``: every device's row at ``radius`` (default ``R``), by slot.
+
+        Device ``i``'s groups are ``bounds[i]:bounds[i+1]``, one per slot
+        held within ``radius`` of it, plus :data:`SOURCE_SLOT`, ascending.
+        ``owners`` is a group's holder if it has exactly one, else -1.  One
+        stable sort of ``node * num_slots + slot`` keys makes the groups
+        (``np.unique`` would hash first, ~25x slower); the holderless
+        :data:`SOURCE_SLOT` key added for every device sorts last in its
+        group and is not counted.
         """
-        n = self.positions.shape[0]
-        if n >= BUCKETED_SCHEDULE_MIN_NODES:
-            buckets = GridBuckets(self.positions, cell_size=self.radius)
-            return buckets.neighbor_arrays(threshold, self.norm, include_self=include_self)
-        within = pairwise_distances(self.positions, norm=self.norm) <= threshold
-        if not include_self:
-            np.fill_diagonal(within, False)
-        rows, indices = np.nonzero(within)
-        return np.searchsorted(rows, np.arange(n + 1)), indices
+        radius = self.radius if radius is None else radius
+        table = self._slot_group_tables.get(radius)
+        if table is None:
+            n = self.positions.shape[0]
+            num_slots = self.num_slots
+            indptr, indices = self._neighborhoods(radius, include_self=True)
+            node_of = np.repeat(np.arange(n), np.diff(indptr))
+            keys = np.concatenate([node_of * num_slots + self._slots[indices], np.arange(n) * num_slots])
+            holders = np.concatenate([indices, np.full(n, -1, dtype=indices.dtype)])
+            order = np.argsort(keys, kind="stable")
+            first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            keys = keys[order[first]]
+            slots = keys % num_slots
+            held = np.diff(first, append=order.size) - (slots == SOURCE_SLOT)
+            owners = np.where(held == 1, holders[order[first]], -1)
+            bounds = np.searchsorted(keys, np.arange(n + 1) * num_slots)
+            table = self._slot_group_tables[radius] = (bounds.tolist(), slots.tolist(), owners)
+        return table
 
     # -- Schedule interface ---------------------------------------------------------
     def slot_of_node(self, node_id: int) -> int:
@@ -412,79 +429,43 @@ class NodeSchedule(Schedule):
         return self._owners.get(slot, tuple())
 
     def neighbor_slots_of_node(self, node_id: int, listen_radius: float | None = None) -> list[int]:
-        """Slots of devices within communication range of ``node_id`` (plus the source slot).
+        """Slots held within ``listen_radius`` (default ``R``) of ``node_id``, and the source slot.
 
-        Every device queries this during protocol setup, so the answers for a
-        given radius are computed for all nodes in one pass (dense on small
-        deployments, grid-bucketed on large ones — identical sets either way,
-        see :meth:`_neighborhoods`) and cached; subsequent calls are a list
-        copy.
+        Ascending, ``node_id``'s own slot included; a new list each call.
         """
-        r = self.radius if listen_radius is None else listen_radius
-        table = self._neighbor_slot_tables.get(r)
-        if table is None:
-            # One sort of ``node * num_slots + slot`` keys, with the source
-            # slot added for every node, gives each node's distinct slots in
-            # ascending order.  (np.unique would hash first, ~25x slower.)
-            n = self.positions.shape[0]
-            indptr, indices = self._neighborhoods(r, include_self=True)
-            node_of = np.repeat(np.arange(n), np.diff(indptr))
-            keys = np.concatenate(
-                [
-                    node_of * self.num_slots + self._slots[indices],
-                    np.arange(n) * self.num_slots + SOURCE_SLOT,
-                ]
-            )
-            keys.sort()
-            keys = keys[np.diff(keys, prepend=-1) != 0]
-            bounds = np.searchsorted(keys, np.arange(n + 1) * self.num_slots).tolist()
-            node_slots = (keys % self.num_slots).tolist()
-            table = [node_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            self._neighbor_slot_tables[r] = table
-        return list(table[node_id])
+        bounds, slots, _owners = self._slot_groups(listen_radius)
+        return slots[bounds[node_id] : bounds[node_id + 1]]
+
+    def slot_owners_of_node(self, node_id: int, listen_radius: float | None = None) -> dict[int, int]:
+        """Slots held by exactly one device within ``listen_radius`` of ``node_id``, mapped to it.
+
+        Ascending by slot: a MultiPathRB receiver's peers, in one call.
+        """
+        bounds, slots, owners = self._slot_groups(listen_radius)
+        lo, hi = bounds[node_id], bounds[node_id + 1]
+        ids = self._id_objects
+        return {slot: ids[owner] for slot, owner in zip(slots[lo:hi], owners[lo:hi].tolist()) if owner >= 0}
 
     def owner_in_neighborhood(self, slot: int, node_id: int, listen_radius: float | None = None) -> int | None:
-        """The unique owner of ``slot`` within range of ``node_id``, if any.
+        """The one device holding ``slot`` within ``listen_radius`` (default ``R``) of ``node_id``.
 
-        This is how a MultiPathRB receiver resolves "who sent this": the slot
-        plus the schedule identify the sender's location, because the schedule
-        never reuses a slot within ``separation`` of the listener.
+        ``None`` when none or several do.  This is how a MultiPathRB receiver
+        resolves "who sent this": the slot plus the schedule identify the
+        sender's location, because the schedule never reuses a slot within
+        ``separation``.
         """
-        r = self.radius if listen_radius is None else listen_radius
-        candidates = [owner for owner in self.owners_of_slot(slot) if self._distance(owner, node_id) <= r]
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
+        bounds, slots, owners = self._slot_groups(listen_radius)
+        hi = bounds[node_id + 1]
+        at = bisect_left(slots, slot, bounds[node_id], hi)
+        return self._id_objects[owners[at]] if at < hi and slots[at] == slot else None
 
     def within(self, a: int, b: int, reach: float) -> bool:
-        """Whether devices ``a`` and ``b`` are at most ``reach`` apart, memoized per pair.
-
-        Devices never move, so each pair is measured once per ``reach``.  The
-        distance expression is symmetric float for float (``x - y`` is
-        exactly ``-(y - x)``), so ``(a, b)`` and ``(b, a)`` share one entry.
-        """
-        memo = self._within_memos.get(reach)
-        if memo is None:
-            memo = self._within_memos[reach] = {}
-        n = self.positions.shape[0]
-        key = a * n + b if a <= b else b * n + a
-        near = memo.get(key)
-        if near is None:
-            near = memo[key] = self._distance(a, b) <= reach
-        return near
-
-    def _distance(self, a: int, b: int) -> float:
-        """Distance between devices ``a`` and ``b`` under the schedule's norm.
-
-        Python floats over the position rows (taken once with ``tolist()``):
-        the squared differences summed in index order from ``0.0`` under
-        ``math.sqrt``, or the largest absolute difference, are numpy's
-        ``sqrt(sum((pa - pb) ** 2))`` and ``max(abs(pa - pb))`` float for
-        float at a tenth of the cost of a call on two 2-vectors.
-        """
-        rows = self._position_rows
+        """Whether ``b`` is in ``a``'s row at ``reach`` (symmetric, as the distance is)."""
+        rows = self._within_rows.get(reach)
         if rows is None:
-            rows = self._position_rows = self.positions.tolist()
-        if self.norm == "linf":
-            return max(abs(x - y) for x, y in zip(rows[a], rows[b]))
-        return l2_distance_floats(rows[a], rows[b])
+            indptr, indices = self._neighborhoods(reach, include_self=True)
+            rows = self._within_rows[reach] = (indptr.tolist(), self._id_objects[indices].tolist())
+        indptr, indices = rows
+        hi = indptr[a + 1]
+        at = bisect_left(indices, b, indptr[a], hi)
+        return at < hi and indices[at] == b

@@ -20,6 +20,8 @@ sweepable here with no changes to this module.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -156,6 +158,12 @@ class ScenarioConfig:
             raise ValueError("norm must be 'l2' or 'linf'")
         if self.multipath_tolerance < 0:
             raise ValueError("multipath_tolerance must be non-negative")
+        for name in ("schedule_separation", "epidemic_separation"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     # -- derived values -------------------------------------------------------------------
     @property

@@ -189,9 +189,10 @@ def fits_in_common_neighborhood(positions: np.ndarray, radius: float) -> bool:
     Under the L-infinity norm a set of points fits inside *some* neighborhood
     of radius ``radius`` (an axis-aligned square of side ``2*radius``) exactly
     when the extent of the set in each coordinate is at most ``2*radius``.
-    This is the geometric test used by MultiPathRB's commit rule: the sources
-    and causes of the supporting COMMIT/HEARD messages must all lie in a
-    common neighborhood, ensuring at least one of them is honest.
+    This is the paper's condition on the voters of a MultiPathRB commit in
+    the analytical grid model.  The simulated commit rule does not call it:
+    it tests only the R-balls centred on the device or on one voter, through
+    :meth:`repro.core.schedule.NodeSchedule.within`.
     """
     pos = as_positions(positions)
     if pos.shape[0] == 0:

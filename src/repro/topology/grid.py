@@ -158,8 +158,8 @@ class GridBuckets:
     :meth:`neighbor_arrays` returns neighbor sets identical to the
     brute-force dense computation: candidate cells are taken with one extra
     ring beyond ``ceil(threshold / cell_size)`` (insurance against boundary
-    rounding) and candidates are filtered with the same elementwise
-    arithmetic as the dense paths.
+    rounding), never past the occupied cells, and candidates are filtered
+    with the same elementwise arithmetic as the dense paths.
     """
 
     __slots__ = ("positions", "cell_size", "_cell_of")
@@ -192,12 +192,16 @@ class GridBuckets:
         order = np.argsort(keys, kind="stable")
         return order, keys[order], span
 
-    def _reach(self, threshold: float) -> int:
-        # One extra ring beyond the geometric bound: a pair excluded by the
-        # window then has per-coordinate separation strictly greater than
-        # threshold + cell_size, far outside any floating-point rounding of
-        # the distance predicate.
-        return int(math.ceil(threshold / self.cell_size)) + 1
+    def _reach(self, threshold: float) -> tuple[int, int]:
+        # Cell offsets to scan along columns and rows.  One extra ring beyond
+        # the geometric bound: a pair excluded by the window then has
+        # per-coordinate separation strictly greater than threshold +
+        # cell_size, far outside any floating-point rounding of the distance
+        # predicate.  No offset past the occupied cells can find a node, so a
+        # threshold past the extent (inf included) scans the occupied span.
+        spans = np.ptp(self._cell_of, axis=0).tolist()
+        reach = math.ceil(min(threshold / self.cell_size, max(spans))) + 1
+        return min(reach, spans[0]), min(reach, spans[1])
 
     def neighbor_arrays(
         self, threshold: float, norm: str = "l2", *, include_self: bool = True
@@ -228,8 +232,8 @@ class GridBuckets:
         n = self.positions.shape[0]
         if n == 0:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp)
-        reach = self._reach(threshold)
-        order, sorted_keys, span = self._sorted_by_cell(max(reach, 0))
+        reach_c, reach_r = self._reach(threshold)
+        order, sorted_keys, span = self._sorted_by_cell(max(reach_r, 0))
         first = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
         cell_keys = sorted_keys[first]
         cell_count = np.diff(first, append=n)
@@ -239,9 +243,9 @@ class GridBuckets:
         node = np.arange(n)
         cell = self.cell_size
         chunks = []
-        for dc in range(0, reach + 1):
+        for dc in range(0, reach_c + 1):
             gap_c = max(dc - 1, 0) * cell
-            for dr in range(-reach if dc else 0, reach + 1):
+            for dr in range(-reach_r if dc else 0, reach_r + 1):
                 gap_r = max(abs(dr) - 1, 0) * cell
                 gap = max(gap_c, gap_r) if norm == "linf" else math.hypot(gap_c, gap_r)
                 if gap >= threshold + cell:

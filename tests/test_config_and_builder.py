@@ -97,6 +97,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(multipath_tolerance=-1)
 
+    @pytest.mark.parametrize("field", ["schedule_separation", "epidemic_separation"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf"), 0, "3"])
+    def test_separation_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["schedule_separation", "epidemic_separation"])
+    @pytest.mark.parametrize("value", [1.5, 6.5, 8.5, 12])
+    def test_separation_accepts_positive_numbers(self, field, value):
+        cfg = ScenarioConfig(**{field: value})
+        assert getattr(cfg, field) == value
+
     def test_with_protocol_copy(self):
         cfg = ScenarioConfig(radius=3.0, seed=9)
         other = cfg.with_protocol("epidemic")

@@ -150,6 +150,36 @@ class TestGridBuckets:
         pos = np.asarray(points, dtype=float) / 2.0
         self._assert_rows_match(pos, threshold * cell_ratio, threshold, norm, include_self)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-4, 4)), min_size=1, max_size=40
+        ),
+        threshold=st.sampled_from([6.0, 20.0, 43.0, 1000.0, float("inf")]),
+        cell=st.sampled_from([0.5, 1.0, 3.0]),
+        transpose=st.booleans(),
+        norm=st.sampled_from(["l2", "linf"]),
+        include_self=st.booleans(),
+    )
+    def test_thresholds_up_to_and_past_the_extent(
+        self, points, threshold, cell, transpose, norm, include_self
+    ):
+        # A strip 60 x 8 (either way round, diagonal about 30.3 after the
+        # halving): the scan stops at the occupied cells, per axis, so a
+        # threshold wider than the strip, than the map or infinite still
+        # returns exactly the brute-force rows.
+        pos = np.asarray(points, dtype=float) / 2.0
+        if transpose:
+            pos = pos[:, ::-1].copy()
+        self._assert_rows_match(pos, cell, threshold, norm, include_self)
+
+    @pytest.mark.parametrize("threshold", [1000.0, float("inf")])
+    def test_threshold_past_the_map_returns_every_pair(self, threshold):
+        pos = np.random.default_rng(7).uniform(0.0, 8.0, size=(60, 2))
+        indptr, indices = GridBuckets(pos, cell_size=3.0).neighbor_arrays(threshold)
+        assert np.array_equal(indptr, np.arange(61) * 60)
+        assert np.array_equal(indices, np.tile(np.arange(60), 60))
+
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("cell", [0.5, 1.0, 3.0])

@@ -394,20 +394,18 @@ class TestSpatialTilingEquivalence:
 
     @pytest.mark.parametrize("loss", [0.0, 0.1])
     def test_bucketed_schedule_with_sparse_soa_compile(self, loss):
-        """Epidemic at the bucketed-schedule threshold, SoA on, tiled vs dense.
+        """Epidemic at 2,048 nodes, SoA on, tiled vs dense.
 
-        At BUCKETED_SCHEDULE_MIN_NODES nodes the schedule colours through
-        grid buckets, and the tiled run compiles its SoA groups from the CSR
-        link state while the dense run slices the audibility matrix — the
-        combination the 10^5-node macros run, at a size tier-1 can afford.
+        The tiled run compiles its SoA groups from the CSR link state while
+        the dense run slices the audibility matrix — the combination the
+        10^5-node macros run, at a size tier-1 can afford.
         """
-        from repro.core.schedule import BUCKETED_SCHEDULE_MIN_NODES
         from repro.experiments.factories import UniformDeploymentFactory
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
         from repro.sim.engine import clear_link_cache
 
-        num_nodes = BUCKETED_SCHEDULE_MIN_NODES
+        num_nodes = 2048
         side = (num_nodes / 0.125) ** 0.5
         deployment = UniformDeploymentFactory(num_nodes, side, side)(5)
         config = ScenarioConfig(

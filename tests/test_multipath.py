@@ -148,3 +148,48 @@ class TestProtocolObjectBehaviour:
             dx = abs(small_grid.positions[node_id][0] - src_pos[0])
             dy = abs(small_grid.positions[node_id][1] - src_pos[1])
             assert max(dx, dy) <= 2 * cfg.radius
+
+
+class TestSetupAtScale:
+    def test_peers_and_causes_match_the_scan_at_2400_nodes(self):
+        """Every device's peers (R) and cause owners (2R) at 2,400 nodes.
+
+        The oracle scans the whole map for each device: the devices within
+        reach under the dense distance expression, counted per slot; a slot
+        names the device that alone holds it in reach.
+        """
+        import numpy as np
+
+        from repro.experiments.factories import UniformDeploymentFactory
+
+        side = (2400 / 0.125) ** 0.5
+        deployment = UniformDeploymentFactory(2400, side, side)(5)
+        config = ScenarioConfig(
+            protocol="multipath", radius=6.0, message_length=4, seed=5, capture_probability=0.3
+        )
+        sim = build_simulation(deployment, config)
+        schedule = sim.schedule
+        positions = deployment.positions
+        slots = np.array([schedule.slot_of_node(i) for i in range(2400)])
+
+        def scan(node, reach):
+            diff = positions - positions[node]
+            near = np.flatnonzero(np.sqrt(np.sum(diff**2, axis=-1)) <= reach)
+            held = np.bincount(slots[near], minlength=schedule.num_slots)
+            owners = {int(slots[j]): int(j) for j in near if held[slots[j]] == 1}
+            return owners, int(np.count_nonzero(held > 1))
+
+        ambiguous_causes = 0
+        for node in sim.nodes:
+            proto = node.protocol
+            peers, _ = scan(node.node_id, config.radius)
+            peers.pop(schedule.slot_of_node(node.node_id), None)
+            assert proto._peer_of_slot == peers
+            assert list(proto._receivers) == sorted(peers)
+            causes, ambiguous = scan(node.node_id, 2.0 * config.radius + 1e-9)
+            for slot in range(schedule.num_slots):
+                assert proto._resolve_cause(slot) == causes.get(slot)
+            ambiguous_causes += ambiguous
+        # Two holders of one slot can both lie within 2R (they are only 3R
+        # apart): those causes name no device.
+        assert ambiguous_causes > 0

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.regions import SquareGrid
 from repro.core.schedule import (
-    BUCKETED_SCHEDULE_MIN_NODES,
     PHASES_PER_SLOT,
     SOURCE_SLOT,
     NodeSchedule,
@@ -192,7 +191,7 @@ class TestNodeSchedule:
                 break
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
-    def test_within_is_a_symmetric_memo_of_the_scalar_distance(self, norm):
+    def test_within_is_the_symmetric_distance_predicate(self, norm):
         dep = uniform_deployment(40, 10, 10, rng=3)
         sched = NodeSchedule(dep.positions, radius=3.0, source_index=dep.source_index, norm=norm)
         pos = sched.positions
@@ -203,8 +202,6 @@ class TestNodeSchedule:
                 d = float(np.max(np.abs(diff))) if norm == "linf" else float(np.sqrt(np.sum(diff**2)))
                 assert sched.within(a, b, reach) == (d <= reach)
                 assert sched.within(b, a, reach) == sched.within(a, b, reach)
-        # One entry per unordered pair (self-pairs included), per reach.
-        assert len(sched._within_memos[reach]) == dep.num_nodes * (dep.num_nodes + 1) // 2
         assert not sched.within(0, 1, -1.0)
 
     def test_deterministic(self):
@@ -229,26 +226,6 @@ class TestNodeSchedule:
             for b in range(a + 1, n):
                 if dist[a, b] <= 4.0:
                     assert sched.slot_of_node(a) != sched.slot_of_node(b)
-
-
-class TestFloatDistances:
-    @pytest.mark.parametrize("norm", ["l2", "linf"])
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_distance_equals_the_numpy_expression_on_every_pair(self, norm, seed):
-        # NodeSchedule._distance sums Python floats; it must equal the numpy
-        # expression it replaced float for float, or memoized neighborhood
-        # tests (and MultiPathRB's cause resolution) could flip.
-        dep = uniform_deployment(80, 9.0, 9.0, rng=seed)
-        sched = NodeSchedule(dep.positions, 3.0, dep.source_index, norm=norm)
-        pos = sched.positions
-        n = pos.shape[0]
-        for a in range(n):
-            for b in range(n):
-                if norm == "linf":
-                    expected = float(np.max(np.abs(pos[a] - pos[b])))
-                else:
-                    expected = float(np.sqrt(np.sum((pos[a] - pos[b]) ** 2)))
-                assert sched._distance(a, b) == expected
 
 
 class TestIterSlotStarts:
@@ -332,31 +309,38 @@ class TestGreedyColouringReference:
         assert [sched.slot_of_node(i) for i in range(n)] == reference.tolist()
 
 
+def dense_row(positions: np.ndarray, node: int, norm: str) -> np.ndarray:
+    """Distances from ``node`` to every device: the dense expression, one row."""
+    diff = positions - positions[node]
+    if norm == "linf":
+        return np.max(np.abs(diff), axis=-1)
+    return np.sqrt(np.sum(diff**2, axis=-1))
+
+
 def colouring_loop(schedule: NodeSchedule) -> list[int]:
     """The per-device colouring loop NodeSchedule ran before its waves.
 
     Kept as the reference the wave colouring must reproduce: devices in id
     order, each taking the lowest slot above SOURCE_SLOT that no
     already-coloured conflict neighbour (ids below it, plus the source)
-    holds, over the same conflict neighbourhoods.
+    holds.  Each conflict row is measured by brute force.
     """
     n = schedule.positions.shape[0]
     slots = np.zeros(n, dtype=int)
-    if n > 1:
-        indptr, indices = schedule._neighborhoods(schedule.separation, include_self=False)
-        source = schedule.source_index
-        for node in range(n):
-            if node == source:
-                slots[node] = SOURCE_SLOT
-                continue
-            neighbors = indices[indptr[node] : indptr[node + 1]]
-            decided = neighbors[(neighbors < node) | (neighbors == source)]
-            used = set(slots[decided].tolist())
-            used.add(SOURCE_SLOT)
-            slot = 1
-            while slot in used:
-                slot += 1
-            slots[node] = slot
+    source = schedule.source_index
+    for node in range(n):
+        if node == source:
+            slots[node] = SOURCE_SLOT
+            continue
+        near = dense_row(schedule.positions, node, schedule.norm) <= schedule.separation
+        neighbors = np.flatnonzero(near)
+        decided = neighbors[(neighbors < node) | (neighbors == source)]
+        used = set(slots[decided].tolist())
+        used.add(SOURCE_SLOT)
+        slot = 1
+        while slot in used:
+            slot += 1
+        slots[node] = slot
     return slots.tolist()
 
 
@@ -443,55 +427,81 @@ class TestWaveColouring:
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     def test_bucketed_deployment(self, norm):
-        # Above BUCKETED_SCHEDULE_MIN_NODES the neighbourhoods come from grid
-        # buckets; integer positions with duplicates put pairs exactly at 3R.
+        # 2,500 devices on integer positions with duplicates: many pairs sit
+        # exactly at 3R, and the grid-bucketed rows cover many cells.
         rng = np.random.default_rng(23)
         positions = rng.integers(0, 60, size=(2500, 2)).astype(float)
-        assert len(positions) >= BUCKETED_SCHEDULE_MIN_NODES
         schedule = NodeSchedule(positions, 1.0, 1234, norm=norm)
         _assert_matches_the_loop(schedule)
 
 
-class TestBucketedNodeSchedule:
-    """Above BUCKETED_SCHEDULE_MIN_NODES the conflict and listening
-    neighborhoods come from grid-bucketed queries; the slot assignment and the
-    neighbor-slot tables must equal the dense-matrix oracle exactly."""
+def scan_owner(schedule: NodeSchedule, dist: np.ndarray, slot: int, node: int, reach: float):
+    """The map-wide owner scan NodeSchedule ran before it read bucketed rows."""
+    owners = [owner for owner in schedule.owners_of_slot(slot) if dist[owner, node] <= reach]
+    return owners[0] if len(owners) == 1 else None
+
+
+class TestNeighbourhoodAnswers:
+    """NodeSchedule's distance answers against the dense matrix and the scan.
+
+    The reference is ``pairwise_distances`` plus the map-wide scan over a
+    slot's owners.  Integer and half-grid positions put pairs exactly at R,
+    2R and 3R and give devices duplicate positions; separations below R
+    and below 2R make owners ambiguous (several holders in range, so no
+    owner), in both norms.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        deployment=deployments(max_nodes=50),
+        radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        separation=st.sampled_from([None, 0.5, 1.5, 2.0, 4.0]),
+        norm=st.sampled_from(["l2", "linf"]),
+    )
+    def test_matches_the_dense_scan(self, deployment, radius, separation, norm):
+        positions, source = deployment
+        if separation is not None:
+            separation *= radius
+        schedule = NodeSchedule(positions, radius, source, separation=separation, norm=norm)
+        dist = pairwise_distances(positions, norm=norm)
+        n = positions.shape[0]
+        slot_of = [schedule.slot_of_node(i) for i in range(n)]
+        cause_reach = 2.0 * radius + 1e-9
+        reach = radius + 1e-9
+        for node in range(n):
+            near = np.flatnonzero(dist[node] <= radius).tolist()
+            want_slots = sorted({SOURCE_SLOT, *(slot_of[j] for j in near)})
+            assert schedule.neighbor_slots_of_node(node) == want_slots
+            owners = {slot: scan_owner(schedule, dist, slot, node, radius) for slot in want_slots}
+            assert schedule.slot_owners_of_node(node) == {
+                slot: owner for slot, owner in owners.items() if owner is not None
+            }
+            for slot in range(schedule.num_slots + 1):
+                want = scan_owner(schedule, dist, slot, node, radius)
+                assert schedule.owner_in_neighborhood(slot, node) == want
+                want = scan_owner(schedule, dist, slot, node, cause_reach)
+                assert schedule.owner_in_neighborhood(slot, node, cause_reach) == want
+            for other in range(n):
+                assert schedule.within(node, other, reach) == (dist[node, other] <= reach)
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
-    def test_matches_dense_oracle(self, norm, monkeypatch):
-        # The bucketed queries hash by R for every threshold, so cover
-        # separations of 2.5R, 3R (the default) and 4R, and a listening
-        # radius beyond the separation.
-        import repro.core.schedule as schedule_module
-
-        dep = uniform_deployment(400, 25, 25, rng=17)
-        radius = 2.0
-        for separation in (None, 2.5 * radius, 4.0 * radius):
-            listen = (separation or 3.0 * radius) + radius
-            built = {}
-            for name, min_nodes in (("dense", 10**9), ("bucketed", 1)):
-                monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", min_nodes)
-                sched = NodeSchedule(
-                    dep.positions, radius, dep.source_index, separation=separation, norm=norm
-                )
-                built[name] = (
-                    [sched.slot_of_node(i) for i in range(400)],
-                    sched.num_slots,
-                    [sched.neighbor_slots_of_node(i) for i in range(400)],
-                    [sched.neighbor_slots_of_node(i, listen) for i in range(400)],
-                )
-            assert built["bucketed"] == built["dense"], f"separation {separation}"
-
-    def test_listen_radius_override_matches(self, monkeypatch):
-        import repro.core.schedule as schedule_module
-
+    def test_listen_radius_beyond_the_separation(self, norm):
+        # A listening radius past the separation: several holders of one
+        # slot in range, so those slots name no device.
         dep = uniform_deployment(150, 12, 12, rng=3)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 1)
-        bucketed = NodeSchedule(dep.positions, 2.0, dep.source_index)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 10**9)
-        dense = NodeSchedule(dep.positions, 2.0, dep.source_index)
-        for node in (0, 7, 149):
-            assert bucketed.neighbor_slots_of_node(node, 5.0) == dense.neighbor_slots_of_node(node, 5.0)
+        schedule = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
+        dist = pairwise_distances(dep.positions, norm=norm)
+        listen = schedule.separation + schedule.radius
+        ambiguous = 0
+        for node in range(150):
+            near = np.flatnonzero(dist[node] <= listen).tolist()
+            slots = sorted({SOURCE_SLOT, *(schedule.slot_of_node(j) for j in near)})
+            assert schedule.neighbor_slots_of_node(node, listen) == slots
+            for slot in slots:
+                want = scan_owner(schedule, dist, slot, node, listen)
+                assert schedule.owner_in_neighborhood(slot, node, listen) == want
+                ambiguous += want is None and slot != SOURCE_SLOT
+        assert ambiguous > 0
 
 
 def per_device_walk(schedule: SquareSchedule, node: int) -> tuple[int, ...]:
