@@ -152,8 +152,11 @@ class MultiPathNode(Protocol):
         k = context.message_length
         self._codec = ControlCodec(message_length=k, num_slots=schedule.num_slots)
 
-        for slot, owner in schedule.slot_owners_of_node(context.node_id).items():
+        for slot in schedule.neighbor_slots_of_node(context.node_id):
             if slot == self._my_slot:
+                continue
+            owner = schedule.owner_in_neighborhood(slot, context.node_id)
+            if owner is None:
                 continue
             self._receivers[slot] = OneHopReceiver(frame_bits=self._codec.frame_bits)
             self._peer_of_slot[slot] = owner

@@ -323,11 +323,6 @@ class NodeSchedule(Schedule):
             for slot, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
             if hi > lo
         }
-        # The same id objects by device, and None at index -1: peers, causes
-        # and within's rows are read through it, so what every device keeps
-        # adds no int objects.
-        self._id_objects = np.empty(n + 1, dtype=object)
-        self._id_objects[order] = ids
         self._slot_group_tables: dict[float, tuple[list[int], list[int], np.ndarray]] = {}
         self._within_rows: dict[float, tuple[list[int], list[int]]] = {}
 
@@ -436,16 +431,6 @@ class NodeSchedule(Schedule):
         bounds, slots, _owners = self._slot_groups(listen_radius)
         return slots[bounds[node_id] : bounds[node_id + 1]]
 
-    def slot_owners_of_node(self, node_id: int, listen_radius: float | None = None) -> dict[int, int]:
-        """Slots held by exactly one device within ``listen_radius`` of ``node_id``, mapped to it.
-
-        Ascending by slot: a MultiPathRB receiver's peers, in one call.
-        """
-        bounds, slots, owners = self._slot_groups(listen_radius)
-        lo, hi = bounds[node_id], bounds[node_id + 1]
-        ids = self._id_objects
-        return {slot: ids[owner] for slot, owner in zip(slots[lo:hi], owners[lo:hi].tolist()) if owner >= 0}
-
     def owner_in_neighborhood(self, slot: int, node_id: int, listen_radius: float | None = None) -> int | None:
         """The one device holding ``slot`` within ``listen_radius`` (default ``R``) of ``node_id``.
 
@@ -457,14 +442,15 @@ class NodeSchedule(Schedule):
         bounds, slots, owners = self._slot_groups(listen_radius)
         hi = bounds[node_id + 1]
         at = bisect_left(slots, slot, bounds[node_id], hi)
-        return self._id_objects[owners[at]] if at < hi and slots[at] == slot else None
+        owner = int(owners[at]) if at < hi and slots[at] == slot else -1
+        return owner if owner >= 0 else None
 
     def within(self, a: int, b: int, reach: float) -> bool:
         """Whether ``b`` is in ``a``'s row at ``reach`` (symmetric, as the distance is)."""
         rows = self._within_rows.get(reach)
         if rows is None:
             indptr, indices = self._neighborhoods(reach, include_self=True)
-            rows = self._within_rows[reach] = (indptr.tolist(), self._id_objects[indices].tolist())
+            rows = self._within_rows[reach] = (indptr.tolist(), indices.tolist())
         indptr, indices = rows
         hi = indptr[a + 1]
         at = bisect_left(indices, b, indptr[a], hi)

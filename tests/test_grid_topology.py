@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.topology.grid import (
     GridBuckets,
@@ -103,6 +103,10 @@ class TestGridTopology:
         assert topo.radius_in_cells == 2
 
 
+#: 64 points on an 8x8 map, before the tests' halving.
+EIGHT_BY_EIGHT = [(x, y) for x in range(0, 16, 2) for y in range(0, 16, 2)]
+
+
 class TestGridBuckets:
     """Grid-bucketed neighbor graphs must equal the brute-force computation.
 
@@ -151,6 +155,17 @@ class TestGridBuckets:
         self._assert_rows_match(pos, threshold * cell_ratio, threshold, norm, include_self)
 
     @settings(max_examples=80, deadline=None)
+    @example(
+        points=EIGHT_BY_EIGHT, threshold=1000.0, cell=3.0, transpose=False, norm="l2", include_self=True
+    )
+    @example(
+        points=EIGHT_BY_EIGHT,
+        threshold=float("inf"),
+        cell=3.0,
+        transpose=False,
+        norm="linf",
+        include_self=False,
+    )
     @given(
         points=st.lists(
             st.tuples(st.integers(-30, 30), st.integers(-4, 4)), min_size=1, max_size=40
@@ -167,18 +182,12 @@ class TestGridBuckets:
         # A strip 60 x 8 (either way round, diagonal about 30.3 after the
         # halving): the scan stops at the occupied cells, per axis, so a
         # threshold wider than the strip, than the map or infinite still
-        # returns exactly the brute-force rows.
+        # returns exactly the brute-force rows.  The explicit examples put
+        # 64 devices on an 8x8 map, where every pair is in range.
         pos = np.asarray(points, dtype=float) / 2.0
         if transpose:
             pos = pos[:, ::-1].copy()
         self._assert_rows_match(pos, cell, threshold, norm, include_self)
-
-    @pytest.mark.parametrize("threshold", [1000.0, float("inf")])
-    def test_threshold_past_the_map_returns_every_pair(self, threshold):
-        pos = np.random.default_rng(7).uniform(0.0, 8.0, size=(60, 2))
-        indptr, indices = GridBuckets(pos, cell_size=3.0).neighbor_arrays(threshold)
-        assert np.array_equal(indptr, np.arange(61) * 60)
-        assert np.array_equal(indices, np.tile(np.arange(60), 60))
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     @pytest.mark.parametrize("include_self", [True, False])
