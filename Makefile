@@ -26,34 +26,31 @@ PERFBENCH_WORKLOADS = epidemic-10k multipath-lying sweep-small nw-capture-2400
 # PR 7/9's varied knob is the protocol execution runtime: the baseline is
 # the cohort tier with the struct-of-arrays kernels pinned off, the current
 # run the SoA slot kernels (--runtime soa; since PR 9 they also cover loss,
-# Friis power-sum and traced configurations).  Both labels use --tiling on,
-# which resolves to the auto threshold for the suite (small deployments
-# stay dense — forcing CSR onto them was the DUAL/MAPSZ regression in
-# BENCH_6) and forces the sparse CSR tier for the paper-scale macros, so
-# the requires_tiling 10^5-node macros run under both labels.
+# Friis power-sum and traced configurations).  The node count alone picks
+# the link-state form under both labels: the dense matrix up to 4,096
+# nodes, the sparse CSR tier above (the 10^5-node macros).
 BENCH_RUNTIME_BASELINE ?= cohort
 BENCH_RUNTIME_CURRENT ?= soa
-BENCH_TILING ?= on
 # PR has no default: a capture rewrites BENCH_$(PR).json in place, so a bare
 # `make bench` must not overwrite a committed file.
 bench:
 	@test -n "$(PR)" || { echo "make bench: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench PR=20)" >&2; exit 2; }
-	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
+	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT)
 	for w in $(PERFBENCH_WORKLOADS); do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; done
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:
 	@test -n "$(PR)" || { echo "make bench-baseline: set PR=<n> to capture into BENCH_<n>.json (e.g. make bench-baseline PR=20)" >&2; exit 2; }
-	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE) --tiling $(BENCH_TILING)
+	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE)
 
 # CI smoke (CI's bench-smoke job runs exactly this target): verify the
 # captured BENCH_*.json files exist and BENCH_10.json's suite hashes (the
 # newest capture) reproduce, run the traced sample of every
 # PERFBENCH_WORKLOADS entry, then check exports are byte-identical SoA-on vs
 # SoA-off — FIG5 for the unit-disk disjunction kernels, the Friis smoke spec
-# for the power-sum (+ loss) kernels — and sparse vs dense link state
-# for FIG5 and for JAM, whose jammer-joined slot occurrences fall back to the
-# scalar loop and so resolve their rounds from sparse link-state blocks.
+# for the power-sum (+ loss) kernels.  (Sparse vs dense link state for FIG5
+# and JAM is a tier-1 test, tests/test_tiling.py::TestExperimentExports: the
+# node count picks the form, so only an in-process threshold can move it.)
 # FIG7 (NeighborWatchRB, capture-free unit disk) is diffed twice: cohort
 # runtime vs scalar loop with the SoA kernels pinned off on both sides (with
 # them on, every FIG7 slot compiles and no cohort runtime is built), and SoA
@@ -92,12 +89,6 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > $$tmp/friis-soa.json; \
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > $$tmp/friis-nosoa.json; \
 	cmp $$tmp/friis-soa.json $$tmp/friis-nosoa.json; \
-	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/fig5-dense.json; \
-	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > $$tmp/fig5-tiled.json; \
-	cmp $$tmp/fig5-dense.json $$tmp/fig5-tiled.json; \
-	REPRO_SPATIAL_TILING=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > $$tmp/jam-dense.json; \
-	REPRO_SPATIAL_TILING=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > $$tmp/jam-tiled.json; \
-	cmp $$tmp/jam-dense.json $$tmp/jam-tiled.json; \
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=1 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > $$tmp/fig7-cohort.json; \
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run FIG7 --scale small --export json > $$tmp/fig7-scalar.json; \
 	cmp $$tmp/fig7-cohort.json $$tmp/fig7-scalar.json; \

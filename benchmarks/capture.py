@@ -25,10 +25,8 @@ Usage::
     PYTHONPATH=src python benchmarks/capture.py --pr 4 --label baseline --runtime scalar
     PYTHONPATH=src python benchmarks/capture.py --pr 4 --label current
     PYTHONPATH=src python benchmarks/capture.py --pr 4 --label current --suite-only
-    PYTHONPATH=src python benchmarks/capture.py --pr 6 --label baseline --tiling off
-    PYTHONPATH=src python benchmarks/capture.py --pr 6 --label current --tiling on
-    PYTHONPATH=src python benchmarks/capture.py --pr 7 --label baseline --runtime cohort --tiling on
-    PYTHONPATH=src python benchmarks/capture.py --pr 7 --label current --runtime soa --tiling on
+    PYTHONPATH=src python benchmarks/capture.py --pr 7 --label baseline --runtime cohort
+    PYTHONPATH=src python benchmarks/capture.py --pr 7 --label current --runtime soa
     PYTHONPATH=src python benchmarks/capture.py --check BENCH_4.json
 
 ``--runtime {cohort,scalar,soa}`` pins the protocol execution runtime for the
@@ -38,17 +36,12 @@ struct-of-arrays kernels off, and ``soa`` (PR 7) enables the struct-of-arrays
 slot kernels on top of the cohort default — the hashes must agree exactly
 across all three, which is itself part of the bit-identity contract.
 
-``--tiling {on,off}`` pins the link-state tier the same way
-(``REPRO_SPATIAL_TILING``): PR 6's baseline is the dense matrix path, its
-current run the sparse spatially-tiled CSR tier.  ``on`` resolves to *auto*
-for the suite section and to *forced* for the macros: BENCH_6 showed that
-forcing the CSR tier onto the suite's small deployments costs real time
-(DUAL 0.39x, MAPSZ 0.59x — per-sender Python round loops where one dense
-slice would do) while saving memory those runs never needed, so the suite
-honors the node-count auto threshold and only the paper-scale macros pin the
-sparse tier.  Macros flagged ``requires_tiling`` (the 10^5-node scale
-targets, whose dense link state would not fit in memory) only run with
-tiling on; every macro that runs under both labels must hash identically.
+The link-state form follows the node count alone (the sparse CSR tier above
+4,096 nodes, the dense matrix up to it), so the suite and the macros below
+that size run on the dense matrix and the two 10^5-node macros on the CSR.
+Every macro of the ``current`` runs in ``BENCH_6.json`` to ``BENCH_10.json``
+ran on the CSR, which a since-deleted ``--tiling`` flag forced; the hashes do
+not depend on the form.
 
 ``--check`` re-runs the (quick) suite and verifies the stored hashes of the
 newest run still reproduce — the CI smoke job uses it so a drifted series can
@@ -111,10 +104,10 @@ MACROS = (
         "seed": 5,
     },
     # The 10^5-node scale target of the spatially-tiled engine core: a dense
-    # unit-disk audibility matrix at this size would be ~9.3 GiB, so the
-    # macro only runs with tiling on (the sparse CSR tier keeps ~10^6
-    # entries).  Density 0.125 with radius 6 keeps the expected neighborhood
-    # ~14, comfortably connected for the epidemic flood.
+    # unit-disk audibility matrix at this size would be ~9.3 GiB, and the
+    # engine keeps the sparse CSR tier (~10^6 entries) instead.  Density
+    # 0.125 with radius 6 keeps the expected neighborhood ~14, comfortably
+    # connected for the epidemic flood.
     {
         "name": "epidemic-unitdisk-100k",
         "protocol": "epidemic",
@@ -124,7 +117,6 @@ MACROS = (
         "radius": 6.0,
         "message_length": 4,
         "seed": 5,
-        "requires_tiling": True,
     },
     # The PR 7 scale target: NeighborWatchRB at 10^5 nodes.  Unlike the
     # epidemic flood, the meta-square relay needs occupied squares, so this
@@ -133,9 +125,8 @@ MACROS = (
     # empty and the relay never completes).  The struct-of-arrays slot
     # kernels carry the 6-phase 2Bit exchanges in packed-bitmask algebra,
     # which is what makes the protocol (not just the flood) tractable at
-    # this size — so, like requires_tiling vs the dense baseline, the macro
-    # only runs when the SoA tier is on (a cohort/scalar baseline would
-    # take hours).
+    # this size — so the macro only runs when the SoA tier is on (a
+    # cohort/scalar baseline would take hours).
     {
         "name": "nw-unitdisk-100k",
         "protocol": "neighborwatch",
@@ -145,7 +136,6 @@ MACROS = (
         "radius": 4.0,
         "message_length": 4,
         "seed": 5,
-        "requires_tiling": True,
         "requires_soa": True,
     },
 )
@@ -208,30 +198,19 @@ def capture_suite(scale: str, cache_dir: Optional[str], log) -> dict:
 def capture_macros(log) -> dict:
     """Run the representative paper-scale single simulations serially.
 
-    Macros flagged ``requires_tiling`` are skipped (with a log line) unless
-    spatial tiling resolves to *on* for their node count — their dense link
-    state would not fit in memory, which is the point of the flag.  Macros
-    flagged ``requires_soa`` are likewise skipped unless the struct-of-arrays
-    kernels are enabled: they are scale targets the SoA tier unlocks, not
-    before/after comparisons, and running them on the cohort or scalar tier
-    would take hours.
+    Macros flagged ``requires_soa`` are skipped (with a log line) unless the
+    struct-of-arrays kernels are enabled: they are scale targets the SoA
+    tier unlocks, not before/after comparisons, and running them on the
+    cohort or scalar tier would take hours.
     """
     from repro.experiments.factories import UniformDeploymentFactory
     from repro.sim.builder import build_channel, run_scenario
     from repro.sim.config import ScenarioConfig
-    from repro.sim.engine import (
-        _cached_link_state,
-        default_soa_kernels,
-        default_spatial_tiling,
-    )
+    from repro.sim.engine import _cached_link_state, default_soa_kernels
     from repro.sim.linkstate import SparseLinkState
 
     section: dict = {}
     for macro in MACROS:
-        tiled = default_spatial_tiling(macro["num_nodes"])
-        if macro.get("requires_tiling") and not tiled:
-            log(f"  macro {macro['name']:<22} skipped (needs spatial tiling on)")
-            continue
         if macro.get("requires_soa") and not default_soa_kernels():
             log(f"  macro {macro['name']:<22} skipped (needs SoA kernels on)")
             continue
@@ -270,9 +249,7 @@ def capture_macros(log) -> dict:
         # used (same channel signature + positions), so its static summary
         # (CSR size, index dtype, dense bytes avoided) costs one cache
         # lookup, not a second run.
-        state = _cached_link_state(
-            build_channel(config), deployment.positions, sparse=tiled
-        )
+        state = _cached_link_state(build_channel(config), deployment.positions)
         if isinstance(state, SparseLinkState):
             entry["spatial_tiling"] = {"enabled": True, **state.info()}
         else:
@@ -444,19 +421,6 @@ def main(argv=None) -> int:
         "(default: environment)",
     )
     parser.add_argument(
-        "--tiling",
-        choices=("on", "off"),
-        default=None,
-        help="pin the spatially-tiled sparse link-state tier for this capture "
-        "(sets REPRO_SPATIAL_TILING): 'off' records the dense baseline, 'on' "
-        "resolves to the auto node-count threshold for the suite (forcing "
-        "CSR onto small deployments is a measured slowdown) and forces the "
-        "sparse CSR path for the paper-scale macros; results are "
-        "bit-identical, only memory and the wall clock move (default: "
-        "environment / auto threshold).  Macros flagged requires_tiling "
-        "only run with tiling on",
-    )
-    parser.add_argument(
         "--check",
         metavar="JSON",
         default=None,
@@ -474,22 +438,10 @@ def main(argv=None) -> int:
         os.environ["REPRO_COHORT_RUNTIME"] = "0" if args.runtime == "scalar" else "1"
         os.environ["REPRO_SOA_KERNELS"] = "1" if args.runtime == "soa" else "0"
 
-    def tiling_env(section: str) -> None:
-        # 'on' means auto for the suite (small deployments pay for forced
-        # CSR — see the module docstring) but forced for the macros, whose
-        # scale is the sparse tier's reason to exist.
-        if args.tiling is None:
-            return
-        if args.tiling == "off":
-            os.environ["REPRO_SPATIAL_TILING"] = "0"
-        else:
-            os.environ["REPRO_SPATIAL_TILING"] = "auto" if section == "suite" else "1"
-
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
     if args.check is not None:
-        tiling_env("suite")
         return check(Path(args.check), args.suite_scale, log)
 
     path = Path(args.output) if args.output else Path(f"BENCH_{args.pr}.json")
@@ -500,10 +452,8 @@ def main(argv=None) -> int:
     run: dict = {"environment": _environment(), "suite_scale": args.suite_scale}
     log(f"capturing {args.label!r} -> {path}")
     if not args.macros_only:
-        tiling_env("suite")
         run["suite"] = capture_suite(args.suite_scale, args.cache_dir, log)
     if not args.suite_only:
-        tiling_env("macros")
         run["macros"] = capture_macros(log)
         run["macros"]["service-queue-fig5"] = capture_service_macro(log)
     document.setdefault("runs", {})[args.label] = run

@@ -105,10 +105,15 @@ def _render_label(spec: ExperimentSpec, point_context: Mapping[str, Any]) -> str
 
 def _build_task(spec: ExperimentSpec, point_context: Mapping[str, Any]) -> SweepTask:
     scenario_kwargs = render_template(spec.scenario, point_context)
+    try:
+        config = ScenarioConfig(**scenario_kwargs)
+    except (TypeError, ValueError) as exc:
+        # An unknown key, a value of the wrong type or one outside its range.
+        raise SpecValidationError([f"[scenario] {exc}"], source=spec.name) from exc
     return SweepTask(
         label=_render_label(spec, point_context),
         deployment_factory=_build_component(DEPLOYMENTS, spec.deployment, point_context),
-        config=ScenarioConfig(**scenario_kwargs),
+        config=config,
         fault_factory=_build_component(FAULT_PLANS, spec.faults, point_context),
         repetitions=int(render_template(spec.repetitions, point_context)),
         base_seed=int(render_template(spec.base_seed, point_context)),
@@ -307,11 +312,10 @@ def _memory_lines(context: Mapping[str, Any]) -> list[str]:
 
     Shown whenever the resolved context pins a concrete node count: the node
     count, what the dense ``N x N`` link state of the configured channel would
-    occupy, and — when that is large — a reminder that the sparse
-    spatially-tiled tier avoids materializing it.
+    occupy, and which link-state form the engine keeps at that size.
     """
     from ..sim.config import dense_link_state_bytes
-    from ..sim.engine import SPATIAL_TILING_AUTO_NODES
+    from ..sim.engine import SPATIAL_TILING_AUTO_NODES, default_spatial_tiling
 
     num_nodes = context.get("num_nodes")
     if not isinstance(num_nodes, int):
@@ -324,22 +328,13 @@ def _memory_lines(context: Mapping[str, Any]) -> list[str]:
         dense = dense_link_state_bytes(num_nodes, str(channel))
     except Exception:
         return []
-    lines = [
+    sparse = default_spatial_tiling(num_nodes)
+    kept = "the sparse link state instead" if sparse else "the dense matrix"
+    return [
         f"memory: {num_nodes} nodes — dense {channel} link state would be "
-        f"{_format_bytes(dense)}"
+        f"{_format_bytes(dense)}",
+        f"  the engine keeps {kept} (sparse above {SPATIAL_TILING_AUTO_NODES} nodes)",
     ]
-    if num_nodes > SPATIAL_TILING_AUTO_NODES:
-        lines.append(
-            "  spatial tiling auto-enables at this size "
-            f"(> {SPATIAL_TILING_AUTO_NODES} nodes); the sparse tier never "
-            "materializes the dense matrix"
-        )
-    else:
-        lines.append(
-            "  (spatial tiling available via REPRO_SPATIAL_TILING=1; "
-            f"auto-enables above {SPATIAL_TILING_AUTO_NODES} nodes)"
-        )
-    return lines
 
 
 def _tier_lines(context: Mapping[str, Any]) -> list[str]:

@@ -75,20 +75,17 @@ def build_simulation(
     *,
     trace: Optional[EventLog] = None,
     use_cohort_runtime: Optional[bool] = None,
-    use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
 ) -> Simulation:
     """Wire a deployment, a scenario and a fault plan into a Simulation.
 
-    ``use_cohort_runtime``, ``use_spatial_tiling`` and ``use_soa_kernels``
-    are forwarded to :class:`~repro.sim.engine.Simulation` (``None`` =
-    process default): the first selects between shared-cohort and per-device
-    execution of the protocol state machines, the second between the sparse
-    link-state tier and the dense ``N x N`` matrices, the
-    third enables the struct-of-arrays slot kernels for eligible
-    protocol/channel combinations.  All three are pure memory/throughput
-    knobs — results are bit-identical either way, so they are *not* part of
-    :class:`ScenarioConfig` and never enter store fingerprints.
+    ``use_cohort_runtime`` and ``use_soa_kernels`` are forwarded to
+    :class:`~repro.sim.engine.Simulation` (``None`` = process default): the
+    first selects between shared-cohort and per-device execution of the
+    protocol state machines, the second enables the struct-of-arrays slot
+    kernels for eligible protocol/channel combinations.  Both are pure
+    throughput knobs — results are bit-identical either way, so they are
+    *not* part of :class:`ScenarioConfig` and never enter store fingerprints.
 
     The cyclic garbage collector is paused for the build and the caller's
     setting restored afterwards, also when the build raises
@@ -157,7 +154,6 @@ def build_simulation(
             rng=rng_factory.generator("channel"),
             trace=trace,
             use_cohort_runtime=use_cohort_runtime,
-            use_spatial_tiling=use_spatial_tiling,
             use_soa_kernels=use_soa_kernels,
         )
 
@@ -194,7 +190,6 @@ def run_scenario(
     trace: Optional[EventLog] = None,
     max_rounds: Optional[int] = None,
     use_cohort_runtime: Optional[bool] = None,
-    use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
     info_sink: Optional[dict] = None,
 ) -> RunResult:
@@ -211,7 +206,6 @@ def run_scenario(
         faults,
         trace=trace,
         use_cohort_runtime=use_cohort_runtime,
-        use_spatial_tiling=use_spatial_tiling,
         use_soa_kernels=use_soa_kernels,
     )
     faults = faults if faults is not None else FaultPlan()

@@ -58,10 +58,10 @@ def dense_link_state_bytes(num_nodes: int, channel: str) -> int:
     """Bytes the dense ``N x N`` link state of ``channel`` would occupy.
 
     The unit-disk audibility mask is one byte per pair (``bool``), the Friis
-    received-power matrix eight (``float64``).  Used by the experiment
-    ``describe`` command and the memory-budget guard messaging to show, before
-    anything is allocated, what the sparse link-state tier
-    (``use_spatial_tiling`` / ``REPRO_SPATIAL_TILING``) avoids.
+    received-power matrix eight (``float64``).  The experiment ``describe``
+    command shows it before anything is allocated; above
+    :data:`~repro.sim.engine.SPATIAL_TILING_AUTO_NODES` nodes the engine
+    keeps the sparse link state instead and never allocates it.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be >= 0")

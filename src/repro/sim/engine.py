@@ -65,21 +65,21 @@ over its idle tail once a whole schedule cycle moves no state (see
 
 Sparse link state
 -----------------
-Below the plan, the *channel* layer can keep its link state sparse
-(:mod:`repro.sim.linkstate`): instead of the dense ``N x N`` audibility or
-power matrix, the engine keeps node positions, plus a CSR audibility graph
-for the unit disk.  Unit-disk rounds read their exact block off the CSR,
-Friis rounds recompute their power block from positions, and both resolve on
-the dense kernels.  The knob is ``use_spatial_tiling`` (env
-``REPRO_SPATIAL_TILING``, auto-on above :data:`SPATIAL_TILING_AUTO_NODES`
-nodes).  Both unit-disk forms are read off one CSR
+Below the plan, the *channel* layer keeps its link state in one of two forms
+(:mod:`repro.sim.linkstate`), and the node count alone picks it
+(:func:`default_spatial_tiling`).  Up to :data:`SPATIAL_TILING_AUTO_NODES`
+nodes it is the dense ``N x N`` audibility or power matrix; above, the engine
+keeps node positions, plus a CSR audibility graph for the unit disk.
+Unit-disk rounds read their exact block off the CSR, Friis rounds recompute
+their power block from positions, and both resolve on the channel's one
+listener loop.  Both unit-disk forms are read off one CSR
 (:func:`~repro.sim.linkstate.unit_disk_csr`; the dense mask is scattered from
-it), so tiled-vs-dense runs compare the two block readers, while audibility
-itself is pinned against the distance predicate of ``observe`` by the
-link-state and grid-bucket tests.
+it), so runs on the two forms compare the two block readers, while
+audibility itself is pinned against the distance predicate of ``observe`` by
+the link-state and grid-bucket tests.
 
 The RNG contract is strict: stochastic channel configurations consume the
-generator exactly as the scalar reference kernels would, and the cohort
+generator exactly as the channels' listener loops do, and the cohort
 runtime and the sparse blocks preserve listener order per round, so every
 result — including the content-addressed store fingerprints of
 :mod:`repro.store` — is bit-identical to the pre-plan engine.
@@ -118,29 +118,18 @@ __all__ = [
     "SPATIAL_TILING_AUTO_NODES",
 ]
 
-#: Node count above which spatial tiling turns on automatically (the dense
-#: link state is still comfortable below it; above it the N^2 matrices start
-#: to dominate memory).
+#: Node count above which the link state is kept sparse: up to it, the dense
+#: matrix is at most 16.8 MB for the unit disk and 134 MB for Friis.
 SPATIAL_TILING_AUTO_NODES = 4096
 
 
 def default_spatial_tiling(num_nodes: int) -> bool:
-    """Process-wide default for :class:`Simulation`'s ``use_spatial_tiling``.
+    """Whether a simulation over ``num_nodes`` nodes keeps its link state sparse.
 
-    Controlled by ``REPRO_SPATIAL_TILING``: ``1``/``true`` forces the sparse
-    link-state tier on at every size, ``0``/``false`` forces the dense tier,
-    and the default (``auto``) enables the sparse tier above
-    :data:`SPATIAL_TILING_AUTO_NODES` nodes.  Like the cohort runtime knob,
-    this is a pure memory/throughput setting: sparse and dense runs are
-    bit-identical (store fingerprints, exported rows and RNG stream positions
-    included), so it lives outside :class:`~repro.sim.config.ScenarioConfig`
-    and never enters fingerprints.
+    True above :data:`SPATIAL_TILING_AUTO_NODES` nodes.  The two forms are
+    bit-identical (store fingerprints, exported rows and RNG stream
+    positions included), so the node count is the only input.
     """
-    value = os.environ.get("REPRO_SPATIAL_TILING", "auto").strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
     return num_nodes > SPATIAL_TILING_AUTO_NODES
 
 
@@ -162,10 +151,10 @@ def default_soa_kernels() -> bool:
     """Process-wide default for :class:`Simulation`'s ``use_soa_kernels``.
 
     Controlled by the ``REPRO_SOA_KERNELS`` environment variable (default
-    on; ``0``/``false``/``no``/``off`` disable it).  Like the cohort and
-    tiling knobs this is a pure throughput setting: the struct-of-arrays
-    slot kernels (:mod:`repro.sim.soa`) are bit-identical to the per-device
-    oracle — exported rows, store fingerprints, ``delivery_round`` stamps,
+    on; ``0``/``false``/``no``/``off`` disable it).  Like the cohort knob
+    this is a pure throughput setting: the struct-of-arrays slot kernels
+    (:mod:`repro.sim.soa`) are bit-identical to the per-device oracle —
+    exported rows, store fingerprints, ``delivery_round`` stamps,
     broadcast counts and RNG stream positions included — so it lives outside
     :class:`~repro.sim.config.ScenarioConfig` and never enters fingerprints.
     """
@@ -213,30 +202,25 @@ def clear_link_cache() -> None:
     _LINK_CACHE_MISSES = 0
 
 
-def _cached_link_state(
-    channel: Channel, positions: np.ndarray, *, sparse: bool = False
-) -> Optional[object]:
+def _cached_link_state(channel: Channel, positions: np.ndarray) -> Optional[object]:
     """The channel's link state for ``positions``, via the module-level cache.
 
-    ``sparse`` selects the sparse tier
-    (:meth:`~repro.sim.radio.Channel.link_state_sparse`); dense and sparse
-    entries are cached under distinct keys because they are different objects
-    over the same deployment.  A channel without a sparse implementation
-    falls back to its dense state (still subject to the byte budget guard).
+    The form follows :func:`default_spatial_tiling`: the sparse state
+    (:meth:`~repro.sim.radio.Channel.link_state_sparse`) above the node
+    threshold, the dense matrix up to it.  The form is part of the key, so a
+    threshold changed at run time never returns the other form.
     """
     global _LINK_CACHE_HITS, _LINK_CACHE_MISSES
     signature = channel.link_signature()
     if signature is None:
         return None
+    sparse = default_spatial_tiling(positions.shape[0])
     key = (signature, sparse, positions.shape, positions.tobytes())
     cached = _LINK_CACHE.get(key)
     if cached is None:
         _LINK_CACHE_MISSES += 1
         if sparse:
-            try:
-                cached = channel.link_state_sparse(positions)
-            except NotImplementedError:
-                cached = channel.link_state(positions)
+            cached = channel.link_state_sparse(positions)
         else:
             cached = channel.link_state(positions)
         _LINK_CACHE[key] = cached
@@ -275,13 +259,6 @@ class Simulation:
         ``False`` forces the per-device scalar path, which is the tested
         oracle the cohort runtime is pinned against.  Results are bit-identical
         either way.
-    use_spatial_tiling:
-        Whether to keep the channel link state sparse (positions, plus a CSR
-        audibility graph for the unit disk) instead of the dense ``N x N``
-        matrix.  ``None`` (default) reads the process default
-        (:func:`default_spatial_tiling` — auto-on above
-        :data:`SPATIAL_TILING_AUTO_NODES` nodes).  Results are bit-identical
-        either way; only memory and how round blocks are built change.
     use_soa_kernels:
         Whether to compile eligible slots into struct-of-arrays bitmask
         kernels (:mod:`repro.sim.soa`) — the fastest execution tier,
@@ -305,7 +282,6 @@ class Simulation:
         rng: Optional[np.random.Generator] = None,
         trace: Optional[EventLog] = None,
         use_cohort_runtime: Optional[bool] = None,
-        use_spatial_tiling: Optional[bool] = None,
         use_soa_kernels: Optional[bool] = None,
     ) -> None:
         self.nodes = list(nodes)
@@ -321,12 +297,7 @@ class Simulation:
 
         self._positions = np.asarray([n.position for n in self.nodes], dtype=float)
         self.plan = SlotPlan(self.nodes, schedule)
-        if use_spatial_tiling is None:
-            use_spatial_tiling = default_spatial_tiling(len(self.nodes))
-        self.use_spatial_tiling = bool(use_spatial_tiling)
-        self._link_state = _cached_link_state(
-            channel, self._positions, sparse=self.use_spatial_tiling
-        )
+        self._link_state = _cached_link_state(channel, self._positions)
         # The SoA tier compiles whole slots into bitmask kernels.  It needs
         # a link state to read channel structure from and a channel whose
         # per-capability verdict (soa_round_support) is fully eligible:

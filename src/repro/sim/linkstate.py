@@ -2,8 +2,10 @@
 
 A channel's link state is the pairwise quantity it derives from node
 positions: audibility for the unit-disk model, received power for Friis.  It
-takes one of two forms, and :func:`link_block` reads an exact
-``(rows, cols)`` block out of either:
+takes one of two forms, picked by the node count alone
+(:func:`~repro.sim.engine.default_spatial_tiling`: sparse above
+:data:`~repro.sim.engine.SPATIAL_TILING_AUTO_NODES` nodes), and
+:func:`link_block` reads an exact ``(rows, cols)`` block out of either:
 
 * the dense ``N x N`` matrix of :meth:`~repro.sim.radio.Channel.link_state`,
   sliced with ``np.ix_``;
@@ -17,9 +19,10 @@ takes one of two forms, and :func:`link_block` reads an exact
 Both unit-disk forms are read off one CSR, :func:`unit_disk_csr`, built with
 grid-bucketed array passes (:class:`~repro.topology.grid.GridBuckets`): the
 dense mask is scattered from it and :class:`UnitDiskLinkState` keeps it.  So
-a tiled-vs-dense byte diff of a unit-disk run checks the two block readers,
-the ``np.ix_`` slice and the CSR gather, against each other; audibility
-itself is pinned against the distance predicate of
+running a unit-disk scenario on both forms (the tests lower the node
+threshold to 0 for the sparse side) checks the two block readers, the
+``np.ix_`` slice and the CSR gather, against each other; audibility itself
+is pinned against the distance predicate of
 :meth:`~repro.sim.radio.UnitDiskChannel.observe` by the brute-force tests of
 :meth:`~repro.topology.grid.GridBuckets.neighbor_arrays` and by the
 link-state tests, which compare both forms with that predicate.

@@ -15,7 +15,10 @@ Two propagation models are provided, mirroring the paper's two system models:
   reception threshold, and optional independent packet loss.
 
 Both channels operate on batches: given the listeners and the transmitters of
-one round they return one observation per listener, fully vectorised in NumPy.
+one round they return one observation per listener.  Each channel resolves a
+round one way, a loop over the listeners that draws the RNG in listener order;
+the struct-of-arrays kernels (:mod:`repro.sim.soa`) replay its float64
+expressions and draw counts, so they are bit-identical to it.
 
 Precomputed link state
 ----------------------
@@ -27,16 +30,16 @@ which precomputes that quantity for *all* node pairs once as a dense matrix,
 disk, a CSR audibility graph) instead, and :meth:`Channel.resolve_links`,
 which resolves a round from the exact ``(listeners, senders)`` block of
 either (:func:`~repro.sim.linkstate.link_block`) instead of recomputing
-distances.  This is the only way the engine resolves a round against a link
-state.  The engine caches the state per ``(channel, positions)`` pair and its
-slot plans cache the blocks, which removes the per-round distance computation
-from the hot path.
+distances.  The node count alone picks the form
+(:func:`~repro.sim.engine.default_spatial_tiling`).  This is the only way the
+engine resolves a round against a link state.  The engine caches the state
+per ``(channel, positions)`` pair and its slot plans cache the blocks, which
+removes the per-round distance computation from the hot path.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,34 +57,7 @@ __all__ = [
     "FriisChannel",
     "SoaRoundSupport",
     "message_observation",
-    "LinkStateMemoryError",
-    "link_state_budget_bytes",
-    "DEFAULT_LINK_STATE_MAX_BYTES",
 ]
-
-#: Default byte budget for one dense link-state matrix (1 GiB).  Above it,
-#: :meth:`Channel.link_state` refuses to allocate and points at the sparse
-#: tier instead of letting a 10^5-node run OOM minutes into construction.
-DEFAULT_LINK_STATE_MAX_BYTES = 1 << 30
-
-
-def link_state_budget_bytes() -> int:
-    """The dense link-state byte budget (``REPRO_LINK_STATE_MAX_BYTES``).
-
-    Values ``<= 0`` disable the guard entirely; unset or unparsable values
-    fall back to :data:`DEFAULT_LINK_STATE_MAX_BYTES`.
-    """
-    raw = os.environ.get("REPRO_LINK_STATE_MAX_BYTES", "").strip()
-    if not raw:
-        return DEFAULT_LINK_STATE_MAX_BYTES
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_LINK_STATE_MAX_BYTES
-
-
-class LinkStateMemoryError(MemoryError):
-    """A dense link-state matrix would exceed the configured byte budget."""
 
 _COLLISION = Observation(ChannelState.COLLISION)
 
@@ -92,16 +68,6 @@ _COLLISION = Observation(ChannelState.COLLISION)
 #: are pure values, so dropping them is always safe.
 _MESSAGE_OBSERVATIONS: dict = {}
 _MESSAGE_OBSERVATIONS_MAX = 4096
-
-
-def _decoded_transmitters(tx_index: np.ndarray) -> list[int]:
-    """The distinct transmitter indexes of decoding listeners, ascending.
-
-    What ``np.unique`` returns, from one ``np.bincount``: in NumPy 2 the
-    first ``np.unique`` call imports ``numpy.ma``, which no channel kernel
-    needs.
-    """
-    return np.flatnonzero(np.bincount(tx_index)).tolist()
 
 
 def message_observation(frame: Frame) -> Observation:
@@ -197,41 +163,19 @@ class Channel(abc.ABC):
         matrix is channel-specific (an audibility mask for
         :class:`UnitDiskChannel`, received powers for :class:`FriisChannel`)
         and opaque to the engine, which only slices blocks of it for
-        :meth:`resolve_links`.  Only called when :meth:`link_signature`
-        returned a key.
-
-        Implementations must call :meth:`_check_dense_budget` before
-        allocating: a dense matrix over the ``REPRO_LINK_STATE_MAX_BYTES``
-        budget raises :class:`LinkStateMemoryError` naming the sparse/tiled
-        knob instead of OOM-ing mid-run.
+        :meth:`resolve_links`.  The engine calls it only when
+        :meth:`link_signature` returned a key, for deployments of at most
+        :data:`~repro.sim.engine.SPATIAL_TILING_AUTO_NODES` nodes.
         """
         raise NotImplementedError
-
-    def _check_dense_budget(self, num_nodes: int, itemsize: int) -> None:
-        """Refuse dense ``N x N`` allocations above the configured byte budget."""
-        budget = link_state_budget_bytes()
-        if budget <= 0:
-            return
-        needed = num_nodes * num_nodes * itemsize
-        if needed > budget:
-            raise LinkStateMemoryError(
-                f"dense link state for {num_nodes} nodes needs "
-                f"{needed:,} bytes ({itemsize} byte(s) per node pair), over the "
-                f"REPRO_LINK_STATE_MAX_BYTES budget of {budget:,}. Enable the "
-                f"sparse spatially-tiled tier instead — pass "
-                f"use_spatial_tiling=True to build_simulation()/Simulation, or "
-                f"set REPRO_SPATIAL_TILING=1 — or raise the budget if you "
-                f"really want the dense matrix."
-            )
 
     def link_state_sparse(self, positions: np.ndarray) -> SparseLinkState:
         """Sparse link state (no dense matrix) for a static deployment.
 
         Returns a :class:`~repro.sim.linkstate.SparseLinkState` whose
         ``submatrix`` is bit-identical to slicing :meth:`link_state` but whose
-        memory is at most ``O(N * neighborhood)``.  Channels without a sparse
-        tier raise ``NotImplementedError``; the engine then falls back to the
-        dense path (subject to the byte budget).
+        memory is at most ``O(N * neighborhood)``.  Every channel whose
+        :meth:`link_signature` returns a key implements both forms.
         """
         raise NotImplementedError
 
@@ -356,7 +300,6 @@ class UnitDiskChannel(Channel):
         """
         pos = np.asarray(positions, dtype=float)
         num_nodes = pos.shape[0]
-        self._check_dense_budget(num_nodes, 1)
         indptr, indices = unit_disk_csr(pos, self.radius, self.norm)
         audible = np.zeros((num_nodes, num_nodes), dtype=bool)
         audible[np.repeat(np.arange(num_nodes), np.diff(indptr)), indices] = True
@@ -425,46 +368,10 @@ class UnitDiskChannel(Channel):
         """Observations from a (listener, transmission) audibility mask.
 
         Shared by :meth:`observe` and :meth:`resolve_links` so both consume
-        the RNG identically.  Dispatches to a vectorized kernel whenever the
-        configuration's RNG draw sequence is listener-ordered (and therefore
-        batchable): the deterministic default consumes no RNG at all, and the
-        loss-only configuration draws exactly once per single-transmission
-        listener, in listener order.  Capture configurations interleave
-        data-dependent draws and fall back to the scalar reference loop.
-        """
-        if self.capture_probability == 0.0:
-            counts = audible.sum(axis=1)
-            num_listeners = audible.shape[0]
-            out = np.empty(num_listeners, dtype=object)
-            out[:] = _COLLISION
-            out[counts == 0] = SILENCE
-            singles = np.flatnonzero(counts == 1)
-            if singles.size:
-                if self.loss_probability > 0.0:
-                    # One draw per single-transmission listener, in listener
-                    # order — the batch consumes the generator exactly like
-                    # the scalar loop's sequential rng.random() calls.
-                    draws = rng.random(singles.size)
-                    singles = singles[draws >= self.loss_probability]
-            if singles.size:
-                tx_index = np.argmax(audible[singles], axis=1)
-                for tx in _decoded_transmitters(tx_index):
-                    obs = message_observation(transmissions[tx].frame)
-                    out[singles[tx_index == tx]] = obs
-            return list(out)
-        return self._resolve_audible_scalar(audible, transmissions, rng)
-
-    def _resolve_audible_scalar(
-        self,
-        audible: np.ndarray,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Reference per-listener loop (all configurations).
-
-        Kept both as the fallback for capture configurations (whose RNG draws
-        are data-dependent and cannot be batched) and as the oracle the
-        kernel-equivalence tests compare the vectorized paths against.
+        the RNG identically: one loss draw per listener that hears exactly
+        one transmission, and per captured collision a capture draw, an
+        integer choice over the audible set and a loss draw, all in
+        listener order.
         """
         num_listeners = audible.shape[0]
         counts = audible.sum(axis=1)
@@ -592,7 +499,6 @@ class FriisChannel(Channel):
         """Received power between every pair of nodes (row: listener, column: sender)."""
         pos = np.asarray(positions, dtype=float)
         num_nodes = pos.shape[0]
-        self._check_dense_budget(num_nodes, 8)
         powers = np.empty((num_nodes, num_nodes), dtype=float)
         block = 512
         for start in range(0, num_nodes, block):
@@ -696,50 +602,10 @@ class FriisChannel(Channel):
     ) -> list[Observation]:
         """Observations from a (listener, transmission) received-power matrix.
 
-        The vectorized kernel is branch-free over listeners: a sense mask, a
-        row argmax, and an SINR test, with the loss draws (when configured)
-        batched in listener order — the scalar loop draws exactly once per
-        decodable listener, in listener order, so one batched ``rng.random``
-        call consumes the generator identically.  The deterministic default
-        (``loss_probability == 0``) draws nothing in either implementation.
-        Every arithmetic step mirrors the scalar loop's expressions operation
-        for operation, so the results are bit-identical, not just close.
-        """
-        num_listeners = powers.shape[0]
-        total = powers.sum(axis=1)
-        sensed = total >= self.sense_threshold
-        strongest = powers.argmax(axis=1)
-        signal = powers[np.arange(num_listeners), strongest]
-        interference = total - signal + self.noise_floor
-        decodable = (
-            sensed
-            & (signal >= self.reception_threshold)
-            & (signal >= self.capture_threshold * interference)
-        )
-        out = np.empty(num_listeners, dtype=object)
-        out[:] = _COLLISION
-        out[~sensed] = SILENCE
-        decode_rows = np.flatnonzero(decodable)
-        if decode_rows.size and self.loss_probability > 0.0:
-            draws = rng.random(decode_rows.size)
-            decode_rows = decode_rows[draws >= self.loss_probability]
-        if decode_rows.size:
-            tx_for_row = strongest[decode_rows]
-            for tx in _decoded_transmitters(tx_for_row):
-                obs = message_observation(transmissions[tx].frame)
-                out[decode_rows[tx_for_row == tx]] = obs
-        return list(out)
-
-    def _resolve_powers_scalar(
-        self,
-        powers: np.ndarray,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Reference per-listener loop (the pre-vectorization implementation).
-
-        Kept as the oracle the kernel-equivalence tests compare
-        :meth:`_resolve_powers` against; never on the simulation path.
+        A listener is busy when its row sum reaches the sense threshold, and
+        decodes its strongest transmission when that passes the reception
+        threshold and the SINR test; with loss configured, each decodable
+        listener draws once, in listener order.
         """
         num_listeners = powers.shape[0]
         total = powers.sum(axis=1)

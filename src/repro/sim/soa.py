@@ -25,8 +25,9 @@ tier is decided per capability by
 * **busy models** — unit-disk busy is an audibility *disjunction* (resolved
   through a group-local CSR adjacency); Friis busy is a carrier-sense
   *power sum* (resolved through lazily cached member×member power columns
-  whose row sums reproduce :meth:`FriisChannel._resolve_powers` float
-  for float, so thresholds and the SINR argmax are bit-identical).
+  whose row sums reproduce the row sums of the listener loop
+  :meth:`FriisChannel._resolve_powers` float for float, so thresholds and
+  the SINR argmax are bit-identical).
 * **loss draws** — the scalar loop draws exactly once per
   single-transmission (unit disk) or decodable (Friis) listener, in
   listener order (the PR 3 batching contract).  That count depends only on
@@ -454,8 +455,8 @@ class _SlotGroup:
         draws = 0
         power = self.power
         if power is not None:
-            # Power-sum (Friis) busy: the exact expressions of the
-            # vectorized _resolve_powers kernel over the compiled columns.
+            # Power-sum (Friis) busy: the float64 expressions of the
+            # _resolve_powers listener loop, over the compiled columns.
             cols = power.gather(idx)
             total = cols.sum(axis=1)
             busy_flags = total >= runtime.sense_threshold
@@ -843,12 +844,12 @@ def _epidemic_decodes_disjunction(group: _SlotGroup, transmitters: list, loss: f
 def _epidemic_decodes_power(group: _SlotGroup, transmitters: list, runtime: SoaRuntime) -> tuple:
     """Friis decode geometry: members whose strongest signal passes SINR.
 
-    Same ``(rows, senders)`` shape; the expressions mirror the vectorized
-    ``_resolve_powers`` kernel over the compiled power columns, so the
-    sense/reception/capture thresholds and the strongest-transmitter argmax
-    are bit-identical to the scalar channel.  A decoding member adopts the
-    *strongest* transmitter's payload (capture effect), not a sole
-    transmission's.
+    Same ``(rows, senders)`` shape; the expressions mirror the float64
+    operations of the ``_resolve_powers`` listener loop over the compiled
+    power columns, so the sense/reception/capture thresholds and the
+    strongest-transmitter argmax are bit-identical to the scalar channel.
+    A decoding member adopts the *strongest* transmitter's payload (capture
+    effect), not a sole transmission's.
     """
     n = group.n
     tx_idx = np.asarray([j for j, _payload in transmitters], dtype=np.int64)

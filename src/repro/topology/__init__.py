@@ -1,19 +1,6 @@
 """Deployment topologies: analytical grids, random and clustered deployments."""
 
-from .geometry import (
-    Point,
-    as_positions,
-    bounding_box,
-    fits_in_common_neighborhood,
-    grid_hop_distance,
-    l2_distance,
-    linf_diameter_hops,
-    linf_distance,
-    neighborhood_counts,
-    neighborhood_matrix,
-    neighbors_within,
-    pairwise_distances,
-)
+from .geometry import Point, as_positions, neighborhood_matrix, pairwise_distances
 from .grid import GridSpec, GridTopology, grid_index_of, grid_positions
 from .deployment import (
     Deployment,
@@ -35,15 +22,7 @@ from .connectivity import (
 __all__ = [
     "Point",
     "as_positions",
-    "bounding_box",
-    "fits_in_common_neighborhood",
-    "grid_hop_distance",
-    "l2_distance",
-    "linf_diameter_hops",
-    "linf_distance",
-    "neighborhood_counts",
     "neighborhood_matrix",
-    "neighbors_within",
     "pairwise_distances",
     "GridSpec",
     "GridTopology",

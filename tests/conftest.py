@@ -23,6 +23,43 @@ def _isolated_link_cache():
     yield
 
 
+class LinkForms:
+    """Picks the link-state form of the simulations a test builds.
+
+    The node count alone picks the form
+    (``repro.sim.engine.default_spatial_tiling``).  ``use(True)`` lowers
+    ``SPATIAL_TILING_AUTO_NODES`` to 0, so every deployment keeps the sparse
+    state (positions, plus the CSR for the unit disk); ``use(False)``
+    restores the threshold, under which every test deployment (at most
+    4,096 nodes) keeps the dense matrix.  Each call empties the link cache.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.sim import engine
+
+        self._engine = engine
+        self._monkeypatch = monkeypatch
+        self._default = engine.SPATIAL_TILING_AUTO_NODES
+
+    def use(self, sparse: bool) -> None:
+        threshold = 0 if sparse else self._default
+        self._monkeypatch.setattr(self._engine, "SPATIAL_TILING_AUTO_NODES", threshold)
+        clear_link_cache()
+
+    def both(self, run):
+        """``(run(False), run(True))``: ``run(sparse)`` on the dense form, then the sparse."""
+        results = []
+        for sparse in (False, True):
+            self.use(sparse)
+            results.append(run(sparse))
+        return tuple(results)
+
+
+@pytest.fixture
+def link_forms(monkeypatch) -> LinkForms:
+    return LinkForms(monkeypatch)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

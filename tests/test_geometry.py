@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.topology import geometry as geo
 
@@ -67,18 +66,23 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             geo.pairwise_distances([(0, 0)], norm="l1")
 
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_entries_are_the_point_distances(self, norm):
+        # The schedule tests take this matrix as their brute-force reference,
+        # so each entry must be the scalar distance of its pair.
+        pos = np.random.default_rng(6).uniform(-20, 20, size=(25, 2))
+        dist = geo.pairwise_distances(pos, norm=norm)
+        points = [geo.Point(x, y) for x, y in pos.tolist()]
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                want = a.linf(b) if norm == "linf" else a.l2(b)
+                assert dist[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_empty_deployment(self):
+        assert geo.pairwise_distances(np.empty((0, 2))).shape == (0, 0)
+
 
 class TestNeighborhoods:
-    def test_neighbors_within_linf(self):
-        pos = [(0, 0), (2, 0), (0, 2), (3, 3), (5, 5)]
-        idx = geo.neighbors_within(pos, (0, 0), 3, norm="linf")
-        assert set(idx.tolist()) == {0, 1, 2, 3}
-
-    def test_neighbors_within_strict(self):
-        pos = [(0, 0), (3, 0)]
-        assert 1 in geo.neighbors_within(pos, (0, 0), 3, norm="linf").tolist()
-        assert 1 not in geo.neighbors_within(pos, (0, 0), 3, norm="linf", strict=True).tolist()
-
     def test_neighborhood_matrix_excludes_self(self):
         pos = [(0, 0), (1, 0), (10, 10)]
         adj = geo.neighborhood_matrix(pos, 2, norm="l2")
@@ -86,11 +90,26 @@ class TestNeighborhoods:
         assert adj[0, 1] and adj[1, 0]
         assert not adj[0, 2]
 
+    def test_neighborhood_matrix_include_self(self):
+        pos = [(0, 0), (1, 0), (10, 10)]
+        adj = geo.neighborhood_matrix(pos, 2, norm="l2", include_self=True)
+        assert adj.diagonal().all()
+        assert adj.sum() == 3 + 2
+
+    @pytest.mark.parametrize(
+        "norm,other", [("linf", (3.0, 3.0)), ("l2", (0.0, 3.0))], ids=["linf", "l2"]
+    )
+    def test_pair_at_the_radius_is_adjacent(self, norm, other):
+        # Neighbourhoods are closed balls: a pair exactly R apart is adjacent.
+        pos = [(0.0, 0.0), other]
+        assert geo.neighborhood_matrix(pos, 3.0, norm=norm)[0, 1]
+        assert not geo.neighborhood_matrix(pos, 3.0 - 1e-9, norm=norm)[0, 1]
+
     def test_neighborhood_counts_grid(self):
         # On a 5x5 unit grid with R=1 (L-inf), interior nodes have 8 neighbors.
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
         pos = np.column_stack([xs.ravel(), ys.ravel()])
-        counts = geo.neighborhood_counts(pos, 1.0, norm="linf")
+        counts = geo.neighborhood_matrix(pos, 1.0, norm="linf").sum(axis=1)
         assert counts.max() == 8
         assert counts.min() == 3  # corners
 
@@ -98,44 +117,8 @@ class TestNeighborhoods:
         # The paper: a neighborhood of radius R on the unit grid holds (2R+1)^2 - 1 others.
         xs, ys = np.meshgrid(np.arange(9.0), np.arange(9.0))
         pos = np.column_stack([xs.ravel(), ys.ravel()])
-        counts = geo.neighborhood_counts(pos, 2.0, norm="linf")
+        counts = geo.neighborhood_matrix(pos, 2.0, norm="linf").sum(axis=1)
         assert counts.max() == (2 * 2 + 1) ** 2 - 1
-
-
-class TestBoundingAndCommonNeighborhood:
-    def test_bounding_box(self):
-        assert geo.bounding_box([(1, 2), (3, -1)]) == (1.0, -1.0, 3.0, 2.0)
-
-    def test_bounding_box_empty(self):
-        assert geo.bounding_box(np.empty((0, 2))) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_fits_in_common_neighborhood_true(self):
-        pos = [(0, 0), (2, 2), (1, 0)]
-        assert geo.fits_in_common_neighborhood(pos, radius=1.0)
-
-    def test_fits_in_common_neighborhood_false(self):
-        pos = [(0, 0), (3, 0)]
-        assert not geo.fits_in_common_neighborhood(pos, radius=1.0)
-
-    def test_fits_empty_set(self):
-        assert geo.fits_in_common_neighborhood(np.empty((0, 2)), radius=1.0)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-50, max_value=50), st.floats(min_value=-50, max_value=50)
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-        st.floats(min_value=0.5, max_value=10),
-    )
-    def test_fits_matches_bruteforce_center(self, points, radius):
-        """The box test agrees with an explicit center construction."""
-        pos = geo.as_positions(points)
-        xmin, ymin, xmax, ymax = geo.bounding_box(pos)
-        expected = (xmax - xmin) <= 2 * radius + 1e-9 and (ymax - ymin) <= 2 * radius + 1e-9
-        assert geo.fits_in_common_neighborhood(pos, radius) == expected
 
 
 class TestFloatL2Distance:
@@ -149,24 +132,3 @@ class TestFloatL2Distance:
             for pa, pb in zip(a, b):
                 expected = float(np.sqrt(np.sum((np.asarray(pa, float) - np.asarray(pb, float)) ** 2)))
                 assert geo.l2_distance_floats(pa.tolist(), pb.tolist()) == expected
-
-
-class TestDiameters:
-    def test_linf_diameter_hops(self):
-        pos = [(0, 0), (10, 0), (0, 7)]
-        assert geo.linf_diameter_hops(pos, radius=2.0) == 5
-
-    def test_diameter_single_point(self):
-        assert geo.linf_diameter_hops([(1, 1)], radius=2.0) == 0
-
-    def test_diameter_invalid_radius(self):
-        with pytest.raises(ValueError):
-            geo.linf_diameter_hops([(0, 0), (1, 1)], radius=0)
-
-    def test_grid_hop_distance(self):
-        assert geo.grid_hop_distance((0, 0), (7, 3), radius=2.0) == 4
-        assert geo.grid_hop_distance((0, 0), (0, 0), radius=2.0) == 0
-
-    def test_grid_hop_distance_invalid_radius(self):
-        with pytest.raises(ValueError):
-            geo.grid_hop_distance((0, 0), (1, 1), radius=0.0)

@@ -1,21 +1,21 @@
-"""Fast-path-vs-oracle equivalence, and byte-identity end to end.
+"""Channel resolvers, tier-vs-oracle equivalence, and byte-identity end to end.
 
-PR 3 vectorized the per-round channel resolvers (`UnitDiskChannel` /
-`FriisChannel`) and added whole-round memoization to the engine; PR 4 added
-the cohort protocol runtime (`repro.sim.batch`), which executes
-observation-identical devices' state machines once per cohort.  The contract
-is strict bit-identity for both layers: each fast path must produce
-*identical observations/records* to its per-device/scalar oracle **and leave
-the RNG at exactly the same stream position** (otherwise every later draw of
-a run diverges).  These tests pin that contract:
+Each channel resolves a round one way, a loop over the listeners, and the
+cohort protocol runtime (`repro.sim.batch`) executes observation-identical
+devices' state machines once per cohort.  The contract
+is strict bit-identity: each fast path must produce *identical
+observations/records* to its per-device/scalar oracle **and leave the RNG at
+exactly the same stream position** (otherwise every later draw of a run
+diverges).  These tests pin that contract:
 
-* property tests drive randomized listener/transmitter sets through both
-  channel implementations side by side (same seed) and compare observation
-  lists and the next RNG draw, and a round whose listeners decode three
-  different transmitters must leave ``numpy.ma`` unimported;
-* end-to-end tests run whole scenarios on the scalar engine loop with the
-  channel's resolves routed through its scalar reference loop — and,
-  separately, with the cohort runtime toggled — and compare the full result
+* property tests resolve randomized rounds from positions (``observe``) and
+  from blocks of the dense and the sparse link state (``resolve_links``) and
+  compare observation lists and the next RNG draw, and rounds whose
+  listeners decode three different transmitters must agree the same way and
+  leave ``numpy.ma`` unimported;
+* end-to-end tests run whole scenarios with every round resolved from
+  positions and from either link state, with the cohort runtime toggled,
+  and on the dense and the sparse link state, and compare the full result
   records and the channel-RNG position;
 * a warm-store regression runs one experiment cold then warm through a
   ``ResultStore`` (the ``REPRO_BENCH_CACHE_DIR`` path of the benchmark
@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import Frame, FrameKind
+from repro.sim.linkstate import link_block
 from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel, message_observation
 
 # Node layouts are drawn as integer grid offsets scaled down, which produces
@@ -60,57 +61,49 @@ def _split_roles(positions, data):
     return listener_ids, transmissions
 
 
-def _kernel_name(channel) -> str:
-    """The channel's per-round resolver, whose scalar reference adds ``_scalar``."""
-    return "_resolve_powers" if isinstance(channel, FriisChannel) else "_resolve_audible"
+def _resolve_three_ways(channel, positions, listener_ids, transmissions, seed):
+    """One round from positions, then from the dense and the sparse link state.
 
-
-def _pin_scalar(channel):
-    """Route ``channel``'s per-round resolves through its scalar reference loop."""
-    name = _kernel_name(channel)
-    setattr(channel, name, getattr(channel, name + "_scalar"))
-    return channel
-
-
-def _observe_both(channel_factory, positions, listener_ids, transmissions, seed):
-    """Run the vectorized and the scalar kernel on the same round and RNG seed."""
-    pos = np.asarray(positions, dtype=float) / 2.0
-    fast = channel_factory()
-    slow = _pin_scalar(channel_factory())
-    rng_fast = np.random.default_rng(seed)
-    rng_slow = np.random.default_rng(seed)
-    obs_fast = fast.observe(listener_ids, pos[listener_ids], transmissions, rng_fast)
-    obs_slow = slow.observe(listener_ids, pos[listener_ids], transmissions, rng_slow)
-    return obs_fast, obs_slow, rng_fast, rng_slow
+    ``positions`` holds every node; each resolve gets its own generator
+    seeded alike.  Returns the three observation lists and each generator's
+    next draw.
+    """
+    senders = [t.sender for t in transmissions]
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    observed = [channel.observe(listener_ids, positions[listener_ids], transmissions, rngs[0])]
+    for rng, state in zip(rngs[1:], (channel.link_state(positions), channel.link_state_sparse(positions))):
+        block = link_block(state, listener_ids, senders)
+        observed.append(channel.resolve_links(block, transmissions, rng))
+    return observed, [rng.random() for rng in rngs]
 
 
 class TestUnitDiskKernelEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1),
-           loss=st.sampled_from([0.0, 0.25, 0.9]))
-    def test_loss_configurations_match_scalar(self, data, positions, seed, loss):
-        """Deterministic and loss-only configs take the vectorized path."""
+           loss=st.sampled_from([0.0, 0.25, 0.9]), norm=st.sampled_from(["l2", "linf"]))
+    def test_loss_configurations_match_link_state(self, data, positions, seed, loss, norm):
+        """Deterministic and loss-only rounds: a draw per sole-audible listener."""
         listener_ids, transmissions = _split_roles(positions, data)
-        obs_fast, obs_slow, rng_fast, rng_slow = _observe_both(
-            lambda: UnitDiskChannel(2.0, loss_probability=loss),
-            positions, listener_ids, transmissions, seed,
+        observed, draws = _resolve_three_ways(
+            UnitDiskChannel(2.0, norm=norm, loss_probability=loss),
+            np.asarray(positions, dtype=float) / 2.0, listener_ids, transmissions, seed,
         )
-        assert obs_fast == obs_slow
+        assert observed[1] == observed[0] and observed[2] == observed[0]
         # Identical stream position: the next draw must agree.
-        assert rng_fast.random() == rng_slow.random()
+        assert draws[1] == draws[0] and draws[2] == draws[0]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1),
            capture=st.sampled_from([0.3, 1.0]), loss=st.sampled_from([0.0, 0.25]))
-    def test_capture_configurations_match_scalar(self, data, positions, seed, capture, loss):
-        """Capture configs fall back to the scalar loop — still equivalent."""
+    def test_capture_configurations_match_link_state(self, data, positions, seed, capture, loss):
+        """Captured collisions add a capture draw, a choice and a loss draw, in listener order."""
         listener_ids, transmissions = _split_roles(positions, data)
-        obs_fast, obs_slow, rng_fast, rng_slow = _observe_both(
-            lambda: UnitDiskChannel(2.0, capture_probability=capture, loss_probability=loss),
-            positions, listener_ids, transmissions, seed,
+        observed, draws = _resolve_three_ways(
+            UnitDiskChannel(2.0, capture_probability=capture, loss_probability=loss),
+            np.asarray(positions, dtype=float) / 2.0, listener_ids, transmissions, seed,
         )
-        assert obs_fast == obs_slow
-        assert rng_fast.random() == rng_slow.random()
+        assert observed[1] == observed[0] and observed[2] == observed[0]
+        assert draws[1] == draws[0] and draws[2] == draws[0]
 
     def test_consumes_rng_classification(self):
         assert not UnitDiskChannel(1.0).consumes_rng()
@@ -119,18 +112,6 @@ class TestUnitDiskKernelEquivalence:
 
 
 class TestFriisKernelEquivalence:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1),
-           loss=st.sampled_from([0.0, 0.25, 0.9]))
-    def test_matches_scalar(self, data, positions, seed, loss):
-        listener_ids, transmissions = _split_roles(positions, data)
-        obs_fast, obs_slow, rng_fast, rng_slow = _observe_both(
-            lambda: FriisChannel(2.0, loss_probability=loss),
-            positions, listener_ids, transmissions, seed,
-        )
-        assert obs_fast == obs_slow
-        assert rng_fast.random() == rng_slow.random()
-
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1))
     def test_resolve_links_matches_observe(self, data, positions, seed):
@@ -146,6 +127,19 @@ class TestFriisKernelEquivalence:
         via_links = chan.resolve_links(state[np.ix_(listener_ids, senders)], transmissions, rng_b)
         assert direct == via_links
         assert rng_a.random() == rng_b.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1),
+           loss=st.sampled_from([0.0, 0.25, 0.9]))
+    def test_loss_configurations_match_link_state(self, data, positions, seed, loss):
+        """The sparse state recomputes each power block from positions, as observe does."""
+        listener_ids, transmissions = _split_roles(positions, data)
+        observed, draws = _resolve_three_ways(
+            FriisChannel(2.0, loss_probability=loss),
+            np.asarray(positions, dtype=float) / 2.0, listener_ids, transmissions, seed,
+        )
+        assert observed[1] == observed[0] and observed[2] == observed[0]
+        assert draws[1] == draws[0] and draws[2] == draws[0]
 
     def test_consumes_rng_classification(self):
         assert not FriisChannel(1.0).consumes_rng()
@@ -163,56 +157,59 @@ class TestMessageObservationInterning:
         assert a != b and a.decoded != b.decoded
 
 
-def _run_with_kernels(deployment, config, *, vectorized: bool):
-    """One scalar-loop run whose every round resolves through the named kernel.
-
-    Returns the record, the next RNG draw and the number of kernel calls.
-    """
-    from repro.sim.builder import build_simulation
-    from repro.sim.engine import clear_link_cache
-
-    clear_link_cache()  # the link cache is keyed by channel params, but keep runs isolated
-    sim = build_simulation(deployment, config, use_soa_kernels=False, use_cohort_runtime=False)
-    channel = sim.channel
-    name = _kernel_name(channel)
-    kernel = getattr(channel, name if vectorized else name + "_scalar")
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    setattr(channel, name, counted)
-    record = sim.run(4000).to_record()
-    return record, sim.rng.random(), calls
-
-
 class TestEndToEndEquivalence:
-    """Whole runs through the scalar reference loops must not move a bit."""
+    """Whole runs resolved from positions and from link-state blocks must not move a bit.
+
+    With the channel's link signature withheld the engine keeps no link
+    state and resolves every round through ``observe``, measuring the
+    round's distances afresh; otherwise it resolves cached blocks of the
+    dense matrix or of the sparse state.  All three runs use the scalar loop.
+    """
 
     @pytest.mark.parametrize("channel,loss", [("unitdisk", 0.0), ("unitdisk", 0.2),
                                               ("friis", 0.0), ("friis", 0.2)])
-    def test_full_run_identical(self, tiny_grid_deployment, channel, loss):
+    def test_full_run_identical(self, tiny_grid_deployment, link_forms, monkeypatch, channel, loss):
+        from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
 
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
             channel=channel, loss_probability=loss,
         )
-        *fast, fast_calls = _run_with_kernels(tiny_grid_deployment, config, vectorized=True)
-        *slow, slow_calls = _run_with_kernels(tiny_grid_deployment, config, vectorized=False)
-        assert fast_calls > 0 and slow_calls > 0
-        assert fast == slow
+        channel_cls = FriisChannel if channel == "friis" else UnitDiskChannel
+
+        def run(_sparse=None):
+            sim = build_simulation(
+                tiny_grid_deployment, config, use_soa_kernels=False, use_cohort_runtime=False
+            )
+            calls = {"observe": 0, "resolve_links": 0}
+            for name in calls:
+                method = getattr(sim.channel, name)
+
+                def counted(*args, _name=name, _method=method):
+                    calls[_name] += 1
+                    return _method(*args)
+
+                setattr(sim.channel, name, counted)
+            record = sim.run(4000).to_record()
+            return (record, sim.rng.random()), sim._link_state is None, calls
+
+        with monkeypatch.context() as patch:
+            patch.setattr(channel_cls, "link_signature", lambda self: None)
+            from_positions, no_state, calls = run()
+        assert no_state and calls["observe"] > 0 and calls["resolve_links"] == 0
+        for result, no_state, calls in link_forms.both(run):
+            assert not no_state and calls["resolve_links"] > 0 and calls["observe"] == 0
+            assert result == from_positions
 
 
 class TestCohortRuntimeEquivalence:
     """Cohort-vs-scalar protocol execution must not move a bit either.
 
-    Same discipline PR 3 applied to the channel kernels: full-record identity
-    across channels, loss/capture settings and fault plans, plus an explicit
-    channel-RNG stream-position check (stochastic configurations draw per
-    listener, so any divergence in execution order would surface here).
+    Full-record identity across channels, loss/capture settings and fault
+    plans, plus an explicit channel-RNG stream-position check (stochastic
+    configurations draw per listener, so any divergence in execution order
+    would surface here).
     """
 
     @pytest.mark.parametrize(
@@ -305,13 +302,13 @@ class TestWarmStoreByteIdentity:
 
 
 class TestSpatialTilingEquivalence:
-    """Tiled-vs-dense link state must not move a bit either.
+    """Sparse-vs-dense link state must not move a bit either.
 
-    Same discipline as the kernel and cohort layers: full-record identity
-    across protocols, channels and loss/capture settings, plus the explicit
-    channel-RNG stream-position check.  The 600- and 1200-node cases are the
-    PR's stated scale pins — uniform deployments at the benchmark macros'
-    density, run tiled and untiled back to back.
+    Full-record identity across protocols, channels and loss/capture
+    settings, plus the explicit channel-RNG stream-position check.  The
+    ``link_forms`` fixture runs each case on the dense matrix, then with the
+    node threshold lowered to 0 on the sparse state.  The 600- and 1200-node
+    cases are uniform deployments at the benchmark macros' density.
     """
 
     @pytest.mark.parametrize(
@@ -328,11 +325,10 @@ class TestSpatialTilingEquivalence:
         ],
     )
     def test_full_run_identical_and_rng_position_matches(
-        self, uniform_small_deployment, protocol, channel, loss, capture
+        self, uniform_small_deployment, link_forms, protocol, channel, loss, capture
     ):
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
-        from repro.sim.engine import clear_link_cache
 
         kwargs = dict(
             protocol=protocol, radius=3.0, seed=17, channel=channel,
@@ -343,21 +339,20 @@ class TestSpatialTilingEquivalence:
             kwargs["multipath_tolerance"] = 1
         config = ScenarioConfig(**kwargs)
 
-        results = {}
-        for tiled in (False, True):
-            clear_link_cache()
-            sim = build_simulation(uniform_small_deployment, config, use_spatial_tiling=tiled)
-            record = sim.run(4000).to_record()
-            results[tiled] = (record, sim.rng.random())
-        assert results[True][0] == results[False][0]
-        assert results[True][1] == results[False][1]
+        def run(sparse):
+            sim = build_simulation(uniform_small_deployment, config)
+            assert sim.plan_cache_info()["spatial_tiling"]["enabled"] is sparse
+            return sim.run(4000).to_record(), sim.rng.random()
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
 
     @pytest.mark.parametrize(
         "protocol,num_nodes",
         [("neighborwatch", 600), ("epidemic", 1200)],
     )
-    def test_scale_pins_600_and_1200_nodes(self, protocol, num_nodes):
-        """The acceptance-scale runs: tiled byte-identity at 600/1200 nodes.
+    def test_scale_pins_600_and_1200_nodes(self, link_forms, protocol, num_nodes):
+        """Sparse-vs-dense byte identity at 600/1200 nodes.
 
         Serialized-record equality covers the exported rows and the bytes a
         ResultStore would persist; the RNG draw pins the stream position.
@@ -365,45 +360,39 @@ class TestSpatialTilingEquivalence:
         from repro.experiments.factories import UniformDeploymentFactory
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
-        from repro.sim.engine import clear_link_cache
 
         deployment = UniformDeploymentFactory(num_nodes, 20.0, 20.0)(5)
         config = ScenarioConfig(
             protocol=protocol, radius=4.0, message_length=4, seed=5
         )
-        serialized = {}
-        for tiled in (False, True):
-            clear_link_cache()
+
+        def run(sparse):
             # Pinned to the cohort/scalar tiers: the block-cache misses
             # asserted below only happen when rounds resolve through the
             # link state, which the SoA slot kernels bypass.
-            sim = build_simulation(
-                deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
-            )
+            sim = build_simulation(deployment, config, use_soa_kernels=False)
             result = sim.run(20000)
-            serialized[tiled] = (
-                json.dumps(result.to_record(), sort_keys=True, default=str),
-                sim.rng.random(),
-            )
             info = sim.plan_cache_info()["spatial_tiling"]
-            assert info["enabled"] is tiled
-            if tiled:
+            assert info["enabled"] is sparse
+            if sparse:
                 assert info["sparse_nnz"] < num_nodes * num_nodes
                 assert sim.plan_cache_info()["submatrix"]["misses"] > 0
-        assert serialized[True] == serialized[False]
+            return json.dumps(result.to_record(), sort_keys=True, default=str), sim.rng.random()
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
 
     @pytest.mark.parametrize("loss", [0.0, 0.1])
-    def test_bucketed_schedule_with_sparse_soa_compile(self, loss):
-        """Epidemic at 2,048 nodes, SoA on, tiled vs dense.
+    def test_bucketed_schedule_with_sparse_soa_compile(self, link_forms, loss):
+        """Epidemic at 2,048 nodes, SoA on, sparse vs dense.
 
-        The tiled run compiles its SoA groups from the CSR link state while
+        The sparse run compiles its SoA groups from the CSR link state while
         the dense run slices the audibility matrix — the combination the
         10^5-node macros run, at a size tier-1 can afford.
         """
         from repro.experiments.factories import UniformDeploymentFactory
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
-        from repro.sim.engine import clear_link_cache
 
         num_nodes = 2048
         side = (num_nodes / 0.125) ** 0.5
@@ -412,31 +401,28 @@ class TestSpatialTilingEquivalence:
             protocol="epidemic", radius=6.0, message_length=4, seed=5,
             loss_probability=loss,
         )
-        results = {}
-        for tiled in (False, True):
-            clear_link_cache()
-            sim = build_simulation(
-                deployment, config, use_spatial_tiling=tiled, use_soa_kernels=True
-            )
+
+        def run(sparse):
+            sim = build_simulation(deployment, config, use_soa_kernels=True)
             info = sim.plan_cache_info()
-            assert info["spatial_tiling"]["enabled"] is tiled
+            assert info["spatial_tiling"]["enabled"] is sparse
             assert info["soa_kernels"]["slots_compiled"] > 0
             record = sim.run(100_000).to_record()
             assert sim.plan_cache_info()["soa_kernels"]["slots_run"] > 0
-            results[tiled] = (record, sim.rng.random())
-        assert results[True][0] == results[False][0]
-        assert results[True][1] == results[False][1]
+            return record, sim.rng.random()
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
 
 
 class TestNoMaskedArrayImport:
-    """The vectorized resolvers group decoding listeners without ``np.unique``.
+    """The channel resolvers never import ``numpy.ma``.
 
     In NumPy 2 the first ``np.unique`` call imports ``numpy.ma``, which no
-    channel kernel needs; grouping by transmitter with one ``np.bincount``
-    keeps it out of a sweep that never asked for it.  A unit-disk and a
-    Friis round, each with three transmitters decoded by separate
-    listeners, run in a fresh interpreter; the same rounds must equal the
-    scalar loops' observations and RNG positions.
+    resolver needs.  A unit-disk and a Friis round, each with three
+    transmitters decoded by separate listeners, run in a fresh interpreter,
+    which must leave it unloaded.  In process, the same rounds decode all
+    three senders alike from positions and from both link-state forms.
     """
 
     CODE = (
@@ -477,18 +463,18 @@ class TestNoMaskedArrayImport:
 
     @pytest.mark.parametrize("channel_cls", [UnitDiskChannel, FriisChannel])
     @pytest.mark.parametrize("loss", [0.0, 0.1])
-    def test_grouped_decodes_match_the_scalar_loop(self, channel_cls, loss):
+    def test_grouped_decodes_agree_across_link_forms(self, channel_cls, loss):
         transmissions = [
             Transmission(i, (10.0 * i, 0.0), Frame(FrameKind.DATA_BIT, i, (i % 2,)))
             for i in range(3)
         ]
-        xs = [10.0 * i + d for i in range(3) for d in (0.5, -0.7, 1.1)] + [5.0, 15.0]
+        xs = [10.0 * i for i in range(3)]
+        xs += [10.0 * i + d for i in range(3) for d in (0.5, -0.7, 1.1)] + [5.0, 15.0]
         positions = np.array([[x, 0.0] for x in xs])
-        listeners = list(range(3, 3 + len(xs)))
-        fast = channel_cls(2.0, loss_probability=loss)
-        slow = _pin_scalar(channel_cls(2.0, loss_probability=loss))
-        rng_fast, rng_slow = np.random.default_rng(5), np.random.default_rng(5)
-        observed = fast.observe(listeners, positions, transmissions, rng_fast)
-        assert observed == slow.observe(listeners, positions, transmissions, rng_slow)
-        assert rng_fast.random() == rng_slow.random()
-        assert len({obs.decoded.sender for obs in observed if obs.decoded is not None}) == 3
+        listeners = list(range(3, len(xs)))
+        observed, draws = _resolve_three_ways(
+            channel_cls(2.0, loss_probability=loss), positions, listeners, transmissions, 5
+        )
+        assert observed[1] == observed[0] and observed[2] == observed[0]
+        assert draws[1] == draws[0] and draws[2] == draws[0]
+        assert len({obs.decoded.sender for obs in observed[0] if obs.decoded is not None}) == 3

@@ -236,48 +236,6 @@ class TestLinkStateEquivalence:
             assert np.array_equal(state, expected)
 
 
-class TestLinkStateMemoryBudget:
-    """The dense link-state byte budget must refuse quadratic allocations with
-    a message that names the sparse/tiled escape hatch."""
-
-    def test_budget_exceeded_names_the_tiling_knob(self, monkeypatch):
-        from repro.sim.radio import LinkStateMemoryError
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "1024")
-        chan = UnitDiskChannel(2.0)
-        positions = np.zeros((64, 2))  # 64*64 = 4096 bytes > 1024
-        with pytest.raises(LinkStateMemoryError) as excinfo:
-            chan.link_state(positions)
-        message = str(excinfo.value)
-        assert "use_spatial_tiling" in message
-        assert "REPRO_SPATIAL_TILING" in message
-        assert "REPRO_LINK_STATE_MAX_BYTES" in message
-
-    def test_friis_budget_counts_eight_bytes_per_pair(self, monkeypatch):
-        from repro.sim.radio import LinkStateMemoryError
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "10000")
-        positions = np.random.default_rng(0).uniform(0, 5, size=(40, 2))
-        # 40*40*1 = 1600 bytes fits for unitdisk ...
-        assert UnitDiskChannel(2.0).link_state(positions) is not None
-        # ... but 40*40*8 = 12800 bytes does not for friis.
-        with pytest.raises(LinkStateMemoryError):
-            FriisChannel(2.0).link_state(positions)
-
-    def test_budget_disabled_with_nonpositive_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "0")
-        assert UnitDiskChannel(2.0).link_state(np.zeros((64, 2))) is not None
-
-    def test_sparse_tier_is_not_budgeted(self, monkeypatch):
-        from repro.sim.linkstate import UnitDiskLinkState
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "1024")
-        positions = np.random.default_rng(1).uniform(0, 20, size=(64, 2))
-        state = UnitDiskChannel(2.0).link_state_sparse(positions)
-        assert isinstance(state, UnitDiskLinkState)
-        assert state.nnz < 64 * 64
-
-
 class TestSparseLinkState:
     """Sparse link states must recompute exact dense blocks from positions."""
 

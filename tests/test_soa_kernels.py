@@ -321,14 +321,15 @@ class TestThreeTierEquivalence:
         _assert_tiers_identical(runs)
         assert runs["soa"][2]["soa_kernels"]["slots_run"] > 0
 
-    def test_tiling_composes_with_the_kernels(self, uniform_small_deployment, nw_config):
-        clear_link_cache()
-        sim = build_simulation(
-            uniform_small_deployment, nw_config, use_soa_kernels=True, use_spatial_tiling=True
-        )
-        tiled = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
-        runs = _run_tiers(uniform_small_deployment, nw_config)
-        assert tiled == (runs["soa"][0], runs["soa"][1])
+    def test_tiling_composes_with_the_kernels(self, uniform_small_deployment, nw_config, link_forms):
+        def run(sparse):
+            sim = build_simulation(uniform_small_deployment, nw_config, use_soa_kernels=True)
+            assert isinstance(sim._link_state, UnitDiskLinkState) is sparse
+            assert sim.plan_cache_info()["soa_kernels"]["slots_compiled"] > 0
+            return sim.run(MAX_ROUNDS).to_record(), sim.rng.random()
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
 
 
 class TestGroupAdjacency:
@@ -398,14 +399,11 @@ class TestGroupAdjacency:
                 assert span == want
 
     @pytest.mark.parametrize("tiled", [True, False], ids=["csr", "dense"])
-    def test_epidemic_groups_hold_only_owner_columns(self, tiled):
+    def test_epidemic_groups_hold_only_owner_columns(self, tiled, link_forms):
         config = ScenarioConfig(protocol="epidemic", radius=2.0, message_length=2, seed=1)
-        clear_link_cache()
+        link_forms.use(tiled)
         sim = build_simulation(
-            uniform_deployment(120, 20, 10, rng=3),
-            config,
-            use_soa_kernels=True,
-            use_spatial_tiling=tiled,
+            uniform_deployment(120, 20, 10, rng=3), config, use_soa_kernels=True
         )
         state = sim._link_state
         assert isinstance(state, UnitDiskLinkState) is tiled

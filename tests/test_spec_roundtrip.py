@@ -261,6 +261,32 @@ class TestCli:
         assert code == 2
         assert "unknown deployment 'unifrm'" in err and "clustered" in err
 
+    @pytest.mark.parametrize("command", ["run", "describe"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("schedule_separation = nan", "schedule_separation must be a finite number > 0"),
+            ("bogus_knob = 3", "unexpected keyword argument 'bogus_knob'"),
+            ('message = "abc"', "invalid literal for int()"),
+        ],
+        ids=["out-of-range", "unknown-key", "wrong-type"],
+    )
+    def test_invalid_scenario_table_exits_2(self, capsys, tmp_path, command, line, message):
+        # ScenarioConfig rejects the [scenario] table while the sweep tasks
+        # are built: one error line naming the spec, not a traceback.
+        source = EXAMPLE_SPEC.parent / "multipath_lying_smoke.toml"
+        anchor = 'multipath_tolerance = "$tolerance"\n'
+        text = source.read_text(encoding="utf8")
+        assert anchor in text
+        bad = tmp_path / "bad_scenario.toml"
+        bad.write_text(text.replace(anchor, anchor + line + "\n"), encoding="utf8")
+        code, out, err = self.run_cli(capsys, command, "--spec", str(bad))
+        assert code == 2
+        assert out == ""
+        (error,) = err.splitlines()
+        assert error.startswith("error: MPLIE-SMOKE: [scenario] ")
+        assert message in error
+
     def test_undeclared_scale_on_scaleless_spec_exits_2(self, capsys):
         # The example spec declares no scales; an *explicit* non-default scale
         # must error rather than silently running base parameters.

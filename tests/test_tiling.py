@@ -1,18 +1,20 @@
-"""Sparse link-state tier: knobs, counters and block equivalence.
+"""Sparse link-state tier: threshold, counters and block equivalence.
 
-The sparse tier (`repro.sim.linkstate`, behind the engine's
-``use_spatial_tiling`` knob) keeps node positions plus, for the unit disk, a
-CSR audibility graph instead of the dense matrix.  These tests pin the
-control surface (env defaults, auto threshold,
-`plan_cache_info()["spatial_tiling"]`, the memory budget guard) and the bit
-identity of the blocks it reads off the CSR against the dense slice — as
-blocks, and as rounds resolved on the channel kernels, RNG stream position
-included.  The dense unit-disk mask is scattered from the same CSR, so
-audibility itself is checked against the distance predicate ``observe``
-uses.
+The sparse tier (`repro.sim.linkstate`) keeps node positions plus, for the
+unit disk, a CSR audibility graph instead of the dense matrix; the engine
+keeps it above ``SPATIAL_TILING_AUTO_NODES`` nodes.  These tests pin the
+threshold, `plan_cache_info()["spatial_tiling"]`, the bit identity of the
+blocks read off the CSR against the dense slice (as blocks, and as rounds
+resolved on the channel's listener loop, RNG stream position included) and
+of whole runs and experiment exports on both forms (the ``link_forms``
+fixture lowers the threshold to 0 for the sparse side).  The dense
+unit-disk mask is scattered from the same CSR, so audibility itself is
+checked against the distance predicate ``observe`` uses.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import Frame, FrameKind
 from repro.sim.builder import build_simulation
+from repro.sim import engine
 from repro.sim.config import ScenarioConfig, dense_link_state_bytes
 from repro.sim.engine import (
     SPATIAL_TILING_AUTO_NODES,
-    clear_link_cache,
+    _cached_link_state,
     default_spatial_tiling,
+    link_cache_info,
 )
 from repro.sim.linkstate import SparseLinkState, UnitDiskLinkState, link_block
 from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel
@@ -32,22 +36,40 @@ from repro.topology.deployment import uniform_deployment
 
 
 class TestSpatialTilingDefault:
-    def test_env_forces_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "1")
-        assert default_spatial_tiling(2)
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "true")
-        assert default_spatial_tiling(2)
-
-    def test_env_forces_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "0")
-        assert not default_spatial_tiling(10**6)
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "off")
-        assert not default_spatial_tiling(10**6)
-
-    def test_auto_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPATIAL_TILING", raising=False)
+    def test_auto_threshold(self):
         assert not default_spatial_tiling(SPATIAL_TILING_AUTO_NODES)
         assert default_spatial_tiling(SPATIAL_TILING_AUTO_NODES + 1)
+
+    @pytest.mark.parametrize("extra,sparse", [(0, False), (1, True)], ids=["at-threshold", "above"])
+    def test_node_count_picks_the_cached_form(self, extra, sparse):
+        # The engine's own threshold, nothing patched: the last node count
+        # that keeps the dense matrix and the first that keeps the CSR.
+        num_nodes = SPATIAL_TILING_AUTO_NODES + extra
+        positions = np.random.default_rng(8).uniform(0, 256, size=(num_nodes, 2))
+        state = _cached_link_state(UnitDiskChannel(2.0), positions)
+        assert isinstance(state, UnitDiskLinkState) is sparse
+        if not sparse:
+            assert state.dtype == bool and state.shape == (num_nodes, num_nodes)
+
+    @pytest.mark.parametrize(
+        "channel", [UnitDiskChannel(2.0), FriisChannel(reception_range=2.0)], ids=["unitdisk", "friis"]
+    )
+    def test_form_is_part_of_the_cache_key(self, channel, monkeypatch):
+        positions = np.random.default_rng(3).uniform(0, 10, size=(40, 2))
+        dense = _cached_link_state(channel, positions)
+        assert isinstance(dense, np.ndarray)
+        # A threshold lowered at run time must not be answered with the
+        # dense entry cached for the same channel and positions.
+        monkeypatch.setattr(engine, "SPATIAL_TILING_AUTO_NODES", 0)
+        sparse = _cached_link_state(channel, positions)
+        assert isinstance(sparse, SparseLinkState)
+        assert _cached_link_state(channel, positions) is sparse
+        monkeypatch.setattr(engine, "SPATIAL_TILING_AUTO_NODES", SPATIAL_TILING_AUTO_NODES)
+        assert _cached_link_state(channel, positions) is dense
+        info = link_cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (2, 2, 2)
+        rows, cols = list(range(0, 40, 3)), [5, 17, 33]
+        assert np.array_equal(link_block(sparse, rows, cols), dense[np.ix_(rows, cols)])
 
 
 class TestDenseLinkStateBytes:
@@ -61,15 +83,24 @@ class TestDenseLinkStateBytes:
         with pytest.raises(ValueError):
             dense_link_state_bytes(-1, "unitdisk")
 
+    @pytest.mark.parametrize("channel", ["unitdisk", "friis"])
+    def test_counts_the_matrix_the_channel_builds(self, channel):
+        positions = np.random.default_rng(2).uniform(0, 10, size=(50, 2))
+        chan = UnitDiskChannel(2.0) if channel == "unitdisk" else FriisChannel(reception_range=2.0)
+        assert chan.link_state(positions).nbytes == dense_link_state_bytes(50, channel)
 
-def _build(deployment, config, tiled):
-    clear_link_cache()
+    def test_largest_kept_dense_state(self):
+        # No byte budget guards the dense matrix: the threshold alone bounds
+        # it, at 16.8 MB for the unit disk and 134 MB for Friis.
+        assert dense_link_state_bytes(SPATIAL_TILING_AUTO_NODES, "unitdisk") <= 16_777_216
+        assert dense_link_state_bytes(SPATIAL_TILING_AUTO_NODES, "friis") <= 134_217_728
+
+
+def _build(deployment, config, **knobs):
     # The SoA tier bypasses per-round link-state resolution entirely; these
     # tests exercise the rounds resolved from sparse blocks, so they pin the
     # cohort/scalar tiers.
-    return build_simulation(
-        deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
-    )
+    return build_simulation(deployment, config, use_soa_kernels=False, **knobs)
 
 
 class TestEngineIntegration:
@@ -82,11 +113,12 @@ class TestEngineIntegration:
         return ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=11)
 
     def test_dense_path_reports_disabled(self, deployment, config):
-        sim = _build(deployment, config, False)
+        sim = _build(deployment, config)
         assert sim.plan_cache_info()["spatial_tiling"] == {"enabled": False}
 
-    def test_tiled_path_reports_counters(self, deployment, config):
-        sim = _build(deployment, config, True)
+    def test_tiled_path_reports_counters(self, deployment, config, link_forms):
+        link_forms.use(True)
+        sim = _build(deployment, config)
         info = sim.plan_cache_info()["spatial_tiling"]
         assert set(info) == {"enabled", "sparse_nnz", "index_dtype", "dense_bytes_avoided"}
         assert info["enabled"]
@@ -99,18 +131,20 @@ class TestEngineIntegration:
         sim.run(600)
         assert sim.plan_cache_info()["submatrix"]["misses"] > 0
 
-    def test_tiled_run_bit_identical_to_dense(self, deployment, config):
-        records = {}
-        for tiled in (False, True):
-            sim = _build(deployment, config, tiled)
-            records[tiled] = (sim.run(2000).to_record(), sim.rng.random())
-        assert records[True] == records[False]
+    def test_tiled_run_bit_identical_to_dense(self, deployment, config, link_forms):
+        def run(sparse):
+            sim = _build(deployment, config)
+            assert isinstance(sim._link_state, SparseLinkState) is sparse
+            return sim.run(2000).to_record(), sim.rng.random()
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
 
     @pytest.mark.parametrize(
         "channel,loss",
         [("unitdisk", 0.2), ("friis", 0.25)],
     )
-    def test_lossy_scalar_rounds_bit_identical_to_dense(self, deployment, channel, loss):
+    def test_lossy_scalar_rounds_bit_identical_to_dense(self, deployment, channel, loss, link_forms):
         # Lossy rounds draw the channel RNG per decodable listener, in
         # listener order; with the SoA tier off every one of them resolves
         # on a sparse block in the tiled run.
@@ -118,45 +152,84 @@ class TestEngineIntegration:
             protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
             channel=channel, loss_probability=loss,
         )
-        records = {}
-        for tiled in (False, True):
-            sim = _build(deployment, config, tiled)
-            records[tiled] = (sim.run(2000).to_record(), sim.rng.random())
-            assert sim.plan_cache_info()["submatrix"]["misses"] > 0
-        assert records[True] == records[False]
 
-    def test_cohort_runtime_on_sparse_blocks_matches_per_device_dense(self, deployment, config):
-        runs = {}
-        for tiled in (False, True):
-            clear_link_cache()
-            sim = build_simulation(
-                deployment, config, use_cohort_runtime=tiled,
-                use_spatial_tiling=tiled, use_soa_kernels=False,
-            )
+        def run(sparse):
+            sim = _build(deployment, config)
+            record = (sim.run(2000).to_record(), sim.rng.random())
+            assert sim.plan_cache_info()["submatrix"]["misses"] > 0
+            return record
+
+        dense, sparse = link_forms.both(run)
+        assert sparse == dense
+
+    def test_cohort_runtime_on_sparse_blocks_matches_per_device_dense(
+        self, deployment, config, link_forms
+    ):
+        def run(sparse):
+            sim = _build(deployment, config, use_cohort_runtime=sparse)
             record = sim.run(2000).to_record()
-            runs[tiled] = (record, sim.rng.random(), sim.plan_cache_info()["cohort_runtime"])
-        assert runs[True][:2] == runs[False][:2]
-        assert runs[False][2] == {"enabled": False}
-        cohorts = runs[True][2]
+            return record, sim.rng.random(), sim.plan_cache_info()["cohort_runtime"]
+
+        dense, sparse = link_forms.both(run)
+        assert sparse[:2] == dense[:2]
+        assert dense[2] == {"enabled": False}
+        cohorts = sparse[2]
         assert cohorts["enabled"] and cohorts["active"]
         assert "cross_region_cohorts" not in cohorts
 
-    def test_env_default_is_honored(self, deployment, config, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_TILING", "1")
-        clear_link_cache()
-        sim = build_simulation(deployment, config)
-        assert sim.use_spatial_tiling
-        assert isinstance(sim._link_state, SparseLinkState)
-
-    def test_friis_tiled_uses_submatrix_path(self, deployment):
+    def test_friis_tiled_uses_submatrix_path(self, deployment, link_forms):
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=11, channel="friis"
         )
-        sim = _build(deployment, config, True)
+        link_forms.use(True)
+        sim = _build(deployment, config)
         info = sim.plan_cache_info()["spatial_tiling"]
         # Positions only: no CSR, so no link count.
         assert info == {"enabled": True, "dense_bytes_avoided": info["dense_bytes_avoided"]}
         assert info["dense_bytes_avoided"] > 0  # friis dense is 8 bytes/pair
+
+
+class TestExperimentExports:
+    """FIG5 and JAM at small scale export the same bytes on both forms.
+
+    FIG5 runs every slot on the SoA kernels, which compile their groups from
+    the link state; JAM's jammer-joined slot occurrences fall back to the
+    scalar loop, the only small-scale rounds that read CSR blocks.
+    """
+
+    @pytest.mark.parametrize("experiment", ["FIG5", "JAM"])
+    def test_exported_rows_identical(self, experiment, link_forms, monkeypatch):
+        from repro.experiments import run_spec
+        from repro.registry import EXPERIMENT_SPECS
+        from repro.sim.linkstate import UnitDiskLinkState
+
+        monkeypatch.delenv("REPRO_SOA_KERNELS", raising=False)
+        calls = {"link_state": 0, "link_state_sparse": 0, "submatrix": 0}
+
+        def counted(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(UnitDiskChannel, "link_state")
+        counted(UnitDiskChannel, "link_state_sparse")
+        counted(UnitDiskLinkState, "submatrix")
+
+        def export(sparse):
+            calls.update(dict.fromkeys(calls, 0))
+            rows = run_spec(EXPERIMENT_SPECS.get(experiment), scale="small")
+            return json.dumps(list(rows), indent=2), dict(calls)
+
+        (dense, dense_calls), (sparse, sparse_calls) = link_forms.both(export)
+        assert dense_calls["link_state"] > 0 and dense_calls["link_state_sparse"] == 0
+        assert sparse_calls["link_state"] == 0 and sparse_calls["link_state_sparse"] > 0
+        if experiment == "JAM":
+            assert sparse_calls["submatrix"] > 0
+        assert sparse == dense
 
 
 class TestLinkBlock:
@@ -312,10 +385,11 @@ class TestSparseStateMemory:
 
 
 class TestPlanBlockCache:
-    def test_sparse_block_built_once_per_key(self):
+    def test_sparse_block_built_once_per_key(self, link_forms):
         deployment = uniform_deployment(60, 8, 8, rng=3)
         config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=2, seed=2)
-        sim = _build(deployment, config, True)
+        link_forms.use(True)
+        sim = _build(deployment, config)
         plan, state = sim.plan, sim._link_state
         misses, hits = plan.submatrix_misses, plan.submatrix_hits
         listeners, senders = [0, 1, 2, 5, 40], (3, 7)
@@ -329,7 +403,7 @@ class TestPlanBlockCache:
 
 class TestSparseRoundKernel:
     """Rounds resolved from a sparse block must match the dense block's
-    (observations and RNG stream position) on every unit-disk kernel."""
+    (observations and RNG stream position) on the unit-disk listener loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -402,10 +476,26 @@ class TestCsrIndexDtype:
 
 
 class TestDescribeMemoryEstimate:
-    def test_describe_mentions_memory_and_tiling(self):
+    def test_describe_mentions_memory_and_form(self):
         from repro.experiments.driver import describe_spec
         from repro.registry import EXPERIMENT_SPECS
 
         text = describe_spec(EXPERIMENT_SPECS.get("JAM"))
         assert "dense unitdisk link state" in text
-        assert "spatial tiling" in text.lower()
+        assert f"keeps the dense matrix (sparse above {SPATIAL_TILING_AUTO_NODES} nodes)" in text
+
+    def test_dense_form_at_the_threshold(self):
+        from repro.experiments.driver import _memory_lines
+
+        lines = _memory_lines({"num_nodes": SPATIAL_TILING_AUTO_NODES, "channel": "unitdisk"})
+        assert lines[0] == (
+            f"memory: {SPATIAL_TILING_AUTO_NODES} nodes — dense unitdisk link state would be 16.0 MiB"
+        )
+        assert "keeps the dense matrix" in lines[1]
+
+    def test_sparse_form_above_the_threshold(self):
+        from repro.experiments.driver import _memory_lines
+
+        lines = _memory_lines({"num_nodes": SPATIAL_TILING_AUTO_NODES + 1, "channel": "friis"})
+        assert lines[0].startswith(f"memory: {SPATIAL_TILING_AUTO_NODES + 1} nodes — dense friis")
+        assert "keeps the sparse link state instead" in lines[1]
