@@ -63,7 +63,11 @@ bench-baseline:
 # stream kernels' batched loss draws with the scalar loop's (FIG5 and FIG7 are
 # lossless; the Friis smoke spec diffs SoA against the cohort tier), and the
 # MultiPathRB jammer smoke spec, the one check in which MultiPathRB frame
-# groups fall back to the scalar loop mid-frame (322 fallbacks).  Every
+# groups fall back to the scalar loop mid-frame (322 fallbacks).  The
+# capture smoke spec runs NeighborWatchRB and its 2-voting variant under
+# unit-disk capture with lying devices: the SoA tier refuses capture, so its
+# default-tier side runs on the cohort runtime, the one diff of that tier on
+# the configuration it exists for.  Every
 # export goes to one temporary directory per run, removed at the end (also
 # on failure), so two checkouts can run this target at once.  Last,
 # each benchmarks/capture.py macro of BENCH_SMOKE_MACROS, every BENCH_10.json
@@ -97,7 +101,7 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > $$tmp/epid-soa.json; \
 	REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > $$tmp/epid-scalar.json; \
 	cmp $$tmp/epid-soa.json $$tmp/epid-scalar.json; \
-	for spec in multipath_lying_smoke stream_loss_smoke multipath_jam_smoke; do \
+	for spec in multipath_lying_smoke stream_loss_smoke multipath_jam_smoke capture_smoke; do \
 		REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/$$spec.toml --export json > $$tmp/$$spec-soa.json; \
 		REPRO_SOA_KERNELS=0 REPRO_COHORT_RUNTIME=0 $(PYTHON) -m repro.experiments run --spec examples/specs/$$spec.toml --export json > $$tmp/$$spec-scalar.json; \
 		cmp $$tmp/$$spec-soa.json $$tmp/$$spec-scalar.json; \

@@ -20,12 +20,13 @@ builder takes); the helpers here are thin conveniences that delegate through
 ``repro.registry.PROTOCOLS``, so there is exactly one construction rule per
 protocol.
 
-Cohort runtime note: although NeighborWatchRB's protocol *class* is
-``shareable``, the devices built by these factories are registered with
-``honest=False`` in the simulation, and the cohort runtime never shares
-dishonest devices — every lying device runs as a singleton cohort, exactly as
-the scalar oracle executes it (their ``preloaded_message`` also keys them
-apart from honest cohorts via ``cohort_key``, as defence in depth).
+Cohort runtime note: although a NeighborWatchRB liar is a
+``NeighborWatchNode``, the class the cohort runtime shares, the devices built
+by these factories are registered with ``honest=False`` in the simulation,
+and the cohort runtime never shares dishonest devices — every lying device
+runs as a singleton, exactly as the scalar oracle executes it (their
+``preloaded_message`` also keys them apart from honest cohorts via
+``cohort_key``, as defence in depth).
 """
 
 from __future__ import annotations

@@ -13,14 +13,7 @@ from .messages import (
     int_from_bits,
     validate_bits,
 )
-from .protocol import ChannelState, DeliveryStatus, NodeContext, Observation, Protocol, SILENCE
-from .runtime import (
-    END_PHASE,
-    OPAQUE_LISTEN,
-    ActionSpec,
-    PhaseContext,
-    action_spec,
-)
+from .protocol import ChannelState, NodeContext, Observation, Protocol, SILENCE
 from .regions import SquareGrid, SquareId, default_square_side
 from .schedule import PHASES_PER_SLOT, SOURCE_SLOT, NodeSchedule, Schedule, SquareSchedule
 from .twobit import NUM_PHASES, TwoBitBlocker, TwoBitOutcome, TwoBitReceiver, TwoBitSender
@@ -44,16 +37,10 @@ __all__ = [
     "int_from_bits",
     "validate_bits",
     "ChannelState",
-    "DeliveryStatus",
     "NodeContext",
     "Observation",
     "Protocol",
     "SILENCE",
-    "END_PHASE",
-    "OPAQUE_LISTEN",
-    "ActionSpec",
-    "PhaseContext",
-    "action_spec",
     "SquareGrid",
     "SquareId",
     "default_square_side",

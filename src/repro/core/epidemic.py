@@ -53,12 +53,10 @@ class EpidemicNode(Protocol):
 
     The node-level TDMA colouring gives nearly every device its own pair of
     slot and listen set, so devices would not group into cohorts: the
-    protocol is not ``shareable`` and runs per device through
-    ``act``/``observe`` (allocation-free on the single-phase path), or on
-    the SoA tier through :meth:`soa_node_spec`.
+    protocol runs per device through ``act``/``observe`` (allocation-free
+    on the single-phase path), or on the SoA tier through
+    :meth:`soa_node_spec`.
     """
-
-    soa_compilable = True
 
     def __init__(
         self,

@@ -107,16 +107,14 @@ class MultiPathNode(Protocol):
     The commit rule (:meth:`_check_commit`) and HEARD-cause resolution
     measure distances from *this device's position*, and two devices of one
     slot are more than the slot separation (``3R`` by default) apart, so no
-    two devices run the same state machine: the protocol is not
-    ``shareable`` and runs per device through ``act``/``observe``/
+    two devices run the same state machine: the cohort runtime never
+    shares it, and it runs per device through ``act``/``observe``/
     ``end_slot``.  Its transitions consume only channel
     activity (``busy``) and no randomness, and the slot machinery is the
-    same 2Bit/1Hop stack as NeighborWatchRB, so the protocol is
-    ``soa_compilable``: deterministic unit-disk slots lower to the
-    struct-of-arrays kernels of :mod:`repro.sim.soa`.
+    same 2Bit/1Hop stack as NeighborWatchRB, so its slots lower to the
+    struct-of-arrays kernels of :mod:`repro.sim.soa` through
+    :meth:`soa_state_spec`.
     """
-
-    soa_compilable = True
 
     def __init__(
         self,

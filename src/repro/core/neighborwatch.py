@@ -43,11 +43,40 @@ from .messages import Bits, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
 from .regions import SquareGrid
-from .runtime import END_PHASE, OPAQUE_LISTEN, PhaseContext, action_spec
 from .schedule import SOURCE_SLOT, SquareSchedule
 from .twobit import TwoBitBlocker
 
-__all__ = ["NeighborWatchConfig", "NeighborWatchNode", "NeighborWatchPlugin", "NeighborWatch2VotePlugin"]
+__all__ = [
+    "NeighborWatchConfig",
+    "NeighborWatchNode",
+    "NeighborWatchPlugin",
+    "NeighborWatch2VotePlugin",
+    "OPAQUE_LISTEN",
+]
+
+
+class _OpaqueListen:
+    """Singleton tag for 'listen, but the observation cannot change my state'."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "OPAQUE_LISTEN"
+
+
+#: Returned by :meth:`NeighborWatchNode.decide` instead of ``None`` when the
+#: device listens but its state machine provably discards this round's
+#: observation (a 2Bit sender during data rounds, a receiver during ack
+#: rounds, an unconditional blocker, an idle machine).  The engine still
+#: resolves the round for the device — listener sets, and therefore the
+#: channel RNG stream, are bit-identical to the per-device path — but the
+#: cohort runtime neither delivers the observation nor splits the cohort when
+#: members diverge in such a round, which is what keeps meta-node sharing
+#: intact on channels where far-away co-slot transmitters bleed marginal
+#: power across the map.  Declaring a round opaque that the transitions
+#: actually read breaks bit-identity — the oracle-equivalence suite is the
+#: enforcement.
+OPAQUE_LISTEN = _OpaqueListen()
 
 
 class _Role(enum.Enum):
@@ -89,18 +118,18 @@ class NeighborWatchConfig:
 class NeighborWatchNode(Protocol):
     """Per-device behaviour of NeighborWatchRB.
 
-    The state machine exists once, as the typed phase-machine transitions
-    ``phase_act``/``phase_observe``/``phase_end`` the cohort runtime calls;
-    the per-device ``act``/``observe``/``end_slot`` interface (oracle engine
-    path) is a thin adapter over them.
-    NeighborWatchRB is the paper's meta-node protocol — all honest devices of
-    a square behave identically until their observations diverge — and its
-    transitions consume no randomness and never consult the device identity
-    after setup, so it is :attr:`shareable`: the cohort runtime evaluates one
-    machine per group of state-identical square members.  The transitions
-    consume only channel *activity* (``shared_observation_attr = "busy"``),
-    so members that decode different frames but agree on activity stay
-    shared.
+    The state machine is :meth:`decide` (the transmit decision, as a frame
+    kind), :meth:`observe` and :meth:`end_slot`, all with plain arguments.
+    The scalar loop calls them once per device, through :meth:`act`, which
+    interns the frame for the decided kind.  NeighborWatchRB is the paper's
+    meta-node protocol — all honest devices of a square behave identically
+    until their observations diverge — and its transitions consume no
+    randomness and never consult the device identity after setup, so the
+    cohort runtime (:mod:`repro.sim.batch`) calls the same three methods
+    once per group of state-identical square members, keyed by
+    :meth:`cohort_key`.  The transitions read only channel activity
+    (``observation.busy``), so members that decode different frames but
+    agree on activity stay shared.
 
     Parameters
     ----------
@@ -114,9 +143,12 @@ class NeighborWatchNode(Protocol):
         otherwise run the correct protocol.
     """
 
-    shareable = True
-    shared_observation_attr = "busy"
-    soa_compilable = True
+    #: Set whenever a slot changed :meth:`state_signature` (a sender
+    #: advanced, a receiver accepted a bit).  The cohort runtime only
+    #: compares the signatures of a fragmented family when some sibling is
+    #: dirty: unchanged signatures cannot have become equal.  The class
+    #: default ``True`` makes the first attempt after a split safe.
+    _cohort_state_dirty: bool = True
 
     def __init__(
         self,
@@ -254,35 +286,30 @@ class NeighborWatchNode(Protocol):
             else:
                 self._role = _Role.IDLE
 
-    # -- phase machine (primary) and per-device adapters -----------------------------------
-    # The phase_* transitions hold the logic directly (no inner-core
-    # indirection): the cohort runtime calls them once per cohort per round,
-    # so a wrapper frame there costs more than the per-device ``act`` adapter
-    # does on the rarely-taken singleton/oracle path.
-    def phase_act(self, ctx: PhaseContext):
+    # -- per-round state machine -------------------------------------------------------------
+    def decide(self, slot: int, phase: int):
         """Transmit decision plus observation relevance for one round.
 
-        Listening rounds return ``None`` only when the observation can reach
-        state the role actually consumes (a sender's ack/veto rounds, a
-        receiver's data/veto rounds, a *conditional* blocker's sensing
-        rounds); every other listened round is
-        :data:`~repro.core.runtime.OPAQUE_LISTEN` — the 2Bit sub-machines
-        discard those observations, so cohort members may perceive different
-        marginal activity there without diverging.
+        Returns the :class:`FrameKind` to broadcast, ``None`` to listen when
+        the observation can reach state the role consumes (a sender's
+        ack/veto rounds, a receiver's data/veto rounds, a *conditional*
+        blocker's sensing rounds), or :data:`OPAQUE_LISTEN` for every other
+        listened round — the 2Bit sub-machines discard those observations,
+        so cohort members may perceive different marginal activity there
+        without diverging.
         """
-        phase = ctx.phase
         if phase == 0:
-            self._begin_slot(ctx.slot)
+            self._begin_slot(slot)
         role = self._role
         if role is _Role.SENDER:
             if self._sender.action(phase):
-                return action_spec(FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO)
+                return FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO
             return None if phase in (1, 3, 5) else OPAQUE_LISTEN
         if role is _Role.BLOCKER:
             blocker = self._blocker
             if blocker is not None:
                 if blocker.action(phase):
-                    return action_spec(FrameKind.VETO)
+                    return FrameKind.VETO
                 if not blocker.always and phase < 4:
                     return None
             return OPAQUE_LISTEN
@@ -290,13 +317,18 @@ class NeighborWatchNode(Protocol):
             receiver = self._active_receiver
             if receiver is not None:
                 if receiver.action(phase):
-                    return action_spec(FrameKind.ACK if phase in (1, 3) else FrameKind.VETO)
+                    return FrameKind.ACK if phase in (1, 3) else FrameKind.VETO
                 return None if phase in (0, 2, 4) else OPAQUE_LISTEN
         return OPAQUE_LISTEN
 
-    def phase_observe(self, ctx: PhaseContext, observation: Observation) -> None:
+    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
+        kind = self.decide(slot, phase)
+        if kind is None or kind is OPAQUE_LISTEN:
+            return None
+        return self._interned_frame(kind)
+
+    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
         busy = observation.busy
-        phase = ctx.phase
         if self._role is _Role.SENDER:
             self._sender.observe(phase, busy)
         elif self._role is _Role.BLOCKER and self._blocker is not None:
@@ -304,7 +336,7 @@ class NeighborWatchNode(Protocol):
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
             self._active_receiver.observe(phase, busy)
 
-    def phase_end(self, ctx: PhaseContext) -> None:
+    def end_slot(self, slot_cycle: int, slot: int) -> None:
         if self._role is _Role.SENDER:
             if self._sender.finish_slot():
                 self._cohort_state_dirty = True
@@ -318,18 +350,6 @@ class NeighborWatchNode(Protocol):
         self._role = _Role.IDLE
         self._active_receiver = None
         self._blocker = None
-
-    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
-        spec = self.phase_act(PhaseContext(slot_cycle, slot, phase))
-        if spec is None or spec is OPAQUE_LISTEN:
-            return None
-        return self._interned_frame(spec.kind)
-
-    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
-        self.phase_observe(PhaseContext(slot_cycle, slot, phase), observation)
-
-    def end_slot(self, slot_cycle: int, slot: int) -> None:
-        self.phase_end(PhaseContext(slot_cycle, slot, END_PHASE))
 
     def state_signature(self) -> tuple:
         """Slot-boundary state for cohort re-merging.

@@ -15,10 +15,15 @@ exactly that interface:
   interesting slot and returns either a :class:`~repro.core.messages.Frame` to
   broadcast or ``None`` to listen.
 * :meth:`Protocol.observe` delivers the channel observation for phases in
-  which the device listened.
+  which the device listened, and :meth:`Protocol.end_slot` closes the slot.
 
 Adversaries implement the same interface (plus a per-slot activity hint) so
-that the engine treats honest and Byzantine devices uniformly.
+that the engine treats honest and Byzantine devices uniformly.  The faster
+tiers bind to concrete protocol classes rather than to flags on this
+interface: the cohort runtime (:mod:`repro.sim.batch`) shares honest
+:class:`~repro.core.neighborwatch.NeighborWatchNode` machines, and the
+struct-of-arrays compiler (:mod:`repro.sim.soa`) lowers the three classes it
+has kernels for.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .messages import Bits, Frame
 
@@ -39,7 +44,6 @@ __all__ = [
     "SILENCE",
     "NodeContext",
     "Protocol",
-    "DeliveryStatus",
 ]
 
 
@@ -113,14 +117,6 @@ class NodeContext:
             raise ValueError("source_message length must equal message_length")
 
 
-class DeliveryStatus(enum.Enum):
-    """Delivery state of a device at the end of a run."""
-
-    PENDING = "pending"
-    DELIVERED = "delivered"
-    CRASHED = "crashed"
-
-
 class Protocol(abc.ABC):
     """Base class for every per-device behaviour (honest or Byzantine)."""
 
@@ -130,47 +126,10 @@ class Protocol(abc.ABC):
     #: Lazily-built per-instance cache for :meth:`_interned_frame`.
     _frame_cache: Optional[dict] = None
 
-    #: Set by protocols whenever a slot changed signature-relevant state
-    #: (e.g. a receiver accepted a bit).  The cohort runtime only attempts a
-    #: re-merge of a fragmented family when at least one sibling is dirty —
-    #: unchanged signatures cannot have become equal, so the (comparatively
-    #: costly) :meth:`state_signature` evaluation is skipped.  The class
-    #: default ``True`` makes the first attempt after a split/clone safe.
-    _cohort_state_dirty: bool = True
-
     #: Whether the device may transmit during slots it declared no interest in.
     #: Honest protocols never do; jamming adversaries set this to ``True`` so
     #: the engine asks them (via :meth:`wants_slot`) about every slot.
     may_transmit_anywhere: bool = False
-
-    #: Whether this device's state machine may be *shared* by the cohort
-    #: runtime: evaluated once for a group of state-identical devices and
-    #: fanned out.  NeighborWatchRB is the one protocol that sets it (its
-    #: square members are the paper's meta-node); a shareable class must
-    #: complete the contract in :mod:`repro.core.runtime`, which the protocol
-    #: registry checks.  Adversaries must keep it ``False``; the runtime
-    #: additionally never shares dishonest devices.
-    shareable: bool = False
-
-    #: Name of the single :class:`Observation` attribute this protocol's
-    #: transitions consume.  The cohort runtime splits a cohort only when the
-    #: *projected* observations of its members differ: NeighborWatchRB's
-    #: state machines react purely to channel activity (``"busy"``), so two
-    #: square members that respectively decode a frame and perceive a
-    #: collision still transition identically and stay shared.  Every
-    #: shareable protocol declares one; declaring a projection that the
-    #: transitions secretly exceed breaks bit-identity.
-    shared_observation_attr: Optional[str] = None
-
-    #: Whether this protocol family can be lowered to the struct-of-arrays
-    #: execution tier (:mod:`repro.sim.soa`).  Only phase machines whose
-    #: transitions consume no RNG and read nothing of an observation beyond
-    #: channel activity (``busy``) — or, for the epidemic flood, the frame
-    #: decoded in an uncontended round — may set this; see the SoA lowering
-    #: contract in :mod:`repro.core.runtime`.  Compilation additionally
-    #: requires the class to provide :meth:`soa_state_spec` (the stream
-    #: protocols) or ``soa_node_spec`` (the epidemic flood).
-    soa_compilable: bool = False
 
     def setup(self, context: NodeContext) -> None:
         """Bind the protocol instance to a device.  Called once before round 0."""
@@ -209,54 +168,6 @@ class Protocol(abc.ABC):
             cache[kind] = frame
         return frame
 
-    # -- cohort runtime hooks ---------------------------------------------------
-    # Every :attr:`shareable` class overrides the three hooks below; the
-    # protocol registry rejects one that does not.
-    def cohort_key(self) -> Optional[Hashable]:
-        """Hashable signature of this device's post-setup state.
-
-        Two :attr:`shareable` devices whose keys compare equal are grouped
-        into one cohort by the runtime and MUST be interchangeable state
-        machines: the key has to capture every post-setup state difference,
-        including the interest set.
-        """
-        return None
-
-    def clone_for_split(self) -> Optional["Protocol"]:
-        """Independent state copy for a cohort split (mid-slot safe).
-
-        Copies the mutable state, shares immutable collaborators and
-        re-establishes internal aliases; the cohort runtime rebinds the
-        copy's context and resets its frame intern.
-        """
-        return None
-
-    def state_signature(self) -> Optional[tuple]:
-        """Canonical signature of all behaviour-relevant protocol state.
-
-        Evaluated by the cohort runtime at slot boundaries to *re-merge*
-        sibling cohorts whose states have reconverged (e.g. a receiver that
-        missed a bit and caught up on the retransmission).  Two machines with
-        equal signatures must behave identically forever after; statistics
-        that never influence a transition (attempt counters, failure tallies)
-        should be excluded so transient divergences can heal.
-        """
-        return None
-
-    # -- struct-of-arrays lowering hook -----------------------------------------
-    def soa_state_spec(self, slot: int) -> Optional[dict]:
-        """Description of this instance's role in a compiled SoA slot group.
-
-        Called once per ``(device, slot)`` pair by the SoA compiler for
-        :attr:`soa_compilable` protocols.  Returns ``None`` when the device is
-        a pure bystander in the slot, otherwise a dict understood by the
-        family's slot kernel in :mod:`repro.sim.soa` (e.g. which per-slot
-        receiver object backs the device, whether the device owns the slot).
-        The base implementation returns ``None``; compilable families
-        override it.
-        """
-        return None
-
     # -- per-round behaviour ---------------------------------------------------
     @abc.abstractmethod
     def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
@@ -280,7 +191,3 @@ class Protocol(abc.ABC):
     def delivered_message(self) -> Optional[Bits]:
         """The message the device delivered, or ``None`` if not yet delivered."""
         return None
-
-    @property
-    def status(self) -> DeliveryStatus:
-        return DeliveryStatus.DELIVERED if self.delivered else DeliveryStatus.PENDING

@@ -203,11 +203,43 @@ class DualModeDriver:
     """
 
     def run(self, spec: ExperimentSpec, context: dict, *, executor=None, store=None) -> list[dict]:
-        from ..core.digest import polynomial_digest, recommended_digest_length
         from ..core.dualmode import combine_dual_mode
+        from .metrics import airtime_bits
+
+        num_nodes, payload, digest_bits, tasks = self.plan(spec, context)
+        payload_bits = len(payload)
+        payload_point, digest_point = run_points(tasks, executor=executor, store=store)
+        payload_result = payload_point.runs[0]
+        digest_result = digest_point.runs[0]
+        combined = combine_dual_mode(payload, payload_result, digest_result)
+
+        payload_airtime = airtime_bits("epidemic", payload_result.completion_rounds, payload_bits)
+        digest_airtime = airtime_bits(
+            "neighborwatch", digest_result.completion_rounds, digest_bits
+        )
+        overhead = (payload_airtime + digest_airtime) / max(payload_airtime, 1.0)
+        return [
+            {
+                "num_nodes": num_nodes,
+                "payload_bits": payload_bits,
+                "digest_bits": digest_bits,
+                "payload_rounds": payload_result.completion_rounds,
+                "digest_rounds": digest_result.completion_rounds,
+                "total_rounds": combined.total_rounds,
+                "payload_airtime_bits": payload_airtime,
+                "digest_airtime_bits": digest_airtime,
+                "overhead_factor": overhead,
+                "acceptance_%": 100.0 * combined.acceptance_fraction,
+                "correct_%": 100.0 * combined.correctness_fraction,
+            }
+        ]
+
+    @staticmethod
+    def plan(spec: ExperimentSpec, context: Mapping[str, Any]) -> tuple:
+        """``(num_nodes, payload, digest_bits, [payload task, digest task])``."""
+        from ..core.digest import polynomial_digest, recommended_digest_length
         from ..topology.deployment import uniform_deployment
         from .factories import FixedDeploymentFactory
-        from .metrics import airtime_bits
 
         required = ("map_size", "density", "radius", "payload_bits", "digest_ratio", "seed")
         missing = [key for key in required if key not in context]
@@ -257,31 +289,7 @@ class DualModeDriver:
                 base_seed=seed + 1,
             ),
         ]
-        payload_point, digest_point = run_points(tasks, executor=executor, store=store)
-        payload_result = payload_point.runs[0]
-        digest_result = digest_point.runs[0]
-        combined = combine_dual_mode(payload, payload_result, digest_result)
-
-        payload_airtime = airtime_bits("epidemic", payload_result.completion_rounds, payload_bits)
-        digest_airtime = airtime_bits(
-            "neighborwatch", digest_result.completion_rounds, digest_bits
-        )
-        overhead = (payload_airtime + digest_airtime) / max(payload_airtime, 1.0)
-        return [
-            {
-                "num_nodes": num_nodes,
-                "payload_bits": payload_bits,
-                "digest_bits": digest_bits,
-                "payload_rounds": payload_result.completion_rounds,
-                "digest_rounds": digest_result.completion_rounds,
-                "total_rounds": combined.total_rounds,
-                "payload_airtime_bits": payload_airtime,
-                "digest_airtime_bits": digest_airtime,
-                "overhead_factor": overhead,
-                "acceptance_%": 100.0 * combined.acceptance_fraction,
-                "correct_%": 100.0 * combined.correctness_fraction,
-            }
-        ]
+        return num_nodes, payload, digest_bits, tasks
 
 
 def run_spec(
@@ -307,82 +315,124 @@ def _format_bytes(num: int) -> str:
     return f"{int(num)} B"  # pragma: no cover - unreachable
 
 
-def _memory_lines(context: Mapping[str, Any]) -> list[str]:
+def _memory_lines(num_nodes: int, config: ScenarioConfig) -> list[str]:
     """Dense link-state memory estimate lines for ``describe`` output.
 
-    Shown whenever the resolved context pins a concrete node count: the node
-    count, what the dense ``N x N`` link state of the configured channel would
-    occupy, and which link-state form the engine keeps at that size.
+    The node count, what the dense ``N x N`` link state of the scenario's
+    channel would occupy, and which link-state form the engine keeps at that
+    size.
     """
     from ..sim.config import dense_link_state_bytes
     from ..sim.engine import SPATIAL_TILING_AUTO_NODES, default_spatial_tiling
 
-    num_nodes = context.get("num_nodes")
-    if not isinstance(num_nodes, int):
-        # Density-driven specs resolve the deployed count under another name.
-        num_nodes = context.get("num_deployed")
-    if not isinstance(num_nodes, int) or num_nodes <= 0:
-        return []
-    channel = context.get("channel", "unitdisk")
-    try:
-        dense = dense_link_state_bytes(num_nodes, str(channel))
-    except Exception:
-        return []
+    dense = dense_link_state_bytes(num_nodes, config.channel)
     sparse = default_spatial_tiling(num_nodes)
     kept = "the sparse link state instead" if sparse else "the dense matrix"
     return [
-        f"memory: {num_nodes} nodes — dense {channel} link state would be "
+        f"memory: {num_nodes} nodes — dense {config.channel} link state would be "
         f"{_format_bytes(dense)}",
         f"  the engine keeps {kept} (sparse above {SPATIAL_TILING_AUTO_NODES} nodes)",
     ]
 
 
-def _tier_lines(context: Mapping[str, Any]) -> list[str]:
-    """Execution-tier eligibility lines for ``describe`` output.
+def _tier_lines(config: ScenarioConfig, *, jammed: bool = False) -> list[str]:
+    """Execution-tier lines for ``describe`` output: the tier that runs ``config``.
 
-    Asks the scenario's channel for its per-capability SoA verdict
-    (:meth:`repro.sim.radio.Channel.soa_round_support`) — the same predicate
-    the engine's gate aggregates at build time — and prints each
+    Builds the scenario's channel and asks it for its per-capability SoA
+    verdict (:meth:`repro.sim.radio.Channel.soa_round_support`) — the same
+    predicate the engine's gate aggregates at build time — and prints each
     capability's reason, so a reader sees exactly *which* predicate keeps a
     configuration off the fast tier (e.g. "capture: capture_probability=0.5
-    draws are data-dependent ... → scalar").  Purely advisory — the engine
-    re-evaluates eligibility at build time.
+    draws are data-dependent ... → scalar").  Off that tier, NeighborWatchRB
+    runs on the cohort runtime and every other protocol on the scalar loop.
+    Purely advisory — the engine re-evaluates eligibility at build time.
     """
-    from ..sim.radio import FriisChannel, UnitDiskChannel
+    from ..core.neighborwatch import NeighborWatchNode
 
-    channel = str(context.get("channel", "unitdisk"))
-    loss = float(context.get("loss_probability", 0.0) or 0.0)
-    capture = float(context.get("capture_probability", 0.0) or 0.0)
-    radius = float(context.get("radius", 1.0) or 1.0)
-    if channel == "unitdisk":
-        probe = UnitDiskChannel(
-            radius, capture_probability=capture, loss_probability=loss
-        )
-    elif channel == "friis":
-        probe = FriisChannel(radius, loss_probability=loss)
+    support = config.channel_plugin().build(config).soa_round_support()
+    classes = config.protocol_plugin().protocol_classes
+    if any(issubclass(cls, NeighborWatchNode) for cls in classes):
+        fallback = "cohort runtime for NeighborWatchRB"
     else:
-        return [
-            "execution tier: cohort runtime (struct-of-arrays kernels ineligible)",
-            f"  - channel: {channel} defines no SoA busy model",
-        ]
-    support = probe.soa_round_support()
+        fallback = "scalar loop"
     if support.eligible:
         lines = [
             f"execution tier: struct-of-arrays slot kernels ({support.busy} busy "
-            "model; REPRO_SOA_KERNELS=0 falls back to the cohort runtime)"
+            f"model; REPRO_SOA_KERNELS=0 falls back to the {fallback})"
         ]
-        lines.extend(
-            f"  {name}: {reason}" for name, _ok, reason in support.verdicts
-        )
+        lines.extend(f"  {name}: {reason}" for name, _ok, reason in support.verdicts)
+        if jammed:
+            lines.append(
+                "  jammed neighborhoods fall back per-slot to the scalar loop; "
+                "unjammed slots stay compiled"
+            )
     else:
-        lines = ["execution tier: cohort runtime (struct-of-arrays kernels ineligible)"]
+        lines = [f"execution tier: {fallback} (struct-of-arrays kernels ineligible)"]
         lines.extend(f"  - {name}: {reason}" for name, reason in support.blockers())
-    jammers = context.get("num_jammers") or context.get("jammer_fraction")
-    if jammers and support.eligible:
-        lines.append(
-            "  jammed neighborhoods fall back per-slot to the scalar loop; "
-            "unjammed slots stay compiled"
+    return lines
+
+
+def _node_count(deployment_factory) -> Optional[int]:
+    """The node count a task's deployment factory pins, when it pins one."""
+    count = getattr(deployment_factory, "num_nodes", None)
+    if count is None:  # a fixed deployment
+        count = getattr(getattr(deployment_factory, "deployment", None), "num_nodes", None)
+    return count if isinstance(count, int) and count > 0 else None
+
+
+def _spec_tasks(spec: ExperimentSpec, context: Mapping[str, Any]) -> list[SweepTask]:
+    """Every task the spec's driver may run: each grid point, each search candidate."""
+    if spec.driver == "dual_mode":
+        return DualModeDriver.plan(spec, context)[3]
+    if spec.driver == "tolerance_search":
+        options = render_template(spec.options, context)
+        name = options.get("candidate", "fraction")
+        return [
+            _build_task(spec, {**point_context, name: candidate})
+            for point_context in iter_grid(spec, context)
+            for candidate in options.get("candidates", ())
+        ]
+    return build_sweep_tasks(spec, context)
+
+
+#: Scenario fields the execution tier depends on, named in ``describe``'s
+#: per-scenario headers when they vary across a spec's tasks.
+_TIER_FIELDS = ("protocol", "channel", "loss_probability", "capture_probability")
+
+
+def _scenario_lines(spec: ExperimentSpec, context: Mapping[str, Any]) -> list[str]:
+    """Memory and execution-tier lines of each distinct scenario the spec runs.
+
+    Read off the :class:`ScenarioConfig` of every task the driver builds, so
+    a value set under ``[scenario]`` or on an axis counts as much as one in
+    ``[params]``.  Identical blocks are printed once; when the tier differs
+    between tasks, each block is headed by the scenario fields that vary.
+    """
+    tasks = _spec_tasks(spec, context)
+    jammed = bool(context.get("num_jammers") or context.get("jammer_fraction"))
+    memory: dict[tuple, None] = {}
+    tiers: dict[tuple, list[ScenarioConfig]] = {}
+    for task in tasks:
+        num_nodes = _node_count(task.deployment_factory)
+        if num_nodes is not None:
+            memory[tuple(_memory_lines(num_nodes, task.config))] = None
+        tiers.setdefault(tuple(_tier_lines(task.config, jammed=jammed)), []).append(task.config)
+    lines = [line for block in memory for line in block]
+    if len(tiers) <= 1:
+        return lines + [line for block in tiers for line in block]
+    varying = [
+        field for field in _TIER_FIELDS
+        if len({getattr(task.config, field) for task in tasks}) > 1
+    ]
+    lines.append(f"execution tiers ({len(tiers)} distinct scenarios):")
+    for number, (block, configs) in enumerate(tiers.items(), 1):
+        values = (
+            "/".join(str(v) for v in dict.fromkeys(getattr(c, field) for c in configs))
+            for field in varying
         )
+        header = ", ".join(f"{f}={v}" for f, v in zip(varying, values))
+        lines.append(f"  {header or f'scenario {number}'}:")
+        lines.extend("    " + line for line in block)
     return lines
 
 
@@ -415,8 +465,7 @@ def describe_spec(spec: ExperimentSpec, *, scale: Optional[str] = None) -> str:
     lines.append("resolved parameters:")
     for key, value in context.items():
         lines.append(f"  {key} = {json.dumps(value, default=str)}")
-    lines.extend(_memory_lines(context))
-    lines.extend(_tier_lines(context))
+    lines.extend(_scenario_lines(spec, context))
     lines.extend(_fabric_lines())
     if spec.axes:
         lines.append("axes (cartesian product, in order):")

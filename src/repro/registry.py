@@ -31,7 +31,7 @@ Usage::
 
     @register_protocol("myproto", aliases=("mp2",))
     class MyProtocolPlugin(ProtocolPlugin):
-        protocol_classes = (MyProtocolNode,)
+        protocol_classes = (MyProtocolNode,)  # the classes build and build_liar return
         def build(self, config): ...
         def build_liar(self, config, fake_message): ...
         def build_schedule(self, deployment, config): ...
@@ -42,9 +42,10 @@ raises a :class:`RegistryError` listing every available key.  Duplicate
 registration of a key or alias raises immediately.  Component contracts are
 validated lazily on first lookup (entries register while their module is still
 executing, so e.g. pickling a factory class by qualified name only works once
-the module finished importing): protocol plugins must declare the shareable
-contract the cohort runtime requires, factories must be picklable dataclasses
-so :func:`repro.sim.runner.fingerprint_payload` can reduce them stably.
+the module finished importing): protocol plugins must provide their three
+builders and list their protocol classes, and factories must be picklable
+dataclasses so :func:`repro.sim.runner.fingerprint_payload` can reduce them
+stably.
 
 The built-in components register when their home module imports; each registry
 knows those modules and imports them on first use, so ``PROTOCOLS.get("nw")``
@@ -245,17 +246,16 @@ class ProtocolPlugin:
 
     Subclasses implement the three builders and may override the derived-bound
     hooks.  ``protocol_classes`` lists every :class:`~repro.core.protocol.Protocol`
-    subclass the plugin instantiates; registration validates that each one
-    declares ``shareable`` as a bool and that a shareable class completes the
-    contract the cohort runtime relies on (see :mod:`repro.core.runtime`):
-    ``cohort_key``, ``clone_for_split`` and ``state_signature`` overrides, the
-    ``phase_act``/``phase_observe``/``phase_end`` transitions and an
-    observation projection in ``shared_observation_attr``.
+    subclass the plugin instantiates (honest and liar devices alike), so
+    tools can reach a protocol's methods by key; registration requires it to
+    be non-empty.  Which execution tier runs a protocol is decided by class
+    in the tiers themselves (:mod:`repro.sim.batch`, :mod:`repro.sim.soa`),
+    not declared here.
     """
 
     #: Canonical registry key; filled in at registration.
     key: Optional[str] = None
-    #: Protocol classes this plugin instantiates (checked for the contract).
+    #: Protocol classes this plugin instantiates.
     protocol_classes: tuple = ()
 
     def build(self, config) -> Any:
@@ -298,38 +298,11 @@ def _validate_protocol_plugin(key: str, plugin: Any) -> None:
     for method in ("build", "build_liar", "build_schedule"):
         if not callable(getattr(plugin, method, None)):
             raise RegistryError(f"protocol {key!r} plugin lacks a callable {method}()")
-    classes = tuple(getattr(plugin, "protocol_classes", ()))
-    if not classes:
+    if not tuple(getattr(plugin, "protocol_classes", ())):
         raise RegistryError(
             f"protocol {key!r} must declare protocol_classes (the Protocol "
-            "subclasses it instantiates) so the cohort-runtime contract can be checked"
+            "subclasses it instantiates)"
         )
-    from .core.protocol import Protocol
-
-    for cls in classes:
-        shareable = getattr(cls, "shareable", None)
-        if not isinstance(shareable, bool):
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} must declare 'shareable' as a bool"
-            )
-        if not shareable:
-            continue
-        for method in ("cohort_key", "clone_for_split", "state_signature"):
-            if getattr(cls, method, None) in (None, getattr(Protocol, method)):
-                raise RegistryError(
-                    f"protocol {key!r}: {cls.__name__} is shareable but does not override "
-                    f"{method}(); the cohort runtime cannot share it safely"
-                )
-        for method in ("phase_act", "phase_observe", "phase_end"):
-            if not callable(getattr(cls, method, None)):
-                raise RegistryError(
-                    f"protocol {key!r}: {cls.__name__} is shareable but lacks {method}()"
-                )
-        if not isinstance(getattr(cls, "shared_observation_attr", None), str):
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} is shareable but declares no "
-                "'shared_observation_attr' (the observation projection cohorts split on)"
-            )
     _require_picklable("protocol", key, plugin)
 
 

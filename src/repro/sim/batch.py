@@ -5,29 +5,29 @@ behave identically; they form a single *meta-node*" — is also a runtime
 optimization: as long as a group of devices started in identical protocol
 state and has observed identical channel activity, their per-round transitions
 are one computation, not one per device.  :class:`CohortRuntime` exploits
-exactly that:
+exactly that for NeighborWatchRB, the protocol whose squares are meta-nodes:
 
-* at construction, honest devices whose protocols declare themselves
-  ``shareable`` — NeighborWatchRB is the one protocol that does — are grouped
-  into **cohorts** by :meth:`~repro.core.protocol.Protocol.cohort_key`, one
-  cohort per group of state-identical square members; adversaries, dishonest
-  devices, the other protocols and one-member groups stay on the scalar
-  per-device path as **singletons**;
-* each cohort is driven through the typed phase-machine API of
-  :mod:`repro.core.runtime`: ``phase_act`` is evaluated once per cohort per
-  round and the member-independent :class:`~repro.core.runtime.ActionSpec` is
-  fanned out into per-member frames (every member still produces *its own*
-  transmission, with its own sender id, in its historical record position);
+* at construction, honest :class:`~repro.core.neighborwatch.NeighborWatchNode`
+  devices are grouped into **cohorts** by their
+  :meth:`~repro.core.neighborwatch.NeighborWatchNode.cohort_key` and interest
+  set, one cohort per group of state-identical square members; adversaries,
+  dishonest devices, the other protocols and one-member groups stay on the
+  scalar per-device path as **singletons**;
+* each cohort runs NeighborWatchRB's own state machine once per round:
+  :meth:`~repro.core.neighborwatch.NeighborWatchNode.decide` returns a frame
+  kind, which is fanned out into per-member frames (every member still
+  produces *its own* transmission, with its own sender id, in its historical
+  record position), and ``observe``/``end_slot`` are the per-device methods
+  called on the shared machine;
 * observations are delivered once per cohort while every member perceives the
-  same *projected* thing (``shared_observation_attr``; rounds the machine
-  declares ``OPAQUE_LISTEN`` are skipped entirely), and the moment two
-  members' projected observations differ the cohort **splits**
-  (copy-on-divergence): the shared machine is cloned per observation class
-  (:meth:`~repro.core.protocol.Protocol.clone_for_split`) and execution
-  continues on the finer partition;
-* at slot boundaries, sibling cohorts whose
-  :meth:`~repro.core.protocol.Protocol.state_signature` reconverged are
-  **re-merged** (a receiver that missed a bit and caught up on the
+  same channel activity (``Observation.busy``, all the machine reads; rounds
+  it declares :data:`~repro.core.neighborwatch.OPAQUE_LISTEN` are skipped
+  entirely), and the moment two members' ``busy`` differ the cohort
+  **splits** (copy-on-divergence): the shared machine is cloned per
+  observation class (``clone_for_split``) and execution continues on the
+  finer partition;
+* at slot boundaries, sibling cohorts whose ``state_signature`` reconverged
+  are **re-merged** (a receiver that missed a bit and caught up on the
   retransmission rejoins its square's meta-node), with dirty-flag gating and
   per-family exponential backoff against split/merge oscillation.
 
@@ -36,12 +36,12 @@ construction: transmissions, listeners, trace events and channel-RNG
 consumption all happen in the exact per-record order of the scalar engine
 loop; each round resolves through the scalar loop's own path
 (``Simulation._resolve_round``: the plan's link-state block handed to
-:meth:`~repro.sim.radio.Channel.resolve_links`); shareable protocols consume
-no RNG in their transitions; and the fan-out frames are value-equal to the
-frames the members would have built themselves.
-``tests/test_kernel_equivalence.py`` and ``tests/test_cohort_runtime.py``
-pin cohort-vs-scalar equivalence observation-for-observation and
-record-for-record.
+:meth:`~repro.sim.radio.Channel.resolve_links`); NeighborWatchRB's
+transitions consume no RNG and never consult the device identity after
+set-up; and the fan-out frames are value-equal to the frames the members
+would have built themselves.  ``tests/test_kernel_equivalence.py`` and
+``tests/test_cohort_runtime.py`` pin cohort-vs-scalar equivalence
+observation-for-observation and record-for-record.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.messages import Frame
+from ..core.neighborwatch import OPAQUE_LISTEN, NeighborWatchNode
 from ..core.protocol import SILENCE
-from ..core.runtime import END_PHASE, OPAQUE_LISTEN, PhaseContext
 from .events import EventKind
 from .node import SimNode
 from .radio import Transmission
@@ -70,37 +70,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Cohort", "CohortRuntime"]
 
-_SPEC_TX_CACHE_MAX = 8192
+_KIND_TX_CACHE_MAX = 8192
 
 
 class Cohort:
-    """One group of devices sharing a single protocol state machine.
+    """One group of devices sharing a single NeighborWatchRB state machine.
 
     ``members`` are the devices currently driven by ``machine`` (ascending
     node id; the first member is the *leader* whose :class:`NodeContext` the
     machine is bound to).  ``slots`` is the common interest set — cohort
     members participate in exactly the same slots, which is what lets one
-    ``phase_act`` evaluation stand in for all of them.  ``proj`` is the
-    protocol's observation projection
-    (:attr:`~repro.core.protocol.Protocol.shared_observation_attr`): members
-    whose *projected* observations agree keep sharing even when the raw
-    observations differ.
+    ``decide`` evaluation stand in for all of them.
     """
 
     __slots__ = (
-        "machine", "members", "slots", "proj", "family",
-        "_tag", "_obs_tag", "_spec", "_buf", "_buf_obs",
+        "machine", "members", "slots", "family",
+        "_tag", "_obs_tag", "_kind", "_buf", "_buf_obs",
     )
 
     def __init__(self, machine, members: tuple, slots: tuple, family: int) -> None:
         self.machine = machine
         self.members = members
         self.slots = slots
-        self.proj = type(machine).shared_observation_attr
         self.family = family  # index of the construction-time ancestor cohort
-        self._tag = -1       # phase stamp of the last computed act decision
+        self._tag = -1       # phase stamp of the last computed decision
         self._obs_tag = -1   # phase stamp of the last delivered silence
-        self._spec = None    # the act decision computed under _tag
+        self._kind = None    # the decision computed under _tag
         self._buf: list = []      # entries of the current phase's listeners
         self._buf_obs: list = []  # their observations, parallel to _buf
 
@@ -113,21 +108,14 @@ class CohortRuntime:
     """Cohort-grouped slot execution for one :class:`~repro.sim.engine.Simulation`.
 
     Construction compiles cohort membership into the per-slot entry lists of
-    the :class:`~repro.sim.plan.SlotPlan` (``[record, cohort, spec, tx]``
+    the :class:`~repro.sim.plan.SlotPlan` (``[record, cohort, kind, tx]``
     entries in historical participant order — see
     :meth:`~repro.sim.plan.SlotPlan.compile_cohort_entries`); splits and
     re-merges rewrite the affected entries in place, so membership is tracked
     incrementally and the hot loop never re-derives it.
     """
 
-    def __init__(
-        self,
-        nodes: Sequence[SimNode],
-        plan: SlotPlan,
-        *,
-        record_splits: bool = False,
-        allow_remerge: bool = True,
-    ) -> None:
+    def __init__(self, nodes: Sequence[SimNode], plan: SlotPlan) -> None:
         groups: dict = {}
         active = 0
         for node in nodes:
@@ -135,13 +123,11 @@ class CohortRuntime:
             if proto is None:
                 continue
             active += 1
-            if not node.honest or not getattr(proto, "shareable", False):
-                continue
-            if getattr(proto, "may_transmit_anywhere", False):
+            if not node.honest or not isinstance(proto, NeighborWatchNode):
                 continue
             # The interest tuple is part of the grouping key as defence in
             # depth: cohort_key() is documented to determine it, but a
-            # protocol that breaks that rule must degrade to finer cohorts,
+            # subclass that breaks that rule must degrade to finer cohorts,
             # never to members executing slots they did not declare.
             full_key = (type(proto), proto.cohort_key(), tuple(proto.interests()))
             groups.setdefault(full_key, []).append(node)
@@ -176,7 +162,6 @@ class CohortRuntime:
         #: re-merge pass ever inspects).
         self.family_counts: dict[int, int] = {c.family: 1 for c in self.cohorts}
         self._fragmented: set[int] = set()
-        self.allow_remerge = bool(allow_remerge)
         #: Churn damping: a family that re-splits shortly after a merge is in
         #: a split/merge oscillation (e.g. a member on a reception boundary
         #: diverging every schedule cycle); its merge attempts are delayed
@@ -186,22 +171,15 @@ class CohortRuntime:
         self._family_next_merge: dict[int, int] = {}
         self._family_backoff: dict[int, int] = {}
         self._family_last_merge: dict[int, int] = {}
-        #: When ``record_splits`` is set (tests), every split appends
-        #: ``((cycle, slot, phase), parent_member_ids, group_member_id_tuples)``
-        #: to ``split_log`` and every re-merge appends ``((cycle, slot),
-        #: merged_member_id_tuples)`` to ``merge_log``.
-        self.record_splits = bool(record_splits)
-        self.split_log: list = []
-        self.merge_log: list = []
 
         # With no multi-member cohort, the engine keeps the scalar loop and
         # never calls run_slot — skip compiling entries for every slot.
         self.slot_entries = plan.compile_cohort_entries(self.cohort_of) if self.cohorts else {}
         self._phase_tag = 0
-        #: Interned fan-out transmissions keyed ``(node_id, spec)``: hashing a
-        #: NamedTuple spec is a C-level tuple hash, while going through
-        #: ``plan.transmission`` would re-hash the Frame dataclass per round.
-        self._spec_transmissions: dict = {}
+        #: Interned fan-out transmissions keyed ``(node_id, kind)``: a frame
+        #: kind hashes as an int, while going through ``plan.transmission``
+        #: would re-hash the Frame dataclass per round.
+        self._kind_transmissions: dict = {}
 
     # -- introspection ---------------------------------------------------------------
     def info(self) -> dict:
@@ -219,24 +197,6 @@ class CohortRuntime:
         }
 
     # -- hot path --------------------------------------------------------------------
-    def _member_transmission(self, node_id: int, position, spec):
-        """Interned fan-out transmission for one member and a shared decision.
-
-        The embedded frame is value-equal to the one the member's own ``act``
-        adapter would have built (kind from the spec, sender id from the
-        member); the cache retains it via ``tx.frame``, so one intern table
-        serves both.
-        """
-        key = (node_id, spec)
-        cache = self._spec_transmissions
-        tx = cache.get(key)
-        if tx is None:
-            if len(cache) >= _SPEC_TX_CACHE_MAX:
-                cache.clear()
-            tx = Transmission(node_id, position, Frame(spec.kind, node_id))
-            cache[key] = tx
-        return tx
-
     def run_slot(
         self,
         sim: "Simulation",
@@ -256,11 +216,9 @@ class CohortRuntime:
         round_index = sim.round_index
         phases = sim.schedule.phases_per_slot
         transmission = plan.transmission
-        member_transmission = self._member_transmission
-        spec_transmissions = self._spec_transmissions
+        kind_transmissions = self._kind_transmissions
         share_hits = 0
         for phase in range(phases):
-            ctx = PhaseContext(cycle, slot, phase)
             self._phase_tag = tag = self._phase_tag + 1
             transmissions: list = []
             listener_entries: list = []
@@ -278,7 +236,7 @@ class CohortRuntime:
                 else:
                     if cohort._tag != tag:
                         cohort._tag = tag
-                        cohort._spec = cohort.machine.phase_act(ctx)
+                        cohort._kind = cohort.machine.decide(slot, phase)
                     else:
                         share_hits += 1
                     # OPAQUE_LISTEN members still enter the listener lists
@@ -286,17 +244,23 @@ class CohortRuntime:
                     # must resolve the round for them exactly as the scalar
                     # path would) but their observation is neither delivered
                     # nor allowed to split the cohort.
-                    spec = cohort._spec
-                    if spec is None or spec is OPAQUE_LISTEN:
+                    kind = cohort._kind
+                    if kind is None or kind is OPAQUE_LISTEN:
                         append_listener(entry)
                         continue
-                    if entry[2] is spec:
+                    if entry[2] is kind:
                         tx = entry[3]
                     else:
-                        tx = spec_transmissions.get((record[REC_ID], spec))
+                        # The member's own transmission of the shared
+                        # decision, value-equal to what its ``act`` builds.
+                        node_id = record[REC_ID]
+                        tx = kind_transmissions.get((node_id, kind))
                         if tx is None:
-                            tx = member_transmission(record[REC_ID], record[REC_POSITION], spec)
-                        entry[2] = spec
+                            if len(kind_transmissions) >= _KIND_TX_CACHE_MAX:
+                                kind_transmissions.clear()
+                            tx = Transmission(node_id, record[REC_POSITION], Frame(kind, node_id))
+                            kind_transmissions[(node_id, kind)] = tx
+                        entry[2] = kind
                         entry[3] = tx
                 append_transmission(tx)
                 record[REC_NODE].broadcasts += 1
@@ -318,11 +282,11 @@ class CohortRuntime:
                     cohort = entry[1]
                     if cohort is None:
                         entry[0][REC_OBSERVE](cycle, slot, phase, SILENCE)
-                    elif cohort._spec is OPAQUE_LISTEN:
+                    elif cohort._kind is OPAQUE_LISTEN:
                         share_hits += 1
                     elif cohort._obs_tag != tag:
                         cohort._obs_tag = tag
-                        cohort.machine.phase_observe(ctx, SILENCE)
+                        cohort.machine.observe(cycle, slot, phase, SILENCE)
                     else:
                         share_hits += 1
                 continue
@@ -333,7 +297,7 @@ class CohortRuntime:
                 cohort = entry[1]
                 if cohort is None:
                     entry[0][REC_OBSERVE](cycle, slot, phase, obs)
-                elif cohort._spec is OPAQUE_LISTEN:
+                elif cohort._kind is OPAQUE_LISTEN:
                     share_hits += 1
                 else:
                     buf = cohort._buf
@@ -347,15 +311,14 @@ class CohortRuntime:
                 for cohort in pending:
                     buf_obs = cohort._buf_obs
                     first = buf_obs[0]
-                    # Uniformity is judged on the protocol's declared
-                    # observation projection: NeighborWatchRB machines react
-                    # to channel activity only, so decode-vs-collision
-                    # differences between members do not split the cohort.
-                    proj = cohort.proj
+                    # Uniformity is judged on channel activity alone:
+                    # NeighborWatchRB machines read only ``busy``, so
+                    # decode-vs-collision differences between members do
+                    # not split the cohort.
                     uniform = True
-                    first_value = getattr(first, proj)
+                    first_busy = first.busy
                     for obs in buf_obs:
-                        if obs is not first and getattr(obs, proj) != first_value:
+                        if obs is not first and obs.busy != first_busy:
                             uniform = False
                             break
                     if uniform:
@@ -366,16 +329,15 @@ class CohortRuntime:
                                 f"listened in slot {slot} — cohort_key() must "
                                 "determine the interest set"
                             )
-                        cohort.machine.phase_observe(ctx, first)
+                        cohort.machine.observe(cycle, slot, phase, first)
                         share_hits += len(buf_obs) - 1
                     else:
-                        share_hits += self._split(ctx, cohort, cohort._buf, buf_obs)
+                        share_hits += self._split(cycle, slot, phase, cohort, cohort._buf, buf_obs)
                     cohort._buf.clear()
                     buf_obs.clear()
         self.share_hits += share_hits
 
         end_round = round_index + phases
-        end_ctx = PhaseContext(cycle, slot, END_PHASE)
         self._phase_tag = end_tag = self._phase_tag + 1
         fragmented = self._fragmented
         merge_candidates: Optional[dict] = None
@@ -386,7 +348,7 @@ class CohortRuntime:
                 record[REC_END_SLOT](cycle, slot)
             elif cohort._tag != end_tag:
                 cohort._tag = end_tag
-                cohort.machine.phase_end(end_ctx)
+                cohort.machine.end_slot(cycle, slot)
                 if fragmented and cohort.family in fragmented:
                     if merge_candidates is None:
                         merge_candidates = {}
@@ -396,17 +358,18 @@ class CohortRuntime:
                 node.mark_delivered(end_round)
                 if trace is not None:
                     trace.record(EventKind.DELIVERY, end_round, record[REC_ID])
-        if merge_candidates is not None and self.allow_remerge:
-            self._try_merges(cycle, slot, merge_candidates)
+        if merge_candidates is not None:
+            self._try_merges(merge_candidates)
 
     # -- divergence ------------------------------------------------------------------
-    def _split(self, ctx: PhaseContext, cohort: Cohort, buf_entries: list, buf_obs: list) -> int:
+    def _split(
+        self, cycle: int, slot: int, phase: int, cohort: Cohort, buf_entries: list, buf_obs: list
+    ) -> int:
         """Copy-on-divergence: partition ``cohort`` by this phase's observation.
 
-        Groups are formed over the *projected* observations (see
-        :attr:`Cohort.proj`) in first-appearance (= ascending member id)
-        order; the first group keeps the original machine, every further
-        group gets a :meth:`~repro.core.protocol.Protocol.clone_for_split`
+        Groups are formed over the observations' ``busy`` flags in
+        first-appearance (= ascending member id) order; the first group keeps
+        the original machine, every further group gets a ``clone_for_split``
         copy taken *before* any observation is applied, and each group's
         machine is rebound to its new leader's context (with its frame
         intern reset: cached frames carry the donor's node id).  The
@@ -418,17 +381,16 @@ class CohortRuntime:
         if len(buf_entries) != len(cohort.members):
             raise RuntimeError(
                 f"cohort contract violation: {cohort!r} has {len(cohort.members)} "
-                f"members but {len(buf_entries)} listened in slot {ctx.slot} — "
+                f"members but {len(buf_entries)} listened in slot {slot} — "
                 "cohort_key() must determine the interest set"
             )
-        proj = cohort.proj
         groups: list[tuple] = []
         index: dict = {}
         for entry, obs in zip(buf_entries, buf_obs):
-            value = getattr(obs, proj)
-            i = index.get(value)
+            busy = obs.busy
+            i = index.get(busy)
             if i is None:
-                index[value] = len(groups)
+                index[busy] = len(groups)
                 groups.append((obs, [entry]))
             else:
                 groups[i][1].append(entry)
@@ -439,17 +401,6 @@ class CohortRuntime:
             machines.append(cohort.machine.clone_for_split())
         self.divergence_splits += len(groups) - 1
         self.live_cohorts += len(groups) - 1
-        if self.record_splits:
-            self.split_log.append(
-                (
-                    (ctx.slot_cycle, ctx.slot, ctx.phase),
-                    tuple(node.node_id for node in cohort.members),
-                    tuple(
-                        tuple(entry[0][REC_ID] for entry in group_entries)
-                        for _obs, group_entries in groups
-                    ),
-                )
-            )
 
         family = cohort.family
         self.family_counts[family] = self.family_counts.get(family, 1) + len(groups) - 1
@@ -480,7 +431,7 @@ class CohortRuntime:
                 node.protocol = machine
                 self.cohort_of[node.node_id] = target
                 new_cohort_of[node.node_id] = target
-            machine.phase_observe(ctx, obs)
+            machine.observe(cycle, slot, phase, obs)
             saved += len(members) - 1
 
         for other_slot in cohort.slots:
@@ -491,16 +442,16 @@ class CohortRuntime:
         return saved
 
     # -- re-convergence ---------------------------------------------------------------
-    def _try_merges(self, cycle: int, slot: int, candidates: dict) -> None:
+    def _try_merges(self, candidates: dict) -> None:
         """Re-merge sibling cohorts whose states reconverged.
 
         Called at the end of a slot for every *fragmented* family that
         participated (siblings share their interest set, so all of a family's
         cohorts end the same slots).  Cohorts with equal
-        :meth:`~repro.core.protocol.Protocol.state_signature` are provably
-        interchangeable from here on — a receiver that missed a bit and
-        caught up on the retransmission rejoins its square's meta-node
-        instead of being simulated separately forever.
+        :meth:`~repro.core.neighborwatch.NeighborWatchNode.state_signature`
+        are provably interchangeable from here on — a receiver that missed a
+        bit and caught up on the retransmission rejoins its square's
+        meta-node instead of being simulated separately forever.
         """
         counter = self._slot_counter
         for family, cohorts in candidates.items():
@@ -520,20 +471,16 @@ class CohortRuntime:
             merged = False
             for group in by_signature.values():
                 if len(group) > 1:
-                    self._merge(cycle, slot, family, group)
+                    self._merge(family, group)
                     merged = True
             if merged:
                 self._family_last_merge[family] = counter
             if self.family_counts.get(family, 1) <= 1:
                 self._fragmented.discard(family)
 
-    def _merge(self, cycle: int, slot: int, family: int, group: list) -> None:
+    def _merge(self, family: int, group: list) -> None:
         """Fuse state-identical sibling cohorts into the first of ``group``."""
         group.sort(key=lambda cohort: cohort.members[0].node_id)
-        if self.record_splits:
-            self.merge_log.append(
-                ((cycle, slot), tuple(tuple(n.node_id for n in c.members) for c in group))
-            )
         target = group[0]
         machine = target.machine
         members = list(target.members)

@@ -69,6 +69,14 @@ def dense_link_state_bytes(num_nodes: int, channel: str) -> int:
     return num_nodes * num_nodes * itemsize
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def default_message(length: int) -> Bits:
     """The default application message: an alternating pattern starting with 1.
 
@@ -158,12 +166,21 @@ class ScenarioConfig:
             raise ValueError("norm must be 'l2' or 'linf'")
         if self.multipath_tolerance < 0:
             raise ValueError("multipath_tolerance must be non-negative")
-        for name in ("schedule_separation", "epidemic_separation"):
+        # Checked without converting, so a valid config keeps its fingerprint;
+        # bool is an int subclass and is rejected everywhere.
+        for name in ("square_side", "schedule_separation", "epidemic_separation"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
-            ):
+            if value is not None and not (_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        for name in ("capture_probability", "loss_probability"):
+            value = getattr(self, name)
+            if not (_real(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        rounds = self.max_rounds
+        if rounds is not None and not (_integer(rounds) and rounds >= 1):
+            raise ValueError(f"max_rounds must be an integer >= 1, got {rounds!r}")
+        if not _integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     # -- derived values -------------------------------------------------------------------
     @property
@@ -192,8 +209,6 @@ class ScenarioConfig:
 
     def effective_square_side(self) -> float:
         if self.square_side is not None:
-            if self.square_side <= 0:
-                raise ValueError("square_side must be positive")
             return float(self.square_side)
         from ..core.regions import default_square_side
 

@@ -37,19 +37,21 @@ the plan's block of the link state goes to
 
 Cohort protocol runtime
 -----------------------
-On top of the compiled plan, the engine can execute the *protocol* layer in
+On top of the compiled plan, the engine can execute NeighborWatchRB in
 shared cohorts (:mod:`repro.sim.batch`): honest devices whose state machines
-are provably interchangeable — the paper's "meta-node" squares — are driven
-by one phase-machine evaluation per cohort per round, splitting
-copy-on-divergence the moment two members observe different (projected)
-things and re-merging when their states reconverge.  The per-device loop in
+are provably interchangeable — the paper's "meta-node" squares — run
+NeighborWatchRB's own ``decide``/``observe``/``end_slot`` once per cohort
+per round, splitting copy-on-divergence the moment two members sense
+different channel activity and re-merging when their states reconverge.
+MultiPathRB and the epidemic flood never form a cohort; on this tier they
+run on the scalar loop.  The per-device loop in
 :meth:`Simulation._run_slot_scalar` remains the tested oracle behind
 ``use_cohort_runtime=False`` (or ``REPRO_COHORT_RUNTIME=0``).
 
 Struct-of-arrays slot kernels
 -----------------------------
 Above both sits the struct-of-arrays tier (:mod:`repro.sim.soa`): slots whose
-participants all run one of the simple soa-compilable phase machines
+participants all run one of the protocol classes it has kernels for
 (epidemic flooding, NeighborWatchRB, MultiPathRB) over a unit-disk channel
 (capture-free; loss compiles) or a Friis/SINR channel are compiled into
 packed-bitmask kernels that execute the whole six-round broadcast interval
@@ -253,8 +255,8 @@ class Simulation:
         Optional :class:`~repro.sim.events.EventLog` receiving broadcast and
         delivery events.
     use_cohort_runtime:
-        Whether to execute shareable, observation-identical devices as shared
-        cohorts (:class:`~repro.sim.batch.CohortRuntime`).  ``None`` (default)
+        Whether to execute honest, observation-identical NeighborWatchRB
+        devices as shared cohorts (:class:`~repro.sim.batch.CohortRuntime`).  ``None`` (default)
         reads the process default (:func:`default_cohort_runtime`);
         ``False`` forces the per-device scalar path, which is the tested
         oracle the cohort runtime is pinned against.  Results are bit-identical
@@ -262,8 +264,8 @@ class Simulation:
     use_soa_kernels:
         Whether to compile eligible slots into struct-of-arrays bitmask
         kernels (:mod:`repro.sim.soa`) — the fastest execution tier,
-        available when every participant of a slot runs one of the simple
-        soa-compilable phase machines and the channel satisfies
+        available when every participant of a slot runs one of the protocol
+        classes the kernels lower and the channel satisfies
         :meth:`~repro.sim.radio.Channel.supports_soa_rounds`.  ``None``
         (default) reads the process default (:func:`default_soa_kernels` —
         on unless ``REPRO_SOA_KERNELS=0``).  When any slot compiles, the

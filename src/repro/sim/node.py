@@ -10,7 +10,7 @@ Under the cohort runtime (:mod:`repro.sim.batch`) several nodes may point at
 the *same* protocol instance — the shared state machine of their cohort — and
 a node's ``protocol`` is rebound to a clone when its cohort splits.  That is
 safe for every consumer here: ``delivered``/``delivered_message`` are
-member-independent for shareable protocols, and ``broadcasts`` is maintained
+member-independent for NeighborWatchRB, the one protocol it shares, and ``broadcasts`` is maintained
 per node by the engine, never by the protocol.
 """
 

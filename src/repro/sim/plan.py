@@ -179,7 +179,7 @@ class SlotPlan:
     def compile_cohort_entries(self, cohort_of: dict) -> dict:
         """Per-slot execution entries for the cohort runtime.
 
-        For every slot, a list of mutable ``[record, cohort, spec, tx]``
+        For every slot, a list of mutable ``[record, cohort, kind, tx]``
         entries in the exact participant order of :attr:`slot_records`
         (``cohort`` is ``None`` for singleton devices; the trailing two
         elements memoise the member's last fan-out transmission per shared

@@ -47,17 +47,34 @@ tier is decided per capability by
   masks after each slot's mask algebra, in the exact order the scalar
   loop's record iteration emits them, so traced runs stay on this tier.
 
-Kernels mutate the *same* protocol objects the scalar loop would, so any
-slot occurrence can fall back to the scalar path (opportunistic adversary
-transmitters joining a slot) and the next occurrence resumes on the SoA
-tier.  Sender roles are re-read from the live objects at slot entry.  The
-receiver masks (which streams still listen, which expect parity 1, and the
-frame planes below) live on the group across occurrences and are advanced
-in mask algebra by the kernel itself; a receiver stream only moves when its
-slot runs, so the reconciliation steps are few.  Before the engine runs a
-compiled slot as a scalar fallback it calls :meth:`_SlotGroup.flush_frames`
-and after it :meth:`_SlotGroup.resync`; at the end of ``run()`` and
-``run_slots()`` it calls :meth:`SoaRuntime.flush_frames`.
+Lowering rules
+--------------
+:data:`_FAMILIES` binds a kernel to each protocol class it lowers
+(NeighborWatchRB, MultiPathRB, the epidemic flood); the class provides
+``soa_state_spec`` (the stream protocols) or ``soa_node_spec`` (the flood).
+A class may be bound only while these invariants hold:
+
+* its transitions draw **no RNG**;
+* they read nothing of an observation beyond channel activity (``busy``,
+  for the bit-exchange stack) or, for a payload protocol such as the
+  epidemic flood, the frame decoded in an uncontended round;
+* a slot's evolution is a **closed function of its group**: every device
+  whose state the slot can change declares the slot in its interest set,
+  so the compiler sees the full support of the transition;
+* the kernels mutate the **same protocol objects** the scalar loop would,
+  keeping no shadow state beyond masks recomputable from those objects.
+
+The last rule is what lets any slot occurrence fall back to the scalar path
+(opportunistic adversary transmitters joining a slot) and the next
+occurrence resume on the SoA tier.  Sender roles are re-read from the live
+objects at slot entry.  The receiver masks (which streams still listen,
+which expect parity 1, and the frame planes below) live on the group across
+occurrences and are advanced in mask algebra by the kernel itself; a
+receiver stream only moves when its slot runs, so the reconciliation steps
+are few.  Before the engine runs a compiled slot as a scalar fallback it
+calls :meth:`_SlotGroup.flush_frames` and after it
+:meth:`_SlotGroup.resync`; at the end of ``run()`` and ``run_slots()`` it
+calls :meth:`SoaRuntime.flush_frames`.
 
 The kernels raise :attr:`SoaRuntime.moved` whenever they move protocol
 state (a sender advances, a receiver accepts a bit, an epidemic owner pops
@@ -966,19 +983,15 @@ _FAMILIES = (
 
 def _lowerable(proto, family) -> bool:
     """Whether ``proto`` can run inside a compiled slot group of ``family``."""
-    return (
-        isinstance(proto, family)
-        and getattr(proto, "soa_compilable", False)
-        and not getattr(proto, "may_transmit_anywhere", False)
-    )
+    return isinstance(proto, family) and not getattr(proto, "may_transmit_anywhere", False)
 
 
 class SoaRuntime:
     """Per-simulation compilation and execution of SoA slot groups.
 
     Construction walks the plan's slot records and compiles every slot
-    whose participants all belong to one :data:`soa-compilable <_FAMILIES>`
-    family (adversaries of a different class in the static records reject
+    whose participants all belong to one :data:`family <_FAMILIES>`
+    (adversaries of a different class in the static records reject
     the slot; opportunistic joiners are handled per occurrence by the
     engine's scalar fallback).  ``groups`` maps each compiled slot to its
     :class:`_SlotGroup`; an empty map means the simulation gains nothing

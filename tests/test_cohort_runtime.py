@@ -5,14 +5,15 @@ the per-device oracle in two complementary ways:
 
 * whole-run record identity for representative scenarios (here and in
   ``tests/test_kernel_equivalence.py``), and
-* a *structural* property: with re-merging disabled, cohorts split **exactly**
-  at the first round where two members' state-relevant observation streams
-  differ — never earlier (no spurious split), never later (which would have
-  shared a transition that should have diverged) — and splits only ever
-  refine the partition.  The oracle run is instrumented to record, per
-  device, the projected (``busy``) observation of every round its phase
-  machine declared relevant, which is the ground truth the split log must
-  match.
+* a *structural* property: with re-merging suppressed, cohorts split
+  **exactly** at the first round where two members' state-relevant
+  observation streams differ — never earlier (no spurious split), never
+  later (which would have shared a transition that should have diverged) —
+  and splits only ever refine the partition.  The oracle run is instrumented
+  to record, per device, the ``busy`` flag of every round its state machine
+  declared relevant, which is the ground truth the recorded splits must
+  match.  Splits are recorded, and merges suppressed, by wrapping the
+  runtime's ``_split`` and ``_try_merges`` with ``monkeypatch``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ MAX_ROUNDS = 2500
 
 
 def _nw_scenario(seed: int, scenario: str):
-    """The three divergence-heavy scenarios called out in the issue.
+    """Four divergence-heavy NeighborWatchRB scenarios.
 
     Deployments are chosen so splits genuinely occur: marginal Friis power
     needs a map wider than the schedule's slot-reuse separation (co-slot
@@ -45,7 +46,10 @@ def _nw_scenario(seed: int, scenario: str):
     Note that pure loss and pure capture never split a ``busy``-projected
     cohort — losses and capture resolution change *what* decodes, not whether
     the channel is sensed busy — which the runs below double-check implicitly
-    (record identity holds regardless).
+    (record identity holds regardless).  ``capture-liars`` runs the 2-voting
+    variant under capture with two lying devices: dishonest
+    ``NeighborWatchNode`` singletons beside the honest cohorts of the same
+    class.
     """
     if scenario == "lossy-friis":
         deployment = uniform_deployment(300, 13.0, 13.0, rng=seed % 97)
@@ -63,6 +67,13 @@ def _nw_scenario(seed: int, scenario: str):
         jammers = random_fault_selection(25, 2, exclude=[12], rng=seed)
         faults = FaultPlan(jammers=tuple(jammers), jammer_budget=40, jam_probability=0.25)
         return deployment, config, faults
+    if scenario == "capture-liars":
+        config = ScenarioConfig(
+            protocol="neighborwatch2", radius=3.0, message_length=3, seed=seed,
+            channel="unitdisk", capture_probability=0.6, loss_probability=0.15,
+        )
+        liars = random_fault_selection(25, 2, exclude=[12], rng=seed)
+        return deployment, config, FaultPlan(liars=tuple(liars))
     if scenario == "jammer":
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=seed,
@@ -73,46 +84,75 @@ def _nw_scenario(seed: int, scenario: str):
     raise ValueError(scenario)
 
 
-def _cohort_sim(deployment, config, faults=None, **runtime_kwargs):
-    """A simulation driven by a freshly attached, configurable CohortRuntime."""
+def _cohort_sim(deployment, config, faults=None):
+    """A simulation driven by a freshly attached CohortRuntime."""
     sim = build_simulation(deployment, config, faults, use_cohort_runtime=False, use_soa_kernels=False)
-    runtime = CohortRuntime(sim.nodes, sim.plan, **runtime_kwargs)
+    runtime = CohortRuntime(sim.nodes, sim.plan)
     sim.cohort_runtime = runtime
     sim._slot_runtime = runtime if runtime.cohorts else None
     return sim, runtime
+
+
+def _log_splits(mp, runtime) -> list:
+    """Wrap ``runtime._split`` to log every split; returns the log.
+
+    Each entry is ``((cycle, slot, phase), parent_member_ids,
+    group_member_id_tuples)``: the first group keeps the parent cohort and
+    every further group is a cohort the split appended to ``runtime.cohorts``.
+    """
+    log: list = []
+    split = runtime._split
+
+    def recording_split(cycle, slot, phase, cohort, buf_entries, buf_obs):
+        parent_ids = tuple(node.node_id for node in cohort.members)
+        known = len(runtime.cohorts)
+        saved = split(cycle, slot, phase, cohort, buf_entries, buf_obs)
+        groups = (cohort, *runtime.cohorts[known:])
+        log.append((
+            (cycle, slot, phase),
+            parent_ids,
+            tuple(tuple(node.node_id for node in group.members) for group in groups),
+        ))
+        return saved
+
+    mp.setattr(runtime, "_split", recording_split)
+    return log
 
 
 def _instrumented_oracle(deployment, config, faults):
     """A scalar-oracle simulation whose devices log their relevant observations.
 
     Returns ``(sim, streams)`` where ``streams[node_id]`` is the ordered list
-    of ``((cycle, slot, phase), busy)`` for every round the device's phase
-    machine declared relevant (``phase_act`` returned ``None`` — listen and
+    of ``((cycle, slot, phase), busy)`` for every round the device's state
+    machine declared relevant (``decide`` returned ``None`` — listen and
     care).  Rounds the machine transmits in or declares opaque are excluded,
     mirroring exactly what the cohort runtime is allowed to split on.
+    ``decide`` sees no cycle, but a device's ``observe`` of a round always
+    follows its ``decide`` of that round, so the latest decision per
+    ``(slot, phase)`` is the one the observation answers.
     """
     sim = build_simulation(deployment, config, faults, use_cohort_runtime=False, use_soa_kernels=False)
     streams: dict[int, list] = {}
     for node in sim.nodes:
         proto = node.protocol
-        if proto is None or not node.honest or not getattr(proto, "shareable", False):
+        if proto is None or not node.honest or not isinstance(proto, NeighborWatchNode):
             continue
         log: list = []
         streams[node.node_id] = log
         relevance: dict = {}
 
-        def wrapped_phase_act(ctx, _proto=proto, _relevance=relevance):
-            spec = type(_proto).phase_act(_proto, ctx)
-            _relevance[(ctx.slot_cycle, ctx.slot, ctx.phase)] = spec is None
-            return spec
+        def wrapped_decide(slot, phase, _proto=proto, _relevance=relevance):
+            kind = type(_proto).decide(_proto, slot, phase)
+            _relevance[(slot, phase)] = kind is None
+            return kind
 
         def wrapped_observe(cycle, slot, phase, observation, _proto=proto,
                             _relevance=relevance, _log=log):
-            if _relevance.get((cycle, slot, phase)):
+            if _relevance.get((slot, phase)):
                 _log.append(((cycle, slot, phase), observation.busy))
             type(_proto).observe(_proto, cycle, slot, phase, observation)
 
-        proto.phase_act = wrapped_phase_act
+        proto.decide = wrapped_decide
         proto.observe = wrapped_observe
     # The plan bound the un-wrapped methods at construction; recompile it.
     sim.plan = SlotPlan(sim.nodes, sim.schedule)
@@ -195,7 +235,7 @@ class TestSplitExactness:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        scenario=st.sampled_from(["lossy-friis", "capture", "jammer"]),
+        scenario=st.sampled_from(["lossy-friis", "capture", "capture-liars", "jammer"]),
     )
     def test_splits_match_first_divergence(self, seed, scenario):
         deployment, config, faults = _nw_scenario(seed, scenario)
@@ -205,24 +245,27 @@ class TestSplitExactness:
         oracle_result = oracle.run(MAX_ROUNDS)
 
         clear_link_cache()
-        sim, runtime = _cohort_sim(
-            deployment, config, faults, record_splits=True, allow_remerge=False
-        )
-        cohort_result = sim.run(MAX_ROUNDS)
+        sim, runtime = _cohort_sim(deployment, config, faults)
+        # A function-scoped fixture cannot serve hypothesis examples, so
+        # each example patches through its own MonkeyPatch context.
+        with pytest.MonkeyPatch.context() as mp:
+            split_log = _log_splits(mp, runtime)
+            mp.setattr(runtime, "_try_merges", lambda candidates: None)
+            cohort_result = sim.run(MAX_ROUNDS)
 
         # The hard contract first: not a bit may move.
         assert cohort_result.to_record() == oracle_result.to_record()
-        assert runtime.merge_log == []
+        assert runtime.info()["cohort_merges"] == 0
 
         # Monotone refinement: each split partitions its parent's members.
-        for _when, parent_ids, groups in runtime.split_log:
+        for _when, parent_ids, groups in split_log:
             flattened = [m for group in groups for m in group]
             assert sorted(flattened) == sorted(parent_ids)
             assert len(groups) >= 2
 
         # Exactness: the groups of every split diverge at precisely the
         # recorded round, and agree on every relevant round before it.
-        for when, _parent_ids, groups in runtime.split_log:
+        for when, _parent_ids, groups in split_log:
             leaders = [group[0] for group in groups]
             for i, a in enumerate(leaders):
                 for b in leaders[i + 1:]:
@@ -257,7 +300,7 @@ class TestSplitExactness:
 
 
 class TestRemerge:
-    def test_remerge_preserves_records_and_counters(self, tiny_grid_deployment):
+    def test_remerge_preserves_records_and_counters(self, tiny_grid_deployment, monkeypatch):
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=23,
             channel="friis", loss_probability=0.3,
@@ -267,7 +310,15 @@ class TestRemerge:
         oracle_result = oracle.run(MAX_ROUNDS)
 
         clear_link_cache()
-        sim, runtime = _cohort_sim(tiny_grid_deployment, config, record_splits=True)
+        sim, runtime = _cohort_sim(tiny_grid_deployment, config)
+        merge_log: list = []
+        merge = runtime._merge
+
+        def recording_merge(family, group):
+            merge_log.append(tuple(tuple(n.node_id for n in c.members) for c in group))
+            merge(family, group)
+
+        monkeypatch.setattr(runtime, "_merge", recording_merge)
         result = sim.run(MAX_ROUNDS)
         assert result.to_record() == oracle_result.to_record()
 
@@ -277,7 +328,8 @@ class TestRemerge:
         assert info["cohorts"] == len(live) == len(runtime.cohorts)
         # Every merge united disjoint sibling groups, and membership lists
         # stay ascending (the leader is the lowest id).
-        for _when, groups in runtime.merge_log:
+        assert len(merge_log) <= info["cohort_merges"]
+        for groups in merge_log:
             flattened = [m for group in groups for m in group]
             assert len(set(flattened)) == len(flattened)
         for cohort in runtime.cohorts:

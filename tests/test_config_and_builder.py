@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.core.neighborwatch import NeighborWatchNode
@@ -102,6 +103,46 @@ class TestScenarioConfig:
     def test_separation_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("capture_probability", 1.5),
+            ("capture_probability", -0.1),
+            ("capture_probability", float("nan")),
+            ("capture_probability", "0.3"),
+            ("capture_probability", True),
+            ("loss_probability", "abc"),
+            ("loss_probability", 1.01),
+            ("loss_probability", False),
+            ("square_side", 0),
+            ("square_side", -1.0),
+            ("square_side", float("inf")),
+            ("square_side", "2"),
+            ("square_side", True),
+            ("max_rounds", "10"),
+            ("max_rounds", 0),
+            ("max_rounds", 12.0),
+            ("max_rounds", True),
+            ("seed", 1.5),
+            ("seed", "3"),
+            ("seed", None),
+            ("seed", False),
+            ("schedule_separation", True),
+        ],
+    )
+    def test_invalid_field_values_are_rejected(self, field, value):
+        # Checked at construction, before any build or run reads them.
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    def test_valid_field_values_are_kept_unconverted(self):
+        cfg = ScenarioConfig(
+            capture_probability=1, loss_probability=0, square_side=2,
+            max_rounds=np.int64(10), seed=np.int64(7),
+        )
+        assert type(cfg.capture_probability) is int and type(cfg.square_side) is int
+        assert type(cfg.max_rounds) is np.int64 and type(cfg.seed) is np.int64
 
     @pytest.mark.parametrize("field", ["schedule_separation", "epidemic_separation"])
     @pytest.mark.parametrize("value", [1.5, 6.5, 8.5, 12])

@@ -2,8 +2,8 @@
 
 Covers the registration contract the PR 5 redesign introduced: duplicate keys
 raise immediately, unknown keys list the candidates, lookups are
-alias-tolerant, and every registered protocol declares the shareable-contract
-fields the cohort runtime requires.
+alias-tolerant, and every registered protocol plugin is picklable and lists
+the protocol classes it instantiates.
 """
 
 from __future__ import annotations
@@ -121,35 +121,23 @@ class TestBuiltinRegistrations:
 
 
 class TestProtocolContract:
-    """Every registered protocol must declare the cohort-runtime contract."""
+    """Every registered protocol plugin is picklable and lists its classes."""
 
     @pytest.mark.parametrize("key", ["neighborwatch", "neighborwatch2", "multipath", "epidemic"])
-    def test_declares_shareable_contract_fields(self, key):
-        plugin = PROTOCOLS.get(key)
-        assert plugin.protocol_classes, f"{key} declares no protocol classes"
-        for cls in plugin.protocol_classes:
-            assert isinstance(cls.shareable, bool)
-            assert cls.shared_observation_attr is None or isinstance(
-                cls.shared_observation_attr, str
-            )
-            assert callable(cls.cohort_key)
+    def test_declares_protocol_classes(self, key):
+        assert PROTOCOLS.get(key).protocol_classes, f"{key} declares no protocol classes"
 
     def test_plugins_are_picklable(self):
         for key in PROTOCOLS.keys():
             pickle.loads(pickle.dumps(PROTOCOLS.get(key)))
 
-    def test_missing_shareable_declaration_is_rejected(self):
+    def test_missing_protocol_classes_is_rejected(self):
         registry = Registry(
             "protocol", validator=PROTOCOLS._validator, instantiate=True
         )
-
-        class Bare:
-            pass
 
         @registry.register("bogus")
         class BogusPlugin(ProtocolPlugin):
-            protocol_classes = (Bare,)
-
             def build(self, config):  # pragma: no cover - never called
                 return None
 
@@ -159,59 +147,8 @@ class TestProtocolContract:
             def build_schedule(self, deployment, config):  # pragma: no cover
                 return None
 
-        with pytest.raises(RegistryError, match="shareable"):
+        with pytest.raises(RegistryError, match="protocol_classes"):
             registry.get("bogus")
-
-    @pytest.mark.parametrize(
-        "missing",
-        [
-            "cohort_key",
-            "clone_for_split",
-            "state_signature",
-            "phase_act",
-            "phase_observe",
-            "phase_end",
-            "shared_observation_attr",
-        ],
-    )
-    def test_incomplete_shareable_contract_is_rejected(self, missing):
-        from repro.core.protocol import Protocol
-
-        def hook(self, *args):  # pragma: no cover - never called
-            return None
-
-        members = {
-            "shareable": True,
-            "shared_observation_attr": "busy",
-            "cohort_key": hook,
-            "clone_for_split": hook,
-            "state_signature": hook,
-            "phase_act": hook,
-            "phase_observe": hook,
-            "phase_end": hook,
-        }
-        del members[missing]
-        Incomplete = type("Incomplete", (Protocol,), members)
-
-        registry = Registry(
-            "protocol", validator=PROTOCOLS._validator, instantiate=True
-        )
-
-        @registry.register("incomplete")
-        class IncompletePlugin(ProtocolPlugin):
-            protocol_classes = (Incomplete,)
-
-            def build(self, config):  # pragma: no cover - never called
-                return None
-
-            def build_liar(self, config, fake_message):  # pragma: no cover
-                return None
-
-            def build_schedule(self, deployment, config):  # pragma: no cover
-                return None
-
-        with pytest.raises(RegistryError, match=missing):
-            registry.get("incomplete")
 
     def test_factory_registries_reject_non_dataclasses(self):
         registry = Registry("deployment", validator=DEPLOYMENTS._validator)

@@ -47,7 +47,8 @@ draws being data-dependent.  These tests pin
   terminate jump over their idle tail with oracle-identical records and RNG
   positions, and runs with loss draws, traces, opportunistic transmitters or
   uncompiled slots never jump; and
-* that MultiPathRB forms no cohort on the cohort tier: it is not shareable.
+* that MultiPathRB forms no cohort on the cohort tier: the tier shares
+  NeighborWatchRB only.
 """
 
 from __future__ import annotations
@@ -198,14 +199,16 @@ class TestEligibility:
         # Epidemic members are validated once per device; every slot a
         # device that cannot lower listens in must stay on the scalar loop,
         # every other slot compiles, and the mixed run matches the oracle.
-        # An isolated device keeps the run going to its cap: the scalar
-        # loop may move any state, so no cycle counts as quiet although
-        # none moves after the flood.
+        # A device that may transmit anywhere cannot lower; this one never
+        # does (it inherits the wants_slot that declines every slot).  An
+        # isolated device keeps the run going to its cap: the scalar loop
+        # may move any state, so no cycle counts as quiet although none
+        # moves after the flood.
         from repro.core.epidemic import EpidemicNode
         from repro.sim.engine import Simulation
 
         class OptedOut(EpidemicNode):
-            soa_compilable = False
+            may_transmit_anywhere = True
 
         config = ScenarioConfig(protocol="epidemic", radius=3.0, message_length=2, seed=11)
         deployment = _with_isolated_device(uniform_small_deployment)
@@ -463,7 +466,7 @@ def _receiver_streams(sim) -> dict:
     streams = {}
     for node in sim.nodes:
         proto = node.protocol
-        if not getattr(proto, "soa_compilable", False):
+        if not hasattr(proto, "soa_state_spec"):
             continue
         for slot in proto.interests():
             spec = proto.soa_state_spec(slot)
@@ -1551,13 +1554,14 @@ class TestRuntimeLifetime:
 
 
 class TestRegionKeyedMultipathCohorts:
-    """MultiPathRB is not shareable, so it forms no cohort of any key."""
+    """The cohort tier shares NeighborWatchRB only: MultiPathRB forms no cohort."""
 
     def test_standard_separation_forbids_multipath_cohorts(
         self, tiny_grid_deployment, mp_config
     ):
-        # MultiPathRB is not shareable: under the paper's 3R separation
-        # same-slot devices are > 3R apart, so no two could share a machine.
+        # Under the paper's 3R separation same-slot MultiPathRB devices are
+        # > 3R apart, so no two could share a machine, and the tier never
+        # tries.
         sim = build_simulation(
             tiny_grid_deployment, mp_config, use_cohort_runtime=True, use_soa_kernels=False
         )
@@ -1577,19 +1581,81 @@ class TestDescribeTierEligibility:
     def test_per_capability_verdicts_and_fallback_notes(self):
         from repro.experiments.driver import _tier_lines
 
-        friis = _tier_lines({"channel": "friis"})
+        friis = _tier_lines(ScenarioConfig(channel="friis"))
         assert friis[0].startswith("execution tier: struct-of-arrays")
         assert "power-sum" in friis[0]
-        lossy = _tier_lines({"loss_probability": 0.2})
+        lossy = _tier_lines(ScenarioConfig(loss_probability=0.2))
         assert lossy[0].startswith("execution tier: struct-of-arrays")
         assert any("loss_probability=0.2" in line for line in lossy)
-        capture = _tier_lines({"capture_probability": 0.5})
-        assert capture[0].startswith("execution tier: cohort runtime")
+        capture = _tier_lines(ScenarioConfig(capture_probability=0.5))
+        assert capture[0].startswith("execution tier: cohort runtime for NeighborWatchRB")
         assert any(
             "capture_probability=0.5" in line and "scalar" in line
             for line in capture
         )
-        assert any("per-slot" in line for line in _tier_lines({"num_jammers": 15}))
+        assert any("per-slot" in line for line in _tier_lines(ScenarioConfig(), jammed=True))
+
+    @pytest.mark.parametrize("protocol", ["multipath", "epidemic"])
+    def test_protocols_the_cohort_tier_does_not_share_name_the_scalar_loop(self, protocol):
+        from repro.experiments.driver import _tier_lines
+
+        eligible = _tier_lines(ScenarioConfig(protocol=protocol))
+        assert "REPRO_SOA_KERNELS=0 falls back to the scalar loop" in eligible[0]
+        capture = _tier_lines(ScenarioConfig(protocol=protocol, capture_probability=0.3))
+        assert capture[0] == "execution tier: scalar loop (struct-of-arrays kernels ineligible)"
+        nw = _tier_lines(ScenarioConfig(protocol="neighborwatch2"))
+        assert "falls back to the cohort runtime for NeighborWatchRB" in nw[0]
+
+    @staticmethod
+    def _describe_copy(tmp_path, name, edit):
+        from pathlib import Path
+
+        from repro.experiments.driver import describe_spec
+        from repro.experiments.spec import load_spec
+
+        source = Path(__file__).resolve().parent.parent / "examples" / "specs" / name
+        copy = tmp_path / name
+        copy.write_text(edit(source.read_text(encoding="utf8")), encoding="utf8")
+        return describe_spec(load_spec(copy))
+
+    def test_capture_set_under_scenario_names_the_scalar_loop(self, tmp_path):
+        # [params] pins no capture; the [scenario] line is what the run uses,
+        # and MultiPathRB under capture runs on the scalar loop.
+        anchor = 'multipath_tolerance = "$tolerance"\n'
+        text = self._describe_copy(
+            tmp_path, "multipath_lying_smoke.toml",
+            lambda text: text.replace(anchor, anchor + "capture_probability = 0.3\n"),
+        )
+        assert "execution tier: scalar loop (struct-of-arrays kernels ineligible)" in text
+        assert "capture_probability=0.3 draws are data-dependent" in text
+        assert "struct-of-arrays slot kernels" not in text
+
+    def test_channel_set_under_scenario_sizes_and_models_that_channel(self, tmp_path):
+        text = self._describe_copy(
+            tmp_path, "friis_smoke.toml",
+            lambda text: text.replace('channel = "friis"\n', "").replace(
+                'channel = "$channel"', 'channel = "friis"'
+            ),
+        )
+        assert "memory: 120 nodes — dense friis link state would be 112.5 KiB" in text
+        assert "power-sum busy model" in text
+        assert "unitdisk" not in text and "disjunction" not in text
+
+    def test_axis_values_get_one_block_per_tier(self, tmp_path):
+        # Capture on an axis: one scenario compiles, the other cannot.
+        def on_axis(text):
+            text = text.replace('losses = [0.0, 0.2]', 'captures = [0.0, 0.4]')
+            text = text.replace('name = "loss"\nvalues = "$losses"', 'name = "cap"\nvalues = "$captures"')
+            text = text.replace('channel = "$channel"', 'channel = "unitdisk"')
+            text = text.replace('loss_probability = "$loss"', 'capture_probability = "$cap"')
+            return text.replace('label = "loss={loss}"', 'label = "cap={cap}"').replace(
+                'loss = "$loss"', 'cap = "$cap"'
+            )
+
+        text = self._describe_copy(tmp_path, "friis_smoke.toml", on_axis)
+        assert "execution tiers (2 distinct scenarios):" in text
+        assert "  capture_probability=0.0:" in text and "  capture_probability=0.4:" in text
+        assert "execution tier: cohort runtime for NeighborWatchRB" in text
 
 
 class TestQuietCycleFastForward:

@@ -268,12 +268,20 @@ class TestCli:
             ("schedule_separation = nan", "schedule_separation must be a finite number > 0"),
             ("bogus_knob = 3", "unexpected keyword argument 'bogus_knob'"),
             ('message = "abc"', "invalid literal for int()"),
+            ("capture_probability = 1.5", "capture_probability must be a number in [0, 1]"),
+            ('loss_probability = "abc"', "loss_probability must be a number in [0, 1]"),
+            ('max_rounds = "10"', "max_rounds must be an integer >= 1"),
         ],
-        ids=["out-of-range", "unknown-key", "wrong-type"],
+        ids=[
+            "out-of-range", "unknown-key", "wrong-type",
+            "capture-out-of-range", "loss-wrong-type", "max-rounds-wrong-type",
+        ],
     )
     def test_invalid_scenario_table_exits_2(self, capsys, tmp_path, command, line, message):
         # ScenarioConfig rejects the [scenario] table while the sweep tasks
-        # are built: one error line naming the spec, not a traceback.
+        # are built: one error line naming the spec, not a traceback, and no
+        # repetition runs (a bad probability used to quarantine every
+        # repetition, a string round cap to run through int()).
         source = EXAMPLE_SPEC.parent / "multipath_lying_smoke.toml"
         anchor = 'multipath_tolerance = "$tolerance"\n'
         text = source.read_text(encoding="utf8")

@@ -487,7 +487,7 @@ class TestDescribeMemoryEstimate:
     def test_dense_form_at_the_threshold(self):
         from repro.experiments.driver import _memory_lines
 
-        lines = _memory_lines({"num_nodes": SPATIAL_TILING_AUTO_NODES, "channel": "unitdisk"})
+        lines = _memory_lines(SPATIAL_TILING_AUTO_NODES, ScenarioConfig(channel="unitdisk"))
         assert lines[0] == (
             f"memory: {SPATIAL_TILING_AUTO_NODES} nodes — dense unitdisk link state would be 16.0 MiB"
         )
@@ -496,6 +496,6 @@ class TestDescribeMemoryEstimate:
     def test_sparse_form_above_the_threshold(self):
         from repro.experiments.driver import _memory_lines
 
-        lines = _memory_lines({"num_nodes": SPATIAL_TILING_AUTO_NODES + 1, "channel": "friis"})
+        lines = _memory_lines(SPATIAL_TILING_AUTO_NODES + 1, ScenarioConfig(channel="friis"))
         assert lines[0].startswith(f"memory: {SPATIAL_TILING_AUTO_NODES + 1} nodes — dense friis")
         assert "keeps the sparse link state instead" in lines[1]
